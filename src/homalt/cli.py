@@ -443,6 +443,9 @@ def run(config):
     workers = _thread_cap(len(selected))
     results = {}
     if workers > 1 and len(selected) > 1:
+        # Fill A's cached multiplicativity report before the suites share
+        # it, so that no two threads compute it.
+        is_multiplicative(A)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {s: pool.submit(_SUITE_FNS[s], A, config) for s in selected}
             for s in selected:

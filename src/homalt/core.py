@@ -18,6 +18,8 @@ and report the lexicographically first failing tuple as a witness.
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from math import lcm
 from typing import Any, Optional
 
 from .linalg import (
@@ -71,13 +73,17 @@ class HomAlgebra:
                 assert len(v) == dim
         self.mu = tuple(rows)
         self.alpha = alpha
-        # sparse view of mu used by the hot loops
-        self._mu_nz = tuple(
+        # The hot loops read mu as an integer tensor over one common
+        # denominator: e_i * e_j = sum of c * e_k / _mu_den over the
+        # nonzero (k, c) pairs in _mu_num[i][j].
+        den = lcm(*(v.den for v in chain.from_iterable(self.mu)))
+        self._mu_den = den
+        self._mu_num = tuple(
             tuple(
-                tuple((k, c) for k, c in enumerate(self.mu[i][j]) if c != 0)
-                for j in range(dim)
+                tuple((k, c * (den // v.den)) for k, c in enumerate(v.nums) if c)
+                for v in row
             )
-            for i in range(dim)
+            for row in self.mu
         )
         self._mult_report = None
 
@@ -184,19 +190,16 @@ def mul(A, x, y):
     """Product x*y in A."""
     if x.algebra is not A or y.algebra is not A:
         raise ValueError("elements belong to different algebras")
-    acc = [ZERO] * A.dim
-    nz = A._mu_nz
-    for i, xi in enumerate(x.coords):
-        if xi == 0:
-            continue
-        row = nz[i]
-        for j, yj in enumerate(y.coords):
-            if yj == 0:
-                continue
-            s = xi * yj
-            for k, c in row[j]:
-                acc[k] += s * c
-    return Element(A, Vector(acc))
+    xv, yv = x.coords, y.coords
+    ys = [(j, yj) for j, yj in enumerate(yv.nums) if yj]
+    acc = [0] * A.dim
+    for xi, row in zip(xv.nums, A._mu_num):
+        if xi:
+            for j, yj in ys:
+                s = xi * yj
+                for k, c in row[j]:
+                    acc[k] += s * c
+    return Element(A, Vector.from_ints(acc, xv.den * yv.den * A._mu_den))
 
 
 def apply_alpha(A, x):
@@ -340,10 +343,10 @@ def algebra_to_json(A):
     entries = []
     for i in range(A.dim):
         for j in range(A.dim):
-            for k in range(A.dim):
-                c = A.mu[i][j][k]
-                if c != 0:
-                    entries.append({"i": i, "j": j, "k": k, "c": format_scalar(c)})
+            v = A.mu[i][j]
+            for k, n in enumerate(v.nums):
+                if n:
+                    entries.append({"i": i, "j": j, "k": k, "c": format_scalar(qq(n, v.den))})
     return {
         "dim": A.dim,
         "basis": list(A.basis_names),

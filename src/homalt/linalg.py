@@ -1,9 +1,23 @@
-"""Exact rational scalars and small dense matrices.
+"""Exact rational scalars, vectors and small dense matrices.
 
-Everything downstream works over Q with arbitrary-precision rationals;
-gmpy2.mpq is used when available (noticeably faster), stdlib Fraction
-otherwise.  Both keep values in lowest terms with positive denominator,
-which is what the canonical-form guarantees below rely on.
+Everything downstream works over Q.  Scalars are fractions.Fraction;
+they appear at the boundaries: parsing, construction from user data,
+and the values that reports print.
+
+Inside, a Vector is a tuple of integer numerators ``nums`` over one
+common denominator ``den``, kept canonical: den > 0 and
+gcd(den, *nums) == 1, so the zero vector has den == 1.  Equal vectors
+have equal (nums, den), and == and hash compare integers.  Vector
+arithmetic builds its results directly in that form; only the public
+constructor Vector(entries) coerces entries through as_scalar, and
+entries, indexing, iteration and repr hand out Scalars.
+
+A Matrix keeps its entries as Scalars in ``data`` and caches the same
+form for the whole table (integer rows over one common denominator,
+plus each row's nonzero entries), so vec_mat, mat_vec and mat_mul are
+integer loops that skip zeros and pay one gcd per result.  A product's
+``data`` is built only when something reads it; the other Matrix
+operations work on ``data``.
 
 Conventions: vectors are coordinate rows, matrices act on the right
 (coords of f(x) are x.coords * M_f), and kernel_basis(m) returns the
@@ -12,19 +26,16 @@ row kernel pass the transpose.
 """
 
 import re
-from math import gcd
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
-try:
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _RAT
-
-Scalar = type(_RAT(0))
+Scalar = Fraction
 
 
 def qq(p, q=1):
     """Exact rational p/q."""
-    return _RAT(p, q)
+    return Fraction(p, q)
 
 
 ZERO = qq(0)
@@ -68,75 +79,194 @@ def format_scalar(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-class Vector:
-    """Immutable row of Scalars."""
+def _clear(scalars):
+    """(integer numerators, common denominator) of reduced Scalars.
 
-    __slots__ = ("entries",)
+    The denominator is the lcm of theirs, which already makes the pair
+    canonical: a prime dividing it divides some entry's denominator to
+    the full power, and that entry's numerator is not divisible by it.
+    """
+    den = lcm(*(a.denominator for a in scalars))
+    return [a.numerator * (den // a.denominator) for a in scalars], den
+
+
+def _vec(nums, den):
+    """A Vector from a canonical (nums tuple, den) pair, unchecked."""
+    v = object.__new__(Vector)
+    v.nums = nums
+    v.den = den
+    return v
+
+
+def _reduced(nums, den):
+    """A canonical Vector equal to nums/den, for den > 0."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return _vec(tuple(n // g for n in nums), den // g)
+    return _vec(tuple(nums), den)
+
+
+class Vector:
+    """Immutable row of rationals: integer ``nums`` over one ``den``."""
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, entries):
-        self.entries = tuple(as_scalar(e) for e in entries)
+        nums, self.den = _clear([as_scalar(e) for e in entries])
+        self.nums = tuple(nums)
 
     @staticmethod
     def zero(n):
-        return Vector([ZERO] * n)
+        return _vec((0,) * n, 1)
 
     @staticmethod
     def unit(n, i):
-        return Vector([ONE if j == i else ZERO for j in range(n)])
+        return _vec(tuple(int(j == i) for j in range(n)), 1)
+
+    @staticmethod
+    def from_ints(nums, den):
+        """The Vector nums/den for integer nums and den > 0, reduced."""
+        return _reduced(nums, den)
+
+    @property
+    def entries(self):
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.nums)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.nums)
 
     def __getitem__(self, i):
-        return self.entries[i]
+        return Fraction(self.nums[i], self.den)
 
     def __iter__(self):
         return iter(self.entries)
 
     def __add__(self, other):
         assert len(self) == len(other)
-        return Vector([a + b for a, b in zip(self.entries, other.entries)])
+        d, e = self.den, other.den
+        if d == e:
+            return _reduced([a + b for a, b in zip(self.nums, other.nums)], d)
+        return _reduced([a * e + b * d for a, b in zip(self.nums, other.nums)], d * e)
 
     def __sub__(self, other):
         assert len(self) == len(other)
-        return Vector([a - b for a, b in zip(self.entries, other.entries)])
+        d, e = self.den, other.den
+        if d == e:
+            return _reduced([a - b for a, b in zip(self.nums, other.nums)], d)
+        return _reduced([a * e - b * d for a, b in zip(self.nums, other.nums)], d * e)
 
     def __neg__(self):
-        return Vector([-a for a in self.entries])
+        return _vec(tuple(-a for a in self.nums), self.den)
 
     def scale(self, c):
         c = as_scalar(c)
-        return Vector([c * a for a in self.entries])
+        p = c.numerator
+        return _reduced([p * a for a in self.nums], c.denominator * self.den)
 
     __rmul__ = scale
 
     def dot(self, other):
         assert len(self) == len(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), ZERO)
+        return Fraction(sum(a * b for a, b in zip(self.nums, other.nums)), self.den * other.den)
 
     def is_zero(self):
-        return all(a == 0 for a in self.entries)
+        return not any(self.nums)
 
     def __eq__(self, other):
-        return isinstance(other, Vector) and self.entries == other.entries
+        return isinstance(other, Vector) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return "Vector(%s)" % (", ".join(format_scalar(a) for a in self.entries),)
 
 
-class Matrix:
-    """Immutable dense matrix of Scalars; rows/cols are the dimensions."""
+def linear_combination(terms, n):
+    """Exact sum of p/q * v over (p, q, v) in terms, as a Vector of length n.
 
-    __slots__ = ("rows", "cols", "data")
+    p and q > 0 are ints and v a Vector.  The sum runs on integer
+    numerators over one running common denominator and reduces once at
+    the end, so no Vector is built per term.
+    """
+    acc = [0] * n
+    den = 1
+    for p, q, v in terms:
+        d = q * v.den
+        if d != den:
+            common = lcm(den, d)
+            if common != den:
+                f = common // den
+                acc = [a * f for a in acc]
+                den = common
+            p *= den // d
+        for k, a in enumerate(v.nums):
+            if a:
+                acc[k] += p * a
+    return _reduced(acc, den)
+
+
+def _sparse(nums):
+    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in nums)
+
+
+def _matrix(nums, den):
+    """The Matrix nums/den from a tuple of integer rows, unchecked.
+
+    Its Scalar ``data`` is built only when something reads it.
+    """
+    m = object.__new__(Matrix)
+    m._data = None
+    m._ints = (nums, den, _sparse(nums))
+    m.rows = len(nums)
+    m.cols = len(nums[0]) if nums else 0
+    return m
+
+
+def _reduced_matrix(rows, den):
+    """The Matrix rows/den from lists of ints and den > 0, reduced."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(rows))
+        if g != 1:
+            return _matrix(tuple(tuple(a // g for a in row) for row in rows), den // g)
+    return _matrix(tuple(tuple(row) for row in rows), den)
+
+
+class Matrix:
+    """Immutable dense matrix of Scalars; rows/cols are the dimensions.
+
+    ``data`` holds the entries as Scalars.  The products read the
+    cleared integer form instead: integer rows over one common
+    denominator, with each row's nonzero (column, numerator) pairs.
+    It is cached on first use, and products are born with it.
+    """
+
+    __slots__ = ("rows", "cols", "_data", "_ints")
 
     def __init__(self, data):
-        self.data = tuple(tuple(as_scalar(e) for e in row) for row in data)
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        assert all(len(r) == self.cols for r in self.data), "ragged rows"
+        self._data = tuple(tuple(as_scalar(e) for e in row) for row in data)
+        self._ints = None
+        self.rows = len(self._data)
+        self.cols = len(self._data[0]) if self._data else 0
+        assert all(len(r) == self.cols for r in self._data), "ragged rows"
+
+    def _int_rows(self):
+        """(integer rows, common denominator, sparse rows)."""
+        if self._ints is None:
+            flat, den = _clear(list(chain.from_iterable(self._data)))
+            c = self.cols
+            nums = tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(self.rows))
+            self._ints = (nums, den, _sparse(nums))
+        return self._ints
+
+    @property
+    def data(self):
+        if self._data is None:
+            nums, den, _ = self._ints
+            self._data = tuple(tuple(Fraction(a, den) for a in row) for row in nums)
+        return self._data
 
     @staticmethod
     def from_rows(rows):
@@ -227,27 +357,36 @@ def identity_matrix(n):
 def mat_mul(a, b):
     """Matrix product a*b."""
     assert a.cols == b.rows, "shape mismatch: %dx%d * %dx%d" % (a.rows, a.cols, b.rows, b.cols)
-    bt = b.transpose().data
-    return Matrix(
-        [
-            [sum((x * y for x, y in zip(row, col)), ZERO) for col in bt]
-            for row in a.data
-        ]
-    )
+    _, d, sa = a._int_rows()
+    _, e, sb = b._int_rows()
+    out = []
+    for row in sa:
+        acc = [0] * b.cols
+        for k, x in row:
+            for j, y in sb[k]:
+                acc[j] += x * y
+        out.append(acc)
+    return _reduced_matrix(out, d * e)
 
 
 def mat_vec(m, v):
     """m @ v for a column vector v (returns a Vector of length m.rows)."""
     assert m.cols == len(v)
-    return Vector([sum((a * x for a, x in zip(row, v)), ZERO) for row in m.data])
+    _, den, sparse = m._int_rows()
+    x = v.nums
+    return _reduced([sum(a * x[j] for j, a in row) for row in sparse], den * v.den)
 
 
 def vec_mat(v, m):
     """Row vector times matrix: v @ m."""
     assert len(v) == m.rows
-    return Vector(
-        [sum((v[i] * m.data[i][j] for i in range(m.rows)), ZERO) for j in range(m.cols)]
-    )
+    _, den, sparse = m._int_rows()
+    acc = [0] * m.cols
+    for x, row in zip(v.nums, sparse):
+        if x:
+            for j, a in row:
+                acc[j] += x * a
+    return _reduced(acc, den * v.den)
 
 
 def mat_pow(m, n):
@@ -266,21 +405,6 @@ def mat_pow(m, n):
     return out
 
 
-def _cleared_rows(m):
-    # Scale each row by the lcm of its denominators so the fraction-free
-    # elimination below really does stay in integers.  Row scaling changes
-    # neither rank, row space nor kernel.
-    out = []
-    for row in m.data:
-        l = 1
-        for a in row:
-            d = int(a.denominator)
-            if d != 1:
-                l = l // gcd(l, d) * d
-        out.append([a * l for a in row])
-    return out
-
-
 def _rref(m):
     """Reduced row-echelon form of m.
 
@@ -289,7 +413,9 @@ def _rref(m):
     normalises pivots to 1 and clears above them.  Returns (rows,
     pivot_columns).
     """
-    rows = _cleared_rows(m)
+    # The cleared integer rows: m scaled by one common denominator, which
+    # changes neither rank, row space nor kernel.
+    rows = [[Fraction(a) for a in row] for row in m._int_rows()[0]]
     nr, nc = m.rows, m.cols
     pivots = []
     prev = ONE

@@ -31,6 +31,7 @@ only depends on the multiset of S, which keeps the sweep cheap.
 import random
 from itertools import combinations_with_replacement
 
+from .linalg import linear_combination
 from .core import (
     CheckReport,
     apply_alpha,
@@ -149,19 +150,11 @@ def polarized_defect_sweep(A, degree, defect_fn, law):
             sub = tuple(sorted(M[t] for t in range(degree) if mask >> t & 1))
             sign = (-1) ** (degree - len(sub))
             counts[sub] = counts.get(sub, 0) + sign
-        acc = None
-        for sub, cnt in sorted(counts.items()):
-            if cnt == 0:
-                continue
-            vals = defects_at(sub)
-            if acc is None:
-                acc = {tag: cnt * v for tag, v in vals.items()}
-            else:
-                for tag, v in vals.items():
-                    acc[tag] = acc[tag] + cnt * v
-        for tag in sorted(acc):
-            if not acc[tag].is_zero():
-                return CheckReport(False, law, (M, tag), acc[tag], A.zero())
+        terms = [(cnt, defects_at(sub)) for sub, cnt in sorted(counts.items()) if cnt]
+        for tag in sorted(terms[0][1]):
+            acc = linear_combination(((cnt, 1, vals[tag].coords) for cnt, vals in terms), dim)
+            if not acc.is_zero():
+                return CheckReport(False, law, (M, tag), A.element(acc), A.zero())
     return CheckReport(True, law)
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations_with_replacement, permutations, product
 
-from .linalg import ONE, ZERO, as_scalar, format_scalar, parse_scalar
+from .linalg import ONE, ZERO, as_scalar, format_scalar, linear_combination, parse_scalar
 from .core import CheckReport, apply_alpha, is_multiplicative, mul
 
 __all__ = [
@@ -629,7 +629,7 @@ def check_identity_on_algebra(A, lhs, rhs, degrees, name="identity"):
     defect, groups = multilinearize(lhs - rhs, degrees)
     if defect.is_zero():
         return CheckReport(True, name, note="defect normalizes to zero symbolically")
-    term_list = defect.terms()
+    term_list = [(m.tree, c.numerator, c.denominator) for m, c in defect.terms()]
     group_vars = sorted(groups)
     dim = A.dim
 
@@ -676,12 +676,12 @@ def check_identity_on_algebra(A, lhs, rhs, degrees, name="identity"):
         for v, assignment in zip(group_vars, combo):
             for slot, idx in zip(groups[v], assignment):
                 env[slot] = idx
-        acc = A.zero()
-        for m, c in term_list:
-            acc = acc + eval_tree(m.tree, env).scale(c)
+        acc = linear_combination(
+            ((p, q, eval_tree(tree, env).coords) for tree, p, q in term_list), dim
+        )
         if not acc.is_zero():
             witness = tuple((v, combo[t]) for t, v in enumerate(group_vars))
-            return CheckReport(False, name, witness, acc, A.zero())
+            return CheckReport(False, name, witness, A.element(acc), A.zero())
     return CheckReport(True, name, note="polarized sweep over all basis tuples")
 
 

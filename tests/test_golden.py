@@ -1,0 +1,49 @@
+"""Reports must not drift: each command's stdout equals a stored file byte
+for byte, and its exit code the stored one.
+
+The files under data/golden/ were written by the Fraction-only kernel
+that preceded the integer kernel, so these tests tie today's output to
+that release, not just one run of the current code to another.
+``random-00.json`` is a dense random table with integer constants and
+alpha = Id (multiplicative, not right Hom-alternative);
+``random-00-rational.json`` is the same table with every constant
+divided by 1 + (i + j + k) mod 3.  To regenerate a file after an
+intended change of output, run its command from data/golden/ with
+``python -m homalt.cli ARGS > FILE``.
+"""
+
+import pathlib
+
+import pytest
+
+from homalt.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
+
+RANDOM_SUITES = "axioms,powers,jordan,operators,identities"
+CUBE_COMMUTES = "(= (mul (mul x x) (a 1 x)) (mul (a 1 x) (mul x x)))"
+
+CASES = [
+    ("check_albert5_230.json", 0,
+     ["check", "albert5", "--twist", "2,3,0", "--output", "json"]),
+    ("check_albert5_m147.json", 0,
+     ["check", "albert5", "--twist=-1,4,7", "--suites",
+      "axioms,powers,jordan,operators,identities,symbolic", "--output", "json"]),
+    ("check_random00.json", 1,
+     ["check", "random-00.json", "--suites", RANDOM_SUITES, "--output", "json"]),
+    ("check_random00.txt", 1, ["check", "random-00.json", "--suites", RANDOM_SUITES]),
+    ("check_random00_rational.json", 1,
+     ["check", "random-00-rational.json", "--suites", RANDOM_SUITES, "--output", "json"]),
+    ("powers_random00_rational.txt", 1, ["powers", "random-00-rational.json", "--n", "6"]),
+    ("identity_random00_rational.txt", 1,
+     ["identity", "random-00-rational.json", "--expr", CUBE_COMMUTES]),
+    ("decompose_albert5_230.json", 0,
+     ["decompose", "albert5", "--twist", "2,3,0", "--output", "json"]),
+]
+
+
+@pytest.mark.parametrize("name,code,argv", CASES, ids=[c[0] for c in CASES])
+def test_output_matches_golden_file(name, code, argv, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    assert main(argv) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
