@@ -3,8 +3,9 @@
 Monomials are binary trees with alpha-powers pushed onto the leaves
 (the normal form for multiplicative algebras).  This layer can state
 identities, multilinearize them, prove them on a concrete algebra by an
-exhaustive polarized basis sweep, and verify certificates expressing an
-identity as an explicit combination of axiom instances.
+exhaustive basis sweep (each variable polarized by inclusion-exclusion
+on subset sums of basis elements), and verify certificates expressing
+an identity as an explicit combination of axiom instances.
 
 Run:  python3 demos/07_symbolic.py
 """

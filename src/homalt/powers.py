@@ -17,19 +17,21 @@ for all n as soon as
 which is the criterion checked by check_third_fourth_criterion.
 
 Checks run twice: on seeded random elements, and (for small n) as a
-polarized basis sweep.  Polarizing replaces the degree-n power map P by
-its multilinear form via inclusion-exclusion,
+polarized basis sweep.  polarized_defect_sweep, the engine behind every
+polarized proof in homalt (jordan's and symbolic's too), replaces a map
+P of degree d in a variable by its multilinear form via inclusion-exclusion,
 
-    sum over nonempty S of {1..n} of (-1)^(n-|S|) P(x_S),
+    sum over nonempty S of {1..d} of (-1)^(d-|S|) P(x_S),
     x_S = sum of the slot elements indexed by S,
 
-and sweeping all basis tuples for the slots; over Q this vanishes
+and sweeps all basis tuples for the slots; over Q this vanishes
 identically iff P does, so the sweep is a proof, not a sample.  P(x_S)
-only depends on the multiset of S, which keeps the sweep cheap.
+only depends on the multiset of S: 2^d evaluations per point, not d!.
 """
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import prod
 
 from .linalg import linear_combination
 from .core import (
@@ -120,41 +122,58 @@ def _power_defects(A, x, n):
     return [(i, full - t.pair(n - i, i)) for i in range(1, n)]
 
 
-def polarized_defect_sweep(A, degree, defect_fn, law):
-    """Exhaustive proof that a homogeneous degree-d map vanishes.
+def _signed_submultisets(M):
+    """[(sub-multiset, signed count)] of the inclusion-exclusion over M's slots."""
+    d = len(M)
+    counts = {}
+    for mask in range(1, 1 << d):
+        sub = tuple(sorted(M[t] for t in range(d) if mask >> t & 1))
+        counts[sub] = counts.get(sub, 0) + (-1) ** (d - len(sub))
+    return [(sub, cnt) for sub, cnt in sorted(counts.items()) if cnt]
 
-    defect_fn(element) must be polynomial of homogeneous degree `degree`
-    in its argument and return a list of (tag, Element) defects; the
-    inclusion-exclusion multilinearisation of each defect is evaluated on
-    every basis multiset.  Returns a CheckReport; a failure witnesses the
-    lexicographically first (multiset, tag) pair.
+
+def polarized_defect_sweep(A, degrees, defect_fn, law):
+    """Exhaustive proof that a multihomogeneous map vanishes.
+
+    degrees is the degree of defect_fn's one argument, or a tuple of the
+    degrees of its arguments (one per variable group); defect_fn returns
+    a list of (tag, Element) defects.  Each group is polarized and swept
+    over basis multisets, the first group outermost.  Returns a
+    CheckReport; a failure witnesses the first failing (multiset, tag)
+    -- (tuple of multisets, tag) for a tuple of degrees -- with the
+    polarized defect as lhs.
     """
+    single = isinstance(degrees, int)
+    degrees = (degrees,) if single else tuple(degrees)
     dim = A.dim
     basis = A.basis()
-    cache = {}  # sorted index tuple -> {tag: Element}
+    cache = {}  # tuple of sorted index tuples -> {tag: Element}
+    sums = {}  # sorted index tuple -> the sum of those basis elements
+    signed = {}  # multiset -> _signed_submultisets(multiset)
 
-    def defects_at(sub):
-        got = cache.get(sub)
+    def defects_at(subs):
+        got = cache.get(subs)
         if got is None:
-            x = A.zero()
-            for idx in sub:
-                x = x + basis[idx]
-            got = dict(defect_fn(x))
-            cache[sub] = got
+            for sub in subs:
+                if sub not in sums:
+                    sums[sub] = sum((basis[i] for i in sub), A.zero())
+            xs = [sums[sub] for sub in subs]
+            got = cache[subs] = dict(defect_fn(*xs))
         return got
 
-    for M in combinations_with_replacement(range(dim), degree):
-        # group subset-sums by the sub-multiset they select
-        counts = {}
-        for mask in range(1, 1 << degree):
-            sub = tuple(sorted(M[t] for t in range(degree) if mask >> t & 1))
-            sign = (-1) ** (degree - len(sub))
-            counts[sub] = counts.get(sub, 0) + sign
-        terms = [(cnt, defects_at(sub)) for sub, cnt in sorted(counts.items()) if cnt]
+    for Ms in product(*(combinations_with_replacement(range(dim), d) for d in degrees)):
+        for M in Ms:
+            if M not in signed:
+                signed[M] = _signed_submultisets(M)
+        terms = [
+            (prod(cnt for _, cnt in picked), defects_at(tuple(sub for sub, _ in picked)))
+            for picked in product(*(signed[M] for M in Ms))
+        ]
         for tag in sorted(terms[0][1]):
             acc = linear_combination(((cnt, 1, vals[tag].coords) for cnt, vals in terms), dim)
             if not acc.is_zero():
-                return CheckReport(False, law, (M, tag), A.element(acc), A.zero())
+                witness = (Ms[0] if single else Ms, tag)
+                return CheckReport(False, law, witness, A.element(acc), A.zero())
     return CheckReport(True, law)
 
 

@@ -28,26 +28,29 @@ and use only instances that are individually nonzero, so corrupting any
 single coefficient breaks verification.
 
 Identities are also checkable concretely: check_identity_on_algebra
-multilinearizes the defect symbolically (replacing a degree-d variable
-by d slots and keeping the terms where each slot occurs once -- over Q
-the multilinear form vanishes iff the identity does) and then sweeps
-all basis assignments of the slots, exactly.
+evaluates the defect lhs - rhs on subset sums of basis elements, and
+powers.polarized_defect_sweep polarizes each variable by
+inclusion-exclusion (over Q the polarized form vanishes iff the
+identity does) and sweeps all basis assignments, exactly: 2^d
+evaluations per point for a degree-d variable, not the d! terms of
+multilinearize's symbolic form.
 """
 
 import json
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations
+from operator import itemgetter
 
 from .linalg import ONE, ZERO, as_scalar, format_scalar, linear_combination, parse_scalar
 from .core import CheckReport, apply_alpha, is_multiplicative, mul
+from .powers import polarized_defect_sweep
 
 __all__ = [
     "HomMonomial",
     "HomPolynomial",
     "var",
     "mono",
-    "alpha_poly",
     "poly_mul",
     "expand_associator",
     "poly_commutator",
@@ -284,10 +287,6 @@ def poly_mul(p, q):
     return r
 
 
-def alpha_poly(p, k=1):
-    return p.alpha(k)
-
-
 def expand_associator(p, q, r):
     """as(p, q, r) = (p*q)*alpha(r) - alpha(p)*(q*r)."""
     return poly_mul(poly_mul(p, q), r.alpha(1)) - poly_mul(p.alpha(1), poly_mul(q, r))
@@ -395,22 +394,63 @@ def _require_multiplicative(A, who):
         )
 
 
-def _eval_tree(A, tree, assignment, memo):
-    got = memo.get(tree)
-    if got is not None:
-        return got
+def _compile_tree(A, tree, slot_of, done):
+    """(f, slots): f(xs, ids) is tree at one Element per variable.
+
+    tree reads xs[slots].  ids numbers the values in xs, and f memoises
+    on ids[slots] through one operator.itemgetter, so a subtree shared
+    by terms or unchanged between sweep points is evaluated once; done
+    maps the trees already compiled.
+    """
+    if tree in done:
+        return done[tree]
     if tree[0] == "v":
-        name, k = tree[1], tree[2]
-        if name not in assignment:
-            raise ValueError("unassigned variable %r" % name)
-        e = assignment[name]
-        for _ in range(k):
-            e = apply_alpha(A, e)
+        if tree[1] not in slot_of:
+            raise ValueError("unassigned variable %r" % tree[1])
+        slots, shift = (slot_of[tree[1]],), tree[2]
+
+        def compute(xs, ids):
+            e = xs[slots[0]]
+            for _ in range(shift):
+                e = apply_alpha(A, e)
+            return e
+
     else:
-        e = mul(A, _eval_tree(A, tree[1], assignment, memo),
-                _eval_tree(A, tree[2], assignment, memo))
-    memo[tree] = e
-    return e
+        left, lslots = _compile_tree(A, tree[1], slot_of, done)
+        right, rslots = _compile_tree(A, tree[2], slot_of, done)
+        slots = tuple(sorted(set(lslots + rslots)))
+
+        def compute(xs, ids):
+            return mul(A, left(xs, ids), right(xs, ids))
+
+    key = itemgetter(*slots)
+    memo = {}
+
+    def f(xs, ids):
+        k = key(ids)
+        e = memo.get(k)
+        if e is None:
+            e = memo[k] = compute(xs, ids)
+        return e
+
+    done[tree] = f, slots
+    return f, slots
+
+
+def _polynomial_evaluator(A, p, names):
+    """xs -> p evaluated at one Element per variable in names."""
+    slot_of = {v: t for t, v in enumerate(names)}
+    done = {}
+    terms = [(_compile_tree(A, m.tree, slot_of, done)[0], c.numerator, c.denominator)
+             for m, c in p.terms()]
+    seen = {}  # Element -> its number
+
+    def evaluate(xs):
+        ids = tuple([seen.setdefault(x, len(seen)) for x in xs])
+        acc = linear_combination(((n, d, f(xs, ids).coords) for f, n, d in terms), A.dim)
+        return A.element(acc)
+
+    return evaluate
 
 
 def evaluate_polynomial(A, p, assignment):
@@ -420,11 +460,10 @@ def evaluate_polynomial(A, p, assignment):
     assumed it); unassigned variables are a ValueError too.
     """
     _require_multiplicative(A, "polynomial evaluation")
-    memo = {}
-    acc = A.zero()
-    for m, c in p._terms.items():
-        acc = acc + _eval_tree(A, m.tree, assignment, memo).scale(c)
-    return acc
+    if any(x.algebra is not A for x in assignment.values()):
+        raise ValueError("elements belong to different algebras")
+    names = sorted(assignment)
+    return _polynomial_evaluator(A, p, names)(tuple(assignment[v] for v in names))
 
 
 # -- the identity registry ---------------------------------------------------
@@ -564,7 +603,7 @@ def _replace_leaves_in_order(tree, names):
 
 def _polarize_variable(p, v, slots):
     d = len(slots)
-    out = {}
+    terms = []
     for m, c in p._terms.items():
         leaves = m.leaves()
         hit = [i for i, (n, _) in enumerate(leaves) if n == v]
@@ -573,15 +612,8 @@ def _polarize_variable(p, v, slots):
             names = [None] * len(leaves)
             for t, i in enumerate(hit):
                 names[i] = perm[t]
-            m2 = HomMonomial(_replace_leaves_in_order(m.tree, names))
-            acc = out.get(m2, ZERO) + c
-            if acc == 0:
-                out.pop(m2, None)
-            else:
-                out[m2] = acc
-    q = HomPolynomial()
-    q._terms = out
-    return q
+            terms.append((HomMonomial(_replace_leaves_in_order(m.tree, names)), c))
+    return HomPolynomial(terms)
 
 
 def multilinearize(p, degrees):
@@ -619,69 +651,25 @@ def check_identity_on_algebra(A, lhs, rhs, degrees, name="identity"):
     """Exact proof that lhs = rhs holds throughout A.
 
     Both sides must be homogeneous of the given multidegrees
-    (ValueError otherwise); the defect is multilinearized symbolically
-    and swept over all basis assignments, with slot symmetry cutting
-    each degree-d group to multisets.  A must be multiplicative.
+    (ValueError otherwise), and A multiplicative.  The defect lhs - rhs
+    is evaluated on subset sums of basis elements, and
+    powers.polarized_defect_sweep polarizes each variable by
+    inclusion-exclusion and sweeps all basis multisets, variables in
+    sorted order; a failure witnesses ((variable, multiset), ...).
     """
     _require_multiplicative(A, "identity check")
     _check_homogeneous(lhs, degrees, "lhs")
     _check_homogeneous(rhs, degrees, "rhs")
-    defect, groups = multilinearize(lhs - rhs, degrees)
+    defect = lhs - rhs
     if defect.is_zero():
         return CheckReport(True, name, note="defect normalizes to zero symbolically")
-    term_list = [(m.tree, c.numerator, c.denominator) for m, c in defect.terms()]
-    group_vars = sorted(groups)
-    dim = A.dim
-
-    # alpha-powers of basis elements, shared across the whole sweep
-    basis_alpha = {}
-
-    def basis_power(idx, k):
-        e = basis_alpha.get((idx, k))
-        if e is None:
-            e = A.basis_element(idx) if k == 0 else apply_alpha(A, basis_power(idx, k - 1))
-            basis_alpha[(idx, k)] = e
-        return e
-
-    varcache = {}
-
-    def tree_vars(tree):
-        got = varcache.get(tree)
-        if got is None:
-            if tree[0] == "v":
-                got = (tree[1],)
-            else:
-                got = tuple(sorted(set(tree_vars(tree[1])) | set(tree_vars(tree[2]))))
-            varcache[tree] = got
-        return got
-
-    memo = {}
-
-    def eval_tree(tree, env):
-        key = (tree, tuple(env[v] for v in tree_vars(tree)))
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if tree[0] == "v":
-            e = basis_power(env[tree[1]], tree[2])
-        else:
-            e = mul(A, eval_tree(tree[1], env), eval_tree(tree[2], env))
-        memo[key] = e
-        return e
-
-    for combo in product(
-        *(combinations_with_replacement(range(dim), len(groups[v])) for v in group_vars)
-    ):
-        env = {}
-        for v, assignment in zip(group_vars, combo):
-            for slot, idx in zip(groups[v], assignment):
-                env[slot] = idx
-        acc = linear_combination(
-            ((p, q, eval_tree(tree, env).coords) for tree, p, q in term_list), dim
-        )
-        if not acc.is_zero():
-            witness = tuple((v, combo[t]) for t, v in enumerate(group_vars))
-            return CheckReport(False, name, witness, A.element(acc), A.zero())
+    names = sorted(degrees)
+    evaluate = _polynomial_evaluator(A, defect, names)
+    rep = polarized_defect_sweep(
+        A, tuple(degrees[v] for v in names), lambda *xs: [(None, evaluate(xs))], name
+    )
+    if not rep.passed:
+        return CheckReport(False, name, tuple(zip(names, rep.witness[0])), rep.lhs, rep.rhs)
     return CheckReport(True, name, note="polarized sweep over all basis tuples")
 
 
@@ -703,17 +691,7 @@ def subst_monomial(m, sub):
 
 
 def subst_poly(p, sub):
-    out = {}
-    for m, c in p._terms.items():
-        m2 = subst_monomial(m, sub)
-        acc = out.get(m2, ZERO) + c
-        if acc == 0:
-            out.pop(m2, None)
-        else:
-            out[m2] = acc
-    q = HomPolynomial()
-    q._terms = out
-    return q
+    return HomPolynomial((subst_monomial(m, sub), c) for m, c in p._terms.items())
 
 
 def _axiom_polynomial(axiom):

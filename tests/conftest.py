@@ -5,6 +5,7 @@ import pytest
 from homalt.constructions import AlbertParams, albert5_base, albert5_twisted
 from homalt.core import HomAlgebra, load_algebra
 from homalt.linalg import Matrix, identity_matrix, qq
+from homalt.symbolic import poly_mul, var
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -23,6 +24,16 @@ def copy_mu(A):
 def untwisted_alpha(A):
     """The same product table with alpha forced to the identity."""
     return HomAlgebra(A.dim, A.basis_names, copy_mu(A), identity_matrix(A.dim))
+
+
+def hom_power_poly(n):
+    """x^n in the free algebra: x^1 = x, x^n = x^(n-1) * alpha^(n-2)(x)."""
+    return var("x") if n == 1 else poly_mul(hom_power_poly(n - 1), var("x", n - 2))
+
+
+def hom_power_pair_poly(i, j):
+    """x^(i,j) = alpha^(j-1)(x^i) * alpha^(i-1)(x^j) in the free algebra."""
+    return poly_mul(hom_power_poly(i).alpha(j - 1), hom_power_poly(j).alpha(i - 1))
 
 
 def swapped_alpha_albert():

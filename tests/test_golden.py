@@ -3,7 +3,11 @@ for byte, and its exit code the stored one.
 
 The files under data/golden/ were written by the Fraction-only kernel
 that preceded the integer kernel, so these tests tie today's output to
-that release, not just one run of the current code to another.
+that release, not just one run of the current code to another.  The two
+``identity_*_x*.json`` files were written by the integer kernel's
+symbolic-multilinearization identity sweep, before check_identity_on_algebra
+moved onto the inclusion-exclusion engine; the random-00 one pins a
+polarized lhs at a degree-4 witness.
 ``random-00.json`` is a dense random table with integer constants and
 alpha = Id (multiplicative, not right Hom-alternative);
 ``random-00-rational.json`` is the same table with every constant
@@ -22,6 +26,11 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
 RANDOM_SUITES = "axioms,powers,jordan,operators,identities"
 CUBE_COMMUTES = "(= (mul (mul x x) (a 1 x)) (mul (a 1 x) (mul x x)))"
+# x^6 = x^(4,2) and x^4 = x^(2,2), with x^n and x^(i,j) as in homalt.powers
+X6_X42 = ("(= (mul (mul (mul (mul (mul x (a 0 x)) (a 1 x)) (a 2 x)) (a 3 x)) (a 4 x)) "
+          "(mul (a 1 (mul (mul (mul x (a 0 x)) (a 1 x)) (a 2 x))) (a 3 (mul x (a 0 x)))))")
+X4_X22 = ("(= (mul (mul (mul x (a 0 x)) (a 1 x)) (a 2 x)) "
+          "(mul (a 1 (mul x (a 0 x))) (a 1 (mul x (a 0 x)))))")
 
 CASES = [
     ("check_albert5_230.json", 0,
@@ -37,6 +46,12 @@ CASES = [
     ("powers_random00_rational.txt", 1, ["powers", "random-00-rational.json", "--n", "6"]),
     ("identity_random00_rational.txt", 1,
      ["identity", "random-00-rational.json", "--expr", CUBE_COMMUTES]),
+    ("identity_albert5_230_x6.json", 0,
+     ["identity", "albert5", "--twist", "2,3,0", "--expr", X6_X42, "--name", "x6=x(4,2)",
+      "--output", "json"]),
+    ("identity_random00_x4.json", 1,
+     ["identity", "random-00.json", "--expr", X4_X22, "--name", "x4=x(2,2)",
+      "--output", "json"]),
     ("decompose_albert5_230.json", 0,
      ["decompose", "albert5", "--twist", "2,3,0", "--output", "json"]),
 ]
