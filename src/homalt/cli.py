@@ -2,10 +2,14 @@
 
 Subcommands fall into two groups.  Constructors (``albert5``, ``twist``,
 ``derive``, ``plus``) emit algebras in the JSON structure-constant format,
-to stdout or to ``-o FILE``.  Checkers (``check``, ``powers``, ``jordan``,
-``decompose``, ``operators``, ``identity``, ``symbolic``, ``distinguish``)
-run law suites and emit a report, human-readable (``--output text``) or
-machine-readable (``--output json``).
+to stdout or to ``-o FILE``.  Checkers run law suites and emit a report,
+human-readable (``--output text``) or machine-readable (``--output json``).
+``check`` runs the suites named by ``--suites``; ``powers``, ``jordan``,
+``decompose``, ``operators`` and ``symbolic`` are ``check --suites X``
+under their own flags (see ``COMMANDS``), but stricter about idempotents:
+where ``check`` drops the idempotent operator suite, they exit 3, and
+``decompose`` and ``operators`` take ``--idempotent``.  ``identity`` and
+``distinguish`` are checkers of their own.
 
 Exit codes: 0 all selected checks passed; 1 some law failed (or
 ``distinguish`` was inconclusive); 2 bad input (unparseable file, flag, or
@@ -14,8 +18,8 @@ fed to ``powers``, or no idempotent found for ``decompose``).
 
 Reports are deterministic: the same command line (including ``--seed``)
 produces byte-identical output.  ``--timings`` adds wall-clock times and
-is therefore off by default.  Suites run concurrently; ``HOMALT_THREADS``
-caps the worker count.
+is therefore off by default.  ``check`` runs its suites concurrently;
+``HOMALT_THREADS`` caps the worker count.
 """
 
 import argparse
@@ -24,8 +28,8 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import NamedTuple, Optional
 
 from .constructions import (
     AlbertParams,
@@ -51,10 +55,10 @@ from .linalg import Matrix, char_poly, format_scalar, parse_scalar, rank
 from .operators import check_idempotent_operator_suite, check_mul_operator_identities
 from .powers import check_nth_hom_power_associative, check_third_fourth_criterion
 from .symbolic import (
+    certificate_report,
     check_identity_on_algebra,
     identity_registry,
     load_certificates,
-    verify_certificate,
     verify_hom_teichmuller,
 )
 from .dsl import parse_identity
@@ -70,11 +74,35 @@ class PreconditionError(Exception):
     """A check's precondition is unmet for this input (exit 3)."""
 
 
+class Command(NamedTuple):
+    """A checker command: the suites it runs (``check``'s come from
+    ``--suites``), its report's config fields, named as its flags, and
+    whether a missing idempotent exits 3 (else operators drops that row)."""
+
+    suites: tuple
+    fields: tuple
+    require_idempotent: bool = True
+
+
+COMMANDS = {
+    "check": Command((), ("suites", "seed", "samples", "nmax", "timings"), False),
+    "powers": Command(("powers",), ("n", "samples", "seed", "timings")),
+    "jordan": Command(("jordan",), ("timings",)),
+    "decompose": Command(("decompose",), ("idempotent", "timings")),
+    "operators": Command(("operators",), ("idempotent", "nmax", "samples", "seed", "timings")),
+    "symbolic": Command(("symbolic",), ("teichmuller", "certificates", "timings")),
+}
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Everything the ``check`` driver needs, normalized and validated."""
+    """Everything a checker command needs, normalized and validated.
 
-    algebra_path: str
+    ``algebra`` is None for ``symbolic``, which needs no algebra.
+    """
+
+    algebra: Optional[str]
+    command: str = "check"
     suites: tuple = ALL_SUITES
     seed: int = 0
     samples: int = 25
@@ -82,12 +110,22 @@ class SuiteConfig:
     output: str = "text"
     twist: Optional[str] = None
     timings: bool = False
+    idempotent: Optional[str] = None
+    teichmuller: bool = True
+    certificates: bool = True
+
+    @property
+    def require_idempotent(self):
+        return COMMANDS[self.command].require_idempotent
 
     def __post_init__(self):
         if self.samples < 1:
-            raise InputError("samples must be >= 1, got %d" % self.samples)
+            raise InputError("--samples must be >= 1, got %d" % self.samples)
         if self.nmax < 2:
-            raise InputError("nmax must be >= 2, got %d" % self.nmax)
+            flag = "--n" if self.command == "powers" else "--nmax"
+            raise InputError("%s must be >= 2, got %d" % (flag, self.nmax))
+        if self.command not in COMMANDS:
+            raise InputError("unknown command %r" % self.command)
         if self.output not in ("text", "json"):
             raise InputError("output must be 'text' or 'json', got %r" % self.output)
         unknown = [s for s in self.suites if s not in ALL_SUITES]
@@ -242,26 +280,24 @@ def _format_text(report):
     return "\n".join(lines)
 
 
-def _emit(report, output):
+def _describe(A, source):
+    return {"source": source, "dim": A.dim, "basis": list(A.basis_names)}
+
+
+def _emit(rows, output, command, fields, A=None, source=None, **extra):
+    """Build every checker's report, print it and return the exit code."""
+    report = {
+        "algebra": None if A is None else _describe(A, source),
+        "config": dict(fields, command=command),
+        "results": rows,
+        "passed": all(r["passed"] for r in rows),
+        **extra,
+    }
     if output == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(_format_text(report))
     return 0 if report["passed"] else 1
-
-
-def _report(rows, command, cfg_fields, A=None, source=None):
-    algebra = None
-    if A is not None:
-        algebra = {"source": source, "dim": A.dim, "basis": list(A.basis_names)}
-    config = {"command": command}
-    config.update(cfg_fields)
-    return {
-        "algebra": algebra,
-        "config": config,
-        "results": rows,
-        "passed": all(r["passed"] for r in rows),
-    }
 
 
 # -- the check suites ---------------------------------------------------------
@@ -308,23 +344,40 @@ def _check_element_splitting(A, e):
     return CheckReport(True, "element-splitting", note="all basis elements split")
 
 
-def _decompose_rows(A, cfg, e=None, hint=""):
+_NO_IDEMPOTENT = "no nonzero idempotent with coordinates of height <= 1"
+
+
+def _idempotent(A, cfg):
+    """The idempotent that decompose and operators split at: ``--idempotent``
+    if given, else the first nonzero one with coordinates of height <= 1.
+    If there is none, a single-suite command exits 3; ``check`` gets None."""
+    if cfg.idempotent is not None:
+        return _parse_coords(cfg.idempotent, A)
+    found = idempotent_search(A, height=1)
+    if found:
+        return found[0]
+    if cfg.require_idempotent:
+        raise PreconditionError("%s; pass --idempotent" % _NO_IDEMPOTENT)
+    return None
+
+
+def _suite_decompose(A, cfg):
+    # Inside `check` an unmet precondition names the suite to drop.
+    where = "" if cfg.require_idempotent else "decompose suite: "
     r = rank(A.alpha)
     if r < A.dim:
         raise PreconditionError(
-            "decomposition needs surjective alpha; rank %d < dim %d" % (r, A.dim)
+            "%sdecomposition needs surjective alpha; rank %d < dim %d" % (where, r, A.dim)
         )
+    e = _idempotent(A, cfg)
     if e is None:
-        found = idempotent_search(A, height=1)
-        if not found:
-            raise PreconditionError(
-                "no nonzero idempotent with coordinates of height <= 1%s" % hint
-            )
-        e = found[0]
-    elif not is_idempotent(A, e):
         raise PreconditionError(
-            "--idempotent is not an idempotent: e*e = %r, alpha(e) = %r, e = %r"
-            % (mul(A, e, e), apply_alpha(A, e), e)
+            "%s%s; drop 'decompose' from --suites" % (where, _NO_IDEMPOTENT)
+        )
+    if cfg.idempotent is not None and not is_idempotent(A, e):
+        raise PreconditionError(
+            "%s--idempotent is not an idempotent: e*e = %r, alpha(e) = %r, e = %r"
+            % (where, mul(A, e, e), apply_alpha(A, e), e)
         )
     dec, ms = _timed(cfg.timings, albert_decomposition, A, e)
     note = "e = %r; A_e(alpha) basis %r; A_e(0) basis %r; direct = %s" % (
@@ -333,28 +386,13 @@ def _decompose_rows(A, cfg, e=None, hint=""):
         dec.part_zero,
         dec.is_direct,
     )
-    rows = [
-        {
-            "suite": "decompose",
-            "law": "idempotent-decomposition",
-            "passed": dec.spans_all,
-            "witness": None if dec.spans_all else [repr(e)],
-            "lhs": None,
-            "rhs": None,
-            "note": note,
-            "timing_ms": ms,
-        }
-    ]
+    rep = CheckReport(
+        dec.spans_all, "idempotent-decomposition", None if dec.spans_all else (e,), note=note
+    )
+    rows = [_row("decompose", rep, ms)]
     rep, ms = _timed(cfg.timings, _check_element_splitting, A, e)
     rows.append(_row("decompose", rep, ms))
     return rows
-
-
-def _suite_decompose(A, cfg):
-    try:
-        return _decompose_rows(A, cfg, e=None, hint="; drop 'decompose' from --suites")
-    except PreconditionError as exc:
-        raise PreconditionError("decompose suite: %s" % exc) from exc
 
 
 def _suite_operators(A, cfg):
@@ -362,16 +400,18 @@ def _suite_operators(A, cfg):
     rep, ms = _timed(cfg.timings, check_mul_operator_identities, A, cfg.samples, cfg.seed)
     rows.append(_row("operators", rep, ms))
     # The idempotent operator suite has hard preconditions (multiplicative,
-    # right Hom-alternative, an actual idempotent); inside `check` we run it
-    # when they hold and omit it otherwise, so that a failing algebra still
-    # produces a failing report instead of aborting.
-    if is_multiplicative(A) and is_right_hom_alternative(A):
-        found = idempotent_search(A, height=1)
-        if found:
-            rep, ms = _timed(
-                cfg.timings, check_idempotent_operator_suite, A, found[0], cfg.nmax
-            )
-            rows.append(_row("operators", rep, ms))
+    # right Hom-alternative, an actual idempotent).  Inside `check` it runs
+    # when they hold and is omitted otherwise, so that a failing algebra
+    # still gives a failing report; the `operators` command exits 3 instead.
+    if not cfg.require_idempotent and not (is_multiplicative(A) and is_right_hom_alternative(A)):
+        return rows
+    e = _idempotent(A, cfg)
+    if e is not None:
+        try:
+            rep, ms = _timed(cfg.timings, check_idempotent_operator_suite, A, e, cfg.nmax)
+        except ValueError as exc:
+            raise PreconditionError(str(exc)) from exc
+        rows.append(_row("operators", rep, ms))
     return rows
 
 
@@ -392,9 +432,9 @@ def _suite_identities(A, cfg):
     return rows
 
 
-def _symbolic_rows(cfg, teichmuller=True, certificates=True):
+def _suite_symbolic(A, cfg):
     rows = []
-    if teichmuller:
+    if cfg.teichmuller:
         ok, ms = _timed(cfg.timings, verify_hom_teichmuller)
         rep = CheckReport(
             ok,
@@ -403,23 +443,12 @@ def _symbolic_rows(cfg, teichmuller=True, certificates=True):
             note="10 terms → 0" if ok else "",
         )
         rows.append(_row("symbolic", rep, ms))
-    if certificates:
+    if cfg.certificates:
         data = load_certificates()
         for name in sorted(data):
-            instances = data[name]["instances"]
-            (ok, residue), ms = _timed(cfg.timings, verify_certificate, name, instances)
-            rep = CheckReport(
-                ok,
-                "certificate:%s" % name,
-                witness=None if ok else (repr(residue),),
-                note="%d instances" % len(instances),
-            )
+            rep, ms = _timed(cfg.timings, certificate_report, name, data[name]["instances"])
             rows.append(_row("symbolic", rep, ms))
     return rows
-
-
-def _suite_symbolic(A, cfg):
-    return _symbolic_rows(cfg)
 
 
 _SUITE_FNS = {
@@ -434,13 +463,15 @@ _SUITE_FNS = {
 
 
 def run(config):
-    """Run the selected suites against the configured algebra.
-
-    Returns the process exit code; prints the report to stdout.
-    """
-    A, source = _resolve_algebra(config.algebra_path, config.twist)
+    """Run the command's suites and print its report; returns the exit code."""
+    A = source = None
+    if config.algebra is not None:
+        A, source = _resolve_algebra(config.algebra, config.twist)
+        if config.idempotent is not None:
+            _parse_coords(config.idempotent, A)  # bad input exits 2 before any suite runs
     selected = [s for s in ALL_SUITES if s in set(config.suites)]
-    workers = _thread_cap(len(selected))
+    # Only `check` runs its suites on the pool and reads HOMALT_THREADS.
+    workers = _thread_cap(len(selected)) if config.command == "check" else 1
     results = {}
     if workers > 1 and len(selected) > 1:
         # Fill A's cached multiplicativity report before the suites share
@@ -454,20 +485,9 @@ def run(config):
         for s in selected:
             results[s] = _SUITE_FNS[s](A, config)
     rows = [row for s in selected for row in results[s]]
-    report = _report(
-        rows,
-        "check",
-        {
-            "suites": selected,
-            "seed": config.seed,
-            "samples": config.samples,
-            "nmax": config.nmax,
-            "timings": config.timings,
-        },
-        A,
-        source,
-    )
-    return _emit(report, config.output)
+    values = dict(asdict(config), n=config.nmax, suites=selected)
+    fields = {f: values[f] for f in COMMANDS[config.command].fields}
+    return _emit(rows, config.output, config.command, fields, A, source)
 
 
 # -- constructor subcommands --------------------------------------------------
@@ -520,94 +540,17 @@ def cmd_plus(args):
 # -- checker subcommands ------------------------------------------------------
 
 
-def cmd_check(args):
-    config = SuiteConfig(
-        algebra_path=args.algebra,
-        suites=tuple(s.strip() for s in args.suites.split(",")),
-        seed=args.seed,
-        samples=args.samples,
-        nmax=args.nmax,
-        output=args.output,
-        twist=args.twist,
-        timings=args.timings,
-    )
-    return run(config)
-
-
-def cmd_powers(args):
-    A, source = _resolve_algebra(args.algebra, args.twist)
-    cfg = SuiteConfig(
-        algebra_path=args.algebra,
-        suites=("powers",),
-        seed=args.seed,
-        samples=args.samples,
-        nmax=args.n,
-        output=args.output,
-        timings=args.timings,
-    )
-    rows = _suite_powers(A, cfg)
-    report = _report(
-        rows,
-        "powers",
-        {"n": args.n, "samples": args.samples, "seed": args.seed, "timings": args.timings},
-        A,
-        source,
-    )
-    return _emit(report, args.output)
-
-
-def cmd_jordan(args):
-    A, source = _resolve_algebra(args.algebra, args.twist)
-    cfg = SuiteConfig(algebra_path=args.algebra, suites=("jordan",), timings=args.timings)
-    rows = _suite_jordan(A, cfg)
-    report = _report(rows, "jordan", {"timings": args.timings}, A, source)
-    return _emit(report, args.output)
-
-
-def cmd_decompose(args):
-    A, source = _resolve_algebra(args.algebra, args.twist)
-    cfg = SuiteConfig(algebra_path=args.algebra, suites=("decompose",), timings=args.timings)
-    e = None if args.idempotent is None else _parse_coords(args.idempotent, A)
-    rows = _decompose_rows(A, cfg, e, hint="; pass --idempotent")
-    report = _report(
-        rows, "decompose", {"idempotent": args.idempotent, "timings": args.timings}, A, source
-    )
-    return _emit(report, args.output)
-
-
-def cmd_operators(args):
-    A, source = _resolve_algebra(args.algebra, args.twist)
-    rows = []
-    rep, ms = _timed(args.timings, check_mul_operator_identities, A, args.samples, args.seed)
-    rows.append(_row("operators", rep, ms))
-    if args.idempotent is not None:
-        e = _parse_coords(args.idempotent, A)
+def _suite_config(args):
+    """The SuiteConfig of ``check`` or a single-suite command's arguments."""
+    opts = {k: v for k, v in vars(args).items() if k in SuiteConfig.__dataclass_fields__}
+    opts.setdefault("algebra", None)  # symbolic takes no algebra
+    if args.command == "check":
+        opts["suites"] = tuple(s.strip() for s in args.suites.split(","))
     else:
-        found = idempotent_search(A, height=1)
-        if not found:
-            raise PreconditionError(
-                "no nonzero idempotent with coordinates of height <= 1; pass --idempotent"
-            )
-        e = found[0]
-    try:
-        rep, ms = _timed(args.timings, check_idempotent_operator_suite, A, e, args.nmax)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from exc
-    rows.append(_row("operators", rep, ms))
-    report = _report(
-        rows,
-        "operators",
-        {
-            "idempotent": args.idempotent,
-            "nmax": args.nmax,
-            "samples": args.samples,
-            "seed": args.seed,
-            "timings": args.timings,
-        },
-        A,
-        source,
-    )
-    return _emit(report, args.output)
+        opts["suites"] = COMMANDS[args.command].suites
+    if args.command == "symbolic" and not (args.teichmuller or args.certificates):
+        opts.update(teichmuller=True, certificates=True)  # neither flag runs both
+    return SuiteConfig(**opts)
 
 
 def cmd_identity(args):
@@ -630,8 +573,7 @@ def cmd_identity(args):
             True, args.name, note="normalizes to zero in the free multiplicative Hom-algebra"
         )
         rows = [_row("identity", rep, None)]
-        report = _report(rows, "identity", {"name": args.name}, A, source)
-        return _emit(report, args.output)
+        return _emit(rows, args.output, "identity", {"name": args.name}, A, source)
     if args.degrees is not None:
         degrees = _parse_degrees(args.degrees)
     else:
@@ -650,34 +592,8 @@ def cmd_identity(args):
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     rows = [_row("identity", rep, ms)]
-    report = _report(
-        rows,
-        "identity",
-        {"name": args.name, "degrees": degrees, "timings": args.timings},
-        A,
-        source,
-    )
-    return _emit(report, args.output)
-
-
-def cmd_symbolic(args):
-    both = not args.teichmuller and not args.certificates
-    cfg = SuiteConfig(algebra_path="albert5", suites=("symbolic",), timings=args.timings)
-    rows = _symbolic_rows(
-        cfg,
-        teichmuller=args.teichmuller or both,
-        certificates=args.certificates or both,
-    )
-    report = _report(
-        rows,
-        "symbolic",
-        {
-            "teichmuller": args.teichmuller or both,
-            "certificates": args.certificates or both,
-            "timings": args.timings,
-        },
-    )
-    return _emit(report, args.output)
+    fields = {"name": args.name, "degrees": degrees, "timings": args.timings}
+    return _emit(rows, args.output, "identity", fields, A, source)
 
 
 def cmd_distinguish(args):
@@ -708,14 +624,7 @@ def cmd_distinguish(args):
             note=note,
         )
         rows = [_row("distinguish", rep, None)]
-    report = {
-        "algebra": {"source": src_a, "dim": A.dim, "basis": list(A.basis_names)},
-        "other": {"source": src_b, "dim": B.dim, "basis": list(B.basis_names)},
-        "config": {"command": "distinguish"},
-        "results": rows,
-        "passed": all(r["passed"] for r in rows),
-    }
-    return _emit(report, args.output)
+    return _emit(rows, args.output, "distinguish", {}, A, src_a, other=_describe(B, src_b))
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -775,25 +684,22 @@ def _build_parser():
         help="comma-separated subset of: %s" % ", ".join(ALL_SUITES),
     )
     p.add_argument("--nmax", type=int, default=5, help="largest power / operator exponent")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("powers", parents=[alg, rep, rng], help="nth Hom-power associativity")
-    p.add_argument("--n", type=int, default=5, help="check powers 2..n (n >= 2)")
-    p.set_defaults(fn=cmd_powers)
+    p.add_argument(
+        "--n", dest="nmax", metavar="N", type=int, default=5, help="check powers 2..n (n >= 2)"
+    )
 
     p = sub.add_parser("jordan", parents=[alg, rep], help="Hom-Jordan admissibility")
-    p.set_defaults(fn=cmd_jordan)
 
     p = sub.add_parser("decompose", parents=[alg, rep], help="idempotent splitting of the algebra")
     p.add_argument("--idempotent", metavar="C0,C1,...", help="coordinates of the idempotent")
-    p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser(
         "operators", parents=[alg, rep, rng], help="multiplication-operator identities"
     )
     p.add_argument("--idempotent", metavar="C0,C1,...", help="coordinates of the idempotent")
     p.add_argument("--nmax", type=int, default=5, help="largest operator exponent (>= 2)")
-    p.set_defaults(fn=cmd_operators)
 
     p = sub.add_parser("identity", parents=[alg, rep], help="prove an s-expression identity")
     group = p.add_mutually_exclusive_group(required=True)
@@ -806,7 +712,6 @@ def _build_parser():
     p = sub.add_parser("symbolic", parents=[rep], help="free-algebra checks and certificates")
     p.add_argument("--teichmuller", action="store_true", help="only the five-term expansion")
     p.add_argument("--certificates", action="store_true", help="only the shipped certificates")
-    p.set_defaults(fn=cmd_symbolic)
 
     p = sub.add_parser("distinguish", parents=[rep], help="separate two algebras by alpha spectra")
     p.add_argument("algebra", help="first algebra (path or 'albert5')")
@@ -820,6 +725,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command in COMMANDS:  # the other commands name their function
+            return run(_suite_config(args))
         return args.fn(args)
     except PreconditionError as exc:
         print("precondition unmet: %s" % exc, file=sys.stderr)

@@ -74,6 +74,7 @@ __all__ = [
     "build_instance",
     "load_certificates",
     "verify_certificate",
+    "certificate_report",
     "verify_all_certificates",
 ]
 
@@ -769,16 +770,20 @@ def verify_certificate(name, instances):
     return residue.is_zero(), residue
 
 
+def certificate_report(name, instances):
+    """The ``certificate:<name>`` CheckReport of one certificate."""
+    ok, residue = verify_certificate(name, instances)
+    return CheckReport(
+        ok,
+        "certificate:%s" % name,
+        witness=None if ok else (repr(residue),),
+        note="%d instances" % len(instances),
+    )
+
+
 def verify_all_certificates():
     """Verify every shipped certificate; {name: CheckReport}."""
-    data = load_certificates()
-    out = {}
-    for name, entry in data.items():
-        ok, residue = verify_certificate(name, entry["instances"])
-        out[name] = CheckReport(
-            ok,
-            "certificate:%s" % name,
-            witness=None if ok else (repr(residue),),
-            note="%d instances" % len(entry["instances"]),
-        )
-    return out
+    return {
+        name: certificate_report(name, entry["instances"])
+        for name, entry in load_certificates().items()
+    }

@@ -1,8 +1,10 @@
 import json
+import pathlib
+import shutil
 
 import pytest
 
-from homalt.cli import main
+from homalt.cli import InputError, SuiteConfig, _build_parser, main
 from homalt.constructions import (
     AlbertParams,
     albert5_base,
@@ -18,6 +20,10 @@ from conftest import FIXTURES, swapped_alpha_albert
 from test_core import same_algebra
 
 BAD = str(FIXTURES / "non_right_alt_dim3.json")
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
+# Relative paths that test_unmet_precondition_pins_stderr puts in place.
+RANDOM00 = "random-00.json"
+SWAPPED = "swapped.json"  # swapped_alpha_albert()
 
 
 # -- exit-code taxonomy ---------------------------------------------------------
@@ -55,11 +61,25 @@ def test_failing_law_exits_one(capsys):
         ["identity", "albert5", "--expr", "(= (as x y y) (scale 0 x))",
          "--degrees", "x=0,y=2"],
         ["twist", "albert5", "--by", "/no/such/beta.json"],
+        ["operators", "albert5", "--twist", "2,3,0", "--samples", "-3"],
+        ["operators", "albert5", "--twist", "2,3,0", "--nmax", "-1"],
+        ["operators", "albert5", "--twist", "2,3,0", "--nmax", "0"],
+        ["powers", "albert5", "--n", "1"],
     ],
 )
 def test_bad_input_exits_two(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_suite_config_rejects_an_unknown_command():
+    with pytest.raises(InputError, match="unknown command 'bogus'"):
+        SuiteConfig("albert5", command="bogus")
+
+
+def test_bad_power_names_the_n_flag(capsys):
+    assert main(["powers", "albert5", "--n", "1"]) == 2
+    assert capsys.readouterr().err == "error: --n must be >= 2, got 1\n"
 
 
 def test_bad_thread_cap_exits_two(monkeypatch, capsys):
@@ -87,6 +107,38 @@ def test_unmet_precondition_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "decompose suite:" in err
     assert "drop 'decompose' from --suites" in err
+
+
+NO_IDEMPOTENT = "no nonzero idempotent with coordinates of height <= 1"
+NOT_A_MORPHISM = ("needs a multiplicative algebra; alpha fails to be a morphism at "
+                  "basis pair (0, 0)")
+
+PRECONDITIONS = [
+    (["powers", SWAPPED], "the powers suite " + NOT_A_MORPHISM),
+    (["operators", "albert5", "--twist", "2,3,0", "--idempotent", "0,1,0,0,0"],
+     "operator suite needs an idempotent: e*e = e = alpha(e), got e = u with "
+     "e*e = 0, alpha(e) = 3*u"),
+    (["operators", RANDOM00], NO_IDEMPOTENT + "; pass --idempotent"),
+    (["operators", "albert5", "--twist", "2,3,1"], NO_IDEMPOTENT + "; pass --idempotent"),
+    (["decompose", "albert5", "--twist", "2,3,1"], NO_IDEMPOTENT + "; pass --idempotent"),
+    (["decompose", "albert5", "--twist", "2,3,0", "--idempotent", "0,1,0,0,0"],
+     "--idempotent is not an idempotent: e*e = 0, alpha(e) = 3*u, e = u"),
+    (["check", "albert5", "--twist", "2,3,1"],
+     "decompose suite: " + NO_IDEMPOTENT + "; drop 'decompose' from --suites"),
+    (["check", SWAPPED, "--suites", "identities"], "the identities suite " + NOT_A_MORPHISM),
+]
+
+
+@pytest.mark.parametrize("argv,message", PRECONDITIONS,
+                         ids=[" ".join(a) for a, _ in PRECONDITIONS])
+def test_unmet_precondition_pins_stderr(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_algebra(swapped_alpha_albert(), SWAPPED)
+    shutil.copy(GOLDEN / RANDOM00, RANDOM00)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "precondition unmet: %s\n" % message
 
 
 def test_twist_by_a_non_morphism_exits_three(tmp_path, capsys):
@@ -248,6 +300,68 @@ def test_distinguish_command(tmp_path, capsys):
     assert main(["distinguish", "albert5", "albert5"]) == 1
     out = capsys.readouterr().out
     assert "inconclusive" in out
+
+
+# -- the single-suite commands are aliases of check --------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,suite",
+    [
+        (["powers", "albert5", "--twist", "2,3,0", "--n", "5"], "powers"),
+        (["jordan", "albert5", "--twist", "2,3,0"], "jordan"),
+        (["decompose", "albert5", "--twist", "2,3,0"], "decompose"),
+        (["operators", "albert5", "--twist", "2,3,0"], "operators"),
+        (["symbolic"], "symbolic"),
+    ],
+)
+def test_single_suite_command_is_a_check_alias(argv, suite, capsys):
+    rc, out = run_json(argv + ["--output", "json"], capsys)
+    check = ["check", "albert5", "--twist", "2,3,0", "--suites", suite, "--output", "json"]
+    rc_check, out_check = run_json(check, capsys)
+    assert rc == rc_check == 0
+    assert json.loads(out)["results"] == json.loads(out_check)["results"]
+
+
+# Every subcommand's flags (all option strings, or the positional's name) and
+# their defaults, as the parser stood before the checker commands became one
+# table of suites.
+FLAGS = {
+    "albert5": {("-o", "--out"): None, ("--twist",): None},
+    "twist": {"algebra": None, ("--twist",): None, ("-o", "--out"): None, ("--by",): None},
+    "derive": {"algebra": None, ("--twist",): None, ("-o", "--out"): None, ("--n",): None},
+    "plus": {"algebra": None, ("--twist",): None, ("-o", "--out"): None},
+    "check": {"algebra": None, ("--twist",): None, ("--output",): "text",
+              ("--timings",): False, ("--samples",): 25, ("--seed",): 0,
+              ("--suites",): "axioms,powers,jordan,decompose,operators,identities,symbolic",
+              ("--nmax",): 5},
+    "powers": {"algebra": None, ("--twist",): None, ("--output",): "text",
+               ("--timings",): False, ("--samples",): 25, ("--seed",): 0, ("--n",): 5},
+    "jordan": {"algebra": None, ("--twist",): None, ("--output",): "text",
+               ("--timings",): False},
+    "decompose": {"algebra": None, ("--twist",): None, ("--output",): "text",
+                  ("--timings",): False, ("--idempotent",): None},
+    "operators": {"algebra": None, ("--twist",): None, ("--output",): "text",
+                  ("--timings",): False, ("--samples",): 25, ("--seed",): 0,
+                  ("--idempotent",): None, ("--nmax",): 5},
+    "identity": {"algebra": None, ("--twist",): None, ("--output",): "text",
+                 ("--timings",): False, ("--expr",): None, ("--file",): None,
+                 ("--degrees",): None, ("--name",): "identity"},
+    "symbolic": {("--output",): "text", ("--timings",): False, ("--teichmuller",): False,
+                 ("--certificates",): False},
+    "distinguish": {("--output",): "text", ("--timings",): False, "algebra": None,
+                    "other": None},
+}
+
+
+def test_every_command_keeps_its_flags_and_defaults():
+    sub = next(a for a in _build_parser()._actions if isinstance(a.choices, dict))
+    got = {
+        name: {tuple(a.option_strings) or a.dest: a.default
+               for a in parser._actions if a.dest != "help"}
+        for name, parser in sub.choices.items()
+    }
+    assert got == FLAGS
 
 
 def test_symbolic_teichmuller(capsys):

@@ -7,7 +7,10 @@ that release, not just one run of the current code to another.  The two
 ``identity_*_x*.json`` files were written by the integer kernel's
 symbolic-multilinearization identity sweep, before check_identity_on_algebra
 moved onto the inclusion-exclusion engine; the random-00 one pins a
-polarized lhs at a degree-4 witness.
+polarized lhs at a degree-4 witness.  The ``jordan``, ``operators``,
+``symbolic``, ``powers_albert5_*`` and ``decompose_albert5_230_e`` files
+were written before the single-suite subcommands became aliases of
+``check --suites X``, so they tie each alias to the code it replaced.
 ``random-00.json`` is a dense random table with integer constants and
 alpha = Id (multiplicative, not right Hom-alternative);
 ``random-00-rational.json`` is the same table with every constant
@@ -54,6 +57,19 @@ CASES = [
       "--output", "json"]),
     ("decompose_albert5_230.json", 0,
      ["decompose", "albert5", "--twist", "2,3,0", "--output", "json"]),
+    ("decompose_albert5_230_e.txt", 0,
+     ["decompose", "albert5", "--twist", "2,3,0", "--idempotent", "1,0,0,0,0"]),
+    ("jordan_random00.txt", 1, ["jordan", "random-00.json"]),
+    ("operators_albert5_230.json", 0,
+     ["operators", "albert5", "--twist", "2,3,0", "--output", "json"]),
+    ("operators_albert5_230_e_nmax3.txt", 0,
+     ["operators", "albert5", "--twist", "2,3,0", "--idempotent", "1,0,0,0,0",
+      "--nmax", "3", "--seed", "7"]),
+    ("symbolic.json", 0, ["symbolic", "--output", "json"]),
+    ("symbolic_teichmuller.txt", 0, ["symbolic", "--teichmuller"]),
+    ("powers_albert5_230_n4.json", 0,
+     ["powers", "albert5", "--twist", "2,3,0", "--n", "4", "--samples", "3",
+      "--output", "json"]),
 ]
 
 
