@@ -14,7 +14,18 @@ were written before the single-suite subcommands became aliases of
 ``random-00.json`` is a dense random table with integer constants and
 alpha = Id (multiplicative, not right Hom-alternative);
 ``random-00-rational.json`` is the same table with every constant
-divided by 1 + (i + j + k) mod 3.  To regenerate a file after an
+divided by 1 + (i + j + k) mod 3.  The ``distinguish``, ``derive``,
+``twist`` and ``decompose_rational_basis`` files were written by the
+kernel whose Matrix kept a Fraction copy of its entries, before Matrix
+moved to integer rows over one denominator; their inputs carry
+non-integer entries, so char_poly, mat_pow, row, transpose,
+kernel_basis and solve all meet fractions.  ``albert5-rational-a.json``
+and ``-b.json`` are ``albert5 --twist 1/2,3/2,0`` and ``2/3,5/2,0``;
+``beta-231-rational.json`` is alpha(1/3, 1/2, -1/4), a non-diagonal
+morphism that commutes with alpha(2, 3, 1) (the (2, 3, 0) twist has
+only diagonal weak self-morphisms); ``albert5-230-rational-basis.json``
+is ``albert5 --twist 2,3,0`` written in the basis f0 = e,
+f1 = u + v/2, f2 = v + 2w/3, f3 = w + z/3, f4 = z - u/2.  To regenerate a file after an
 intended change of output, run its command from data/golden/ with
 ``python -m homalt.cli ARGS > FILE``.
 """
@@ -70,6 +81,14 @@ CASES = [
     ("powers_albert5_230_n4.json", 0,
      ["powers", "albert5", "--twist", "2,3,0", "--n", "4", "--samples", "3",
       "--output", "json"]),
+    ("distinguish_rational.json", 0,
+     ["distinguish", "albert5-rational-a.json", "albert5-rational-b.json", "--output", "json"]),
+    ("derive_albert5_230_n3.json", 0, ["derive", "albert5", "--twist", "2,3,0", "--n", "3"]),
+    ("derive_albert5_rational_n3.json", 0,
+     ["derive", "albert5", "--twist", "1/2,3/2,1/3", "--n", "3"]),
+    ("twist_albert5_231_beta.json", 0,
+     ["twist", "albert5", "--twist", "2,3,1", "--by", "beta-231-rational.json"]),
+    ("decompose_rational_basis.txt", 0, ["decompose", "albert5-230-rational-basis.json"]),
 ]
 
 
