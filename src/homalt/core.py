@@ -58,20 +58,25 @@ class HomAlgebra:
     """(A, mu, alpha) with A = Q^dim."""
 
     def __init__(self, dim, basis_names, mu, alpha):
-        assert isinstance(dim, int) and dim >= 1
+        if not isinstance(dim, int) or dim < 1:
+            raise ValueError("dim must be an integer >= 1, got %r" % (dim,))
         basis_names = tuple(str(n) for n in basis_names)
-        assert len(basis_names) == dim, "need one name per basis vector"
-        assert len(set(basis_names)) == dim, "basis names must be distinct"
-        assert isinstance(alpha, Matrix) and alpha.rows == dim and alpha.cols == dim
+        if len(basis_names) != dim:
+            raise ValueError("need one name per basis vector: %d names for dim %d"
+                             % (len(basis_names), dim))
+        if len(set(basis_names)) != dim:
+            raise ValueError("basis names must be distinct, got %r" % (list(basis_names),))
+        if not isinstance(alpha, Matrix):
+            raise ValueError("alpha must be a Matrix, got %s" % type(alpha).__name__)
+        if (alpha.rows, alpha.cols) != (dim, dim):
+            raise ValueError("alpha must be %dx%d, got %dx%d" % (dim, dim, alpha.rows, alpha.cols))
+        if len(mu) != dim or any(len(row) != dim or any(len(c) != dim for c in row)
+                                 for row in mu):
+            raise ValueError("mu must be a %dx%dx%d table of structure constants"
+                             % (dim, dim, dim))
         self.dim = dim
         self.basis_names = basis_names
-        rows = []
-        for i in range(dim):
-            assert len(mu[i]) == dim
-            rows.append(tuple(Vector(mu[i][j]) for j in range(dim)))
-            for v in rows[-1]:
-                assert len(v) == dim
-        self.mu = tuple(rows)
+        self.mu = tuple(tuple(Vector(c) for c in row) for row in mu)
         self.alpha = alpha
         # The hot loops read mu as an integer tensor over one common
         # denominator: e_i * e_j = sum of c * e_k / _mu_den over the

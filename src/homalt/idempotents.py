@@ -87,7 +87,7 @@ class Decomposition:
 
 
 def _right_mul_matrix(A, e):
-    return Matrix([list(mul(A, A.basis_element(i), e).coords) for i in range(A.dim)])
+    return Matrix.from_vectors([mul(A, A.basis_element(i), e).coords for i in range(A.dim)])
 
 
 def albert_decomposition(A, e):

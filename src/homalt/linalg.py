@@ -4,20 +4,17 @@ Everything downstream works over Q.  Scalars are fractions.Fraction;
 they appear at the boundaries: parsing, construction from user data,
 and the values that reports print.
 
-Inside, a Vector is a tuple of integer numerators ``nums`` over one
-common denominator ``den``, kept canonical: den > 0 and
-gcd(den, *nums) == 1, so the zero vector has den == 1.  Equal vectors
-have equal (nums, den), and == and hash compare integers.  Vector
-arithmetic builds its results directly in that form; only the public
-constructor Vector(entries) coerces entries through as_scalar, and
-entries, indexing, iteration and repr hand out Scalars.
-
-A Matrix keeps its entries as Scalars in ``data`` and caches the same
-form for the whole table (integer rows over one common denominator,
-plus each row's nonzero entries), so vec_mat, mat_vec and mat_mul are
-integer loops that skip zeros and pay one gcd per result.  A product's
-``data`` is built only when something reads it; the other Matrix
-operations work on ``data``.
+Inside, vectors and matrices have one form: integer numerators over
+one common denominator ``den``, kept canonical (den > 0, gcd(den, all
+numerators) == 1, so zero has den == 1).  A Vector holds a tuple
+``nums``; a Matrix holds a tuple of row tuples ``nums`` and caches each
+row's nonzero (column, numerator) pairs.  Equal values have equal
+(nums, den), so == and hash compare integers.  Every operation builds
+its result in that form -- the products are integer loops that skip
+zeros and pay one gcd per result, and row reduction is fraction-free
+-- so only the public constructors Vector(entries), Matrix(rows) and
+Matrix.diagonal(entries), and the scale factors, go through as_scalar.
+entries, data, indexing, iteration, trace and repr hand out Scalars.
 
 Conventions: vectors are coordinate rows, matrices act on the right
 (coords of f(x) are x.coords * M_f), and kernel_basis(m) returns the
@@ -213,20 +210,14 @@ def _sparse(nums):
 
 
 def _matrix(nums, den):
-    """The Matrix nums/den from a tuple of integer rows, unchecked.
-
-    Its Scalar ``data`` is built only when something reads it.
-    """
+    """A Matrix from a canonical (tuple of integer row tuples, den) pair, unchecked."""
     m = object.__new__(Matrix)
-    m._data = None
-    m._ints = (nums, den, _sparse(nums))
-    m.rows = len(nums)
-    m.cols = len(nums[0]) if nums else 0
+    m._set(nums, den)
     return m
 
 
 def _reduced_matrix(rows, den):
-    """The Matrix rows/den from lists of ints and den > 0, reduced."""
+    """The canonical Matrix rows/den from lists of ints and den > 0."""
     if den != 1:
         g = gcd(den, *chain.from_iterable(rows))
         if g != 1:
@@ -235,95 +226,93 @@ def _reduced_matrix(rows, den):
 
 
 class Matrix:
-    """Immutable dense matrix of Scalars; rows/cols are the dimensions.
+    """Immutable dense matrix of rationals; rows/cols are the dimensions.
 
-    ``data`` holds the entries as Scalars.  The products read the
-    cleared integer form instead: integer rows over one common
-    denominator, with each row's nonzero (column, numerator) pairs.
-    It is cached on first use, and products are born with it.
+    Integer rows ``nums`` over one ``den``, canonical like a Vector's,
+    with each row's nonzero (column, numerator) pairs cached for the
+    products.  ``data``, indexing and repr hand out Scalars.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_ints")
+    __slots__ = ("rows", "cols", "nums", "den", "_sparse")
 
     def __init__(self, data):
-        self._data = tuple(tuple(as_scalar(e) for e in row) for row in data)
-        self._ints = None
-        self.rows = len(self._data)
-        self.cols = len(self._data[0]) if self._data else 0
-        assert all(len(r) == self.cols for r in self._data), "ragged rows"
+        rows = [[as_scalar(e) for e in row] for row in data]
+        cols = len(rows[0]) if rows else 0
+        if any(len(r) != cols for r in rows):
+            raise ValueError("ragged rows: lengths %s" % sorted({len(r) for r in rows}))
+        flat, den = _clear(list(chain.from_iterable(rows)))
+        self._set(tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(len(rows))), den)
 
-    def _int_rows(self):
-        """(integer rows, common denominator, sparse rows)."""
-        if self._ints is None:
-            flat, den = _clear(list(chain.from_iterable(self._data)))
-            c = self.cols
-            nums = tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(self.rows))
-            self._ints = (nums, den, _sparse(nums))
-        return self._ints
+    def _set(self, nums, den):
+        self.nums = nums
+        self.den = den
+        self._sparse = _sparse(nums)
+        self.rows = len(nums)
+        self.cols = len(nums[0]) if nums else 0
 
     @property
     def data(self):
-        if self._data is None:
-            nums, den, _ = self._ints
-            self._data = tuple(tuple(Fraction(a, den) for a in row) for row in nums)
-        return self._data
+        den = self.den
+        return tuple(tuple(Fraction(a, den) for a in row) for row in self.nums)
 
     @staticmethod
     def from_rows(rows):
         return Matrix(rows)
 
     @staticmethod
+    def from_vectors(vectors):
+        """The Matrix whose rows are the given Vectors, all of one length."""
+        den = lcm(*(v.den for v in vectors))
+        return _matrix(tuple(tuple(a * (den // v.den) for a in v.nums) for v in vectors), den)
+
+    @staticmethod
     def zero(r, c):
-        return Matrix([[ZERO] * c for _ in range(r)])
+        return _matrix(((0,) * c,) * r, 1)
 
     @staticmethod
     def diagonal(entries):
-        n = len(entries)
-        return Matrix(
-            [[as_scalar(entries[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        v = Vector(entries)
+        n = len(v)
+        return _matrix(tuple(tuple(a * (i == j) for j in range(n)) for i, a in enumerate(v.nums)),
+                       v.den)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return Fraction(self.nums[i][j], self.den)
 
     def row(self, i):
-        return Vector(self.data[i])
+        return _reduced(self.nums[i], self.den)
 
     def col(self, j):
-        return Vector([self.data[i][j] for i in range(self.rows)])
+        return _reduced([row[j] for row in self.nums], self.den)
 
     def transpose(self):
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        # the same entries, so the same canonical den
+        return _matrix(tuple(zip(*self.nums)), self.den)
 
     def trace(self):
         assert self.rows == self.cols
-        return sum((self.data[i][i] for i in range(self.rows)), ZERO)
+        return Fraction(sum(self.nums[i][i] for i in range(self.rows)), self.den)
 
     def __add__(self, other):
         assert self.rows == other.rows and self.cols == other.cols
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
+        d, e = self.den, other.den
+        return _reduced_matrix(
+            [[a * e + b * d for a, b in zip(ra, rb)] for ra, rb in zip(self.nums, other.nums)],
+            d * e,
         )
 
     def __sub__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        return self + -other
 
     def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.data])
+        return _matrix(tuple(tuple(-a for a in row) for row in self.nums), self.den)
 
     def scale(self, c):
         c = as_scalar(c)
-        return Matrix([[c * a for a in row] for row in self.data])
+        p = c.numerator
+        rows = [[p * a for a in row] for row in self.nums]
+        return _reduced_matrix(rows, c.denominator * self.den)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -334,13 +323,13 @@ class Matrix:
         return mat_pow(self, n)
 
     def is_zero(self):
-        return all(a == 0 for row in self.data for a in row)
+        return not any(chain.from_iterable(self.nums))
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
+        return isinstance(other, Matrix) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return "Matrix([%s])" % (
@@ -351,42 +340,39 @@ class Matrix:
 
 
 def identity_matrix(n):
-    return Matrix.diagonal([ONE] * n)
+    return _matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
 
 def mat_mul(a, b):
     """Matrix product a*b."""
     assert a.cols == b.rows, "shape mismatch: %dx%d * %dx%d" % (a.rows, a.cols, b.rows, b.cols)
-    _, d, sa = a._int_rows()
-    _, e, sb = b._int_rows()
+    sb = b._sparse
     out = []
-    for row in sa:
+    for row in a._sparse:
         acc = [0] * b.cols
         for k, x in row:
             for j, y in sb[k]:
                 acc[j] += x * y
         out.append(acc)
-    return _reduced_matrix(out, d * e)
+    return _reduced_matrix(out, a.den * b.den)
 
 
 def mat_vec(m, v):
     """m @ v for a column vector v (returns a Vector of length m.rows)."""
     assert m.cols == len(v)
-    _, den, sparse = m._int_rows()
     x = v.nums
-    return _reduced([sum(a * x[j] for j, a in row) for row in sparse], den * v.den)
+    return _reduced([sum(a * x[j] for j, a in row) for row in m._sparse], m.den * v.den)
 
 
 def vec_mat(v, m):
     """Row vector times matrix: v @ m."""
     assert len(v) == m.rows
-    _, den, sparse = m._int_rows()
     acc = [0] * m.cols
-    for x, row in zip(v.nums, sparse):
+    for x, row in zip(v.nums, m._sparse):
         if x:
             for j, a in row:
                 acc[j] += x * a
-    return _reduced(acc, den * v.den)
+    return _reduced(acc, m.den * v.den)
 
 
 def mat_pow(m, n):
@@ -405,53 +391,49 @@ def mat_pow(m, n):
     return out
 
 
-def _rref(m):
-    """Reduced row-echelon form of m.
+def _rref(nums, ncols):
+    """Reduced row-echelon form of the integer rows nums, fraction-free.
 
-    Forward pass is Bareiss-style fraction-free elimination (all
-    intermediates are integers once rows are cleared), the back pass
-    normalises pivots to 1 and clears above them.  Returns (rows,
-    pivot_columns).
+    Bareiss's elimination, run on the rows above each pivot as well as
+    below: with the pivot p at (r, c) and the previous pivot q, every
+    other row becomes (p * row - row[c] * row_r) // q, an exact
+    division.  Each step turns the earlier pivots into p too, so at the
+    end the rref is rows / den, with den the last pivot made positive.
+    Scaling the input by a constant changes neither rank, row space nor
+    kernel.  Returns (rank many rows, den, pivot_columns).
     """
-    # The cleared integer rows: m scaled by one common denominator, which
-    # changes neither rank, row space nor kernel.
-    rows = [[Fraction(a) for a in row] for row in m._int_rows()[0]]
-    nr, nc = m.rows, m.cols
+    rows = [list(row) for row in nums]
+    nr = len(rows)
     pivots = []
-    prev = ONE
+    prev = 1
     r = 0
-    for c in range(nc):
+    for c in range(ncols):
         p = None
         for i in range(r, nr):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 p = i
                 break
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nr):
-            fi = rows[i][c]
-            for j in range(c, nc):
-                rows[i][j] = (piv * rows[i][j] - fi * rows[r][j]) / prev
+        top = rows[r]
+        piv = top[c]
+        for i in range(nr):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], top)]
         prev = piv
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    for k in reversed(range(len(pivots))):
-        c = pivots[k]
-        piv = rows[k][c]
-        rows[k] = [a / piv for a in rows[k]]
-        for i in range(k):
-            f = rows[i][c]
-            if f != 0:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
-    return rows, pivots
+    if prev < 0:
+        return [[-a for a in row] for row in rows[:r]], -prev, pivots
+    return rows[:r], prev, pivots
 
 
 def rank(m):
-    return len(_rref(m)[1])
+    return len(_rref(m.nums, m.cols)[2])
 
 
 def kernel_basis(m):
@@ -462,45 +444,47 @@ def kernel_basis(m):
     the result is in reduced column-echelon form, so equal kernels give
     byte-identical bases.  len(result) + rank(m) == m.cols.
     """
-    rows, pivots = _rref(m)
+    rows, den, pivots = _rref(m.nums, m.cols)
     pivot_set = set(pivots)
     basis = []
     for f in range(m.cols):
         if f in pivot_set:
             continue
-        v = [ZERO] * m.cols
-        v[f] = ONE
+        v = [0] * m.cols
+        v[f] = den
         for k, c in enumerate(pivots):
             v[c] = -rows[k][f]
-        basis.append(Vector(v))
+        basis.append(_reduced(v, den))
     return basis
 
 
 def solve(m, b):
     """Canonical solution x of m @ x = b (free coordinates 0), or None.
 
-    Returns None when the system is inconsistent.
+    b is a Vector; returns None when the system is inconsistent.
     """
     assert m.rows == len(b)
-    aug = Matrix([list(row) + [b[i]] for i, row in enumerate(m.data)])
-    rows, pivots = _rref(aug)
+    d, e = m.den, b.den
+    aug = [[a * e for a in row] + [x * d] for row, x in zip(m.nums, b.nums)]
+    rows, den, pivots = _rref(aug, m.cols + 1)
     if m.cols in pivots:
         return None
-    x = [ZERO] * m.cols
+    x = [0] * m.cols
     for k, c in enumerate(pivots):
         x[c] = rows[k][m.cols]
-    return Vector(x)
+    return _reduced(x, den)
 
 
 def inverse(m):
     """Matrix inverse; ValueError when singular."""
     assert m.rows == m.cols
     n = m.rows
-    aug = Matrix([list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m.data)])
-    rows, pivots = _rref(aug)
+    # rref [N | I] = [I | N^-1] for m = N / den, and m^-1 = den * N^-1
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.nums)]
+    rows, den, pivots = _rref(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix([row[n:] for row in rows[:n]])
+    return _reduced_matrix([[a * m.den for a in row[n:]] for row in rows], den)
 
 
 def char_poly(m):
@@ -508,6 +492,8 @@ def char_poly(m):
 
     Returns the monic coefficient list in descending degree,
     [1, c_{n-1}, ..., c_0]; everything stays rational (no root finding).
+    With M = N / den after k steps, c = -tr(N) / (k den) and the next
+    M is (k N - tr(N) I) / (k den), so the loop runs on integers.
 
     >>> char_poly(identity_matrix(2)) == [qq(1), qq(-2), qq(1)]
     True
@@ -518,8 +504,11 @@ def char_poly(m):
     M = identity_matrix(n)
     for k in range(1, n + 1):
         M = mat_mul(m, M)
-        ck = -M.trace() / qq(k)
-        coeffs.append(ck)
+        t = sum(M.nums[i][i] for i in range(n))
+        coeffs.append(Fraction(-t, k * M.den))
         if k < n:
-            M = M + Matrix.diagonal([ck] * n)
+            M = _reduced_matrix(
+                [[k * a - t * (i == j) for j, a in enumerate(row)] for i, row in enumerate(M.nums)],
+                k * M.den,
+            )
     return coeffs

@@ -118,14 +118,14 @@ class MulOperator:
 
 def left_op(A, x):
     """L_x: a |-> x*a."""
-    rows = [list(mul(A, x, A.basis_element(i)).coords) for i in range(A.dim)]
-    return MulOperator(A, Matrix(rows), "left %r" % (x,))
+    rows = [mul(A, x, A.basis_element(i)).coords for i in range(A.dim)]
+    return MulOperator(A, Matrix.from_vectors(rows), "left %r" % (x,))
 
 
 def right_op(A, x):
     """R_x: a |-> a*x."""
-    rows = [list(mul(A, A.basis_element(i), x).coords) for i in range(A.dim)]
-    return MulOperator(A, Matrix(rows), "right %r" % (x,))
+    rows = [mul(A, A.basis_element(i), x).coords for i in range(A.dim)]
+    return MulOperator(A, Matrix.from_vectors(rows), "right %r" % (x,))
 
 
 def alpha_op(A):

@@ -57,10 +57,6 @@ __all__ = [
     "ra_polynomial",
     "specialize_classical",
     "normalize_raw",
-    "raw_redexes",
-    "rewrite_at",
-    "normalize_random",
-    "evaluate_raw",
     "evaluate_polynomial",
     "IdentityDef",
     "identity_registry",
@@ -331,56 +327,6 @@ def normalize_raw(tree):
         return ("m", go(t[1], pending), go(t[2], pending))
 
     return go(tree, 0)
-
-
-def raw_redexes(tree, path=()):
-    """Paths of all rewritable positions: ("a", X) with X a leaf or product."""
-    out = []
-    if tree[0] == "a":
-        if tree[1][0] in ("v", "m"):
-            out.append(path)
-        out.extend(raw_redexes(tree[1], path + (1,)))
-    elif tree[0] == "m":
-        out.extend(raw_redexes(tree[1], path + (1,)))
-        out.extend(raw_redexes(tree[2], path + (2,)))
-    return out
-
-
-def rewrite_at(tree, path):
-    """One rewrite step: a(leaf) absorbs, a(m*n) -> a(m)*a(n)."""
-    if path:
-        parts = list(tree)
-        parts[path[0]] = rewrite_at(tree[path[0]], path[1:])
-        return tuple(parts)
-    assert tree[0] == "a" and tree[1][0] in ("v", "m")
-    inner = tree[1]
-    if inner[0] == "v":
-        return ("v", inner[1], inner[2] + 1)
-    return ("m", ("a", inner[1]), ("a", inner[2]))
-
-
-def normalize_random(tree, rng):
-    """Normalize by repeatedly firing a randomly chosen redex."""
-    while True:
-        redexes = raw_redexes(tree)
-        if not redexes:
-            return tree
-        tree = rewrite_at(tree, rng.choice(redexes))
-
-
-def evaluate_raw(A, tree, assignment):
-    """Structural evaluation of a raw tree (the evaluation oracle)."""
-    if tree[0] == "v":
-        name, k = tree[1], tree[2]
-        if name not in assignment:
-            raise ValueError("unassigned variable %r" % name)
-        e = assignment[name]
-        for _ in range(k):
-            e = apply_alpha(A, e)
-        return e
-    if tree[0] == "a":
-        return apply_alpha(A, evaluate_raw(A, tree[1], assignment))
-    return mul(A, evaluate_raw(A, tree[1], assignment), evaluate_raw(A, tree[2], assignment))
 
 
 # -- evaluation of normalized polynomials ------------------------------------

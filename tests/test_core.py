@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -263,3 +267,39 @@ def test_check_report_bool_and_dict(a230):
     d = rep.as_dict()
     assert d["witness"] == ["0", "0", "1"]
     assert d["lhs"] == "9*v"
+
+
+# -- validation -------------------------------------------------------------------
+
+# Each case builds a bad algebra or matrix and prints the error it raises.
+BAD_INPUTS = """
+from homalt.core import HomAlgebra
+from homalt.linalg import Matrix, identity_matrix
+mu = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+for build in (lambda: HomAlgebra(2, ["a", "a"], mu, identity_matrix(3)),
+              lambda: HomAlgebra(2, ["a", "b"], mu, identity_matrix(3)),
+              lambda: HomAlgebra(2, ["a", "b"], [[[0, 0]], [[0, 0]]], identity_matrix(2)),
+              lambda: HomAlgebra(2, ["a", "b"], mu, [[1, 0], [0, 1]]),
+              lambda: Matrix([[1, 2], [3]])):
+    try:
+        build()
+        print("accepted")
+    except ValueError as exc:
+        print("ValueError:", exc)
+"""
+
+
+def test_validation_holds_under_python_O():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-O", "-c", BAD_INPUTS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError: basis names must be distinct, got ['a', 'a']",
+        "ValueError: alpha must be 2x2, got 3x3",
+        "ValueError: mu must be a 2x2x2 table of structure constants",
+        "ValueError: alpha must be a Matrix, got list",
+        "ValueError: ragged rows: lengths [1, 2]",
+    ]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from homalt.core import hom_associator, random_element
+from homalt.core import apply_alpha, hom_associator, mul, random_element
 from homalt.dsl import parse_identity, parse_monomial, parse_term, term_to_dsl
 from homalt.linalg import format_scalar, parse_scalar, qq
 from homalt.symbolic import (
@@ -12,7 +12,6 @@ from homalt.symbolic import (
     build_instance,
     check_identity_on_algebra,
     evaluate_polynomial,
-    evaluate_raw,
     expand_associator,
     hom_teichmuller_terms,
     identity_defect,
@@ -20,7 +19,6 @@ from homalt.symbolic import (
     load_certificates,
     mono,
     multilinearize,
-    normalize_random,
     normalize_raw,
     poly_commutator,
     poly_mul,
@@ -32,6 +30,59 @@ from homalt.symbolic import (
     verify_certificate,
     verify_hom_teichmuller,
 )
+
+
+# -- raw-tree rewriting: the reference for normalize_raw and evaluate_polynomial
+
+
+def raw_redexes(tree, path=()):
+    """Paths of all rewritable positions: ("a", X) with X a leaf or product."""
+    out = []
+    if tree[0] == "a":
+        if tree[1][0] in ("v", "m"):
+            out.append(path)
+        out.extend(raw_redexes(tree[1], path + (1,)))
+    elif tree[0] == "m":
+        out.extend(raw_redexes(tree[1], path + (1,)))
+        out.extend(raw_redexes(tree[2], path + (2,)))
+    return out
+
+
+def rewrite_at(tree, path):
+    """One rewrite step: a(leaf) absorbs, a(m*n) -> a(m)*a(n)."""
+    if path:
+        parts = list(tree)
+        parts[path[0]] = rewrite_at(tree[path[0]], path[1:])
+        return tuple(parts)
+    assert tree[0] == "a" and tree[1][0] in ("v", "m")
+    inner = tree[1]
+    if inner[0] == "v":
+        return ("v", inner[1], inner[2] + 1)
+    return ("m", ("a", inner[1]), ("a", inner[2]))
+
+
+def normalize_random(tree, rng):
+    """Normalize by repeatedly firing a randomly chosen redex."""
+    while True:
+        redexes = raw_redexes(tree)
+        if not redexes:
+            return tree
+        tree = rewrite_at(tree, rng.choice(redexes))
+
+
+def evaluate_raw(A, tree, assignment):
+    """Structural evaluation of a raw tree (the evaluation oracle)."""
+    if tree[0] == "v":
+        name, k = tree[1], tree[2]
+        if name not in assignment:
+            raise ValueError("unassigned variable %r" % name)
+        e = assignment[name]
+        for _ in range(k):
+            e = apply_alpha(A, e)
+        return e
+    if tree[0] == "a":
+        return apply_alpha(A, evaluate_raw(A, tree[1], assignment))
+    return mul(A, evaluate_raw(A, tree[1], assignment), evaluate_raw(A, tree[2], assignment))
 
 
 def random_raw_tree(rng, depth=0):
