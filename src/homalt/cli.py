@@ -14,15 +14,20 @@ where ``check`` drops the idempotent operator suite, they exit 3, and
 Exit codes: 0 all selected checks passed; 1 some law failed (or
 ``distinguish`` was inconclusive); 2 bad input (unparseable file, flag, or
 expression); 3 a precondition was unmet (e.g. a non-multiplicative algebra
-fed to ``powers``, or no idempotent found for ``decompose``).
+fed to ``powers``, or no idempotent found for ``decompose``), i.e. a
+``core.HypothesisError``.  Hypotheses are decided once per algebra
+instance and cached on it, and ``run`` checks every selected suite's
+preconditions, in suite order, before it runs any suite.
 
 Reports are deterministic: the same command line (including ``--seed``)
 produces byte-identical output.  ``--timings`` adds wall-clock times and
-is therefore off by default.  ``check`` runs its suites concurrently;
-``HOMALT_THREADS`` caps the worker count.
+is therefore off by default; an ``axioms`` row times a cache hit when
+another suite needed its hypothesis first.  ``check`` runs its suites
+concurrently; ``HOMALT_THREADS`` caps the worker count.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,16 +47,19 @@ from .constructions import (
 )
 from .core import (
     CheckReport,
+    HypothesisError,
     algebra_to_json,
     apply_alpha,
+    is_idempotent,
     is_multiplicative,
     is_right_hom_alternative,
     load_algebra,
     mul,
+    require,
 )
-from .idempotents import albert_decomposition, decompose_element, idempotent_search, is_idempotent
+from .idempotents import albert_decomposition, decompose_element, idempotent_search
 from .jordan import check_hom_jordan_admissible
-from .linalg import Matrix, char_poly, format_scalar, parse_scalar, rank
+from .linalg import Matrix, char_poly, format_scalar, parse_scalar
 from .operators import check_idempotent_operator_suite, check_mul_operator_identities
 from .powers import check_nth_hom_power_associative, check_third_fourth_criterion
 from .symbolic import (
@@ -68,10 +76,6 @@ ALL_SUITES = ("axioms", "powers", "jordan", "decompose", "operators", "identitie
 
 class InputError(Exception):
     """Bad input: unparseable file, expression, or flag value (exit 2)."""
-
-
-class PreconditionError(Exception):
-    """A check's precondition is unmet for this input (exit 3)."""
 
 
 class Command(NamedTuple):
@@ -216,15 +220,6 @@ def _load_morphism(path, dim):
         raise InputError("%s: %s" % (path, exc)) from exc
 
 
-def _require_multiplicative(A, who):
-    rep = is_multiplicative(A)
-    if not rep:
-        raise PreconditionError(
-            "%s needs a multiplicative algebra; alpha fails to be a morphism at "
-            "basis pair %r" % (who, rep.witness)
-        )
-
-
 def _thread_cap(njobs):
     text = os.environ.get("HOMALT_THREADS")
     if text is None:
@@ -301,9 +296,11 @@ def _emit(rows, output, command, fields, A=None, source=None, **extra):
 
 
 # -- the check suites ---------------------------------------------------------
+#
+# Each takes the algebra, the config and the idempotent it splits at (or None).
 
 
-def _suite_axioms(A, cfg):
+def _suite_axioms(A, cfg, e):
     rows = []
     for fn in (is_multiplicative, is_right_hom_alternative):
         rep, ms = _timed(cfg.timings, fn, A)
@@ -311,8 +308,7 @@ def _suite_axioms(A, cfg):
     return rows
 
 
-def _suite_powers(A, cfg):
-    _require_multiplicative(A, "the powers suite")
+def _suite_powers(A, cfg, e):
     rows = []
     for n in range(2, cfg.nmax + 1):
         rep, ms = _timed(
@@ -324,7 +320,7 @@ def _suite_powers(A, cfg):
     return rows
 
 
-def _suite_jordan(A, cfg):
+def _suite_jordan(A, cfg, e):
     rep, ms = _timed(cfg.timings, check_hom_jordan_admissible, A)
     return [_row("jordan", rep, ms)]
 
@@ -344,41 +340,7 @@ def _check_element_splitting(A, e):
     return CheckReport(True, "element-splitting", note="all basis elements split")
 
 
-_NO_IDEMPOTENT = "no nonzero idempotent with coordinates of height <= 1"
-
-
-def _idempotent(A, cfg):
-    """The idempotent that decompose and operators split at: ``--idempotent``
-    if given, else the first nonzero one with coordinates of height <= 1.
-    If there is none, a single-suite command exits 3; ``check`` gets None."""
-    if cfg.idempotent is not None:
-        return _parse_coords(cfg.idempotent, A)
-    found = idempotent_search(A, height=1)
-    if found:
-        return found[0]
-    if cfg.require_idempotent:
-        raise PreconditionError("%s; pass --idempotent" % _NO_IDEMPOTENT)
-    return None
-
-
-def _suite_decompose(A, cfg):
-    # Inside `check` an unmet precondition names the suite to drop.
-    where = "" if cfg.require_idempotent else "decompose suite: "
-    r = rank(A.alpha)
-    if r < A.dim:
-        raise PreconditionError(
-            "%sdecomposition needs surjective alpha; rank %d < dim %d" % (where, r, A.dim)
-        )
-    e = _idempotent(A, cfg)
-    if e is None:
-        raise PreconditionError(
-            "%s%s; drop 'decompose' from --suites" % (where, _NO_IDEMPOTENT)
-        )
-    if cfg.idempotent is not None and not is_idempotent(A, e):
-        raise PreconditionError(
-            "%s--idempotent is not an idempotent: e*e = %r, alpha(e) = %r, e = %r"
-            % (where, mul(A, e, e), apply_alpha(A, e), e)
-        )
+def _suite_decompose(A, cfg, e):
     dec, ms = _timed(cfg.timings, albert_decomposition, A, e)
     note = "e = %r; A_e(alpha) basis %r; A_e(0) basis %r; direct = %s" % (
         e,
@@ -395,28 +357,17 @@ def _suite_decompose(A, cfg):
     return rows
 
 
-def _suite_operators(A, cfg):
+def _suite_operators(A, cfg, e):
     rows = []
     rep, ms = _timed(cfg.timings, check_mul_operator_identities, A, cfg.samples, cfg.seed)
     rows.append(_row("operators", rep, ms))
-    # The idempotent operator suite has hard preconditions (multiplicative,
-    # right Hom-alternative, an actual idempotent).  Inside `check` it runs
-    # when they hold and is omitted otherwise, so that a failing algebra
-    # still gives a failing report; the `operators` command exits 3 instead.
-    if not cfg.require_idempotent and not (is_multiplicative(A) and is_right_hom_alternative(A)):
-        return rows
-    e = _idempotent(A, cfg)
     if e is not None:
-        try:
-            rep, ms = _timed(cfg.timings, check_idempotent_operator_suite, A, e, cfg.nmax)
-        except ValueError as exc:
-            raise PreconditionError(str(exc)) from exc
+        rep, ms = _timed(cfg.timings, check_idempotent_operator_suite, A, e, cfg.nmax)
         rows.append(_row("operators", rep, ms))
     return rows
 
 
-def _suite_identities(A, cfg):
-    _require_multiplicative(A, "the identities suite")
+def _suite_identities(A, cfg, e):
     rows = []
     for ident in identity_registry().values():
         rep, ms = _timed(
@@ -432,7 +383,7 @@ def _suite_identities(A, cfg):
     return rows
 
 
-def _suite_symbolic(A, cfg):
+def _suite_symbolic(A, cfg, e):
     rows = []
     if cfg.teichmuller:
         ok, ms = _timed(cfg.timings, verify_hom_teichmuller)
@@ -461,30 +412,78 @@ _SUITE_FNS = {
     "symbolic": _suite_symbolic,
 }
 
+_NO_IDEMPOTENT = "no nonzero idempotent with coordinates of height <= 1"
+
+
+def _prepare(A, cfg, selected, given):
+    """Decide the selected suites' preconditions, in suite order, before any
+    runs: the first unmet one raises HypothesisError (exit 3).  This fills
+    every fact of A that a suite other than axioms reads, so no two suites
+    compute one.  Returns {suite: idempotent} for decompose and operators:
+    ``given`` (the parsed ``--idempotent``), else the first nonzero one of
+    height <= 1.  With none, a single-suite command exits 3 and ``check``'s
+    decompose suite asks to be dropped.  ``check``'s operators suite drops
+    its idempotent operator suite instead, as on an algebra that is not
+    multiplicative right Hom-alternative, so a failing algebra still gives
+    a failing report.
+    """
+
+    @functools.cache
+    def idempotent():
+        found = [given] if given is not None else idempotent_search(A, height=1)
+        if not found and cfg.require_idempotent:
+            raise HypothesisError("%s; pass --idempotent" % _NO_IDEMPOTENT)
+        return found[0] if found else None
+
+    split_at = {}
+    for s in selected:
+        if s in ("powers", "identities"):
+            require(A, "the %s suite" % s, "multiplicative")
+        elif s == "decompose":
+            # Inside `check` an unmet precondition names the suite to drop.
+            where = "" if cfg.require_idempotent else "decompose suite: "
+            require(A, where + "decomposition", "surjective")
+            e = split_at[s] = idempotent()
+            if e is None:
+                raise HypothesisError(
+                    "%s%s; drop 'decompose' from --suites" % (where, _NO_IDEMPOTENT)
+                )
+            if given is not None and not is_idempotent(A, e):
+                raise HypothesisError(
+                    "--idempotent is not an idempotent: e*e = %r, alpha(e) = %r, e = %r"
+                    % (mul(A, e, e), apply_alpha(A, e), e)
+                )
+        elif s == "operators" and (
+            cfg.require_idempotent or is_multiplicative(A) and is_right_hom_alternative(A)
+        ):
+            e = split_at[s] = idempotent()
+            if e is not None:
+                require(A, "operator suite", "idempotent", "multiplicative",
+                        "right-hom-alternative", e=e)
+    return split_at
+
 
 def run(config):
     """Run the command's suites and print its report; returns the exit code."""
-    A = source = None
+    A = source = given = None
     if config.algebra is not None:
         A, source = _resolve_algebra(config.algebra, config.twist)
         if config.idempotent is not None:
-            _parse_coords(config.idempotent, A)  # bad input exits 2 before any suite runs
+            given = _parse_coords(config.idempotent, A)  # bad input exits 2 first
     selected = [s for s in ALL_SUITES if s in set(config.suites)]
     # Only `check` runs its suites on the pool and reads HOMALT_THREADS.
     workers = _thread_cap(len(selected)) if config.command == "check" else 1
-    results = {}
+    split_at = _prepare(A, config, selected, given)
+
+    def run_suite(s):
+        return _SUITE_FNS[s](A, config, split_at.get(s))
+
     if workers > 1 and len(selected) > 1:
-        # Fill A's cached multiplicativity report before the suites share
-        # it, so that no two threads compute it.
-        is_multiplicative(A)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {s: pool.submit(_SUITE_FNS[s], A, config) for s in selected}
-            for s in selected:
-                results[s] = futures[s].result()
+            results = list(pool.map(run_suite, selected))
     else:
-        for s in selected:
-            results[s] = _SUITE_FNS[s](A, config)
-    rows = [row for s in selected for row in results[s]]
+        results = [run_suite(s) for s in selected]
+    rows = [row for suite_rows in results for row in suite_rows]
     values = dict(asdict(config), n=config.nmax, suites=selected)
     fields = {f: values[f] for f in COMMANDS[config.command].fields}
     return _emit(rows, config.output, config.command, fields, A, source)
@@ -504,32 +503,19 @@ def _write_algebra(A, out):
 
 
 def cmd_albert5(args):
-    if args.twist is None:
-        A = albert5_base()
-    else:
-        A = albert5_twisted(_parse_twist(args.twist))
-    return _write_algebra(A, args.out)
+    return _write_algebra(_resolve_algebra("albert5", args.twist)[0], args.out)
 
 
 def cmd_twist(args):
     A, _ = _resolve_algebra(args.algebra, args.twist)
-    beta = _load_morphism(args.by, A.dim)
-    try:
-        twisted = yau_twist(A, beta)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from exc
-    return _write_algebra(twisted, args.out)
+    return _write_algebra(yau_twist(A, _load_morphism(args.by, A.dim)), args.out)
 
 
 def cmd_derive(args):
     A, _ = _resolve_algebra(args.algebra, args.twist)
     if args.n < 0:
         raise InputError("--n must be >= 0, got %d" % args.n)
-    try:
-        derived = derived_algebra(A, args.n)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from exc
-    return _write_algebra(derived, args.out)
+    return _write_algebra(derived_algebra(A, args.n), args.out)
 
 
 def cmd_plus(args):
@@ -584,7 +570,7 @@ def cmd_identity(args):
                 "cannot infer degrees (a variable is missing from some monomial); "
                 "pass --degrees"
             )
-    _require_multiplicative(A, "the identity sweep")
+    require(A, "the identity sweep", "multiplicative")
     try:
         rep, ms = _timed(
             args.timings, check_identity_on_algebra, A, lhs, rhs, degrees, name=args.name
@@ -728,7 +714,7 @@ def main(argv=None):
         if args.command in COMMANDS:  # the other commands name their function
             return run(_suite_config(args))
         return args.fn(args)
-    except PreconditionError as exc:
+    except HypothesisError as exc:
         print("precondition unmet: %s" % exc, file=sys.stderr)
         return 3
     except InputError as exc:

@@ -34,7 +34,7 @@ from .linalg import (
     mat_pow,
     vec_mat,
 )
-from .core import HomAlgebra, is_multiplicative, mul
+from .core import HomAlgebra, HypothesisError, mul, require
 
 __all__ = [
     "AlbertParams",
@@ -114,8 +114,8 @@ def yau_twist(A, beta):
     """(A, beta o mu, beta o alpha) for a weak self-morphism beta.
 
     beta is checked to be a weak morphism on all basis pairs first; a
-    failing pair is named in the error.  Structure constants of the
-    result are materialised eagerly.
+    failing pair is named in the HypothesisError.  Structure constants of
+    the result are materialised eagerly.
     """
     assert isinstance(beta, Matrix)
     if beta.rows != A.dim or beta.cols != A.dim:
@@ -128,7 +128,7 @@ def yau_twist(A, beta):
             bi = A.element(beta.row(i))
             bj = A.element(beta.row(j))
             if lhs != mul(A, bi, bj).coords:
-                raise ValueError(
+                raise HypothesisError(
                     "beta is not a weak morphism: beta(%s*%s) != beta(%s)*beta(%s)"
                     % (A.basis_names[i], A.basis_names[j], A.basis_names[i], A.basis_names[j])
                 )
@@ -149,12 +149,7 @@ def derived_algebra(A, n):
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("derived algebra needs an integer n >= 0, got %r" % (n,))
-    rep = is_multiplicative(A)
-    if not rep.passed:
-        raise ValueError(
-            "derived algebra needs a multiplicative algebra; "
-            "alpha fails to be a morphism on basis pair %r" % (rep.witness,)
-        )
+    require(A, "derived algebra", "multiplicative")
     return yau_twist(A, mat_pow(A.alpha, n))
 
 

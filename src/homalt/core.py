@@ -14,6 +14,11 @@ right Hom-alternative means as(x, y, y) = 0, left Hom-alternative means
 as(x, x, y) = 0, Hom-flexible means as(x, y, x) = 0.  All checks run
 over the linearized forms on basis tuples, which is equivalent over Q,
 and report the lexicographically first failing tuple as a witness.
+
+The theorems checked elsewhere assume hypotheses (multiplicative, right
+Hom-alternative, surjective alpha, an idempotent e = e*e = alpha(e)).
+Each is decided once per HomAlgebra instance and cached on it, and
+``require`` raises HypothesisError naming a broken one and its witness.
 """
 
 import json
@@ -30,10 +35,12 @@ from .linalg import (
     format_scalar,
     parse_scalar,
     qq,
+    rank,
     vec_mat,
 )
 
 __all__ = [
+    "HypothesisError",
     "HomAlgebra",
     "Element",
     "CheckReport",
@@ -47,6 +54,8 @@ __all__ = [
     "is_left_hom_alternative",
     "is_hom_flexible",
     "is_hom_alternative",
+    "is_idempotent",
+    "require",
     "algebra_to_json",
     "algebra_from_json",
     "save_algebra",
@@ -54,8 +63,13 @@ __all__ = [
 ]
 
 
+class HypothesisError(ValueError):
+    """A hypothesis of the theorem being checked fails (``homalt`` exits 3)."""
+
+
 class HomAlgebra:
-    """(A, mu, alpha) with A = Q^dim."""
+    """(A, mu, alpha) with A = Q^dim; never changed once built, so facts
+    about it are cached on it (see fact())."""
 
     def __init__(self, dim, basis_names, mu, alpha):
         if not isinstance(dim, int) or dim < 1:
@@ -90,13 +104,22 @@ class HomAlgebra:
             )
             for row in self.mu
         )
-        self._mult_report = None
+        self._facts = {}
+
+    def fact(self, key, compute):
+        """compute(), decided once for this instance and cached under key
+        (two threads asking first may both compute it; the values agree)."""
+        if key not in self._facts:
+            self._facts[key] = compute()
+        return self._facts[key]
 
     # -- element factories -------------------------------------------------
 
     def element(self, coords):
         v = coords if isinstance(coords, Vector) else Vector(coords)
-        assert len(v) == self.dim
+        if len(v) != self.dim:
+            raise ValueError("an element of a dim-%d algebra needs %d coordinates, got %d"
+                             % (self.dim, self.dim, len(v)))
         return Element(self, v)
 
     def basis_element(self, i):
@@ -263,22 +286,18 @@ class CheckReport:
         return self.passed
 
 
+def _multiplicative(A):
+    for i, j in product(range(A.dim), repeat=2):
+        lhs = A.element(vec_mat(A.mu[i][j], A.alpha))
+        rhs = mul(A, apply_alpha(A, A.basis_element(i)), apply_alpha(A, A.basis_element(j)))
+        if lhs != rhs:
+            return CheckReport(False, "multiplicative", (i, j), lhs, rhs)
+    return CheckReport(True, "multiplicative")
+
+
 def is_multiplicative(A):
-    """alpha(x*y) == alpha(x)*alpha(y), checked on all basis pairs."""
-    if A._mult_report is not None:
-        return A._mult_report
-    report = CheckReport(True, "multiplicative")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = A.element(vec_mat(A.mu[i][j], A.alpha))
-            rhs = mul(A, apply_alpha(A, A.basis_element(i)), apply_alpha(A, A.basis_element(j)))
-            if lhs != rhs:
-                report = CheckReport(False, "multiplicative", (i, j), lhs, rhs)
-                break
-        if not report.passed:
-            break
-    A._mult_report = report
-    return report
+    """alpha(x*y) == alpha(x)*alpha(y), checked on all basis pairs (once per A)."""
+    return A.fact("multiplicative", lambda: _multiplicative(A))
 
 
 def _associator_law(A, law, perm):
@@ -309,8 +328,10 @@ def _associator_law(A, law, perm):
 
 
 def is_right_hom_alternative(A):
-    """as(x, y, z) + as(x, z, y) == 0 on basis triples (degree-2 slot linearized)."""
-    return _associator_law(A, "right-hom-alternative", (0, 2, 1))
+    """as(x, y, z) + as(x, z, y) == 0 on basis triples (degree-2 slot
+    linearized), once per A."""
+    return A.fact("right-hom-alternative",
+                  lambda: _associator_law(A, "right-hom-alternative", (0, 2, 1)))
 
 
 def is_left_hom_alternative(A):
@@ -334,6 +355,40 @@ def is_hom_alternative(A):
         return CheckReport(False, "hom-alternative", right.witness, right.lhs, right.rhs,
                            note="right alternativity fails")
     return CheckReport(True, "hom-alternative")
+
+
+def is_idempotent(A, e):
+    """e*e == e and alpha(e) == e (the zero element counts)."""
+    return mul(A, e, e) == e and apply_alpha(A, e) == e
+
+
+def require(A, who, *hypotheses, e=None):
+    """Raise HypothesisError unless A meets each hypothesis, in order.
+
+    The hypotheses are "multiplicative", "right-hom-alternative",
+    "surjective" (alpha has full rank) and "idempotent" (of the element
+    e); each is decided once per A (and e).  The message is "<who>
+    needs ..." and names the first broken hypothesis and its witness.
+    """
+    for h in hypotheses:
+        if h == "multiplicative":
+            rep = is_multiplicative(A)
+            broken = not rep and ("a multiplicative algebra; alpha fails to be a morphism "
+                                  "at basis pair %r" % (rep.witness,))
+        elif h == "right-hom-alternative":
+            rep = is_right_hom_alternative(A)
+            broken = not rep and "a right Hom-alternative algebra; witness %r" % (rep.witness,)
+        elif h == "surjective":
+            r = A.fact("alpha-rank", lambda: rank(A.alpha))
+            broken = r < A.dim and "surjective alpha; rank %d < dim %d" % (r, A.dim)
+        elif h == "idempotent":
+            broken = not A.fact(("idempotent", e), lambda: is_idempotent(A, e)) and (
+                "an idempotent: e*e = e = alpha(e), got e = %r with e*e = %r, alpha(e) = %r"
+                % (e, mul(A, e, e), apply_alpha(A, e)))
+        else:
+            raise ValueError("unknown hypothesis %r" % (h,))
+        if broken:
+            raise HypothesisError("%s needs %s" % (who, broken))
 
 
 # -- JSON interchange ------------------------------------------------------

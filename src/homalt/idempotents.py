@@ -20,7 +20,7 @@ kernel of its transpose.
 from dataclasses import dataclass
 
 from .linalg import Matrix, kernel_basis, qq, rank, solve
-from .core import Element, apply_alpha, mul
+from .core import Element, is_idempotent, mul, require
 
 __all__ = [
     "Decomposition",
@@ -29,11 +29,6 @@ __all__ = [
     "albert_decomposition",
     "decompose_element",
 ]
-
-
-def is_idempotent(A, e):
-    """e*e == e and alpha(e) == e (the zero element counts)."""
-    return mul(A, e, e) == e and apply_alpha(A, e) == e
 
 
 def _height_values(height):
@@ -51,8 +46,12 @@ def idempotent_search(A, height=1):
     Coordinates range over {p/q : |p| <= height, 1 <= q <= height} minus
     zero.  The result order is deterministic: single supports first,
     then pairs, each in index order with coefficients in ascending
-    order.
+    order.  The search runs once per algebra instance and height.
     """
+    return list(A.fact(("idempotents", height), lambda: _search(A, height)))
+
+
+def _search(A, height):
     vals = _height_values(height)
     found = []
     for i in range(A.dim):
@@ -93,19 +92,15 @@ def _right_mul_matrix(A, e):
 def albert_decomposition(A, e):
     """Split A as A_e(alpha) + A_e(0) along the idempotent e.
 
-    Raises ValueError when e is not an idempotent or alpha is not
+    Raises HypothesisError when e is not an idempotent or alpha is not
     surjective (the splitting holds only under both hypotheses).
     """
-    if not is_idempotent(A, e):
-        raise ValueError("decomposition needs an idempotent: e*e = e = alpha(e)")
-    if rank(A.alpha) < A.dim:
-        raise ValueError("decomposition needs surjective alpha (rank %d < %d)"
-                         % (rank(A.alpha), A.dim))
+    require(A, "decomposition", "idempotent", "surjective", e=e)
     re = _right_mul_matrix(A, e)
     part_alpha = [A.element(v) for v in kernel_basis((re - A.alpha).transpose())]
     part_zero = [A.element(v) for v in kernel_basis(re.transpose())]
-    stacked = Matrix([list(x.coords) for x in part_alpha + part_zero]) if part_alpha + part_zero else None
-    r = rank(stacked) if stacked is not None else 0
+    parts = part_alpha + part_zero
+    r = rank(Matrix.from_vectors([x.coords for x in parts])) if parts else 0
     spans_all = r == A.dim
     is_direct = r == len(part_alpha) + len(part_zero)
     return Decomposition(e, part_alpha, part_zero, is_direct, spans_all)
@@ -120,11 +115,7 @@ def decompose_element(A, e, b):
     alpha as in albert_decomposition).  Same preconditions as
     albert_decomposition.
     """
-    if not is_idempotent(A, e):
-        raise ValueError("decomposition needs an idempotent: e*e = e = alpha(e)")
-    if rank(A.alpha) < A.dim:
-        raise ValueError("decomposition needs surjective alpha (rank %d < %d)"
-                         % (rank(A.alpha), A.dim))
+    require(A, "decomposition", "idempotent", "surjective", e=e)
     if b.algebra is not A:
         raise ValueError("elements belong to different algebras")
     # row equation a @ alpha = b  <=>  alpha^T @ a^T = b^T

@@ -30,15 +30,7 @@ and T = 3 alpha^2 L^2 - 2 alpha L^3 satisfies T^(n+1) = alpha^(4n) T
 import random
 
 from .linalg import Matrix, identity_matrix, mat_mul, mat_pow
-from .core import (
-    CheckReport,
-    apply_alpha,
-    is_multiplicative,
-    is_right_hom_alternative,
-    mul,
-    random_element,
-)
-from .idempotents import is_idempotent
+from .core import CheckReport, apply_alpha, mul, random_element, require
 
 __all__ = [
     "MulOperator",
@@ -56,15 +48,20 @@ __all__ = [
 class MulOperator:
     """A linear operator on A acting on the right of coordinate rows.
 
-    kind records provenance ("left x", "right x", "twist", "composite")
+    kind records provenance ("twist", "identity", "composite", or
+    ("left", x) and ("right", x) for L_x and R_x, printed as "left x")
     and is ignored by equality, which compares matrices only.
     """
 
     __slots__ = ("algebra", "matrix", "kind")
 
     def __init__(self, algebra, matrix, kind="composite"):
-        assert isinstance(matrix, Matrix)
-        assert matrix.rows == algebra.dim and matrix.cols == algebra.dim
+        d = algebra.dim
+        if not isinstance(matrix, Matrix) or (matrix.rows, matrix.cols) != (d, d):
+            got = ("%dx%d" % (matrix.rows, matrix.cols) if isinstance(matrix, Matrix)
+                   else type(matrix).__name__)
+            raise ValueError("an operator on a dim-%d algebra needs a %dx%d Matrix, got %s"
+                             % (d, d, d, got))
         self.algebra = algebra
         self.matrix = matrix
         self.kind = kind
@@ -100,7 +97,8 @@ class MulOperator:
         return MulOperator(self.algebra, self.matrix.scale(c))
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("operator powers need an integer n >= 0, got %r" % (n,))
         return MulOperator(self.algebra, mat_pow(self.matrix, n))
 
     def is_zero(self):
@@ -113,19 +111,20 @@ class MulOperator:
         return hash(self.matrix)
 
     def __repr__(self):
-        return "MulOperator(%s, %r)" % (self.kind, self.matrix)
+        kind = self.kind if isinstance(self.kind, str) else "%s %r" % self.kind
+        return "MulOperator(%s, %r)" % (kind, self.matrix)
 
 
 def left_op(A, x):
     """L_x: a |-> x*a."""
     rows = [mul(A, x, A.basis_element(i)).coords for i in range(A.dim)]
-    return MulOperator(A, Matrix.from_vectors(rows), "left %r" % (x,))
+    return MulOperator(A, Matrix.from_vectors(rows), ("left", x))
 
 
 def right_op(A, x):
     """R_x: a |-> a*x."""
     rows = [mul(A, A.basis_element(i), x).coords for i in range(A.dim)]
-    return MulOperator(A, Matrix.from_vectors(rows), "right %r" % (x,))
+    return MulOperator(A, Matrix.from_vectors(rows), ("right", x))
 
 
 def alpha_op(A):
@@ -209,25 +208,13 @@ def is_alpha_n_idempotent(A, f, n):
 def check_idempotent_operator_suite(A, e, nmax=5):
     """All operator identities at an idempotent e, as matrix identities.
 
-    Precondition failures raise ValueError: e must be an idempotent
+    Unmet hypotheses raise HypothesisError: e must be an idempotent
     (e*e = e = alpha(e)) and A must be multiplicative right
     Hom-alternative -- the identities are theorems only under those
     hypotheses, so feeding anything else is a usage error, not a
     refutation.
     """
-    if not is_idempotent(A, e):
-        raise ValueError(
-            "operator suite needs an idempotent: e*e = e = alpha(e), got e = %r "
-            "with e*e = %r, alpha(e) = %r" % (e, mul(A, e, e), apply_alpha(A, e))
-        )
-    rep = is_multiplicative(A)
-    if not rep.passed:
-        raise ValueError("operator suite needs a multiplicative algebra; "
-                         "witness %r" % (rep.witness,))
-    rep = is_right_hom_alternative(A)
-    if not rep.passed:
-        raise ValueError("operator suite needs a right Hom-alternative algebra; "
-                         "witness %r" % (rep.witness,))
+    require(A, "operator suite", "idempotent", "multiplicative", "right-hom-alternative", e=e)
     if not isinstance(nmax, int) or nmax < 0:
         raise ValueError("nmax must be a non-negative integer, got %r" % (nmax,))
 

@@ -34,13 +34,7 @@ from itertools import combinations_with_replacement, product
 from math import prod
 
 from .linalg import linear_combination
-from .core import (
-    CheckReport,
-    apply_alpha,
-    is_multiplicative,
-    mul,
-    random_element,
-)
+from .core import CheckReport, apply_alpha, mul, random_element, require
 
 __all__ = [
     "PowerTable",
@@ -76,7 +70,8 @@ class PowerTable:
 
     def alpha_power(self, n, k):
         """alpha^k(x^n) for n >= 1, k >= 0."""
-        assert k >= 0
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("alpha powers need an integer k >= 0, got %r" % (k,))
         if k == 0:
             return self.power(n)
         key = (n, k)
@@ -104,15 +99,6 @@ def hom_power(A, x, n):
 
 def hom_power_pair(A, x, i, j):
     return PowerTable(A, x).pair(i, j)
-
-
-def _require_multiplicative(A, who):
-    rep = is_multiplicative(A)
-    if not rep.passed:
-        raise ValueError(
-            "%s needs a multiplicative algebra; alpha fails to be a morphism "
-            "on basis pair %r" % (who, rep.witness)
-        )
 
 
 def _power_defects(A, x, n):
@@ -181,7 +167,7 @@ def check_power_associativity_polarized(A, n):
     """Deterministic proof of n-th Hom-power associativity on A (n >= 2)."""
     if not isinstance(n, int) or n < 2:
         raise ValueError("polarized power check needs n >= 2, got %r" % (n,))
-    _require_multiplicative(A, "power associativity check")
+    require(A, "power associativity check", "multiplicative")
     law = "hom-power-associative-polarized(n=%d)" % n
     return polarized_defect_sweep(A, n, lambda x: _power_defects(A, x, n), law)
 
@@ -195,7 +181,7 @@ def check_nth_hom_power_associative(A, n, samples=25, seed=0):
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("Hom-power associativity needs n >= 1, got %r" % (n,))
-    _require_multiplicative(A, "power associativity check")
+    require(A, "power associativity check", "multiplicative")
     law = "hom-power-associative(n=%d)" % n
     rng = random.Random(seed)
     for _ in range(samples):
@@ -221,7 +207,7 @@ def check_third_fourth_criterion(A, samples=25, seed=0):
     multiplicative right Hom-alternative algebra these two laws imply
     n-th Hom-power associativity for every n.
     """
-    _require_multiplicative(A, "third/fourth power criterion")
+    require(A, "third/fourth power criterion", "multiplicative")
     law = "third-fourth-power-criterion"
 
     def third(x):

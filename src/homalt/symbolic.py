@@ -43,7 +43,7 @@ from itertools import permutations
 from operator import itemgetter
 
 from .linalg import ONE, ZERO, as_scalar, format_scalar, linear_combination, parse_scalar
-from .core import CheckReport, apply_alpha, is_multiplicative, mul
+from .core import CheckReport, apply_alpha, mul, require
 from .powers import polarized_defect_sweep
 
 __all__ = [
@@ -332,15 +332,6 @@ def normalize_raw(tree):
 # -- evaluation of normalized polynomials ------------------------------------
 
 
-def _require_multiplicative(A, who):
-    rep = is_multiplicative(A)
-    if not rep.passed:
-        raise ValueError(
-            "%s needs a multiplicative algebra (free monomials assume "
-            "alpha(x*y) = alpha(x)*alpha(y)); witness %r" % (who, rep.witness)
-        )
-
-
 def _compile_tree(A, tree, slot_of, done):
     """(f, slots): f(xs, ids) is tree at one Element per variable.
 
@@ -406,7 +397,7 @@ def evaluate_polynomial(A, p, assignment):
     A must be multiplicative (ValueError otherwise: the normal form
     assumed it); unassigned variables are a ValueError too.
     """
-    _require_multiplicative(A, "polynomial evaluation")
+    require(A, "polynomial evaluation", "multiplicative")
     if any(x.algebra is not A for x in assignment.values()):
         raise ValueError("elements belong to different algebras")
     names = sorted(assignment)
@@ -604,7 +595,7 @@ def check_identity_on_algebra(A, lhs, rhs, degrees, name="identity"):
     inclusion-exclusion and sweeps all basis multisets, variables in
     sorted order; a failure witnesses ((variable, multiset), ...).
     """
-    _require_multiplicative(A, "identity check")
+    require(A, "identity check", "multiplicative")
     _check_homogeneous(lhs, degrees, "lhs")
     _check_homogeneous(rhs, degrees, "rhs")
     defect = lhs - rhs

@@ -1,9 +1,11 @@
 import json
 import pathlib
 import shutil
+import sys
 
 import pytest
 
+from homalt import core, idempotents, powers
 from homalt.cli import InputError, SuiteConfig, _build_parser, main
 from homalt.constructions import (
     AlbertParams,
@@ -14,7 +16,14 @@ from homalt.constructions import (
     plus_algebra,
     yau_twist,
 )
-from homalt.core import algebra_from_json, load_algebra, save_algebra
+from homalt.core import (
+    Element,
+    algebra_from_json,
+    is_multiplicative,
+    is_right_hom_alternative,
+    load_algebra,
+    save_algebra,
+)
 
 from conftest import FIXTURES, swapped_alpha_albert
 from test_core import same_algebra
@@ -139,6 +148,89 @@ def test_unmet_precondition_pins_stderr(argv, message, tmp_path, monkeypatch, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "precondition unmet: %s\n" % message
+
+
+# -- hypotheses are decided once, before any suite runs ----------------------------
+
+
+def record_calls(monkeypatch, module, name, when=lambda *args: True):
+    """Rebind module.name, wherever a homalt module holds it, to a wrapper
+    that records the arguments of each call for which when(*args) holds."""
+    orig = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        if when(*args):
+            calls.append(args)
+        return orig(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "homalt":
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def test_check_exits_three_before_any_suite_runs(monkeypatch, capsys):
+    sweeps = record_calls(monkeypatch, powers, "polarized_defect_sweep")
+    assert main(["check", "albert5", "--twist", "2,3,1"]) == 3
+    assert capsys.readouterr().err == (
+        "precondition unmet: decompose suite: %s; drop 'decompose' from --suites\n"
+        % NO_IDEMPOTENT
+    )
+    assert sweeps == []
+
+
+def test_check_decides_each_shared_fact_once(monkeypatch, capsys):
+    alpha = albert5_alpha(AlbertParams(2, 3, 0))
+    laws = record_calls(monkeypatch, core, "_associator_law",
+                        lambda A, law, perm: law == "right-hom-alternative")
+    searches = record_calls(monkeypatch, idempotents, "idempotent_search")
+    ranks = record_calls(monkeypatch, core, "rank", lambda m: m == alpha)
+    assert main(["check", "albert5", "--twist", "2,3,0"]) == 0
+    assert "25/25 checks passed" in capsys.readouterr().out
+    assert (len(laws), len(searches)) == (1, 1)
+    assert len(ranks) <= 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda A: yau_twist(A, A.alpha), lambda A: derived_algebra(A, 1), plus_algebra],
+    ids=["yau_twist", "derived_algebra", "plus_algebra"],
+)
+def test_constructions_decide_their_own_facts(build, monkeypatch):
+    A = albert5_twisted(AlbertParams(2, 3, 0))
+    facts = (is_multiplicative, is_right_hom_alternative, idempotents.idempotent_search)
+    for fact in facts:
+        fact(A)
+    B = build(A)
+    computed = [record_calls(monkeypatch, core, "_multiplicative"),
+                record_calls(monkeypatch, core, "_associator_law"),
+                record_calls(monkeypatch, idempotents, "_search")]
+    fresh = algebra_from_json(core.algebra_to_json(B))
+    for fact in facts:
+        assert repr(fact(B)) == repr(fact(fresh))
+    assert [len(c) for c in computed] == [2, 2, 2]
+    assert all(x.algebra is B for x in idempotents.idempotent_search(B))
+    for fact in facts:
+        fact(A)
+        fact(B)
+    assert [len(c) for c in computed] == [2, 2, 2]
+
+
+def test_operators_suite_formats_no_element(monkeypatch, capsys):
+    calls = []
+    orig = Element.__repr__
+
+    def counting(self):
+        calls.append(self)
+        return orig(self)
+
+    monkeypatch.setattr(Element, "__repr__", counting)
+    argv = ["check", "albert5", "--twist", "2,3,0", "--suites", "operators"]
+    assert main(argv + ["--output", "json"]) == 0
+    assert calls == []
 
 
 def test_twist_by_a_non_morphism_exits_three(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from homalt.constructions import AlbertParams, plus_algebra
 from homalt.core import (
+    HypothesisError,
     algebra_from_json,
     algebra_to_json,
     commutator,
@@ -21,6 +22,7 @@ from homalt.core import (
     load_algebra,
     mul,
     random_element,
+    require,
     save_algebra,
 )
 from homalt.linalg import qq
@@ -258,6 +260,31 @@ def test_non_multiplicative_witness(non_multiplicative):
     assert rep.rhs == non_multiplicative.zero()  # alpha(e)^2 = u*u = 0
 
 
+# -- hypotheses -------------------------------------------------------------------
+
+
+def test_require_names_the_first_broken_hypothesis(a230, non_multiplicative, bad_algebra):
+    def message(A, *hypotheses, e=None):
+        with pytest.raises(HypothesisError) as err:
+            require(A, "it", *hypotheses, e=e)
+        assert isinstance(err.value, ValueError)
+        return str(err.value)
+
+    assert message(non_multiplicative, "multiplicative") == (
+        "it needs a multiplicative algebra; alpha fails to be a morphism at basis pair (0, 0)")
+    assert message(bad_algebra, "multiplicative", "right-hom-alternative") == (
+        "it needs a right Hom-alternative algebra; witness (0, 0, 0)")
+    u = a230.basis_element(1)
+    assert message(a230, "multiplicative", "idempotent", "surjective", e=u) == (
+        "it needs an idempotent: e*e = e = alpha(e), got e = u with e*e = 0, alpha(e) = 3*u")
+    assert message(twisted_albert(0, 3, 0), "surjective") == (
+        "it needs surjective alpha; rank 3 < dim 5")
+    require(a230, "it", "multiplicative", "right-hom-alternative", "surjective",
+            "idempotent", e=a230.basis_element(0))
+    with pytest.raises(ValueError, match="unknown hypothesis"):
+        require(a230, "it", "associative")
+
+
 def test_check_report_bool_and_dict(a230):
     rep = is_multiplicative(a230)
     assert bool(rep)
@@ -271,16 +298,26 @@ def test_check_report_bool_and_dict(a230):
 
 # -- validation -------------------------------------------------------------------
 
-# Each case builds a bad algebra or matrix and prints the error it raises.
+# Each case builds a bad algebra, matrix, element or operator and prints the
+# error it raises.
 BAD_INPUTS = """
+from homalt.constructions import albert5_base
 from homalt.core import HomAlgebra
 from homalt.linalg import Matrix, identity_matrix
+from homalt.operators import MulOperator, alpha_op
+from homalt.powers import PowerTable
 mu = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+A = albert5_base()
 for build in (lambda: HomAlgebra(2, ["a", "a"], mu, identity_matrix(3)),
               lambda: HomAlgebra(2, ["a", "b"], mu, identity_matrix(3)),
               lambda: HomAlgebra(2, ["a", "b"], [[[0, 0]], [[0, 0]]], identity_matrix(2)),
               lambda: HomAlgebra(2, ["a", "b"], mu, [[1, 0], [0, 1]]),
-              lambda: Matrix([[1, 2], [3]])):
+              lambda: Matrix([[1, 2], [3]]),
+              lambda: A.element([1, 2]),
+              lambda: MulOperator(A, identity_matrix(2)),
+              lambda: MulOperator(A, [[1]]),
+              lambda: alpha_op(A) ** -1,
+              lambda: PowerTable(A, A.basis_element(0)).alpha_power(1, -1)):
     try:
         build()
         print("accepted")
@@ -302,4 +339,9 @@ def test_validation_holds_under_python_O():
         "ValueError: mu must be a 2x2x2 table of structure constants",
         "ValueError: alpha must be a Matrix, got list",
         "ValueError: ragged rows: lengths [1, 2]",
+        "ValueError: an element of a dim-5 algebra needs 5 coordinates, got 2",
+        "ValueError: an operator on a dim-5 algebra needs a 5x5 Matrix, got 2x2",
+        "ValueError: an operator on a dim-5 algebra needs a 5x5 Matrix, got list",
+        "ValueError: operator powers need an integer n >= 0, got -1",
+        "ValueError: alpha powers need an integer k >= 0, got -1",
     ]
