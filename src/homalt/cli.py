@@ -19,10 +19,19 @@ fed to ``powers``, or no idempotent found for ``decompose``), i.e. a
 instance and cached on it, and ``run`` checks every selected suite's
 preconditions, in suite order, before it runs any suite.
 
+The ``identities`` suite decides an identity by certificate transfer,
+without a sweep, when the algebra is multiplicative and right
+Hom-alternative and the identity is in ``symbolic.certified_identities()``:
+its shipped certificate then proves it in every such algebra.  Otherwise
+-- an axiom fails, or the certificate or one it leans on does not
+verify -- the suite runs the polarized basis sweep, which also finds the
+witness.  ``identity`` always sweeps.
+
 Reports are deterministic: the same command line (including ``--seed``)
 produces byte-identical output.  ``--timings`` adds wall-clock times and
 is therefore off by default; an ``axioms`` row times a cache hit when
-another suite needed its hypothesis first.  ``check`` runs its suites
+another suite needed its hypothesis first, and so do a transferred
+``identities`` row and, then, a ``symbolic`` certificate row.  ``check`` runs its suites
 concurrently; ``HOMALT_THREADS`` caps the worker count.
 """
 
@@ -63,10 +72,11 @@ from .linalg import Matrix, char_poly, format_scalar, parse_scalar
 from .operators import check_idempotent_operator_suite, check_mul_operator_identities
 from .powers import check_nth_hom_power_associative, check_third_fourth_criterion
 from .symbolic import (
-    certificate_report,
+    certified_identities,
     check_identity_on_algebra,
     identity_registry,
     load_certificates,
+    shipped_certificate_report,
     verify_hom_teichmuller,
 )
 from .dsl import parse_identity
@@ -367,18 +377,39 @@ def _suite_operators(A, cfg, e):
     return rows
 
 
+def _transferable(A):
+    """The identities that certificate transfer proves in A: the certified
+    ones when A is multiplicative and right Hom-alternative, else none."""
+    if is_multiplicative(A) and is_right_hom_alternative(A):
+        return certified_identities()
+    return frozenset()
+
+
+def _transferred(name):
+    note = "certificate (%s) transfers: multiplicative and right Hom-alternative hold" % (
+        shipped_certificate_report(name).note
+    )
+    return CheckReport(True, name, note=note)
+
+
 def _suite_identities(A, cfg, e):
+    """Each identity by certificate transfer where _transferable allows it,
+    else by the polarized basis sweep, which finds the witness."""
+    transfer = _transferable(A)
     rows = []
     for ident in identity_registry().values():
-        rep, ms = _timed(
-            cfg.timings,
-            check_identity_on_algebra,
-            A,
-            ident.lhs,
-            ident.rhs,
-            ident.degrees,
-            name=ident.name,
-        )
+        if ident.name in transfer:
+            rep, ms = _timed(cfg.timings, _transferred, ident.name)
+        else:
+            rep, ms = _timed(
+                cfg.timings,
+                check_identity_on_algebra,
+                A,
+                ident.lhs,
+                ident.rhs,
+                ident.degrees,
+                name=ident.name,
+            )
         rows.append(_row("identities", rep, ms))
     return rows
 
@@ -395,9 +426,8 @@ def _suite_symbolic(A, cfg, e):
         )
         rows.append(_row("symbolic", rep, ms))
     if cfg.certificates:
-        data = load_certificates()
-        for name in sorted(data):
-            rep, ms = _timed(cfg.timings, certificate_report, name, data[name]["instances"])
+        for name in sorted(load_certificates()):
+            rep, ms = _timed(cfg.timings, shipped_certificate_report, name)
             rows.append(_row("symbolic", rep, ms))
     return rows
 
@@ -419,7 +449,9 @@ def _prepare(A, cfg, selected, given):
     """Decide the selected suites' preconditions, in suite order, before any
     runs: the first unmet one raises HypothesisError (exit 3).  This fills
     every fact of A that a suite other than axioms reads, so no two suites
-    compute one.  Returns {suite: idempotent} for decompose and operators:
+    compute one; for identities that includes right Hom-alternativity and
+    the certified set (verifying the shipped certificates, which the
+    symbolic suite then reads).  Returns {suite: idempotent} for decompose and operators:
     ``given`` (the parsed ``--idempotent``), else the first nonzero one of
     height <= 1.  With none, a single-suite command exits 3 and ``check``'s
     decompose suite asks to be dropped.  ``check``'s operators suite drops
@@ -439,6 +471,8 @@ def _prepare(A, cfg, selected, given):
     for s in selected:
         if s in ("powers", "identities"):
             require(A, "the %s suite" % s, "multiplicative")
+            if s == "identities":
+                _transferable(A)
         elif s == "decompose":
             # Inside `check` an unmet precondition names the suite to drop.
             where = "" if cfg.require_idempotent else "decompose suite: "

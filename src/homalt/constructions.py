@@ -44,6 +44,7 @@ __all__ = [
     "yau_twist",
     "derived_algebra",
     "plus_algebra",
+    "direct_sum",
     "hom_module_distinguish",
 ]
 
@@ -117,7 +118,8 @@ def yau_twist(A, beta):
     failing pair is named in the HypothesisError.  Structure constants of
     the result are materialised eagerly.
     """
-    assert isinstance(beta, Matrix)
+    if not isinstance(beta, Matrix):
+        raise ValueError("beta must be a Matrix, got %s" % type(beta).__name__)
     if beta.rows != A.dim or beta.cols != A.dim:
         raise ValueError(
             "beta must be %dx%d, got %dx%d" % (A.dim, A.dim, beta.rows, beta.cols)
@@ -164,6 +166,31 @@ def plus_algebra(A):
         for i in range(A.dim)
     ]
     return HomAlgebra(A.dim, A.basis_names, new_mu, A.alpha)
+
+
+def direct_sum(A, B):
+    """A ⊕ B: block-diagonal mu and alpha, A's basis first.
+
+    Products across the summands vanish, so every law decided on basis
+    tuples holds in A ⊕ B iff it holds in both, and a failing tuple of
+    B comes back shifted by A.dim.  Basis names are kept when the
+    summands share none; otherwise they become name_1 and name_2.
+    """
+    names = A.basis_names + B.basis_names
+    if len(set(names)) < len(names):
+        names = (tuple("%s_1" % n for n in A.basis_names)
+                 + tuple("%s_2" % n for n in B.basis_names))
+    dim, zero = A.dim + B.dim, [ZERO] * B.dim
+    mu = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(A.dim):
+        for j in range(A.dim):
+            mu[i][j] = list(A.mu[i][j]) + zero
+    for i in range(B.dim):
+        for j in range(B.dim):
+            mu[A.dim + i][A.dim + j] = [ZERO] * A.dim + list(B.mu[i][j])
+    alpha = ([list(row) + zero for row in A.alpha.data]
+             + [[ZERO] * A.dim + list(row) for row in B.alpha.data])
+    return HomAlgebra(dim, names, mu, Matrix(alpha))
 
 
 def hom_module_distinguish(A, B):

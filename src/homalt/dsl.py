@@ -15,8 +15,9 @@ Variables are identifiers ([A-Za-z_][A-Za-z0-9_]*).  parse_term returns
 a HomPolynomial (terms normalize on construction); parse_identity
 returns the (lhs, rhs) pair; parse_monomial additionally insists the
 term is a single monomial with coefficient 1, which is what certificate
-substitutions and wraps require.  Malformed input raises ValueError
-with the offending position.
+substitutions and wraps require.  Malformed input, including terms
+nested more than MAX_DEPTH levels deep, raises ValueError with the
+offending position.
 """
 
 import re
@@ -31,6 +32,10 @@ from .symbolic import (
 )
 
 __all__ = ["parse_term", "parse_identity", "parse_monomial", "term_to_dsl"]
+
+# Deeper terms would exhaust Python's recursion limit in the parser or in
+# the recursive tree walks of homalt.symbolic.
+MAX_DEPTH = 200
 
 _VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _INT_RE = re.compile(r"^\d+$")
@@ -62,6 +67,7 @@ class _Parser:
         self.text = s
         self.toks = _tokenize(s)
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg, at=None):
         where = self.toks[at][1] if at is not None and at < len(self.toks) else len(self.text)
@@ -83,6 +89,14 @@ class _Parser:
             self.error("expected %r, got %r" % (what, tok), self.pos - 1)
 
     def parse_term(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error("terms nest deeper than %d levels" % MAX_DEPTH, self.pos)
+        term = self._term()
+        self.depth -= 1
+        return term
+
+    def _term(self):
         tok, _ = self.next()
         if tok == ")":
             self.error("unexpected ')'", self.pos - 1)

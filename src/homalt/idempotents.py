@@ -120,6 +120,8 @@ def decompose_element(A, e, b):
         raise ValueError("elements belong to different algebras")
     # row equation a @ alpha = b  <=>  alpha^T @ a^T = b^T
     a = solve(A.alpha.transpose(), b.coords)
-    assert a is not None  # surjective alpha
+    if a is None:  # unreachable once require has seen alpha surjective
+        raise ValueError("decomposition needs surjective alpha; alpha(a) = %r has no solution"
+                         % (b,))
     ae = mul(A, A.element(a), e)
     return ae, b - ae

@@ -104,6 +104,15 @@ def _reduced(nums, den):
     return _vec(tuple(nums), den)
 
 
+def _length_mismatch(what, v, w):
+    return ValueError("cannot %s vectors of lengths %d and %d" % (what, len(v), len(w)))
+
+
+def _square(m, what):
+    if m.rows != m.cols:
+        raise ValueError("%s needs a square matrix, got %dx%d" % (what, m.rows, m.cols))
+
+
 class Vector:
     """Immutable row of rationals: integer ``nums`` over one ``den``."""
 
@@ -141,14 +150,16 @@ class Vector:
         return iter(self.entries)
 
     def __add__(self, other):
-        assert len(self) == len(other)
+        if len(self.nums) != len(other.nums):
+            raise _length_mismatch("add", self, other)
         d, e = self.den, other.den
         if d == e:
             return _reduced([a + b for a, b in zip(self.nums, other.nums)], d)
         return _reduced([a * e + b * d for a, b in zip(self.nums, other.nums)], d * e)
 
     def __sub__(self, other):
-        assert len(self) == len(other)
+        if len(self.nums) != len(other.nums):
+            raise _length_mismatch("subtract", self, other)
         d, e = self.den, other.den
         if d == e:
             return _reduced([a - b for a, b in zip(self.nums, other.nums)], d)
@@ -165,7 +176,8 @@ class Vector:
     __rmul__ = scale
 
     def dot(self, other):
-        assert len(self) == len(other)
+        if len(self.nums) != len(other.nums):
+            raise _length_mismatch("take the dot product of", self, other)
         return Fraction(sum(a * b for a, b in zip(self.nums, other.nums)), self.den * other.den)
 
     def is_zero(self):
@@ -291,11 +303,13 @@ class Matrix:
         return _matrix(tuple(zip(*self.nums)), self.den)
 
     def trace(self):
-        assert self.rows == self.cols
+        _square(self, "trace")
         return Fraction(sum(self.nums[i][i] for i in range(self.rows)), self.den)
 
     def __add__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("cannot add a %dx%d and a %dx%d matrix"
+                             % (self.rows, self.cols, other.rows, other.cols))
         d, e = self.den, other.den
         return _reduced_matrix(
             [[a * e + b * d for a, b in zip(ra, rb)] for ra, rb in zip(self.nums, other.nums)],
@@ -345,7 +359,8 @@ def identity_matrix(n):
 
 def mat_mul(a, b):
     """Matrix product a*b."""
-    assert a.cols == b.rows, "shape mismatch: %dx%d * %dx%d" % (a.rows, a.cols, b.rows, b.cols)
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch: %dx%d * %dx%d" % (a.rows, a.cols, b.rows, b.cols))
     sb = b._sparse
     out = []
     for row in a._sparse:
@@ -359,14 +374,18 @@ def mat_mul(a, b):
 
 def mat_vec(m, v):
     """m @ v for a column vector v (returns a Vector of length m.rows)."""
-    assert m.cols == len(v)
+    if m.cols != len(v):
+        raise ValueError("shape mismatch: %dx%d matrix @ length-%d vector"
+                         % (m.rows, m.cols, len(v)))
     x = v.nums
     return _reduced([sum(a * x[j] for j, a in row) for row in m._sparse], m.den * v.den)
 
 
 def vec_mat(v, m):
     """Row vector times matrix: v @ m."""
-    assert len(v) == m.rows
+    if len(v.nums) != m.rows:
+        raise ValueError("shape mismatch: length-%d vector @ %dx%d matrix"
+                         % (len(v), m.rows, m.cols))
     acc = [0] * m.cols
     for x, row in zip(v.nums, m._sparse):
         if x:
@@ -377,7 +396,7 @@ def vec_mat(v, m):
 
 def mat_pow(m, n):
     """m**n; negative n inverts first (ValueError when singular)."""
-    assert m.rows == m.cols
+    _square(m, "a matrix power")
     if n < 0:
         m = inverse(m)
         n = -n
@@ -463,7 +482,9 @@ def solve(m, b):
 
     b is a Vector; returns None when the system is inconsistent.
     """
-    assert m.rows == len(b)
+    if m.rows != len(b):
+        raise ValueError("shape mismatch: %dx%d system with a length-%d right-hand side"
+                         % (m.rows, m.cols, len(b)))
     d, e = m.den, b.den
     aug = [[a * e for a in row] + [x * d] for row, x in zip(m.nums, b.nums)]
     rows, den, pivots = _rref(aug, m.cols + 1)
@@ -477,7 +498,7 @@ def solve(m, b):
 
 def inverse(m):
     """Matrix inverse; ValueError when singular."""
-    assert m.rows == m.cols
+    _square(m, "an inverse")
     n = m.rows
     # rref [N | I] = [I | N^-1] for m = N / den, and m^-1 = den * N^-1
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.nums)]
@@ -498,7 +519,7 @@ def char_poly(m):
     >>> char_poly(identity_matrix(2)) == [qq(1), qq(-2), qq(1)]
     True
     """
-    assert m.rows == m.cols
+    _square(m, "a characteristic polynomial")
     n = m.rows
     coeffs = [ONE]
     M = identity_matrix(n)

@@ -23,9 +23,18 @@ left/right multiplications by monomials and alpha shifts.  The
 certificate verifies when the identity's defect minus the sum of
 instances normalizes to zero; since each instance vanishes in every
 multiplicative right Hom-alternative algebra, the identity then holds
-in all of them.  The shipped certificates live in data/certificates.json
-and use only instances that are individually nonzero, so corrupting any
-single coefficient breaks verification.
+in all of them.  A certificate may use the defect of an identity only
+when that identity comes earlier in identity_registry(), so no chain of
+certificates assumes what it proves.  The shipped certificates live in
+data/certificates.json and use only instances that are individually
+nonzero, so corrupting any single coefficient breaks verification.
+
+That is certificate transfer: certified_identities() names the registry
+identities whose certificate verifies and leans only on certified ones
+(each shipped certificate is verified at most once per process), and on
+an algebra where both axioms hold the identities suite reports those as
+proved without evaluating them.  Where an axiom fails, the concrete
+check below still decides, and finds the witness.
 
 Identities are also checkable concretely: check_identity_on_algebra
 evaluates the defect lhs - rhs on subset sums of basis elements, and
@@ -36,6 +45,7 @@ evaluations per point for a degree-d variable, not the d! terms of
 multilinearize's symbolic form.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -71,7 +81,9 @@ __all__ = [
     "load_certificates",
     "verify_certificate",
     "certificate_report",
+    "shipped_certificate_report",
     "verify_all_certificates",
+    "certified_identities",
 ]
 
 
@@ -116,7 +128,9 @@ class HomMonomial:
     __slots__ = ("tree", "_key")
 
     def __init__(self, tree):
-        assert tree[0] in ("v", "m")
+        if tree[0] not in ("v", "m"):
+            raise ValueError("a monomial tree is a ('v', name, k) leaf or an ('m', left, right) "
+                             "product, got tag %r" % (tree[0],))
         self.tree = tree
         leaves = []
         _tree_leaves(tree, leaves)
@@ -129,7 +143,8 @@ class HomMonomial:
 
     @staticmethod
     def variable(name, k=0):
-        assert k >= 0
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("alpha exponents need an integer k >= 0, got %r" % (k,))
         return HomMonomial(("v", str(name), k))
 
     def mul(self, other):
@@ -693,12 +708,34 @@ def load_certificates():
             raise ValueError("certificate for unknown identity %r" % name)
         if not isinstance(entry, dict) or not isinstance(entry.get("instances"), list):
             raise ValueError("certificate %r needs an 'instances' list" % name)
+        _check_references(name, entry["instances"])
     return data
 
 
+def _check_references(name, instances):
+    """ValueError unless each defect: axiom in instances names an identity
+    that comes before name in identity_registry() order, so no chain of
+    certificates leans on the identity it proves."""
+    order = list(identity_registry())
+    for entry in instances:
+        axiom = entry.get("axiom") if isinstance(entry, dict) else None
+        if isinstance(axiom, str) and axiom.startswith("defect:"):
+            used = axiom[len("defect:"):]
+            if used in order and order.index(used) >= order.index(name):
+                raise ValueError(
+                    "certificate for %r may use only identities certified before it, not %r"
+                    % (name, used)
+                )
+
+
 def verify_certificate(name, instances):
-    """(ok, residue): does the instance sum normalize to the defect?"""
+    """(ok, residue): does the instance sum normalize to the defect?
+
+    A defect: axiom naming name itself or a later identity is a
+    ValueError: the certificate would assume what it proves.
+    """
     target = identity_defect(name)
+    _check_references(name, instances)
     total = HomPolynomial.zero()
     for entry in instances:
         coeff, inst = build_instance(entry)
@@ -718,9 +755,35 @@ def certificate_report(name, instances):
     )
 
 
+@functools.cache
+def shipped_certificate_report(name):
+    """certificate_report of the shipped certificate of name, verified at
+    most once per process (cache_clear() forgets it)."""
+    return certificate_report(name, load_certificates()[name]["instances"])
+
+
 def verify_all_certificates():
     """Verify every shipped certificate; {name: CheckReport}."""
-    return {
-        name: certificate_report(name, entry["instances"])
-        for name, entry in load_certificates().items()
-    }
+    return {name: shipped_certificate_report(name) for name in load_certificates()}
+
+
+@functools.cache
+def certified_identities():
+    """The registry identities that certificate transfer decides, as a frozenset.
+
+    A shipped certificate proves its identity in every multiplicative
+    right Hom-alternative algebra when it verifies, every defect:
+    identity it uses is itself certified (load_certificates admits only
+    earlier ones) and, if it uses hom-teichmuller, verify_hom_teichmuller()
+    holds.  Decided at most once per process (cache_clear() forgets it).
+    """
+    data = load_certificates()
+    certified = set()
+    for name in identity_registry():
+        if name not in data or not shipped_certificate_report(name).passed:
+            continue
+        axioms = {entry["axiom"] for entry in data[name]["instances"]}
+        used = {a[len("defect:"):] for a in axioms if a.startswith("defect:")}
+        if used <= certified and ("hom-teichmuller" not in axioms or verify_hom_teichmuller()):
+            certified.add(name)
+    return frozenset(certified)

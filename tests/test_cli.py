@@ -33,6 +33,8 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 # Relative paths that test_unmet_precondition_pins_stderr puts in place.
 RANDOM00 = "random-00.json"
 SWAPPED = "swapped.json"  # swapped_alpha_albert()
+# Nested past Python's recursion limit.
+DEEP = "(= %sx%s x)" % ("(neg " * 3000, ")" * 3000)
 
 
 # -- exit-code taxonomy ---------------------------------------------------------
@@ -74,6 +76,7 @@ def test_failing_law_exits_one(capsys):
         ["operators", "albert5", "--twist", "2,3,0", "--nmax", "-1"],
         ["operators", "albert5", "--twist", "2,3,0", "--nmax", "0"],
         ["powers", "albert5", "--n", "1"],
+        ["identity", "albert5", "--twist", "2,3,0", "--expr", DEEP],
     ],
 )
 def test_bad_input_exits_two(argv, capsys):

@@ -7,6 +7,7 @@ from homalt.constructions import (
     albert5_alpha,
     albert5_twisted,
     derived_algebra,
+    direct_sum,
     hom_module_distinguish,
     plus_algebra,
     yau_twist,
@@ -198,6 +199,39 @@ def test_plus_algebra_symmetrizes(a230):
             assert P.mu[i][j].entries == want.entries
             assert P.mu[i][j] == P.mu[j][i]
     assert same_algebra(plus_algebra(P), P)
+
+
+# -- direct sums -------------------------------------------------------------------
+
+
+def test_direct_sum_of_twists_keeps_both_axioms():
+    A, B = twisted_albert(2, 3, 0), twisted_albert(-1, 4, 7)
+    S = direct_sum(A, B)
+    assert S.dim == 10
+    assert S.basis_names == tuple(n + "_1" for n in A.basis_names) + tuple(
+        n + "_2" for n in B.basis_names)
+    assert is_multiplicative(S).passed and is_right_hom_alternative(S).passed
+    x, y = S.basis_element(0), S.basis_element(6)  # e_1 and u_2
+    assert mul(S, x, y).is_zero() and mul(S, y, x).is_zero()
+    assert [list(r) for r in S.alpha.data][6] == [0] * 6 + [4, 0, 0, 0]
+
+
+def test_direct_sum_keeps_disjoint_names(albert, bad_algebra):
+    assert direct_sum(albert, bad_algebra).basis_names == ("e", "u", "v", "w", "z", "a", "b", "c")
+
+
+def test_direct_sum_reports_the_failing_summand_shifted(a230, bad_algebra, non_multiplicative):
+    bad = is_right_hom_alternative(bad_algebra)
+    assert not bad.passed
+    for S, shift in ((direct_sum(a230, bad_algebra), 5), (direct_sum(bad_algebra, a230), 0)):
+        assert is_multiplicative(S).passed
+        rep = is_right_hom_alternative(S)
+        assert not rep.passed
+        assert rep.witness == tuple(i + shift for i in bad.witness)
+    bad = is_multiplicative(non_multiplicative)
+    rep = is_multiplicative(direct_sum(a230, non_multiplicative))
+    assert not bad.passed and not rep.passed
+    assert rep.witness == tuple(i + 5 for i in bad.witness)
 
 
 # -- distinguishing twisted algebras -------------------------------------------------

@@ -301,13 +301,21 @@ def test_check_report_bool_and_dict(a230):
 # Each case builds a bad algebra, matrix, element or operator and prints the
 # error it raises.
 BAD_INPUTS = """
-from homalt.constructions import albert5_base
+from homalt import linalg
+from homalt.constructions import AlbertParams, albert5_base, albert5_twisted, yau_twist
 from homalt.core import HomAlgebra
-from homalt.linalg import Matrix, identity_matrix
+from homalt.idempotents import decompose_element
+from homalt.linalg import Matrix, Vector, identity_matrix
 from homalt.operators import MulOperator, alpha_op
 from homalt.powers import PowerTable
+from homalt.symbolic import HomMonomial
 mu = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
 A = albert5_base()
+# gamma = 0: alpha kills w and z.  Seeding the rank fact with the full
+# rank reaches decompose_element's own check behind require.
+N = albert5_twisted(AlbertParams(0, 3, 0))
+N.fact("alpha-rank", lambda: 5)
+v2, v3, m23 = Vector([1, 2]), Vector([1, 2, 3]), Matrix([[1, 2, 3], [4, 5, 6]])
 for build in (lambda: HomAlgebra(2, ["a", "a"], mu, identity_matrix(3)),
               lambda: HomAlgebra(2, ["a", "b"], mu, identity_matrix(3)),
               lambda: HomAlgebra(2, ["a", "b"], [[[0, 0]], [[0, 0]]], identity_matrix(2)),
@@ -317,7 +325,23 @@ for build in (lambda: HomAlgebra(2, ["a", "a"], mu, identity_matrix(3)),
               lambda: MulOperator(A, identity_matrix(2)),
               lambda: MulOperator(A, [[1]]),
               lambda: alpha_op(A) ** -1,
-              lambda: PowerTable(A, A.basis_element(0)).alpha_power(1, -1)):
+              lambda: PowerTable(A, A.basis_element(0)).alpha_power(1, -1),
+              lambda: yau_twist(A, [[1]]),
+              lambda: decompose_element(N, N.basis_element(0), N.basis_element(3)),
+              lambda: v2 + v3,
+              lambda: v2 - v3,
+              lambda: v2.dot(v3),
+              lambda: m23.trace(),
+              lambda: m23 + identity_matrix(2),
+              lambda: linalg.mat_mul(m23, m23),
+              lambda: linalg.mat_vec(m23, v2),
+              lambda: linalg.vec_mat(v3, m23),
+              lambda: linalg.mat_pow(m23, 2),
+              lambda: linalg.solve(m23, v3),
+              lambda: linalg.inverse(m23),
+              lambda: linalg.char_poly(m23),
+              lambda: HomMonomial(("a", ("v", "x", 0))),
+              lambda: HomMonomial.variable("x", -1)):
     try:
         build()
         print("accepted")
@@ -344,4 +368,21 @@ def test_validation_holds_under_python_O():
         "ValueError: an operator on a dim-5 algebra needs a 5x5 Matrix, got list",
         "ValueError: operator powers need an integer n >= 0, got -1",
         "ValueError: alpha powers need an integer k >= 0, got -1",
+        "ValueError: beta must be a Matrix, got list",
+        "ValueError: decomposition needs surjective alpha; alpha(a) = w has no solution",
+        "ValueError: cannot add vectors of lengths 2 and 3",
+        "ValueError: cannot subtract vectors of lengths 2 and 3",
+        "ValueError: cannot take the dot product of vectors of lengths 2 and 3",
+        "ValueError: trace needs a square matrix, got 2x3",
+        "ValueError: cannot add a 2x3 and a 2x2 matrix",
+        "ValueError: shape mismatch: 2x3 * 2x3",
+        "ValueError: shape mismatch: 2x3 matrix @ length-2 vector",
+        "ValueError: shape mismatch: length-3 vector @ 2x3 matrix",
+        "ValueError: a matrix power needs a square matrix, got 2x3",
+        "ValueError: shape mismatch: 2x3 system with a length-3 right-hand side",
+        "ValueError: an inverse needs a square matrix, got 2x3",
+        "ValueError: a characteristic polynomial needs a square matrix, got 2x3",
+        "ValueError: a monomial tree is a ('v', name, k) leaf or an ('m', left, right) "
+        "product, got tag 'a'",
+        "ValueError: alpha exponents need an integer k >= 0, got -1",
     ]

@@ -1,10 +1,13 @@
 import copy
+import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from homalt import symbolic
 from homalt.core import apply_alpha, hom_associator, mul, random_element
-from homalt.dsl import parse_identity, parse_monomial, parse_term, term_to_dsl
+from homalt.dsl import MAX_DEPTH, parse_identity, parse_monomial, parse_term, term_to_dsl
 from homalt.linalg import format_scalar, parse_scalar, qq
 from homalt.symbolic import (
     HomMonomial,
@@ -324,6 +327,22 @@ def test_every_coefficient_corruption_is_detected():
             assert not residue.is_zero()
 
 
+@pytest.mark.parametrize("used", ["assoc-shift", "middle-square"], ids=["self", "forward"])
+def test_certificates_may_lean_only_on_earlier_identities(used, tmp_path, monkeypatch):
+    # Without the order check the self-reference verifies: defect - defect = 0.
+    circular = [{"coeff": "1", "axiom": "defect:" + used,
+                 "substitution": {"x": "x", "y": "y", "z": "z"}}]
+    with pytest.raises(ValueError, match="only identities certified before it, not %r" % used):
+        verify_certificate("assoc-shift", circular)
+    data = load_certificates()
+    data["assoc-shift"]["instances"] = circular
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "certificates.json").write_text(json.dumps(data))
+    monkeypatch.setattr(symbolic, "resources", SimpleNamespace(files=lambda pkg: tmp_path))
+    with pytest.raises(ValueError, match="only identities certified before it"):
+        load_certificates()
+
+
 def test_build_instance_rejects_malformed_entries():
     with pytest.raises(ValueError, match="coeff and axiom"):
         build_instance({"axiom": "right-alternative"})
@@ -381,3 +400,13 @@ def test_parse_monomial_requires_unit_coefficient():
 def test_parse_errors_carry_positions(bad):
     with pytest.raises(ValueError, match=r"\(at position \d+\)"):
         parse_identity(bad) if bad.startswith("(=") else parse_term(bad)
+
+
+def test_parse_caps_nesting_depth():
+    def nested(depth):
+        return "(neg " * (depth - 1) + "x" + ")" * (depth - 1)
+
+    assert parse_term(nested(MAX_DEPTH)) == var("x").scale(-1 if MAX_DEPTH % 2 == 0 else 1)
+    with pytest.raises(ValueError, match=r"nest deeper than %d levels \(at position %d\)"
+                       % (MAX_DEPTH, 5 * MAX_DEPTH)):
+        parse_term(nested(MAX_DEPTH + 1))
