@@ -25,7 +25,14 @@ and ``-b.json`` are ``albert5 --twist 1/2,3/2,0`` and ``2/3,5/2,0``;
 morphism that commutes with alpha(2, 3, 1) (the (2, 3, 0) twist has
 only diagonal weak self-morphisms); ``albert5-230-rational-basis.json``
 is ``albert5 --twist 2,3,0`` written in the basis f0 = e,
-f1 = u + v/2, f2 = v + 2w/3, f3 = w + z/3, f4 = z - u/2.  To regenerate a file after an
+f1 = u + v/2, f2 = v + 2w/3, f3 = w + z/3, f4 = z - u/2.
+``check_albert5_230.json`` and ``check_albert5_m147.json`` were
+regenerated when the identities suite began deciding certified
+identities by certificate transfer: only the note of their six
+``identities`` rows changed ("polarized sweep over all basis tuples"
+became "certificate (N instances) transfers: ..."), and
+tests/test_transfer.py checks every other field of those rows against
+the sweep.  To regenerate a file after an
 intended change of output, run its command from data/golden/ with
 ``python -m homalt.cli ARGS > FILE``.
 """
