@@ -29,10 +29,12 @@ witness.  ``identity`` always sweeps.
 
 Reports are deterministic: the same command line (including ``--seed``)
 produces byte-identical output.  ``--timings`` adds wall-clock times and
-is therefore off by default; an ``axioms`` row times a cache hit when
-another suite needed its hypothesis first, and so do a transferred
-``identities`` row and, then, a ``symbolic`` certificate row.  ``check`` runs its suites
-concurrently; ``HOMALT_THREADS`` caps the worker count.
+is therefore off by default.  A row times a cache hit when the fact it
+reports was decided before the suites started: an ``axioms`` row when
+another suite needed its hypothesis, a transferred ``identities`` row
+always, and a ``symbolic`` certificate row after transfer was decided.
+``check`` runs its suites concurrently; ``HOMALT_THREADS`` caps the
+worker count.
 """
 
 import argparse
@@ -451,9 +453,9 @@ def _prepare(A, cfg, selected, given):
     every fact of A that a suite other than axioms reads, so no two suites
     compute one; for identities that includes right Hom-alternativity and
     the certified set (verifying the shipped certificates, which the
-    symbolic suite then reads).  Returns {suite: idempotent} for decompose and operators:
-    ``given`` (the parsed ``--idempotent``), else the first nonzero one of
-    height <= 1.  With none, a single-suite command exits 3 and ``check``'s
+    symbolic suite then reads).  Returns {suite: idempotent} for
+    decompose and operators: ``given`` (the parsed ``--idempotent``),
+    else the first nonzero one of height <= 1.  With none, a single-suite command exits 3 and ``check``'s
     decompose suite asks to be dropped.  ``check``'s operators suite drops
     its idempotent operator suite instead, as on an algebra that is not
     multiplicative right Hom-alternative, so a failing algebra still gives

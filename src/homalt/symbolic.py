@@ -767,7 +767,6 @@ def verify_all_certificates():
     return {name: shipped_certificate_report(name) for name in load_certificates()}
 
 
-@functools.cache
 def certified_identities():
     """The registry identities that certificate transfer decides, as a frozenset.
 
@@ -775,7 +774,8 @@ def certified_identities():
     right Hom-alternative algebra when it verifies, every defect:
     identity it uses is itself certified (load_certificates admits only
     earlier ones) and, if it uses hom-teichmuller, verify_hom_teichmuller()
-    holds.  Decided at most once per process (cache_clear() forgets it).
+    holds.  Each certificate is verified through shipped_certificate_report,
+    so at most once per process.
     """
     data = load_certificates()
     certified = set()

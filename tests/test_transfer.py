@@ -40,13 +40,9 @@ DEPENDENTS = {
 def fresh_certificates():
     """Forget the per-process certificate verdicts before and after."""
 
-    def clear():
-        symbolic.shipped_certificate_report.cache_clear()
-        symbolic.certified_identities.cache_clear()
-
-    clear()
+    symbolic.shipped_certificate_report.cache_clear()
     yield
-    clear()
+    symbolic.shipped_certificate_report.cache_clear()
 
 
 def triangular2():
@@ -133,7 +129,6 @@ def test_teichmuller_certificates_need_the_five_term_cancellation(fresh_certific
          "substitution": {"w": "w", "x": "x", "y": "y", "z": "z"}})
     monkeypatch.setattr(symbolic, "load_certificates", lambda: data)
     assert certified_identities() == set(identity_registry())
-    symbolic.certified_identities.cache_clear()
     monkeypatch.setattr(symbolic, "verify_hom_teichmuller", lambda: False)
     assert certified_identities() == set(identity_registry()) - DEPENDENTS["assoc-shift-linear"]
 
