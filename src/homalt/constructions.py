@@ -171,9 +171,9 @@ def plus_algebra(A):
 def direct_sum(A, B):
     """A ⊕ B: block-diagonal mu and alpha, A's basis first.
 
-    Products across the summands vanish, so every law decided on basis
-    tuples holds in A ⊕ B iff it holds in both, and a failing tuple of
-    B comes back shifted by A.dim.  Basis names are kept when the
+    Products across the summands vanish, so multiplicativity and the
+    associator laws hold in A ⊕ B iff they hold in both summands, and a
+    failing basis tuple of B comes back shifted by A.dim.  Basis names are kept when the
     summands share none; otherwise they become name_1 and name_2.
     """
     names = A.basis_names + B.basis_names
