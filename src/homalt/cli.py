@@ -33,8 +33,17 @@ is therefore off by default.  A row times a cache hit when the fact it
 reports was decided before the suites started: an ``axioms`` row when
 another suite needed its hypothesis, a transferred ``identities`` row
 always, and a ``symbolic`` certificate row after transfer was decided.
-``check`` runs its suites concurrently; ``HOMALT_THREADS`` caps the
-worker count.
+``check`` runs its suites on a pool of plain ``threading.Thread``s,
+at most ``HOMALT_THREADS`` of them.  Rows come back in suite order, and
+when suites raise, the exception of the first of them in suite order
+is re-raised.
+
+One CLI call pays for interpreter start, the import of ``homalt``, the
+compilation of ``src/homalt`` when no bytecode can be cached (e.g. under
+``PYTHONDONTWRITEBYTECODE=1``), and only then the work; refuting a
+small table costs less than starting.  So the import path keeps to the
+standard library homalt needs: ``record`` stands in for ``dataclasses``
+and the pool for ``concurrent.futures``.
 """
 
 import argparse
@@ -42,9 +51,8 @@ import functools
 import json
 import os
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 from .constructions import (
@@ -82,6 +90,7 @@ from .symbolic import (
     verify_hom_teichmuller,
 )
 from .dsl import parse_identity
+from .record import FrozenRecord
 
 ALL_SUITES = ("axioms", "powers", "jordan", "decompose", "operators", "identities", "symbolic")
 
@@ -110,31 +119,33 @@ COMMANDS = {
 }
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(FrozenRecord):
     """Everything a checker command needs, normalized and validated.
 
     ``algebra`` is None for ``symbolic``, which needs no algebra.
     """
 
-    algebra: Optional[str]
-    command: str = "check"
-    suites: tuple = ALL_SUITES
-    seed: int = 0
-    samples: int = 25
-    nmax: int = 5
-    output: str = "text"
-    twist: Optional[str] = None
-    timings: bool = False
-    idempotent: Optional[str] = None
-    teichmuller: bool = True
-    certificates: bool = True
+    _fields = ("algebra", "command", "suites", "seed", "samples", "nmax", "output", "twist",
+               "timings", "idempotent", "teichmuller", "certificates")
 
-    @property
-    def require_idempotent(self):
-        return COMMANDS[self.command].require_idempotent
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        algebra: Optional[str],
+        command: str = "check",
+        suites: tuple = ALL_SUITES,
+        seed: int = 0,
+        samples: int = 25,
+        nmax: int = 5,
+        output: str = "text",
+        twist: Optional[str] = None,
+        timings: bool = False,
+        idempotent: Optional[str] = None,
+        teichmuller: bool = True,
+        certificates: bool = True,
+    ):
+        self._set(algebra=algebra, command=command, suites=suites, seed=seed, samples=samples,
+                  nmax=nmax, output=output, twist=twist, timings=timings,
+                  idempotent=idempotent, teichmuller=teichmuller, certificates=certificates)
         if self.samples < 1:
             raise InputError("--samples must be >= 1, got %d" % self.samples)
         if self.nmax < 2:
@@ -149,6 +160,10 @@ class SuiteConfig:
             raise InputError(
                 "unknown suite %r (have: %s)" % (unknown[0], ", ".join(ALL_SUITES))
             )
+
+    @property
+    def require_idempotent(self):
+        return COMMANDS[self.command].require_idempotent
 
 
 # -- input plumbing -----------------------------------------------------------
@@ -243,6 +258,38 @@ def _thread_cap(njobs):
     if cap < 1:
         raise InputError("HOMALT_THREADS must be >= 1, got %d" % cap)
     return min(cap, njobs)
+
+
+def _map_on_threads(fn, items, workers):
+    """[fn(x) for x in items] on ``workers`` threads that take items in
+    order.  Once all are done, the exception of the first item in order
+    whose call raised is re-raised, as ``ThreadPoolExecutor.map`` does."""
+    jobs = iter(enumerate(items))
+    lock = threading.Lock()
+    results = [None] * len(items)
+    errors = [None] * len(items)
+
+    def work():
+        while True:
+            with lock:
+                job = next(jobs, None)
+            if job is None:
+                return
+            i, item = job
+            try:
+                results[i] = fn(item)
+            except BaseException as exc:  # re-raised below, in the calling thread
+                errors[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 # -- report plumbing ----------------------------------------------------------
@@ -515,12 +562,12 @@ def run(config):
         return _SUITE_FNS[s](A, config, split_at.get(s))
 
     if workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_suite, selected))
+        results = _map_on_threads(run_suite, selected, workers)
     else:
         results = [run_suite(s) for s in selected]
     rows = [row for suite_rows in results for row in suite_rows]
-    values = dict(asdict(config), n=config.nmax, suites=selected)
+    values = dict({f: getattr(config, f) for f in SuiteConfig._fields},
+                  n=config.nmax, suites=selected)
     fields = {f: values[f] for f in COMMANDS[config.command].fields}
     return _emit(rows, config.output, config.command, fields, A, source)
 
@@ -564,7 +611,7 @@ def cmd_plus(args):
 
 def _suite_config(args):
     """The SuiteConfig of ``check`` or a single-suite command's arguments."""
-    opts = {k: v for k, v in vars(args).items() if k in SuiteConfig.__dataclass_fields__}
+    opts = {k: v for k, v in vars(args).items() if k in SuiteConfig._fields}
     opts.setdefault("algebra", None)  # symbolic takes no algebra
     if args.command == "check":
         opts["suites"] = tuple(s.strip() for s in args.suites.split(","))

@@ -21,8 +21,6 @@ multiplicative right Hom-alternative algebras that are not left
 Hom-alternative, the running examples of the test suite.
 """
 
-from dataclasses import dataclass
-
 from .linalg import (
     Matrix,
     ZERO,
@@ -35,6 +33,7 @@ from .linalg import (
     vec_mat,
 )
 from .core import HomAlgebra, HypothesisError, mul, require
+from .record import FrozenRecord
 
 __all__ = [
     "AlbertParams",
@@ -49,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AlbertParams:
+class AlbertParams(FrozenRecord):
     """Parameters (gamma, delta, epsilon) of the morphism family.
 
     delta must avoid 0 and 1: delta = 0 kills the u, v directions and
@@ -58,14 +56,10 @@ class AlbertParams:
     the family's non-isomorphism arguments break down.
     """
 
-    gamma: object
-    delta: object
-    epsilon: object
+    _fields = ("gamma", "delta", "epsilon")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", as_scalar(self.gamma))
-        object.__setattr__(self, "delta", as_scalar(self.delta))
-        object.__setattr__(self, "epsilon", as_scalar(self.epsilon))
+    def __init__(self, gamma, delta, epsilon):
+        self._set(gamma=as_scalar(gamma), delta=as_scalar(delta), epsilon=as_scalar(epsilon))
         if self.delta == 0 or self.delta == 1:
             raise ValueError("delta must avoid 0 and 1 (got %s)" % format_scalar(self.delta))
 

@@ -22,7 +22,6 @@ Each is decided once per HomAlgebra instance and cached on it, and
 """
 
 import json
-from dataclasses import dataclass
 from itertools import chain, product
 from math import lcm
 from typing import Any, Optional
@@ -38,6 +37,7 @@ from .linalg import (
     rank,
     vec_mat,
 )
+from .record import Record
 
 __all__ = [
     "HypothesisError",
@@ -255,8 +255,7 @@ def random_element(A, rng):
     )
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Outcome of a law check.
 
     witness is None exactly when the check passed; otherwise it is the
@@ -265,12 +264,16 @@ class CheckReport:
     at that witness.
     """
 
-    passed: bool
-    law: str
-    witness: Optional[tuple] = None
-    lhs: Any = None
-    rhs: Any = None
-    note: str = ""
+    _fields = ("passed", "law", "witness", "lhs", "rhs", "note")
+
+    def __init__(self, passed: bool, law: str, witness: Optional[tuple] = None,
+                 lhs: Any = None, rhs: Any = None, note: str = ""):
+        self.passed = passed
+        self.law = law
+        self.witness = witness
+        self.lhs = lhs
+        self.rhs = rhs
+        self.note = note
 
     def as_dict(self):
         return {
@@ -415,6 +418,13 @@ def algebra_to_json(A):
     }
 
 
+# algebra_from_json allocates the dense dim^3 structure table before it
+# reads mu, and every check sweeps dim^3 to dim^5 basis tuples, so a
+# larger dim is refused up front; 64 is three times the largest dim
+# measured (20).
+MAX_DIM = 64
+
+
 def _fail(msg):
     raise ValueError("bad algebra JSON: " + msg)
 
@@ -428,6 +438,8 @@ def algebra_from_json(obj):
     dim = obj["dim"]
     if not isinstance(dim, int) or dim < 1:
         _fail("dim must be a positive integer")
+    if dim > MAX_DIM:
+        _fail("dim %d is above the cap of %d" % (dim, MAX_DIM))
     basis = obj["basis"]
     if not isinstance(basis, list) or len(basis) != dim or not all(isinstance(b, str) for b in basis):
         _fail("basis must be a list of %d strings" % dim)

@@ -16,7 +16,8 @@ a HomPolynomial (terms normalize on construction); parse_identity
 returns the (lhs, rhs) pair; parse_monomial additionally insists the
 term is a single monomial with coefficient 1, which is what certificate
 substitutions and wraps require.  Malformed input, including terms
-nested more than MAX_DEPTH levels deep, raises ValueError with the
+nested more than MAX_DEPTH levels deep and alpha powers that add up to
+more than MAX_ALPHA_POWER on one leaf, raises ValueError with the
 offending position.
 """
 
@@ -36,6 +37,10 @@ __all__ = ["parse_term", "parse_identity", "parse_monomial", "term_to_dsl"]
 # Deeper terms would exhaust Python's recursion limit in the parser or in
 # the recursive tree walks of homalt.symbolic.
 MAX_DEPTH = 200
+# A sweep applies alpha to a leaf once per unit of its exponent on every
+# evaluation, so its time grows linearly in the exponent; nested
+# (a K ...) forms add up on the leaf.
+MAX_ALPHA_POWER = 1000
 
 _VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _INT_RE = re.compile(r"^\d+$")
@@ -68,6 +73,7 @@ class _Parser:
         self.toks = _tokenize(s)
         self.pos = 0
         self.depth = 0
+        self.alpha_power = 0  # sum of the enclosing (a K ...) exponents
 
     def error(self, msg, at=None):
         where = self.toks[at][1] if at is not None and at < len(self.toks) else len(self.text)
@@ -115,9 +121,17 @@ class _Parser:
             if not _INT_RE.match(ktok):
                 self.error("alpha power must be a non-negative integer, got %r" % ktok,
                            self.pos - 1)
+            # Compare lengths first: int() refuses numerals of over 4300 digits.
+            if (len(ktok.lstrip("0")) > len(str(MAX_ALPHA_POWER))
+                    or self.alpha_power + int(ktok) > MAX_ALPHA_POWER):
+                self.error("alpha powers on one leaf add up to more than %d" % MAX_ALPHA_POWER,
+                           self.pos - 1)
+            k = int(ktok)
+            self.alpha_power += k
             p = self.parse_term()
+            self.alpha_power -= k
             self.expect(")")
-            return p.alpha(int(ktok))
+            return p.alpha(k)
         if head == "as":
             p = self.parse_term()
             q = self.parse_term()

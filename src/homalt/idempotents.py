@@ -17,10 +17,9 @@ vector a lies in the left kernel of (R_e - alpha), i.e. the column
 kernel of its transpose.
 """
 
-from dataclasses import dataclass
-
 from .linalg import Matrix, kernel_basis, qq, rank, solve
 from .core import Element, is_idempotent, mul, require
+from .record import Record
 
 __all__ = [
     "Decomposition",
@@ -69,8 +68,7 @@ def _search(A, height):
     return found
 
 
-@dataclass
-class Decomposition:
+class Decomposition(Record):
     """Result of albert_decomposition.
 
     part_alpha and part_zero are lists of Elements forming canonical
@@ -78,11 +76,15 @@ class Decomposition:
     span A, is_direct whether the sum is direct.
     """
 
-    idem: Element
-    part_alpha: list
-    part_zero: list
-    is_direct: bool
-    spans_all: bool
+    _fields = ("idem", "part_alpha", "part_zero", "is_direct", "spans_all")
+
+    def __init__(self, idem: Element, part_alpha: list, part_zero: list,
+                 is_direct: bool, spans_all: bool):
+        self.idem = idem
+        self.part_alpha = part_alpha
+        self.part_zero = part_zero
+        self.is_direct = is_direct
+        self.spans_all = spans_all
 
 
 def _right_mul_matrix(A, e):

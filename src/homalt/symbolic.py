@@ -47,7 +47,6 @@ multilinearize's symbolic form.
 
 import functools
 import json
-from dataclasses import dataclass
 from importlib import resources
 from itertools import permutations
 from operator import itemgetter
@@ -55,6 +54,7 @@ from operator import itemgetter
 from .linalg import ONE, ZERO, as_scalar, format_scalar, linear_combination, parse_scalar
 from .core import CheckReport, apply_alpha, mul, require
 from .powers import polarized_defect_sweep
+from .record import FrozenRecord
 
 __all__ = [
     "HomMonomial",
@@ -422,15 +422,14 @@ def evaluate_polynomial(A, p, assignment):
 # -- the identity registry ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityDef:
+class IdentityDef(FrozenRecord):
     """A named identity lhs = rhs with declared variable multidegrees."""
 
-    name: str
-    variables: tuple
-    degrees: dict
-    lhs: HomPolynomial
-    rhs: HomPolynomial
+    _fields = ("name", "variables", "degrees", "lhs", "rhs")
+
+    def __init__(self, name: str, variables: tuple, degrees: dict,
+                 lhs: HomPolynomial, rhs: HomPolynomial):
+        self._set(name=name, variables=variables, degrees=degrees, lhs=lhs, rhs=rhs)
 
     def defect(self):
         return self.lhs - self.rhs

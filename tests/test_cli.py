@@ -1,11 +1,15 @@
 import json
+import os
 import pathlib
 import shutil
+import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
-from homalt import core, idempotents, powers
+from homalt import cli, core, idempotents, powers
 from homalt.cli import InputError, SuiteConfig, _build_parser, main
 from homalt.constructions import (
     AlbertParams,
@@ -98,6 +102,27 @@ def test_bad_thread_cap_exits_two(monkeypatch, capsys):
     monkeypatch.setenv("HOMALT_THREADS", "many")
     assert main(["check", "albert5", "--suites", "axioms"]) == 2
     assert "HOMALT_THREADS" in capsys.readouterr().err
+
+
+def test_dim_above_the_cap_exits_two(tmp_path, capsys):
+    # An empty basis: the cap must refuse before anything is allocated.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": core.MAX_DIM + 1, "basis": [], "mu": [], "alpha": []}))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad algebra JSON: dim %d is above the cap of %d\n"
+        % (core.MAX_DIM + 1, core.MAX_DIM)
+    )
+
+
+def test_huge_alpha_power_exits_two_at_once(capsys):
+    expr = "(= (mul (a 10000000 x) y) (mul y (a 10000000 x)))"
+    start = time.perf_counter()
+    assert main(["identity", "albert5", "--twist", "2,3,0", "--expr", expr]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: alpha powers on one leaf add up to more than 1000 (at position 11)\n"
+    )
 
 
 def test_unmet_precondition_exits_three(tmp_path, capsys):
@@ -265,9 +290,44 @@ def test_json_reports_are_byte_identical(capsys, monkeypatch):
     rc2, out2 = run_json(argv, capsys)
     assert rc1 == rc2 == 0
     assert out1 == out2
-    monkeypatch.setenv("HOMALT_THREADS", "1")
-    rc3, out3 = run_json(argv, capsys)
-    assert rc3 == 0 and out3 == out1
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("HOMALT_THREADS", threads)
+        assert run_json(argv, capsys) == (0, out1)
+
+
+def test_pool_raises_the_first_failing_suite_in_suite_order(monkeypatch):
+    later_raised = threading.Event()
+
+    def jordan(A, cfg, e):
+        assert later_raised.wait(10)  # so the later suite fails first
+        raise RuntimeError("jordan")
+
+    def identities(A, cfg, e):
+        later_raised.set()
+        raise RuntimeError("identities")
+
+    monkeypatch.setitem(cli._SUITE_FNS, "jordan", jordan)
+    monkeypatch.setitem(cli._SUITE_FNS, "identities", identities)
+    monkeypatch.setenv("HOMALT_THREADS", "4")
+    with pytest.raises(RuntimeError, match="^jordan$"):
+        main(["check", "albert5", "--suites", "axioms,jordan,identities"])
+    assert later_raised.is_set()
+
+
+def test_import_loads_no_dataclasses_or_futures():
+    """Importing the CLI must not pay for modules homalt barely uses."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    show = "import sys; print(' '.join(sorted(sys.modules)))"
+
+    def loaded(code):
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        return set(proc.stdout.split())
+
+    added = loaded("import homalt.cli; " + show) - loaded(show)
+    assert "homalt.cli" in added
+    banned = {"dataclasses", "inspect", "concurrent.futures", "logging", "queue"}
+    assert added & banned == set()
 
 
 def test_json_report_schema(capsys):

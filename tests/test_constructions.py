@@ -49,6 +49,17 @@ def test_params_coerce_strings_and_ints():
     assert p.gamma == qq(1, 2) and p.delta == qq(-3) and p.epsilon == qq(4)
 
 
+def test_params_are_frozen_and_hash_by_value():
+    p = AlbertParams(2, 3, 0)
+    with pytest.raises(AttributeError):
+        p.gamma = qq(5)
+    assert p.gamma == qq(2)
+    q = AlbertParams("2", qq(3), "0")
+    assert p == q and hash(p) == hash(q)
+    assert p != AlbertParams(2, 3, 1)
+    assert repr(p) == "AlbertParams(gamma=%r, delta=%r, epsilon=%r)" % (qq(2), qq(3), qq(0))
+
+
 def test_albert5_alpha_matrix():
     m = albert5_alpha(AlbertParams(2, 3, 5))
     rows = [

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+from homalt import core
 from homalt.constructions import AlbertParams, plus_algebra
 from homalt.core import (
+    CheckReport,
     HypothesisError,
     algebra_from_json,
     algebra_to_json,
@@ -240,6 +242,24 @@ def test_json_validation_rejects(a230, mangle):
     mangle(obj)
     with pytest.raises(ValueError, match="bad algebra JSON"):
         algebra_from_json(obj)
+
+
+def test_json_dim_cap_comes_before_the_basis_check():
+    assert core.MAX_DIM >= 20
+    obj = {"dim": core.MAX_DIM + 1, "basis": [], "mu": [], "alpha": []}
+    with pytest.raises(ValueError, match="dim %d is above the cap" % (core.MAX_DIM + 1)):
+        algebra_from_json(obj)
+
+
+def test_check_report_compares_and_prints_its_fields():
+    rep = CheckReport(False, "law", (0, 1), note="n")
+    assert rep == CheckReport(False, "law", (0, 1), None, None, "n")
+    assert rep != CheckReport(False, "law", (0, 2), note="n")
+    assert rep != (False, "law", (0, 1), None, None, "n")
+    assert repr(rep) == (
+        "CheckReport(passed=False, law='law', witness=(0, 1), lhs=None, rhs=None, note='n')"
+    )
+    assert not rep and CheckReport(True, "law")
 
 
 def test_load_algebra_bad_file(tmp_path):

@@ -7,7 +7,14 @@ import pytest
 
 from homalt import symbolic
 from homalt.core import apply_alpha, hom_associator, mul, random_element
-from homalt.dsl import MAX_DEPTH, parse_identity, parse_monomial, parse_term, term_to_dsl
+from homalt.dsl import (
+    MAX_ALPHA_POWER,
+    MAX_DEPTH,
+    parse_identity,
+    parse_monomial,
+    parse_term,
+    term_to_dsl,
+)
 from homalt.linalg import format_scalar, parse_scalar, qq
 from homalt.symbolic import (
     HomMonomial,
@@ -410,3 +417,24 @@ def test_parse_caps_nesting_depth():
     with pytest.raises(ValueError, match=r"nest deeper than %d levels \(at position %d\)"
                        % (MAX_DEPTH, 5 * MAX_DEPTH)):
         parse_term(nested(MAX_DEPTH + 1))
+
+
+def test_parse_caps_alpha_powers():
+    cap = MAX_ALPHA_POWER
+    assert parse_term("(a %d x)" % cap) == var("x").alpha(cap)
+    assert parse_term("(a 1 (mul (a %d y) (a 000%d x)))" % (cap - 1, cap - 1)) == poly_mul(
+        var("y").alpha(cap), var("x").alpha(cap))
+    too_high = r"alpha powers on one leaf add up to more than %d \(at position %d\)"
+    with pytest.raises(ValueError, match=too_high % (cap, 3)):
+        parse_term("(a 10000000 x)")
+    with pytest.raises(ValueError, match=too_high % (cap, 3)):
+        parse_term("(a 1%s x)" % ("0" * 5000))  # past int()'s 4300-digit limit
+    with pytest.raises(ValueError, match=too_high % (cap, 15)):
+        parse_term("(a 1 (mul y (a %d x)))" % cap)
+
+
+def test_identity_defs_are_frozen():
+    ident = next(iter(identity_registry().values()))
+    with pytest.raises(AttributeError):
+        ident.name = "renamed"
+    assert ident == copy.copy(ident)
