@@ -429,6 +429,11 @@ def _fail(msg):
     raise ValueError("bad algebra JSON: " + msg)
 
 
+def _is_json_int(x):
+    """A JSON integer; JSON's true and false load as bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def algebra_from_json(obj):
     if not isinstance(obj, dict):
         _fail("top level must be an object")
@@ -436,7 +441,7 @@ def algebra_from_json(obj):
         if key not in obj:
             _fail("missing key %r" % key)
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_json_int(dim) or dim < 1:
         _fail("dim must be a positive integer")
     if dim > MAX_DIM:
         _fail("dim %d is above the cap of %d" % (dim, MAX_DIM))
@@ -454,14 +459,14 @@ def algebra_from_json(obj):
             _fail("mu entries must be objects with keys i, j, k, c (got %r)" % (ent,))
         i, j, k = ent["i"], ent["j"], ent["k"]
         for idx in (i, j, k):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if not _is_json_int(idx) or not 0 <= idx < dim:
                 _fail("mu index out of range in %r" % (ent,))
         if (i, j, k) in seen:
             _fail("duplicate mu entry for (%d, %d, %d)" % (i, j, k))
         seen.add((i, j, k))
         try:
             mu[i][j][k] = parse_scalar(ent["c"])
-        except (ValueError, TypeError):
+        except ValueError:
             _fail("mu coefficient %r is not a rational literal" % (ent.get("c"),))
     alpha = obj["alpha"]
     if not isinstance(alpha, list) or len(alpha) != dim:
@@ -472,7 +477,7 @@ def algebra_from_json(obj):
             _fail("alpha row %d must have %d entries" % (r, dim))
         try:
             rows.append([parse_scalar(a) for a in row])
-        except (ValueError, TypeError):
+        except ValueError:
             _fail("alpha row %d contains a non-rational entry" % r)
     return HomAlgebra(dim, basis, mu, Matrix(rows))
 

@@ -58,6 +58,8 @@ def parse_scalar(s):
     >>> parse_scalar("-3/6") == qq(-1, 2)
     True
     """
+    if not isinstance(s, str):
+        raise ValueError("bad rational literal %r (expected a string p or p/q)" % (s,))
     t = s.strip()
     if not _SCALAR_RE.match(t):
         raise ValueError("bad rational literal %r (expected p or p/q)" % (s,))

@@ -28,6 +28,7 @@ from homalt.core import (
     load_algebra,
     save_algebra,
 )
+from homalt.dsl import MAX_ALPHA_POWER
 
 from conftest import FIXTURES, swapped_alpha_albert
 from test_core import same_algebra
@@ -81,6 +82,10 @@ def test_failing_law_exits_one(capsys):
         ["operators", "albert5", "--twist", "2,3,0", "--nmax", "0"],
         ["powers", "albert5", "--n", "1"],
         ["identity", "albert5", "--twist", "2,3,0", "--expr", DEEP],
+        # JSON values where the format wants an integer or a rational string.
+        ["check", str(FIXTURES / "boolean_dim.json"), "--output", "json"],
+        ["check", str(FIXTURES / "number_coefficient.json")],
+        ["check", str(FIXTURES / "number_alpha.json")],
     ],
 )
 def test_bad_input_exits_two(argv, capsys):
@@ -113,6 +118,14 @@ def test_dim_above_the_cap_exits_two(tmp_path, capsys):
         "error: bad algebra JSON: dim %d is above the cap of %d\n"
         % (core.MAX_DIM + 1, core.MAX_DIM)
     )
+
+
+def test_derive_power_above_the_alpha_cap_exits_two(capsys):
+    argv = ["derive", "albert5", "--twist", "2,3,0", "--n"]
+    assert main(argv + [str(MAX_ALPHA_POWER + 1)]) == 2
+    assert capsys.readouterr().err == "error: --n must be <= %d, got %d\n" % (
+        MAX_ALPHA_POWER, MAX_ALPHA_POWER + 1)
+    assert main(argv + [str(MAX_ALPHA_POWER)]) == 0
 
 
 def test_huge_alpha_power_exits_two_at_once(capsys):
@@ -298,16 +311,17 @@ def test_json_reports_are_byte_identical(capsys, monkeypatch):
 def test_pool_raises_the_first_failing_suite_in_suite_order(monkeypatch):
     later_raised = threading.Event()
 
-    def jordan(A, cfg, e):
+    def jordan():
         assert later_raised.wait(10)  # so the later suite fails first
         raise RuntimeError("jordan")
 
-    def identities(A, cfg, e):
+    def identities():
         later_raised.set()
         raise RuntimeError("identities")
 
-    monkeypatch.setitem(cli._SUITE_FNS, "jordan", jordan)
-    monkeypatch.setitem(cli._SUITE_FNS, "identities", identities)
+    # A suite returns its checks; these two each return one that raises.
+    monkeypatch.setitem(cli._SUITE_FNS, "jordan", lambda A, cfg, idempotent: [jordan])
+    monkeypatch.setitem(cli._SUITE_FNS, "identities", lambda A, cfg, idempotent: [identities])
     monkeypatch.setenv("HOMALT_THREADS", "4")
     with pytest.raises(RuntimeError, match="^jordan$"):
         main(["check", "albert5", "--suites", "axioms,jordan,identities"])
@@ -356,12 +370,27 @@ def test_failing_json_report_carries_the_witness(capsys):
     assert failing[0]["witness"] == ["0", "0", "0"]
 
 
+# Every checker command, and whether --timings fills its rows' timing_ms.
+TIMED = [
+    (["check", "albert5", "--twist", "2,3,0"], True),
+    (["powers", "albert5", "--twist", "2,3,0"], True),
+    (["jordan", "albert5", "--twist", "2,3,0"], True),
+    (["decompose", "albert5", "--twist", "2,3,0"], True),
+    (["operators", "albert5", "--twist", "2,3,0"], True),
+    (["symbolic"], True),
+    (["identity", "albert5", "--expr", "(= (as x y y) (scale 0 x))"], True),
+    (["identity", "albert5", "--expr", "(= (mul x y) (mul x y))"], False),  # free zero
+    (["distinguish", "albert5", "albert5"], False),
+]
+
+
 def test_timings_fill_floats(capsys):
-    rc, out = run_json(["jordan", "albert5", "--twist", "2,3,0",
-                        "--output", "json", "--timings"], capsys)
-    assert rc == 0
-    for row in json.loads(out)["results"]:
-        assert isinstance(row["timing_ms"], float)
+    for argv, timed in TIMED:
+        _, out = run_json(argv + ["--output", "json", "--timings"], capsys)
+        rows = json.loads(out)["results"]
+        assert rows, argv
+        for row in rows:
+            assert isinstance(row["timing_ms"], float) if timed else row["timing_ms"] is None
 
 
 # -- constructor commands ---------------------------------------------------------

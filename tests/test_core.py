@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homalt import core
 from homalt.constructions import AlbertParams, plus_algebra
@@ -249,6 +251,76 @@ def test_json_dim_cap_comes_before_the_basis_check():
     obj = {"dim": core.MAX_DIM + 1, "basis": [], "mu": [], "alpha": []}
     with pytest.raises(ValueError, match="dim %d is above the cap" % (core.MAX_DIM + 1)):
         algebra_from_json(obj)
+
+
+ONE_DIM = {"dim": 1, "basis": ["a"], "mu": [{"i": 0, "j": 0, "k": 0, "c": "1"}],
+           "alpha": [["1"]]}
+
+
+@pytest.mark.parametrize(
+    "slot,value,message",
+    [
+        ("dim", True, "dim must be a positive integer"),
+        ("i", False, "mu index out of range"),
+        ("j", False, "mu index out of range"),
+        ("k", False, "mu index out of range"),
+    ],
+    ids=["dim", "i", "j", "k"],
+)
+def test_json_refuses_a_boolean_for_an_integer(slot, value, message):
+    # JSON's true and false load as bools, which Python counts as ints.
+    obj = json.loads(json.dumps(ONE_DIM))
+    (obj if slot == "dim" else obj["mu"][0])[slot] = value
+    with pytest.raises(ValueError, match=message):
+        algebra_from_json(obj)
+
+
+# One JSON value of each type: bool, int, float, string, null, list, object.
+JSON_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(-1, 1) | st.text(max_size=1), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 1) | st.none(), max_size=2),
+)
+
+
+@st.composite
+def algebra_json_objects(draw):
+    """A valid algebra's JSON with one to three slots (dim, basis or a name,
+    mu, an entry or one of its keys, alpha, a row or an entry) replaced by
+    a JSON value of any type."""
+    n = draw(st.integers(1, 2))
+    obj = {"dim": n, "basis": ["a", "b"][:n],
+           "mu": [{"i": i, "j": j, "k": i, "c": "1"} for i in range(n) for j in range(n)],
+           "alpha": [[str(int(r == c)) for c in range(n)] for r in range(n)]}
+    slots = [(obj, key) for key in obj] + [(obj["basis"], t) for t in range(n)]
+    slots += [(obj["mu"], t) for t in range(n * n)]
+    slots += [(e, key) for e in obj["mu"] for key in e]
+    slots += [(obj["alpha"], r) for r in range(n)]
+    slots += [(row, c) for row in obj["alpha"] for c in range(n)]
+    for holder, key in draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3)):
+        holder[key] = draw(JSON_VALUES)
+    return obj
+
+
+def is_int(x):
+    return type(x) is int
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(algebra_json_objects())
+def test_json_loader_loads_or_refuses_any_json(obj):
+    try:
+        A = algebra_from_json(obj)
+    except ValueError:
+        return
+    assert is_int(A.dim) and A.dim == obj["dim"]
+    assert all(is_int(e[key]) and isinstance(e["c"], str)
+               for e in obj["mu"] for key in ("i", "j", "k"))
+    assert all(isinstance(a, str) for row in obj["alpha"] for a in row)
 
 
 def test_check_report_compares_and_prints_its_fields():
