@@ -304,7 +304,10 @@ def _row(suite, timed, check):
     start = time.perf_counter()
     report = check()
     ms = round((time.perf_counter() - start) * 1000.0, 3) if timed else None
-    return dict(report.as_dict(), suite=suite, timing_ms=ms)
+    row = report.as_dict()
+    row["suite"] = suite
+    row["timing_ms"] = ms
+    return row
 
 
 def _format_text(report):
@@ -373,8 +376,10 @@ def _suite_axioms(A, cfg, idempotent):
 
 def _suite_powers(A, cfg, idempotent):
     require(A, "the powers suite", "multiplicative")
-    checks = [partial(check_nth_hom_power_associative, A, n, cfg.samples, cfg.seed)
-              for n in range(2, cfg.nmax + 1)]
+    checks = [
+        partial(check_nth_hom_power_associative, A, n, cfg.samples, cfg.seed)
+        for n in range(2, cfg.nmax + 1)
+    ]
     return checks + [partial(check_third_fourth_criterion, A, cfg.samples, cfg.seed)]
 
 
@@ -385,9 +390,14 @@ def _suite_jordan(A, cfg, idempotent):
 def _decomposition(A, e):
     dec = albert_decomposition(A, e)
     note = "e = %r; A_e(alpha) basis %r; A_e(0) basis %r; direct = %s" % (
-        e, dec.part_alpha, dec.part_zero, dec.is_direct)
-    return CheckReport(dec.spans_all, "idempotent-decomposition",
-                       None if dec.spans_all else (e,), note=note)
+        e,
+        dec.part_alpha,
+        dec.part_zero,
+        dec.is_direct,
+    )
+    return CheckReport(
+        dec.spans_all, "idempotent-decomposition", None if dec.spans_all else (e,), note=note
+    )
 
 
 def _check_element_splitting(A, e):
@@ -411,7 +421,9 @@ def _suite_decompose(A, cfg, idempotent):
     require(A, where + "decomposition", "surjective")
     e = idempotent()
     if e is None:
-        raise HypothesisError("%s%s; drop 'decompose' from --suites" % (where, _NO_IDEMPOTENT))
+        raise HypothesisError(
+            "%s%s; drop 'decompose' from --suites" % (where, _NO_IDEMPOTENT)
+        )
     if cfg.idempotent is not None and not is_idempotent(A, e):
         raise HypothesisError(
             "--idempotent is not an idempotent: e*e = %r, alpha(e) = %r, e = %r"
@@ -458,17 +470,28 @@ def _suite_identities(A, cfg, idempotent):
     require(A, "the identities suite", "multiplicative")
     transfer = _transferable(A)
     return [
-        partial(_transferred, ident.name) if ident.name in transfer
-        else partial(check_identity_on_algebra, A, ident.lhs, ident.rhs, ident.degrees,
-                     name=ident.name)
+        partial(_transferred, ident.name)
+        if ident.name in transfer
+        else partial(
+            check_identity_on_algebra,
+            A,
+            ident.lhs,
+            ident.rhs,
+            ident.degrees,
+            name=ident.name,
+        )
         for ident in identity_registry().values()
     ]
 
 
 def _teichmuller():
     ok = verify_hom_teichmuller()
-    witness = None if ok else ("expansion did not vanish",)
-    return CheckReport(ok, "hom-teichmuller", witness, note="10 terms → 0" if ok else "")
+    return CheckReport(
+        ok,
+        "hom-teichmuller",
+        witness=None if ok else ("expansion did not vanish",),
+        note="10 terms → 0" if ok else "",
+    )
 
 
 def _suite_symbolic(A, cfg, idempotent):
@@ -593,8 +616,10 @@ def cmd_identity(args):
         raise InputError(str(exc)) from exc
     defect = lhs - rhs
     if defect.is_zero():
-        note = "normalizes to zero in the free multiplicative Hom-algebra"
-        rows = [_row("identity", False, partial(CheckReport, True, args.name, note=note))]
+        rep = CheckReport(
+            True, args.name, note="normalizes to zero in the free multiplicative Hom-algebra"
+        )
+        rows = [_row("identity", False, lambda: rep)]
         return _emit(rows, args.output, "identity", {"name": args.name}, A, source)
     if args.degrees is not None:
         degrees = _parse_degrees(args.degrees)
@@ -618,14 +643,27 @@ def cmd_identity(args):
 
 def _distinguish(A, B, src_a, src_b):
     if A.dim != B.dim:
-        note = "distinguishable: dimensions differ (%d != %d)" % (A.dim, B.dim)
-        return CheckReport(True, "hom-module-distinguish", note=note)
+        return CheckReport(
+            True,
+            "hom-module-distinguish",
+            note="distinguishable: dimensions differ (%d != %d)" % (A.dim, B.dim),
+        )
+    pa = [format_scalar(c) for c in char_poly(A.alpha)]
+    pb = [format_scalar(c) for c in char_poly(B.alpha)]
     ok = hom_module_distinguish(A, B)
-    note = ("distinguishable: the twisting maps have different characteristic polynomials" if ok
-            else "inconclusive: alpha spectra agree; the algebras may or may not be isomorphic")
-    lhs, rhs = ([format_scalar(c) for c in char_poly(X.alpha)] for X in (A, B))
-    witness = None if ok else (src_a, src_b)
-    return CheckReport(ok, "hom-module-distinguish", witness, lhs, rhs, note)
+    note = (
+        "distinguishable: the twisting maps have different characteristic polynomials"
+        if ok
+        else "inconclusive: alpha spectra agree; the algebras may or may not be isomorphic"
+    )
+    return CheckReport(
+        ok,
+        "hom-module-distinguish",
+        witness=None if ok else (src_a, src_b),
+        lhs=pa,
+        rhs=pb,
+        note=note,
+    )
 
 
 def cmd_distinguish(args):

@@ -370,23 +370,24 @@ def test_failing_json_report_carries_the_witness(capsys):
     assert failing[0]["witness"] == ["0", "0", "0"]
 
 
-# Every checker command, and whether --timings fills its rows' timing_ms.
+# Every checker command, whether --timings fills its rows' timing_ms, and its exit code.
 TIMED = [
-    (["check", "albert5", "--twist", "2,3,0"], True),
-    (["powers", "albert5", "--twist", "2,3,0"], True),
-    (["jordan", "albert5", "--twist", "2,3,0"], True),
-    (["decompose", "albert5", "--twist", "2,3,0"], True),
-    (["operators", "albert5", "--twist", "2,3,0"], True),
-    (["symbolic"], True),
-    (["identity", "albert5", "--expr", "(= (as x y y) (scale 0 x))"], True),
-    (["identity", "albert5", "--expr", "(= (mul x y) (mul x y))"], False),  # free zero
-    (["distinguish", "albert5", "albert5"], False),
+    (["check", "albert5", "--twist", "2,3,0"], True, 0),
+    (["powers", "albert5", "--twist", "2,3,0"], True, 0),
+    (["jordan", "albert5", "--twist", "2,3,0"], True, 0),
+    (["decompose", "albert5", "--twist", "2,3,0"], True, 0),
+    (["operators", "albert5", "--twist", "2,3,0"], True, 0),
+    (["symbolic"], True, 0),
+    (["identity", "albert5", "--expr", "(= (as x y y) (scale 0 x))"], True, 0),
+    (["identity", "albert5", "--expr", "(= (mul x y) (mul x y))"], False, 0),  # free zero
+    (["distinguish", "albert5", "albert5"], False, 1),  # inconclusive
 ]
 
 
 def test_timings_fill_floats(capsys):
-    for argv, timed in TIMED:
-        _, out = run_json(argv + ["--output", "json", "--timings"], capsys)
+    for argv, timed, expected_rc in TIMED:
+        rc, out = run_json(argv + ["--output", "json", "--timings"], capsys)
+        assert rc == expected_rc, argv
         rows = json.loads(out)["results"]
         assert rows, argv
         for row in rows:
