@@ -41,9 +41,8 @@ print("\nJordan defect as(x^2, alpha(y), alpha(x)) on A+:",
 rep = check_hom_jordan(P)
 print("A+ is Hom-Jordan:", rep.passed, "--", rep.note)
 
-# The admissibility checker computes the defect two independent ways
-# (through A+ and directly from the products of A) and insists the
-# verdicts agree.
+# The admissibility checker builds A+ and proves the Jordan law there by
+# one polarized sweep of the associator form over basis triples.
 rep = check_hom_jordan_admissible(A)
 print("A is Hom-Jordan admissible:", rep.passed, "--", rep.note)
 

@@ -46,10 +46,11 @@ print("is_alpha_n_idempotent(L, 1): ", is_alpha_n_idempotent(A, L, 1),
       " (L is NOT alpha-idempotent)")
 print("[T, R] == 0:                 ", op_commutator(T, R).is_zero())
 
-# The two identities that hold everywhere (not just at idempotents):
-# R_x R_alpha(x) = alpha R_{x*x}, sampled, and the bilinear L/R
-# exchange law, proved on basis pairs.
-rep = check_mul_operator_identities(A, samples=25, seed=0)
+# The two identities that hold everywhere (not just at idempotents),
+# R_x R_alpha(x) = alpha R_{x*x} and the bilinear L/R exchange law,
+# both proved on basis pairs: the first is quadratic in x, so its
+# polarization in x and y is checked on every pair e_i, e_j.
+rep = check_mul_operator_identities(A)
 print("\ngeneral operator identities:", rep.passed, "--", rep.note)
 
 # And the whole suite at e as exact matrix identities.

@@ -16,12 +16,14 @@ a HomPolynomial (terms normalize on construction); parse_identity
 returns the (lhs, rhs) pair; parse_monomial additionally insists the
 term is a single monomial with coefficient 1, which is what certificate
 substitutions and wraps require.  Malformed input, including terms
-nested more than MAX_DEPTH levels deep and alpha powers that add up to
-more than MAX_ALPHA_POWER on one leaf, raises ValueError with the
-offending position.
+nested more than MAX_DEPTH levels deep, alpha powers that add up to
+more than MAX_ALPHA_POWER on one leaf and products whose operands' term
+counts multiply past MAX_TERMS, raises ValueError with the offending
+position.
 """
 
 import re
+from math import prod
 
 from .linalg import parse_scalar
 from .symbolic import (
@@ -41,9 +43,14 @@ MAX_DEPTH = 200
 # evaluation, so its time grows linearly in the exponent; nested
 # (a K ...) forms add up on the leaf.
 MAX_ALPHA_POWER = 1000
+# mul, as and com expand into every product of one term from each
+# operand, so nesting multiplies term counts: (mul (add x y) ...) nested
+# 16 deep is 257 characters, has 65536 terms and took seconds to parse.
+# A product of 4096 terms expands in about 0.1 s.
+MAX_TERMS = 4096
 
 _VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_INT_RE = re.compile(r"^\d+$")
+_INT_RE = re.compile(r"^[0-9]+$")  # ASCII only: \d takes any script's digits
 
 
 def _tokenize(s):
@@ -110,11 +117,13 @@ class _Parser:
             if not _VAR_RE.match(tok):
                 self.error("bad variable name %r" % tok, self.pos - 1)
             return var(tok)
+        start = self.pos - 1
         head, _ = self.next()
         if head == "mul":
             p = self.parse_term()
             q = self.parse_term()
             self.expect(")")
+            self.cap_terms(head, start, p, q)
             return poly_mul(p, q)
         if head == "a":
             ktok, _ = self.next()
@@ -137,11 +146,13 @@ class _Parser:
             q = self.parse_term()
             r = self.parse_term()
             self.expect(")")
+            self.cap_terms(head, start, p, q, r)
             return expand_associator(p, q, r)
         if head == "com":
             p = self.parse_term()
             q = self.parse_term()
             self.expect(")")
+            self.cap_terms(head, start, p, q)
             return poly_commutator(p, q)
         if head == "add":
             total = self.parse_term()
@@ -168,6 +179,10 @@ class _Parser:
             self.expect(")")
             return p.scale(c)
         self.error("unknown operator %r" % head, self.pos - 1)
+
+    def cap_terms(self, head, at, *operands):
+        if prod(p.num_terms() for p in operands) > MAX_TERMS:
+            self.error("(%s ...) would expand to more than %d terms" % (head, MAX_TERMS), at)
 
     def done(self):
         if self.pos != len(self.toks):

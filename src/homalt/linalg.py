@@ -38,7 +38,7 @@ def qq(p, q=1):
 ZERO = qq(0)
 ONE = qq(1)
 
-_SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_SCALAR_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")  # ASCII only: \d takes any script's digits
 
 
 def as_scalar(x):

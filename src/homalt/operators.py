@@ -27,10 +27,8 @@ and T = 3 alpha^2 L^2 - 2 alpha L^3 satisfies T^(n+1) = alpha^(4n) T
 (so T is alpha^4-idempotent) and [T, R] = 0.
 """
 
-import random
-
 from .linalg import Matrix, identity_matrix, mat_mul, mat_pow
-from .core import CheckReport, apply_alpha, mul, random_element, require
+from .core import CheckReport, apply_alpha, mul, require
 
 __all__ = [
     "MulOperator",
@@ -140,40 +138,44 @@ def op_commutator(f, g):
     return f * g - g * f
 
 
-def check_mul_operator_identities(A, samples=25, seed=0):
-    """The two multiplication-operator identities above.
+def check_mul_operator_identities(A):
+    """The two multiplication-operator identities above, proved on basis pairs.
 
-    R_x R_alpha(x) = alpha R_{x*x} is checked on seeded random elements
-    and the bilinear L/R exchange identity on all basis pairs (which
-    proves it).  No preconditions are enforced: on algebras that are
-    not multiplicative right Hom-alternative this simply fails, with
-    the witness saying where.
+    R_x R_alpha(x) = alpha R_{x*x} is quadratic in x, so over Q it holds
+    iff its polarization
+
+        R_x R_alpha(y) + R_y R_alpha(x) = alpha R_{x*y + y*x}
+
+    holds on every basis pair x = e_i, y = e_j with i <= j; the L/R
+    exchange identity is bilinear and is checked on all basis pairs.  No
+    preconditions are enforced: on algebras that are not multiplicative
+    right Hom-alternative this simply fails, with the basis pair (i, j)
+    as witness.
     """
     law = "mul-operator-identities"
     al = alpha_op(A)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = random_element(A, rng)
-        lhs = right_op(A, x) * right_op(A, apply_alpha(A, x))
-        rhs = al * right_op(A, mul(A, x, x))
-        if lhs != rhs:
-            return CheckReport(False, law, (x,), lhs.matrix, rhs.matrix,
-                               note="R_x R_alpha(x) != alpha R_{x*x}")
+    basis = A.basis()
+    alphas = [apply_alpha(A, b) for b in basis]
+    left, right = [left_op(A, b) for b in basis], [right_op(A, b) for b in basis]
+    right_alpha = [right_op(A, a) for a in alphas]
     for i in range(A.dim):
-        bi = A.basis_element(i)
-        li = left_op(A, bi)
-        lai = left_op(A, apply_alpha(A, bi))
-        rai = right_op(A, apply_alpha(A, bi))
+        for j in range(i, A.dim):
+            lhs = right[i] * right_alpha[j] + right[j] * right_alpha[i]
+            rhs = al * right_op(A, mul(A, basis[i], basis[j]) + mul(A, basis[j], basis[i]))
+            if lhs != rhs:
+                return CheckReport(False, law, (i, j), lhs.matrix, rhs.matrix,
+                                   note="R-composition fails on basis pair")
+    for i in range(A.dim):
+        lai = left_op(A, alphas[i])
         for j in range(A.dim):
-            bj = A.basis_element(j)
             # x = e_i, y = e_j
-            lhs = left_op(A, bj) * lai - al * left_op(A, mul(A, bi, bj))
-            rhs = li * right_op(A, apply_alpha(A, bj)) - right_op(A, bj) * lai
+            lhs = left[j] * lai - al * left_op(A, mul(A, basis[i], basis[j]))
+            rhs = left[i] * right_alpha[j] - right[j] * lai
             if lhs != rhs:
                 return CheckReport(False, law, (i, j), lhs.matrix, rhs.matrix,
                                    note="L/R exchange fails on basis pair")
     return CheckReport(True, law,
-                       note="R-composition sampled %d times; L/R exchange proved on basis pairs" % samples)
+                       note="R-composition and L/R exchange proved on basis pairs")
 
 
 def build_T(A, e):

@@ -2,12 +2,13 @@ import pathlib
 
 import pytest
 
-from homalt.constructions import AlbertParams, albert5_base, albert5_twisted
+from homalt.constructions import AlbertParams, albert5_base, albert5_twisted, direct_sum
 from homalt.core import HomAlgebra, load_algebra
 from homalt.linalg import Matrix, identity_matrix, qq
 from homalt.symbolic import poly_mul, var
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 
 # The three parameter triples the example family is exercised at throughout.
 TWIST_TRIPLES = ((2, 3, 5), (5, 2, 0), (-1, 4, 7))
@@ -45,6 +46,35 @@ def swapped_alpha_albert():
     for i in (2, 3, 4):
         rows[i][i] = qq(1)
     return HomAlgebra(5, base.basis_names, copy_mu(base), Matrix.from_rows(rows))
+
+
+# Six algebras the Jordan and operator checks are tested against their
+# references on, with the verdict both laws get there: two twists of the
+# example, the golden random table and its rational variant, the dim-3
+# counterexample and a dim-10 direct sum.
+SIX = {
+    "albert5-230": True,
+    "albert5-m147": True,
+    "random-00": False,
+    "random-00-rational": False,
+    "fixture-dim3": False,
+    "sum-dim10": True,
+}
+
+
+def six_algebra(name):
+    if name == "fixture-dim3":
+        return load_algebra(str(FIXTURES / "non_right_alt_dim3.json"))
+    if name.startswith("random-00"):
+        return load_algebra(str(GOLDEN / ("%s.json" % name)))
+    a230, am147 = twisted_albert(2, 3, 0), twisted_albert(-1, 4, 7)
+    return {"albert5-230": a230, "albert5-m147": am147, "sum-dim10": direct_sum(a230, am147)}[name]
+
+
+@pytest.fixture(params=list(SIX))
+def six(request):
+    """(name, algebra) for each entry of SIX."""
+    return request.param, six_algebra(request.param)
 
 
 @pytest.fixture

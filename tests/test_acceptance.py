@@ -73,6 +73,7 @@ from homalt.symbolic import (
 from conftest import FIXTURES, TWIST_TRIPLES, untwisted_alpha
 from test_constructions import random_params
 from test_core import same_algebra
+from test_jordan import ADMISSIBLE_NOTE, direct_sweep
 
 BAD = str(FIXTURES / "non_right_alt_dim3.json")
 
@@ -160,11 +161,12 @@ def test_criterion_02_hom_power_associativity():
 
 
 def test_criterion_03_hom_jordan_admissibility():
-    with verdict(3, "Hom-Jordan admissibility via both defect routes, all 13 algebras"):
+    with verdict(3, "Hom-Jordan admissibility, with the direct form as reference, all 13 algebras"):
         for A in algebra_family():
             rep = check_hom_jordan_admissible(A)
             assert rep.passed
-            assert "routes agree" in rep.note
+            assert rep.note == ADMISSIBLE_NOTE
+            assert direct_sweep(A).passed
 
 
 def test_criterion_04_idempotent_decomposition():
@@ -293,10 +295,9 @@ def test_criterion_08_negative_controls():
         assert not r3.passed and r3.witness is not None
         assert check_hom_jordan_admissible(bad).witness == r3.witness
 
-        r4 = check_mul_operator_identities(bad, samples=25, seed=0)
-        assert not r4.passed
-        assert repr(r4.witness[0]) == "3/2*a + 3/2*b - 3/2*c"
-        assert check_mul_operator_identities(bad, samples=25, seed=0).witness == r4.witness
+        r4 = check_mul_operator_identities(bad)
+        assert not r4.passed and r4.witness == (0, 0)
+        assert check_mul_operator_identities(bad).witness == r4.witness
 
 
 def test_criterion_09_infrastructure(capsys):

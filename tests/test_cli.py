@@ -30,16 +30,17 @@ from homalt.core import (
 )
 from homalt.dsl import MAX_ALPHA_POWER
 
-from conftest import FIXTURES, swapped_alpha_albert
+from conftest import FIXTURES, GOLDEN, swapped_alpha_albert
 from test_core import same_algebra
 
 BAD = str(FIXTURES / "non_right_alt_dim3.json")
-GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 # Relative paths that test_unmet_precondition_pins_stderr puts in place.
 RANDOM00 = "random-00.json"
 SWAPPED = "swapped.json"  # swapped_alpha_albert()
 # Nested past Python's recursion limit.
 DEEP = "(= %sx%s x)" % ("(neg " * 3000, ")" * 3000)
+# Each level doubles the expanded term count: 2^40 terms unless capped.
+WIDE = "(= %sx%s x)" % ("(mul (add x y) " * 40, ")" * 40)
 
 
 # -- exit-code taxonomy ---------------------------------------------------------
@@ -77,20 +78,34 @@ def test_failing_law_exits_one(capsys):
         ["identity", "albert5", "--expr", "(= (as x y y) (scale 0 x))",
          "--degrees", "x=0,y=2"],
         ["twist", "albert5", "--by", "/no/such/beta.json"],
-        ["operators", "albert5", "--twist", "2,3,0", "--samples", "-3"],
         ["operators", "albert5", "--twist", "2,3,0", "--nmax", "-1"],
         ["operators", "albert5", "--twist", "2,3,0", "--nmax", "0"],
         ["powers", "albert5", "--n", "1"],
         ["identity", "albert5", "--twist", "2,3,0", "--expr", DEEP],
+        ["identity", "albert5", "--twist", "2,3,0", "--expr", WIDE],
         # JSON values where the format wants an integer or a rational string.
         ["check", str(FIXTURES / "boolean_dim.json"), "--output", "json"],
         ["check", str(FIXTURES / "number_coefficient.json")],
         ["check", str(FIXTURES / "number_alpha.json")],
+        # Numerals are ASCII: int() and \d also take other scripts' digits.
+        ["check", str(FIXTURES / "arabic_indic_numeral.json")],
+        ["identity", "albert5", "--expr", "(= (a \u0661 x) x)"],
+        ["identity", "albert5", "--expr", "(= (as x y y) (as y y x))", "--degrees", "x=\u0661,y=2"],
+        ["identity", "albert5", "--expr", "(= (as x y y) (as y y x))", "--degrees", "x=0_1,y=2"],
     ],
 )
 def test_bad_input_exits_two(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", [["--samples", "-3"], ["--samples", "3"], ["--seed", "7"]])
+def test_operators_takes_no_sampling_flags(flag, capsys):
+    # It samples nothing, so argparse refuses the flags (usage error, exit 2).
+    with pytest.raises(SystemExit) as exc:
+        main(["operators", "albert5", "--twist", "2,3,0", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
 
 
 def test_suite_config_rejects_an_unknown_command():
@@ -526,9 +541,9 @@ FLAGS = {
                ("--timings",): False},
     "decompose": {"algebra": None, ("--twist",): None, ("--output",): "text",
                   ("--timings",): False, ("--idempotent",): None},
+    # operators proves its laws on basis pairs, so it lost --samples and --seed
     "operators": {"algebra": None, ("--twist",): None, ("--output",): "text",
-                  ("--timings",): False, ("--samples",): 25, ("--seed",): 0,
-                  ("--idempotent",): None, ("--nmax",): 5},
+                  ("--timings",): False, ("--idempotent",): None, ("--nmax",): 5},
     "identity": {"algebra": None, ("--twist",): None, ("--output",): "text",
                  ("--timings",): False, ("--expr",): None, ("--file",): None,
                  ("--degrees",): None, ("--name",): "identity"},

@@ -1,12 +1,38 @@
 import random
 
-from homalt import jordan
+from homalt import powers
 from homalt.constructions import albert5_alpha, plus_algebra, yau_twist
 from homalt.core import apply_alpha, mul, random_element
 from homalt.jordan import check_hom_jordan, check_hom_jordan_admissible, jordan_defect
 from homalt.linalg import qq
+from homalt.powers import polarized_defect_sweep
+
+from conftest import SIX
+from test_cli import record_calls
+
+ADMISSIBLE_NOTE = "polarized sweep of as(x*x, alpha(y), alpha(x)) on A+"
 
 
+def direct_defect(A, x, y):
+    """(alpha(x)*alpha(y))*alpha(x^2) - alpha^2(x)*(alpha(y)*x^2), the
+    expanded form of the Jordan identity: for a commutative product it is
+    the pointwise negative of jordan_defect."""
+    ax = apply_alpha(A, x)
+    ay = apply_alpha(A, y)
+    x2 = mul(A, x, x)
+    lhs = mul(A, mul(A, ax, ay), apply_alpha(A, x2))
+    rhs = mul(A, apply_alpha(A, ax), mul(A, ay, x2))
+    return lhs - rhs
+
+
+def direct_sweep(A):
+    """The direct form swept on A+ the way check_hom_jordan_admissible
+    sweeps the associator form: a reference coded apart from homalt.jordan."""
+    P = plus_algebra(A)
+    basis = P.basis()
+    return polarized_defect_sweep(
+        P, 3, lambda x: [(yi, direct_defect(P, x, basis[yi])) for yi in range(P.dim)], "direct"
+    )
 
 
 def test_plus_product_is_the_symmetrization(a230):
@@ -38,7 +64,7 @@ def test_both_defect_routes_agree_up_to_sign(twisted):
     for _ in range(15):
         x = random_element(P, rng)
         y = random_element(P, rng)
-        assert jordan.jordan_defect(P, x, y) == -jordan._direct_defect(P, x, y)
+        assert jordan_defect(P, x, y) == -direct_defect(P, x, y)
 
 
 def test_check_hom_jordan_on_plus(twisted):
@@ -56,7 +82,7 @@ def test_check_hom_jordan_rejects_noncommutative(albert):
 def test_admissible_on_twisted(twisted):
     rep = check_hom_jordan_admissible(twisted)
     assert rep.passed
-    assert "routes agree" in rep.note
+    assert rep.note == ADMISSIBLE_NOTE
 
 
 def test_admissible_on_random_family_twists(albert):
@@ -73,6 +99,24 @@ def test_fixture_fails_admissible(bad_algebra):
     assert not rep.passed
     assert rep.witness == ((0, 0, 0), 0)
     assert rep.witness == check_hom_jordan_admissible(bad_algebra).witness
+
+
+def test_direct_route_matches_the_sweep(six):
+    # Same verdict and witness; the direct form's defect is the negative.
+    name, A = six
+    rep = check_hom_jordan_admissible(A)
+    direct = direct_sweep(A)
+    assert rep.passed == direct.passed == SIX[name]
+    assert rep.witness == direct.witness
+    if not rep.passed:  # each sweep builds its own A+
+        assert rep.lhs.coords == (-direct.lhs).coords
+
+
+def test_admissibility_is_one_sweep(a230, bad_algebra, monkeypatch):
+    sweeps = record_calls(monkeypatch, powers, "polarized_defect_sweep")
+    for A in (a230, bad_algebra):
+        check_hom_jordan_admissible(A)
+    assert len(sweeps) == 2
 
 
 def test_jordan_defect_shape(a230):

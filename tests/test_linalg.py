@@ -43,7 +43,9 @@ def test_parse_scalar_forms():
     assert parse_scalar("6/4") == qq(3, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "3.5", "a", "1/0", "0/0", "1/-2", "2 /3", "--1"])
+@pytest.mark.parametrize(
+    "bad", ["", "3.5", "a", "1/0", "0/0", "1/-2", "2 /3", "--1", "\u0661", "1/\u0662", "1_0"]
+)
 def test_parse_scalar_rejects(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)

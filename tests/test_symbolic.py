@@ -1,15 +1,21 @@
 import copy
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homalt import symbolic
+from homalt.cli import main
 from homalt.core import apply_alpha, hom_associator, mul, random_element
 from homalt.dsl import (
     MAX_ALPHA_POWER,
     MAX_DEPTH,
+    MAX_TERMS,
     parse_identity,
     parse_monomial,
     parse_term,
@@ -431,6 +437,81 @@ def test_parse_caps_alpha_powers():
         parse_term("(a 1%s x)" % ("0" * 5000))  # past int()'s 4300-digit limit
     with pytest.raises(ValueError, match=too_high % (cap, 15)):
         parse_term("(a 1 (mul y (a %d x)))" % cap)
+
+
+def test_parse_caps_expanded_terms():
+    # (mul (add x y) T) doubles T's terms; the first mul whose operands'
+    # counts multiply past MAX_TERMS is refused at its own "(".
+    prefix = "(mul (add x y) "
+    chain = prefix * 40 + "x" + ")" * 40
+    inner = next(m for m in range(40) if 2 * 2 ** m > MAX_TERMS)  # muls inside it
+    too_many = r"\(%s \.\.\.\) would expand to more than %d terms \(at position %d\)"
+    with pytest.raises(ValueError, match=too_many % ("mul", MAX_TERMS,
+                                                     len(prefix) * (40 - inner - 1))):
+        parse_term(chain)
+
+    def total(name, n):
+        return "(add %s)" % " ".join("%s%d" % (name, i) for i in range(n))
+
+    side = int(MAX_TERMS ** 0.5)
+    assert side * side == MAX_TERMS
+    assert parse_term("(mul %s %s)" % (total("x", side), total("y", side))).num_terms() == MAX_TERMS
+    for head, last in (("com", ""), ("as", " z")):
+        text = "(%s %s %s%s)" % (head, total("x", side + 1), total("y", side), last)
+        with pytest.raises(ValueError, match=too_many % (head, MAX_TERMS, 0)):
+            parse_term(text)
+
+
+def dsl_term(parts):
+    return "(%s)" % " ".join(parts)
+
+
+# Well-formed terms of every form the grammar has, at most four leaves.
+DSL_TERMS = st.recursive(
+    st.sampled_from(["x", "y", "z"]),
+    lambda t: st.one_of(
+        st.tuples(st.just("mul"), t, t),
+        st.tuples(st.just("a"), st.sampled_from(["0", "1", "2"]), t),
+        st.tuples(st.just("as"), t, t, t),
+        st.tuples(st.just("com"), t, t),
+        st.lists(t, min_size=1, max_size=3).map(lambda ts: ["add", *ts]),
+        st.tuples(st.just("sub"), t, t),
+        st.tuples(st.just("neg"), t),
+        st.tuples(st.just("scale"), st.sampled_from(["2", "-1/3", "0"]), t),
+    ).map(dsl_term),
+    max_leaves=4,
+)
+DSL_IDENTITIES = st.tuples(DSL_TERMS, DSL_TERMS).map(lambda lr: "(= %s %s)" % lr)
+# Token soup: the grammar's words, broken numerals and stray characters in
+# any order, bare or inside (= ...), and arbitrary text.
+DSL_TOKENS = st.sampled_from(["(", ")", "=", "mul", "a", "as", "com", "add", "sub", "neg",
+                              "scale", "x", "y", "0", "3", "-1", "1/2", "1/0", "\u0661",
+                              "0_1", "1e3", "?"])
+DSL_SOUP = st.one_of(
+    st.lists(DSL_TOKENS, max_size=12).map(" ".join),
+    st.lists(DSL_TOKENS, max_size=12).map(lambda ts: "(= %s)" % " ".join(ts)),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(DSL_IDENTITIES | DSL_SOUP)
+def test_parse_identity_parses_or_refuses_any_text(text):
+    try:
+        lhs, rhs = parse_identity(text)
+    except ValueError:
+        return
+    assert isinstance(lhs, HomPolynomial) and isinstance(rhs, HomPolynomial)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(DSL_IDENTITIES | DSL_SOUP)
+def test_identity_command_exits_with_a_code_on_any_text(text):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["identity", "albert5", "--twist", "2,3,0", "--expr=" + text])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_identity_defs_are_frozen():
