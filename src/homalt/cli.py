@@ -30,19 +30,18 @@ its shipped certificate then proves it in every such algebra.  Otherwise
 verify -- the suite runs the polarized basis sweep, which also finds the
 witness.  ``identity`` always sweeps.
 
-Reports are deterministic: the same command line (including ``--seed``)
-produces byte-identical output.  Only ``check`` and ``powers`` take
-``--samples`` and ``--seed``, for the seeded samples of the powers
-suite; ``operators`` proves both of its general identities on basis
-pairs and samples nothing.  ``--timings`` adds wall-clock times and
-is therefore off by default; ``_row`` runs, times and shapes every
-row.  A row times a cache hit when the fact it reports was decided as
-a precondition: an ``axioms`` row when another suite needed its
-hypothesis, a transferred ``identities`` row always, and a ``symbolic``
-certificate row after transfer was decided.  ``check`` runs its suites'
-checks on a pool of plain ``threading.Thread``s, at most
-``HOMALT_THREADS`` of them.  Rows come back in suite order, and when
-checks raise, the exception of the first in suite order is re-raised.
+Reports are deterministic: the same command line (including ``--seed``,
+which with ``--samples`` only ``check`` and ``powers`` take, for the
+powers suite's samples) produces byte-identical output.  ``--timings``
+adds wall-clock times and is therefore off by default; ``_row`` runs,
+times and shapes every row.  A row times a cache hit when the fact it
+reports was decided as a precondition: an ``axioms`` row when another
+suite needed its hypothesis, a transferred ``identities`` row always,
+and a ``symbolic`` certificate row after transfer was decided.
+``check`` runs its suites' checks on a pool of plain
+``threading.Thread``s, at most ``HOMALT_THREADS`` of them.  Rows come
+back in suite order, and when checks raise, the exception of the first
+in suite order is re-raised.
 
 One CLI call pays for interpreter start, the import of ``homalt``, the
 compilation of ``src/homalt`` when no bytecode can be cached (e.g. under

@@ -142,22 +142,17 @@ def check_mul_operator_identities(A):
     """The two multiplication-operator identities above, proved on basis pairs.
 
     R_x R_alpha(x) = alpha R_{x*x} is quadratic in x, so over Q it holds
-    iff its polarization
-
-        R_x R_alpha(y) + R_y R_alpha(x) = alpha R_{x*y + y*x}
-
-    holds on every basis pair x = e_i, y = e_j with i <= j; the L/R
-    exchange identity is bilinear and is checked on all basis pairs.  No
-    preconditions are enforced: on algebras that are not multiplicative
-    right Hom-alternative this simply fails, with the basis pair (i, j)
-    as witness.
+    iff R_x R_alpha(y) + R_y R_alpha(x) = alpha R_{x*y + y*x} holds on
+    basis pairs x = e_i, y = e_j with i <= j; the L/R exchange identity
+    is bilinear.  No preconditions are enforced: on algebras that are not
+    multiplicative right Hom-alternative this simply fails, with the
+    basis pair (i, j) as witness.
     """
     law = "mul-operator-identities"
     al = alpha_op(A)
     basis = A.basis()
-    alphas = [apply_alpha(A, b) for b in basis]
-    left, right = [left_op(A, b) for b in basis], [right_op(A, b) for b in basis]
-    right_alpha = [right_op(A, a) for a in alphas]
+    right = [right_op(A, b) for b in basis]
+    right_alpha = [right_op(A, apply_alpha(A, b)) for b in basis]
     for i in range(A.dim):
         for j in range(i, A.dim):
             lhs = right[i] * right_alpha[j] + right[j] * right_alpha[i]
@@ -165,8 +160,9 @@ def check_mul_operator_identities(A):
             if lhs != rhs:
                 return CheckReport(False, law, (i, j), lhs.matrix, rhs.matrix,
                                    note="R-composition fails on basis pair")
+    left = [left_op(A, b) for b in basis]
     for i in range(A.dim):
-        lai = left_op(A, alphas[i])
+        lai = left_op(A, apply_alpha(A, basis[i]))
         for j in range(A.dim):
             # x = e_i, y = e_j
             lhs = left[j] * lai - al * left_op(A, mul(A, basis[i], basis[j]))

@@ -48,13 +48,11 @@ intended change of output, run its command from data/golden/ with
 ``python -m homalt.cli ARGS > FILE``.
 """
 
-import pathlib
-
 import pytest
 
 from homalt.cli import main
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
+from conftest import GOLDEN
 
 RANDOM_SUITES = "axioms,powers,jordan,operators,identities"
 CUBE_COMMUTES = "(= (mul (mul x x) (a 1 x)) (mul (a 1 x) (mul x x)))"
