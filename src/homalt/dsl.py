@@ -46,7 +46,7 @@ MAX_ALPHA_POWER = 1000
 # mul, as and com expand into every product of one term from each
 # operand, so nesting multiplies term counts: (mul (add x y) ...) nested
 # 16 deep is 257 characters, has 65536 terms and took seconds to parse.
-# A product of 4096 terms expands in about 0.1 s.
+# A product of 4096 terms expands in about 0.1 s (Python 3.11, 2 vCPU).
 MAX_TERMS = 4096
 
 _VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
