@@ -9,6 +9,15 @@ admissibility, idempotent decompositions, multiplication-operator
 identities -- both concretely (exhaustive basis sweeps, exact
 arithmetic) and symbolically (in the free multiplicative Hom-algebra,
 with machine-checked certificates).
+
+``import homalt`` loads only ``linalg`` and ``core`` (and ``record``,
+which ``core`` uses) and binds their public names here.  Every other
+public name is looked up in ``_LAZY`` and its submodule imported on
+first access (PEP 562), as is ``homalt.symbolic`` and each other
+submodule there, so a client that builds and serializes algebras never
+compiles the symbolic, DSL, powers or operator layers.  ``__all__``,
+``dir(homalt)``, ``from homalt import X`` and ``from homalt import *``
+see every name, loaded or not.
 """
 
 from .linalg import (
@@ -41,6 +50,7 @@ from .core import (
     hom_associator,
     is_hom_alternative,
     is_hom_flexible,
+    is_idempotent,
     is_left_hom_alternative,
     is_multiplicative,
     is_right_hom_alternative,
@@ -49,73 +59,73 @@ from .core import (
     random_element,
     save_algebra,
 )
-from .constructions import (
-    AlbertParams,
-    albert5_alpha,
-    albert5_base,
-    albert5_twisted,
-    derived_algebra,
-    direct_sum,
-    hom_module_distinguish,
-    plus_algebra,
-    yau_twist,
-)
-from .powers import (
-    PowerTable,
-    check_nth_hom_power_associative,
-    check_power_associativity_polarized,
-    check_third_fourth_criterion,
-    hom_power,
-    hom_power_pair,
-)
-from .jordan import (
-    check_hom_jordan,
-    check_hom_jordan_admissible,
-    jordan_defect,
-)
-from .idempotents import (
-    Decomposition,
-    albert_decomposition,
-    decompose_element,
-    idempotent_search,
-    is_idempotent,
-)
-from .operators import (
-    MulOperator,
-    alpha_op,
-    build_T,
-    check_idempotent_operator_suite,
-    check_mul_operator_identities,
-    identity_op,
-    is_alpha_n_idempotent,
-    left_op,
-    op_commutator,
-    right_op,
-)
-from .symbolic import (
-    HomMonomial,
-    HomPolynomial,
-    IdentityDef,
-    certified_identities,
-    check_identity_on_algebra,
-    evaluate_polynomial,
-    expand_associator,
-    hom_teichmuller_terms,
-    identity_defect,
-    identity_registry,
-    load_certificates,
-    multilinearize,
-    ra_polynomial,
-    specialize_classical,
-    teichmuller_f,
-    var,
-    verify_all_certificates,
-    verify_certificate,
-    verify_hom_teichmuller,
-)
-from .dsl import parse_identity, parse_monomial, parse_term, term_to_dsl
 
 __version__ = "0.1.0"
+
+# submodule -> the public names it provides, imported on first access
+_LAZY = {
+    "constructions": (
+        "AlbertParams",
+        "albert5_alpha",
+        "albert5_base",
+        "albert5_twisted",
+        "derived_algebra",
+        "direct_sum",
+        "hom_module_distinguish",
+        "plus_algebra",
+        "yau_twist",
+    ),
+    "powers": (
+        "PowerTable",
+        "check_nth_hom_power_associative",
+        "check_power_associativity_polarized",
+        "check_third_fourth_criterion",
+        "hom_power",
+        "hom_power_pair",
+    ),
+    "jordan": ("check_hom_jordan", "check_hom_jordan_admissible", "jordan_defect"),
+    "idempotents": (
+        "Decomposition",
+        "albert_decomposition",
+        "decompose_element",
+        "idempotent_search",
+    ),
+    "operators": (
+        "MulOperator",
+        "alpha_op",
+        "build_T",
+        "check_idempotent_operator_suite",
+        "check_mul_operator_identities",
+        "identity_op",
+        "is_alpha_n_idempotent",
+        "left_op",
+        "op_commutator",
+        "right_op",
+    ),
+    "symbolic": (
+        "HomMonomial",
+        "HomPolynomial",
+        "IdentityDef",
+        "certified_identities",
+        "check_identity_on_algebra",
+        "evaluate_polynomial",
+        "expand_associator",
+        "hom_teichmuller_terms",
+        "identity_defect",
+        "identity_registry",
+        "load_certificates",
+        "multilinearize",
+        "ra_polynomial",
+        "specialize_classical",
+        "teichmuller_f",
+        "var",
+        "verify_all_certificates",
+        "verify_certificate",
+        "verify_hom_teichmuller",
+    ),
+    "dsl": ("parse_identity", "parse_monomial", "parse_term", "term_to_dsl"),
+}
+_SUBMODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "Matrix",
@@ -145,6 +155,7 @@ __all__ = [
     "hom_associator",
     "is_hom_alternative",
     "is_hom_flexible",
+    "is_idempotent",
     "is_left_hom_alternative",
     "is_multiplicative",
     "is_right_hom_alternative",
@@ -152,61 +163,23 @@ __all__ = [
     "mul",
     "random_element",
     "save_algebra",
-    "AlbertParams",
-    "albert5_alpha",
-    "albert5_base",
-    "albert5_twisted",
-    "derived_algebra",
-    "direct_sum",
-    "hom_module_distinguish",
-    "plus_algebra",
-    "yau_twist",
-    "PowerTable",
-    "check_nth_hom_power_associative",
-    "check_power_associativity_polarized",
-    "check_third_fourth_criterion",
-    "hom_power",
-    "hom_power_pair",
-    "check_hom_jordan",
-    "check_hom_jordan_admissible",
-    "jordan_defect",
-    "Decomposition",
-    "albert_decomposition",
-    "decompose_element",
-    "idempotent_search",
-    "is_idempotent",
-    "MulOperator",
-    "alpha_op",
-    "build_T",
-    "check_idempotent_operator_suite",
-    "check_mul_operator_identities",
-    "identity_op",
-    "is_alpha_n_idempotent",
-    "left_op",
-    "op_commutator",
-    "right_op",
-    "HomMonomial",
-    "HomPolynomial",
-    "IdentityDef",
-    "certified_identities",
-    "check_identity_on_algebra",
-    "evaluate_polynomial",
-    "expand_associator",
-    "hom_teichmuller_terms",
-    "identity_defect",
-    "identity_registry",
-    "load_certificates",
-    "multilinearize",
-    "ra_polynomial",
-    "specialize_classical",
-    "teichmuller_f",
-    "var",
-    "verify_all_certificates",
-    "verify_certificate",
-    "verify_hom_teichmuller",
-    "parse_identity",
-    "parse_monomial",
-    "parse_term",
-    "term_to_dsl",
+    *_SUBMODULE,
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """A public name of a submodule not loaded yet, or such a submodule."""
+    if name not in _SUBMODULE and name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module  # kept off the import path of homalt
+
+    module = import_module("." + _SUBMODULE.get(name, name), __name__)
+    if name in _LAZY:
+        return module  # the import bound it here
+    value = globals()[name] = getattr(module, name)  # later lookups skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBMODULE) | set(_LAZY))

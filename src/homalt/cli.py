@@ -48,7 +48,10 @@ compilation of ``src/homalt`` when no bytecode can be cached (e.g. under
 ``PYTHONDONTWRITEBYTECODE=1``), and only then the work; refuting a
 small table costs less than starting.  So the import path keeps to the
 standard library homalt needs: ``record`` stands in for ``dataclasses``
-and the pool for ``concurrent.futures``.
+and ``typing.NamedTuple``, the pool for ``concurrent.futures``, and
+``symbolic`` imports ``importlib.resources`` only to read the
+certificates.  ``import homalt`` loads only ``linalg`` and ``core``;
+this module imports every submodule, because its suites use them all.
 """
 
 import argparse
@@ -59,7 +62,6 @@ import sys
 import threading
 import time
 from functools import cache, partial
-from typing import NamedTuple, Optional
 
 from .constructions import (
     AlbertParams,
@@ -101,18 +103,20 @@ from .record import FrozenRecord
 ALL_SUITES = ("axioms", "powers", "jordan", "decompose", "operators", "identities", "symbolic")
 
 
-class InputError(Exception):
-    """Bad input: unparseable file, expression, or flag value (exit 2)."""
+class InputError(argparse.ArgumentTypeError):
+    """Bad input: unparseable file, expression, or flag value (exit 2).
+    Raised by an option's ``type``, argparse reports it as a usage error."""
 
 
-class Command(NamedTuple):
+class Command(FrozenRecord):
     """A checker command: the suites it runs (``check``'s come from
     ``--suites``), its report's config fields, named as its flags, and
     whether a missing idempotent exits 3 (else operators drops that row)."""
 
-    suites: tuple
-    fields: tuple
-    require_idempotent: bool = True
+    _fields = ("suites", "fields", "require_idempotent")
+
+    def __init__(self, suites, fields, require_idempotent=True):
+        self._set(suites=suites, fields=fields, require_idempotent=require_idempotent)
 
 
 COMMANDS = {
@@ -136,16 +140,16 @@ class SuiteConfig(FrozenRecord):
 
     def __init__(
         self,
-        algebra: Optional[str],
+        algebra: str | None,
         command: str = "check",
         suites: tuple = ALL_SUITES,
         seed: int = 0,
         samples: int = 25,
         nmax: int = 5,
         output: str = "text",
-        twist: Optional[str] = None,
+        twist: str | None = None,
         timings: bool = False,
-        idempotent: Optional[str] = None,
+        idempotent: str | None = None,
         teichmuller: bool = True,
         certificates: bool = True,
     ):
@@ -217,16 +221,24 @@ def _parse_coords(text, A):
         raise InputError(str(exc)) from exc
 
 
+def _ascii_int(text):
+    """int(text) for ASCII [+-]?[0-9]+ only: int() also takes other
+    scripts' digits and "1_0".  The ``type`` of every integer option."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
+        raise InputError("want an ASCII integer, got %r" % text)
+    return int(text)
+
+
 def _parse_degrees(text):
     degrees = {}
     for item in text.split(","):
         name, eq, value = item.partition("=")
         if not eq or not name:
             raise InputError("bad --degrees entry %r (want name=degree)" % item)
-        # ASCII digits only: int() also takes other scripts' digits and "1_0".
-        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
-            raise InputError("bad degree in %r" % item)
-        d = int(value)
+        try:
+            d = _ascii_int(value)
+        except InputError as exc:
+            raise InputError("bad degree in %r" % item) from exc
         if d < 1:
             raise InputError("degree must be >= 1 in %r" % item)
         degrees[name.strip()] = d
@@ -258,8 +270,8 @@ def _thread_cap(njobs):
     if text is None:
         return max(1, min(njobs, os.cpu_count() or 1))
     try:
-        cap = int(text)
-    except ValueError as exc:
+        cap = _ascii_int(text)
+    except InputError as exc:
         raise InputError("HOMALT_THREADS must be an integer, got %r" % text) from exc
     if cap < 1:
         raise InputError("HOMALT_THREADS must be >= 1, got %d" % cap)
@@ -708,8 +720,10 @@ def _build_parser():
     )
 
     rng = argparse.ArgumentParser(add_help=False)
-    rng.add_argument("--samples", type=int, default=25, help="random samples per sampled law")
-    rng.add_argument("--seed", type=int, default=0, help="seed for the sampled laws")
+    rng.add_argument(
+        "--samples", type=_ascii_int, default=25, help="random samples per sampled law"
+    )
+    rng.add_argument("--seed", type=_ascii_int, default=0, help="seed for the sampled laws")
 
     p = sub.add_parser("albert5", parents=[out], help="emit the 5-dimensional example algebra")
     p.add_argument("--twist", metavar="G,D,E", help="twist along the parameterized morphism")
@@ -720,7 +734,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_twist)
 
     p = sub.add_parser("derive", parents=[alg, out], help="nth derived algebra (twist by alpha^n)")
-    p.add_argument("--n", type=int, required=True, help="power of alpha to twist by (>= 0)")
+    p.add_argument("--n", type=_ascii_int, required=True, help="power of alpha to twist by (>= 0)")
     p.set_defaults(fn=cmd_derive)
 
     p = sub.add_parser("plus", parents=[alg, out], help="symmetrized (plus) algebra")
@@ -732,11 +746,12 @@ def _build_parser():
         default=",".join(ALL_SUITES),
         help="comma-separated subset of: %s" % ", ".join(ALL_SUITES),
     )
-    p.add_argument("--nmax", type=int, default=5, help="largest power / operator exponent")
+    p.add_argument("--nmax", type=_ascii_int, default=5, help="largest power / operator exponent")
 
     p = sub.add_parser("powers", parents=[alg, rep, rng], help="nth Hom-power associativity")
     p.add_argument(
-        "--n", dest="nmax", metavar="N", type=int, default=5, help="check powers 2..n (n >= 2)"
+        "--n", dest="nmax", metavar="N", type=_ascii_int, default=5,
+        help="check powers 2..n (n >= 2)",
     )
 
     p = sub.add_parser("jordan", parents=[alg, rep], help="Hom-Jordan admissibility")
@@ -746,7 +761,7 @@ def _build_parser():
 
     p = sub.add_parser("operators", parents=[alg, rep], help="multiplication-operator identities")
     p.add_argument("--idempotent", metavar="C0,C1,...", help="coordinates of the idempotent")
-    p.add_argument("--nmax", type=int, default=5, help="largest operator exponent (>= 2)")
+    p.add_argument("--nmax", type=_ascii_int, default=5, help="largest operator exponent (>= 2)")
 
     p = sub.add_parser("identity", parents=[alg, rep], help="prove an s-expression identity")
     group = p.add_mutually_exclusive_group(required=True)

@@ -24,7 +24,6 @@ Each is decided once per HomAlgebra instance and cached on it, and
 import json
 from itertools import chain, product
 from math import lcm
-from typing import Any, Optional
 
 from .linalg import (
     Matrix,
@@ -266,8 +265,8 @@ class CheckReport(Record):
 
     _fields = ("passed", "law", "witness", "lhs", "rhs", "note")
 
-    def __init__(self, passed: bool, law: str, witness: Optional[tuple] = None,
-                 lhs: Any = None, rhs: Any = None, note: str = ""):
+    def __init__(self, passed: bool, law: str, witness: tuple | None = None,
+                 lhs: object = None, rhs: object = None, note: str = ""):
         self.passed = passed
         self.law = law
         self.witness = witness

@@ -47,7 +47,6 @@ multilinearize's symbolic form.
 
 import functools
 import json
-from importlib import resources
 from itertools import permutations
 from operator import itemgetter
 
@@ -559,7 +558,11 @@ def _polarize_variable(p, v, slots):
     for m, c in p._terms.items():
         leaves = m.leaves()
         hit = [i for i, (n, _) in enumerate(leaves) if n == v]
-        assert len(hit) == d
+        if len(hit) != d:
+            raise ValueError(
+                "cannot polarize %r into %d slots: monomial %r has degree %d in it"
+                % (v, d, m, len(hit))
+            )
         for perm in permutations(slots):
             names = [None] * len(leaves)
             for t, i in enumerate(hit):
@@ -697,6 +700,10 @@ def build_instance(entry):
 
 def load_certificates():
     """The shipped certificate data, keyed by identity name."""
+    # Imported on first use: it costs every process start-up time, and
+    # nothing else needs it.
+    from importlib import resources
+
     text = resources.files("homalt").joinpath("data/certificates.json").read_text()
     data = json.loads(text)
     if not isinstance(data, dict):

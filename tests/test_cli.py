@@ -124,6 +124,32 @@ def test_bad_thread_cap_exits_two(monkeypatch, capsys):
     assert "HOMALT_THREADS" in capsys.readouterr().err
 
 
+# int() also takes other scripts' digits ("\u0663" is Arabic-Indic 3) and "1_0".
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["powers", "albert5", "--twist", "2,3,0", "--n", "\u0663"],
+        ["check", "albert5", "--nmax", "1_0"],
+        ["operators", "albert5", "--twist", "2,3,0", "--nmax", "\u0663"],
+        ["powers", "albert5", "--twist", "2,3,0", "--samples", "\u0662"],
+        ["check", "albert5", "--seed", "1_0"],
+        ["derive", "albert5", "--twist", "2,3,0", "--n", "\u0661"],
+    ],
+)
+def test_integer_options_take_only_ascii_digits(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument %s: want an ASCII integer, got %r\n" % tuple(argv[-2:]))
+
+
+def test_thread_cap_takes_only_ascii_digits(monkeypatch, capsys):
+    monkeypatch.setenv("HOMALT_THREADS", "\u0662")
+    assert main(["check", "albert5", "--suites", "axioms"]) == 2
+    assert capsys.readouterr().err == "error: HOMALT_THREADS must be an integer, got '\u0662'\n"
+
+
 def test_dim_above_the_cap_exits_two(tmp_path, capsys):
     # An empty basis: the cap must refuse before anything is allocated.
     path = tmp_path / "huge.json"
@@ -349,13 +375,15 @@ def test_import_loads_no_dataclasses_or_futures():
     show = "import sys; print(' '.join(sorted(sys.modules)))"
 
     def loaded(code):
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        # -S: no site hook, which may load some of these on its own.
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                               capture_output=True, text=True, timeout=60, check=True)
         return set(proc.stdout.split())
 
     added = loaded("import homalt.cli; " + show) - loaded(show)
     assert "homalt.cli" in added
-    banned = {"dataclasses", "inspect", "concurrent.futures", "logging", "queue"}
+    banned = {"dataclasses", "inspect", "concurrent.futures", "logging", "queue", "typing",
+              "importlib.resources"}
     assert added & banned == set()
 
 

@@ -1,0 +1,95 @@
+"""What starting homalt loads.
+
+Each ``homalt`` call is one process, so what ``import homalt`` and
+``import homalt.cli`` load is paid on every call.  ``import homalt``
+loads linalg and core; every other public name is imported on first
+access.  Each test that counts loaded modules runs in a fresh
+interpreter.
+"""
+
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import homalt
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+TRACED = str(ROOT / "perfbench" / "traced.py")
+HOMALT_MODULES = "sorted(m for m in sys.modules if m.partition('.')[0] == 'homalt')"
+
+
+def run_python(code):
+    """stdout of ``python -c CODE`` with src/ on the path."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_import_loads_only_linalg_and_core():
+    out = run_python(
+        "import sys\n"
+        "import homalt\n"
+        "before = " + HOMALT_MODULES + "\n"
+        "from homalt import plus_algebra\n"
+        "print(before)\n"
+        "print(sorted(set(" + HOMALT_MODULES + ") - set(before)))\n"
+    )
+    assert out == [
+        "['homalt', 'homalt.core', 'homalt.linalg', 'homalt.record']",
+        "['homalt.constructions']",
+    ]
+
+
+def test_submodules_load_on_attribute_access():
+    out = run_python(
+        "import homalt\n"
+        "print(homalt.symbolic.__name__, homalt.dsl.parse_identity is homalt.parse_identity)\n"
+    )
+    assert out == ["homalt.symbolic True"]
+
+
+def _owner(name):
+    """The submodule that provides a public name of the package."""
+    if name in homalt._SUBMODULE:
+        return "homalt." + homalt._SUBMODULE[name]
+    return "homalt.linalg" if hasattr(homalt.linalg, name) else "homalt.core"
+
+
+@pytest.mark.parametrize("name", [n for n in homalt.__all__ if n != "__version__"])
+def test_every_public_name_resolves_to_its_submodule(name):
+    assert getattr(homalt, name) is getattr(importlib.import_module(_owner(name)), name)
+    assert name in dir(homalt)
+
+
+def test_namespace_is_complete_and_closed():
+    assert len(set(homalt.__all__)) == len(homalt.__all__)
+    assert "__version__" in dir(homalt)
+    namespace = {}
+    exec("from homalt import *", namespace)
+    assert set(homalt.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        homalt.no_such_name
+    with pytest.raises(ImportError):
+        exec("from homalt import no_such_name", {})
+
+
+def test_cli_import_loads_every_traced_module():
+    # perfbench/traced.py wraps each LAYERS function in every loaded
+    # homalt module, the package's own core bindings included.
+    out = run_python(
+        "import runpy, sys\n"
+        "import homalt\n"
+        "import homalt.cli\n"
+        "layers = runpy.run_path(%r)['LAYERS']\n"
+        "print(sorted({m for _, m, _, _ in layers if 'homalt.' + m not in sys.modules}))\n"
+        "print(vars(homalt)['mul'] is homalt.core.mul)\n" % TRACED
+    )
+    assert out == ["[]", "True"]

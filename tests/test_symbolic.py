@@ -1,15 +1,18 @@
 import copy
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
-from types import SimpleNamespace
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homalt import symbolic
 from homalt.cli import main
 from homalt.core import apply_alpha, hom_associator, mul, random_element
 from homalt.dsl import (
@@ -295,6 +298,36 @@ def test_cross_linearization_of_assoc_shift():
     assert rename_leaves(lin, {"y#0": "y", "y#1": "w"}) == target
 
 
+# x*x + x*y is not homogeneous in x: no polarization of x into 2 slots exists.
+INHOMOGENEOUS = """
+from homalt.symbolic import multilinearize, poly_mul, var
+p = poly_mul(var("x"), var("x")) + poly_mul(var("x"), var("y"))
+try:
+    print(multilinearize(p, {"x": 2, "y": 1}))
+except ValueError as exc:
+    print("ValueError:", exc)
+"""
+INHOMOGENEOUS_ERROR = "cannot polarize 'x' into 2 slots: monomial (x*y) has degree 1 in it"
+
+
+def test_multilinearize_names_an_inhomogeneous_monomial():
+    p = poly_mul(var("x"), var("x")) + poly_mul(var("x"), var("y"))
+    with pytest.raises(ValueError) as exc:
+        multilinearize(p, {"x": 2, "y": 1})
+    assert str(exc.value) == INHOMOGENEOUS_ERROR
+
+
+def test_multilinearize_refuses_an_inhomogeneous_monomial_under_python_O():
+    # An assert here would be stripped, and the polarization come out wrong.
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-O", "-c", INHOMOGENEOUS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ValueError: %s\n" % INHOMOGENEOUS_ERROR
+
+
 def test_check_identity_rejects_wrong_degrees(a230):
     idf = identity_registry()["middle-square"]
     with pytest.raises(ValueError, match="not homogeneous"):
@@ -351,7 +384,8 @@ def test_certificates_may_lean_only_on_earlier_identities(used, tmp_path, monkey
     data["assoc-shift"]["instances"] = circular
     (tmp_path / "data").mkdir()
     (tmp_path / "data" / "certificates.json").write_text(json.dumps(data))
-    monkeypatch.setattr(symbolic, "resources", SimpleNamespace(files=lambda pkg: tmp_path))
+    # load_certificates imports importlib.resources when called.
+    monkeypatch.setattr(resources, "files", lambda pkg: tmp_path)
     with pytest.raises(ValueError, match="only identities certified before it"):
         load_certificates()
 
