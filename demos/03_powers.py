@@ -8,21 +8,17 @@ Power associativity means every split agrees: x^(n-i,i) = x^n.
 Run:  python3 demos/03_powers.py
 """
 
-import random
-
 from homalt import (
     AlbertParams,
     PowerTable,
     albert5_twisted,
     check_nth_hom_power_associative,
-    check_power_associativity_polarized,
     check_third_fourth_criterion,
-    random_element,
+    qq,
 )
 
 A = albert5_twisted(AlbertParams(2, 3, 0))
-rng = random.Random(0)
-x = random_element(A, rng)
+x = A.element([qq(1), qq(-2, 3), qq(1, 2), qq(3), qq(-1)])
 t = PowerTable(A, x)
 
 print("x =", x)
@@ -34,16 +30,13 @@ for i in range(1, 5):
     print("  x^(%d,%d) =" % (5 - i, i), t.pair(5 - i, i),
           " equal to x^5:", t.pair(5 - i, i) == t.power(5))
 
-# The sampled checker draws seeded random elements; for n <= 5 it also
-# runs a polarization sweep, which upgrades the verdict to a proof.
-for n in (2, 5, 8):
-    rep = check_nth_hom_power_associative(A, n, samples=25, seed=0)
+# The checker proves the law for every x at once: it polarizes x^n and
+# sweeps all multisets of n basis elements, so the verdict is exact.
+for n in (2, 5, 6):
+    rep = check_nth_hom_power_associative(A, n)
     print("\nn = %d: %s  (%s)" % (n, "PASS" if rep.passed else "FAIL", rep.note))
-
-rep = check_power_associativity_polarized(A, 4)
-print("\nstandalone polarized proof for n = 4:", rep.passed, "--", rep.note)
 
 # Two low-degree identities suffice for all n at once: x^2 alpha(x)
 # commutes, and x^4 is the square of alpha(x^2).
-rep = check_third_fourth_criterion(A, samples=25, seed=0)
+rep = check_third_fourth_criterion(A)
 print("third/fourth criterion:", rep.passed, "--", rep.note)

@@ -8,8 +8,6 @@ as(x^2, alpha(y), alpha(x)) = 0, i.e. A is Hom-Jordan admissible.
 Run:  python3 demos/04_jordan.py
 """
 
-import random
-
 from homalt import (
     AlbertParams,
     albert5_base,
@@ -19,15 +17,14 @@ from homalt import (
     jordan_defect,
     mul,
     plus_algebra,
-    random_element,
+    qq,
 )
 
 A = albert5_twisted(AlbertParams(2, 3, 0))
 P = plus_algebra(A)
 
-rng = random.Random(1)
-x = random_element(A, rng)
-y = random_element(A, rng)
+x = A.element([qq(1), qq(2), qq(0), qq(-1, 2), qq(1)])
+y = A.element([qq(0), qq(1), qq(-3), qq(1), qq(2, 3)])
 px = P.element(list(x.coords.entries))
 py = P.element(list(y.coords.entries))
 

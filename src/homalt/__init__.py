@@ -56,7 +56,6 @@ from .core import (
     is_right_hom_alternative,
     load_algebra,
     mul,
-    random_element,
     save_algebra,
 )
 
@@ -78,7 +77,6 @@ _LAZY = {
     "powers": (
         "PowerTable",
         "check_nth_hom_power_associative",
-        "check_power_associativity_polarized",
         "check_third_fourth_criterion",
         "hom_power",
         "hom_power_pair",
@@ -161,7 +159,6 @@ __all__ = [
     "is_right_hom_alternative",
     "load_algebra",
     "mul",
-    "random_element",
     "save_algebra",
     *_SUBMODULE,
     "__version__",

@@ -28,16 +28,17 @@ Hom-alternative and the identity is in ``symbolic.certified_identities()``:
 its shipped certificate then proves it in every such algebra.  Otherwise
 -- an axiom fails, or the certificate or one it leans on does not
 verify -- the suite runs the polarized basis sweep, which also finds the
-witness.  ``identity`` always sweeps.
+witness.  ``identity`` always sweeps.  A sweep above
+``powers.MAX_SWEEP`` evaluations is bad input (exit 2); the powers and
+identities suites size theirs while they decide their preconditions.
 
-Reports are deterministic: the same command line (including ``--seed``,
-which with ``--samples`` only ``check`` and ``powers`` take, for the
-powers suite's samples) produces byte-identical output.  ``--timings``
-adds wall-clock times and is therefore off by default; ``_row`` runs,
-times and shapes every row.  A row times a cache hit when the fact it
-reports was decided as a precondition: an ``axioms`` row when another
-suite needed its hypothesis, a transferred ``identities`` row always,
-and a ``symbolic`` certificate row after transfer was decided.
+Reports are deterministic: the same command line produces
+byte-identical output.  ``--timings`` adds wall-clock times and is
+therefore off by default; ``_row`` runs, times and shapes every row.  A
+row times a cache hit when the fact it reports was decided as a
+precondition: an ``axioms`` row when another suite needed its
+hypothesis, a transferred ``identities`` row always, and a ``symbolic``
+certificate row after transfer was decided.
 ``check`` runs its suites' checks on a pool of plain
 ``threading.Thread``s, at most ``HOMALT_THREADS`` of them.  Rows come
 back in suite order, and when checks raise, the exception of the first
@@ -88,7 +89,7 @@ from .idempotents import albert_decomposition, decompose_element, idempotent_sea
 from .jordan import check_hom_jordan_admissible
 from .linalg import Matrix, char_poly, format_scalar, parse_scalar
 from .operators import check_idempotent_operator_suite, check_mul_operator_identities
-from .powers import check_nth_hom_power_associative, check_third_fourth_criterion
+from .powers import check_nth_hom_power_associative, check_third_fourth_criterion, sweep_size
 from .symbolic import (
     certified_identities,
     check_identity_on_algebra,
@@ -120,8 +121,8 @@ class Command(FrozenRecord):
 
 
 COMMANDS = {
-    "check": Command((), ("suites", "seed", "samples", "nmax", "timings"), False),
-    "powers": Command(("powers",), ("n", "samples", "seed", "timings")),
+    "check": Command((), ("suites", "nmax", "timings"), False),
+    "powers": Command(("powers",), ("n", "timings")),
     "jordan": Command(("jordan",), ("timings",)),
     "decompose": Command(("decompose",), ("idempotent", "timings")),
     "operators": Command(("operators",), ("idempotent", "nmax", "timings")),
@@ -135,16 +136,14 @@ class SuiteConfig(FrozenRecord):
     ``algebra`` is None for ``symbolic``, which needs no algebra.
     """
 
-    _fields = ("algebra", "command", "suites", "seed", "samples", "nmax", "output", "twist",
-               "timings", "idempotent", "teichmuller", "certificates")
+    _fields = ("algebra", "command", "suites", "nmax", "output", "twist", "timings",
+               "idempotent", "teichmuller", "certificates")
 
     def __init__(
         self,
         algebra: str | None,
         command: str = "check",
         suites: tuple = ALL_SUITES,
-        seed: int = 0,
-        samples: int = 25,
         nmax: int = 5,
         output: str = "text",
         twist: str | None = None,
@@ -153,11 +152,9 @@ class SuiteConfig(FrozenRecord):
         teichmuller: bool = True,
         certificates: bool = True,
     ):
-        self._set(algebra=algebra, command=command, suites=suites, seed=seed, samples=samples,
-                  nmax=nmax, output=output, twist=twist, timings=timings,
-                  idempotent=idempotent, teichmuller=teichmuller, certificates=certificates)
-        if self.samples < 1:
-            raise InputError("--samples must be >= 1, got %d" % self.samples)
+        self._set(algebra=algebra, command=command, suites=suites, nmax=nmax, output=output,
+                  twist=twist, timings=timings, idempotent=idempotent,
+                  teichmuller=teichmuller, certificates=certificates)
         if self.nmax < 2:
             flag = "--n" if self.command == "powers" else "--nmax"
             raise InputError("%s must be >= 2, got %d" % (flag, self.nmax))
@@ -389,13 +386,19 @@ def _suite_axioms(A, cfg, idempotent):
     return [partial(fn, A) for fn in (is_multiplicative, is_right_hom_alternative)]
 
 
+def _sweepable(A, degrees):
+    """Refuse (exit 2) a sweep that sweep_size caps."""
+    try:
+        sweep_size(A.dim, degrees)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _suite_powers(A, cfg, idempotent):
     require(A, "the powers suite", "multiplicative")
-    checks = [
-        partial(check_nth_hom_power_associative, A, n, cfg.samples, cfg.seed)
-        for n in range(2, cfg.nmax + 1)
-    ]
-    return checks + [partial(check_third_fourth_criterion, A, cfg.samples, cfg.seed)]
+    _sweepable(A, (max(cfg.nmax, 4),))  # third/fourth sweeps degree 4
+    checks = [partial(check_nth_hom_power_associative, A, n) for n in range(2, cfg.nmax + 1)]
+    return checks + [partial(check_third_fourth_criterion, A)]
 
 
 def _suite_jordan(A, cfg, idempotent):
@@ -484,6 +487,9 @@ def _suite_identities(A, cfg, idempotent):
     sweep, which finds the witness."""
     require(A, "the identities suite", "multiplicative")
     transfer = _transferable(A)
+    for ident in identity_registry().values():
+        if ident.name not in transfer:
+            _sweepable(A, tuple(ident.degrees.values()))
     return [
         partial(_transferred, ident.name)
         if ident.name in transfer
@@ -719,12 +725,6 @@ def _build_parser():
         "--timings", action="store_true", help="add wall-clock times (breaks byte-determinism)"
     )
 
-    rng = argparse.ArgumentParser(add_help=False)
-    rng.add_argument(
-        "--samples", type=_ascii_int, default=25, help="random samples per sampled law"
-    )
-    rng.add_argument("--seed", type=_ascii_int, default=0, help="seed for the sampled laws")
-
     p = sub.add_parser("albert5", parents=[out], help="emit the 5-dimensional example algebra")
     p.add_argument("--twist", metavar="G,D,E", help="twist along the parameterized morphism")
     p.set_defaults(fn=cmd_albert5)
@@ -740,7 +740,7 @@ def _build_parser():
     p = sub.add_parser("plus", parents=[alg, out], help="symmetrized (plus) algebra")
     p.set_defaults(fn=cmd_plus)
 
-    p = sub.add_parser("check", parents=[alg, rep, rng], help="run named law suites")
+    p = sub.add_parser("check", parents=[alg, rep], help="run named law suites")
     p.add_argument(
         "--suites",
         default=",".join(ALL_SUITES),
@@ -748,7 +748,7 @@ def _build_parser():
     )
     p.add_argument("--nmax", type=_ascii_int, default=5, help="largest power / operator exponent")
 
-    p = sub.add_parser("powers", parents=[alg, rep, rng], help="nth Hom-power associativity")
+    p = sub.add_parser("powers", parents=[alg, rep], help="nth Hom-power associativity")
     p.add_argument(
         "--n", dest="nmax", metavar="N", type=_ascii_int, default=5,
         help="check powers 2..n (n >= 2)",

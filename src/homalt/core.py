@@ -47,7 +47,6 @@ __all__ = [
     "apply_alpha",
     "hom_associator",
     "commutator",
-    "random_element",
     "is_multiplicative",
     "is_right_hom_alternative",
     "is_left_hom_alternative",
@@ -243,24 +242,13 @@ def commutator(A, x, y):
     return mul(A, x, y) - mul(A, y, x)
 
 
-_NUMERATORS = tuple(range(-3, 4))
-_DENOMINATORS = (1, 2, 3)
-
-
-def random_element(A, rng):
-    """Seeded random element: numerators in -3..3, denominators in 1..3."""
-    return A.element(
-        [qq(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)) for _ in range(A.dim)]
-    )
-
-
 class CheckReport(Record):
     """Outcome of a law check.
 
     witness is None exactly when the check passed; otherwise it is the
-    lexicographically first failing tuple (basis indices for swept laws,
-    sampled Elements otherwise) and lhs/rhs hold the two evaluated sides
-    at that witness.
+    lexicographically first failing tuple (basis indices or multisets
+    for swept laws) and lhs/rhs hold the two evaluated sides at that
+    witness.
     """
 
     _fields = ("passed", "law", "witness", "lhs", "rhs", "note")

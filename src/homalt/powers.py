@@ -16,10 +16,11 @@ for all n as soon as
 
 which is the criterion checked by check_third_fourth_criterion.
 
-Checks run twice: on seeded random elements, and (for small n) as a
-polarized basis sweep.  polarized_defect_sweep, the engine behind every
-polarized proof in homalt (jordan's and symbolic's too), replaces a map
-P of degree d in a variable by its multilinear form via inclusion-exclusion,
+Every check is one polarized basis sweep, so a verdict is a proof and a
+failure's witness is a basis multiset.  polarized_defect_sweep, the
+engine behind every polarized proof in homalt (jordan's and symbolic's
+too), replaces a map P of degree d in a variable by its multilinear form
+via inclusion-exclusion,
 
     sum over nonempty S of {1..d} of (-1)^(d-|S|) P(x_S),
     x_S = sum of the slot elements indexed by S,
@@ -27,21 +28,22 @@ P of degree d in a variable by its multilinear form via inclusion-exclusion,
 and sweeps all basis tuples for the slots; over Q this vanishes
 identically iff P does, so the sweep is a proof, not a sample.  P(x_S)
 only depends on the multiset of S: 2^d evaluations per point, not d!.
+A sweep of degrees d_1, ..., d_g on dim basis elements visits
+prod C(dim + d - 1, d) multisets and combines 2^d defects at each, which
+grows fast in d; sweep_size refuses a sweep above MAX_SWEEP.
 """
 
-import random
 from itertools import combinations_with_replacement, product
-from math import prod
+from math import comb, prod
 
 from .linalg import linear_combination
-from .core import CheckReport, apply_alpha, mul, random_element, require
+from .core import CheckReport, apply_alpha, mul, require
 
 __all__ = [
     "PowerTable",
     "hom_power",
     "hom_power_pair",
     "check_nth_hom_power_associative",
-    "check_power_associativity_polarized",
     "check_third_fourth_criterion",
 ]
 
@@ -118,6 +120,22 @@ def _signed_submultisets(M):
     return [(sub, cnt) for sub, cnt in sorted(counts.items()) if cnt]
 
 
+# The most evaluations a polarized sweep may make: every default sweep up
+# to dim 20 (the largest, the associator-tail identity, makes 28,224,000).
+MAX_SWEEP = 2**25
+
+
+def sweep_size(dim, degrees):
+    """prod over degrees d of C(dim + d - 1, d) * 2^d, the evaluations of a
+    polarized sweep on dim basis elements; ValueError above MAX_SWEEP."""
+    size = prod(comb(dim + d - 1, d) << d for d in degrees)
+    if size > MAX_SWEEP:
+        raise ValueError("a polarized sweep of degrees %s on %d basis elements makes %d "
+                         "evaluations, above the cap of %d" % (
+                             ",".join(map(str, degrees)), dim, size, MAX_SWEEP))
+    return size
+
+
 def polarized_defect_sweep(A, degrees, defect_fn, law):
     """Exhaustive proof that a multihomogeneous map vanishes.
 
@@ -127,11 +145,13 @@ def polarized_defect_sweep(A, degrees, defect_fn, law):
     over basis multisets, the first group outermost.  Returns a
     CheckReport; a failure witnesses the first failing (multiset, tag)
     -- (tuple of multisets, tag) for a tuple of degrees -- with the
-    polarized defect as lhs.
+    polarized defect as lhs.  Raises ValueError, before any work, when
+    sweep_size refuses the sweep.
     """
     single = isinstance(degrees, int)
     degrees = (degrees,) if single else tuple(degrees)
     dim = A.dim
+    sweep_size(dim, degrees)
     basis = A.basis()
     cache = {}  # tuple of sorted index tuples -> {tag: Element}
     sums = {}  # sorted index tuple -> the sum of those basis elements
@@ -163,47 +183,27 @@ def polarized_defect_sweep(A, degrees, defect_fn, law):
     return CheckReport(True, law)
 
 
-def check_power_associativity_polarized(A, n):
-    """Deterministic proof of n-th Hom-power associativity on A (n >= 2)."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("polarized power check needs n >= 2, got %r" % (n,))
-    require(A, "power associativity check", "multiplicative")
-    law = "hom-power-associative-polarized(n=%d)" % n
-    return polarized_defect_sweep(A, n, lambda x: _power_defects(A, x, n), law)
+def check_nth_hom_power_associative(A, n):
+    """x^n == x^(n-i,i) for all i, proved or refuted by the polarized sweep.
 
-
-def check_nth_hom_power_associative(A, n, samples=25, seed=0):
-    """x^n == x^(n-i,i) for all i, on seeded samples (plus proof for n <= 5).
-
-    The sampled pass draws `samples` seeded random elements; for n <= 5
-    the polarized basis sweep also runs, upgrading the verdict from
-    evidence to proof.  Requires a multiplicative algebra.
+    A failure witnesses the first failing (basis multiset, i), with the
+    polarized defect x^n - x^(n-i,i) as lhs.  Requires a multiplicative
+    algebra.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("Hom-power associativity needs n >= 1, got %r" % (n,))
     require(A, "power associativity check", "multiplicative")
     law = "hom-power-associative(n=%d)" % n
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = random_element(A, rng)
-        for i, d in _power_defects(A, x, n):
-            if not d.is_zero():
-                t = PowerTable(A, x)
-                return CheckReport(False, law, (x, i), t.power(n), t.pair(n - i, i))
-    note = "sampled %d elements" % samples
-    if 2 <= n <= 5:
-        rep = polarized_defect_sweep(A, n, lambda x: _power_defects(A, x, n), law)
-        if not rep.passed:
-            rep.note = note + "; polarized sweep found the failure"
-            return rep
-        note += "; polarized sweep proved it"
-    return CheckReport(True, law, note=note)
+    rep = polarized_defect_sweep(A, n, lambda x: _power_defects(A, x, n), law)
+    rep.note = "polarized sweep %s" % ("proved it" if rep.passed else "found the failure")
+    return rep
 
 
-def check_third_fourth_criterion(A, samples=25, seed=0):
+def check_third_fourth_criterion(A):
     """x^2*alpha(x) == alpha(x)*x^2 and x^4 == alpha(x^2)*alpha(x^2).
 
-    Both sampled and proved by polarization (degrees 3 and 4).  For a
+    Proved or refuted by two polarized sweeps, of degrees 3 and 4; a
+    failure witnesses (basis multiset, "third" or "fourth").  For a
     multiplicative right Hom-alternative algebra these two laws imply
     n-th Hom-power associativity for every n.
     """
@@ -211,29 +211,18 @@ def check_third_fourth_criterion(A, samples=25, seed=0):
     law = "third-fourth-power-criterion"
 
     def third(x):
-        t = PowerTable(A, x)
-        x2 = t.power(2)
+        x2 = PowerTable(A, x).power(2)
         ax = apply_alpha(A, x)
-        return mul(A, x2, ax) - mul(A, ax, x2)
+        return [("third", mul(A, x2, ax) - mul(A, ax, x2))]
 
     def fourth(x):
         t = PowerTable(A, x)
         ax2 = apply_alpha(A, t.power(2))
-        return t.power(4) - mul(A, ax2, ax2)
+        return [("fourth", t.power(4) - mul(A, ax2, ax2))]
 
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = random_element(A, rng)
-        d3 = third(x)
-        if not d3.is_zero():
-            return CheckReport(False, law, (x, "third"), d3, A.zero())
-        d4 = fourth(x)
-        if not d4.is_zero():
-            return CheckReport(False, law, (x, "fourth"), d4, A.zero())
-    rep = polarized_defect_sweep(A, 3, lambda x: [("third", third(x))], law)
-    if not rep.passed:
-        return rep
-    rep = polarized_defect_sweep(A, 4, lambda x: [("fourth", fourth(x))], law)
-    if not rep.passed:
-        return rep
-    return CheckReport(True, law, note="sampled %d elements; both polarized sweeps proved it" % samples)
+    for degree, defects in ((3, third), (4, fourth)):
+        rep = polarized_defect_sweep(A, degree, defects, law)
+        if not rep.passed:
+            rep.note = "polarized sweep found the failure"
+            return rep
+    return CheckReport(True, law, note="both polarized sweeps proved it")

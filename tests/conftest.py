@@ -27,6 +27,13 @@ def untwisted_alpha(A):
     return HomAlgebra(A.dim, A.basis_names, copy_mu(A), identity_matrix(A.dim))
 
 
+def random_element(A, rng):
+    """Seeded random element: numerators in -3..3, denominators in 1..3."""
+    return A.element(
+        [qq(rng.choice(range(-3, 4)), rng.choice((1, 2, 3))) for _ in range(A.dim)]
+    )
+
+
 def hom_power_poly(n):
     """x^n in the free algebra: x^1 = x, x^n = x^(n-1) * alpha^(n-2)(x)."""
     return var("x") if n == 1 else poly_mul(hom_power_poly(n - 1), var("x", n - 2))

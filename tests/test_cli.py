@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -73,7 +74,7 @@ def test_failing_law_exits_one(capsys):
         ["check", "albert5", "--twist", "2,3"],
         ["check", "albert5", "--suites", "axioms,bogus"],
         ["check", "albert5", "--nmax", "1"],
-        ["check", "albert5", "--samples", "0"],
+        ["powers", "albert5", "--n", "40"],  # a sweep above powers.MAX_SWEEP
         ["identity", "albert5", "--expr", "(mul x"],
         ["identity", "albert5", "--expr", "(= (as x y y) (scale 0 x))",
          "--degrees", "x=0,y=2"],
@@ -99,11 +100,23 @@ def test_bad_input_exits_two(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("flag", [["--samples", "-3"], ["--samples", "3"], ["--seed", "7"]])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["operators", "--samples", "-3"],
+        ["operators", "--samples", "3"],
+        ["operators", "--seed", "7"],
+        ["check", "--samples", "3"],
+        ["check", "--seed", "7"],
+        ["powers", "--samples", "3"],
+        ["powers", "--seed", "7"],
+    ],
+)
 def test_operators_takes_no_sampling_flags(flag, capsys):
-    # It samples nothing, so argparse refuses the flags (usage error, exit 2).
+    # No command samples, so argparse refuses the flags (usage error, exit 2).
+    command, *flag = flag
     with pytest.raises(SystemExit) as exc:
-        main(["operators", "albert5", "--twist", "2,3,0", *flag])
+        main([command, "albert5", "--twist", "2,3,0", *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
 
@@ -131,8 +144,6 @@ def test_bad_thread_cap_exits_two(monkeypatch, capsys):
         ["powers", "albert5", "--twist", "2,3,0", "--n", "\u0663"],
         ["check", "albert5", "--nmax", "1_0"],
         ["operators", "albert5", "--twist", "2,3,0", "--nmax", "\u0663"],
-        ["powers", "albert5", "--twist", "2,3,0", "--samples", "\u0662"],
-        ["check", "albert5", "--seed", "1_0"],
         ["derive", "albert5", "--twist", "2,3,0", "--n", "\u0661"],
     ],
 )
@@ -158,6 +169,47 @@ def test_dim_above_the_cap_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: bad algebra JSON: dim %d is above the cap of %d\n"
         % (core.MAX_DIM + 1, core.MAX_DIM)
+    )
+
+
+def test_sweep_above_the_cap_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["powers", "albert5", "--n", "40"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: a polarized sweep of degrees 40 on 5 basis elements makes %d evaluations, "
+        "above the cap of %d\n" % (math.comb(44, 40) << 40, powers.MAX_SWEEP)
+    )
+
+
+def save_dim64_table(path):
+    """alpha = Id and b0*b0 = b1, b1*b0 = b2: multiplicative, and not right
+    Hom-alternative (as(b0, b0, b0) = b2), so the identities suite sweeps."""
+    dim = core.MAX_DIM
+    pathlib.Path(path).write_text(json.dumps({
+        "dim": dim,
+        "basis": ["b%d" % i for i in range(dim)],
+        "mu": [{"i": 0, "j": 0, "k": 1, "c": "1"}, {"i": 1, "j": 0, "k": 2, "c": "1"}],
+        "alpha": [[str(int(i == j)) for j in range(dim)] for i in range(dim)],
+    }))
+
+
+@pytest.mark.parametrize(
+    "argv,degrees,size",
+    [
+        (["check", "dim64.json", "--suites", "identities"], "1,2,1", 136314880),
+        (["identity", "dim64.json", "--expr", "(= (mul (mul x y) (mul z w)) (mul x (mul y "
+          "(mul z w))))"], "1,1,1,1", 268435456),
+    ],
+    ids=["check", "identity"],
+)
+def test_dim_64_identity_sweeps_exit_two(argv, degrees, size, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_dim64_table("dim64.json")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: a polarized sweep of degrees %s on 64 basis elements makes %d evaluations, "
+        "above the cap of %d\n" % (degrees, size, powers.MAX_SWEEP)
     )
 
 
@@ -383,7 +435,7 @@ def test_import_loads_no_dataclasses_or_futures():
     added = loaded("import homalt.cli; " + show) - loaded(show)
     assert "homalt.cli" in added
     banned = {"dataclasses", "inspect", "concurrent.futures", "logging", "queue", "typing",
-              "importlib.resources"}
+              "importlib.resources", "random"}
     assert added & banned == set()
 
 
@@ -559,12 +611,14 @@ FLAGS = {
     "twist": {"algebra": None, ("--twist",): None, ("-o", "--out"): None, ("--by",): None},
     "derive": {"algebra": None, ("--twist",): None, ("-o", "--out"): None, ("--n",): None},
     "plus": {"algebra": None, ("--twist",): None, ("-o", "--out"): None},
+    # check and powers prove every power law by a sweep, so they lost
+    # --samples and --seed as operators did
     "check": {"algebra": None, ("--twist",): None, ("--output",): "text",
-              ("--timings",): False, ("--samples",): 25, ("--seed",): 0,
+              ("--timings",): False,
               ("--suites",): "axioms,powers,jordan,decompose,operators,identities,symbolic",
               ("--nmax",): 5},
     "powers": {"algebra": None, ("--twist",): None, ("--output",): "text",
-               ("--timings",): False, ("--samples",): 25, ("--seed",): 0, ("--n",): 5},
+               ("--timings",): False, ("--n",): 5},
     "jordan": {"algebra": None, ("--twist",): None, ("--output",): "text",
                ("--timings",): False},
     "decompose": {"algebra": None, ("--twist",): None, ("--output",): "text",

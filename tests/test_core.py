@@ -25,13 +25,12 @@ from homalt.core import (
     is_right_hom_alternative,
     load_algebra,
     mul,
-    random_element,
     require,
     save_algebra,
 )
 from homalt.linalg import qq
 
-from conftest import TWIST_TRIPLES, twisted_albert, untwisted_alpha
+from conftest import TWIST_TRIPLES, random_element, twisted_albert, untwisted_alpha
 
 
 def same_algebra(A, B):

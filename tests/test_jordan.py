@@ -2,12 +2,12 @@ import random
 
 from homalt import powers
 from homalt.constructions import albert5_alpha, plus_algebra, yau_twist
-from homalt.core import apply_alpha, mul, random_element
+from homalt.core import apply_alpha, mul
 from homalt.jordan import check_hom_jordan, check_hom_jordan_admissible, jordan_defect
 from homalt.linalg import qq
 from homalt.powers import polarized_defect_sweep
 
-from conftest import SIX
+from conftest import SIX, random_element
 from test_cli import record_calls
 
 ADMISSIBLE_NOTE = "polarized sweep of as(x*x, alpha(y), alpha(x)) on A+"

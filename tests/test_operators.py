@@ -3,8 +3,7 @@ import random
 import pytest
 
 from homalt.constructions import AlbertParams, albert5_twisted
-from homalt import core
-from homalt.core import HomAlgebra, apply_alpha, mul, random_element
+from homalt.core import HomAlgebra, apply_alpha, mul
 from homalt.linalg import Matrix, Vector, mat_mul, qq
 from homalt.operators import (
     MulOperator,
@@ -19,8 +18,7 @@ from homalt.operators import (
     right_op,
 )
 
-from conftest import SIX, untwisted_alpha
-from test_cli import record_calls
+from conftest import SIX, random_element, untwisted_alpha
 
 
 def test_action_tables_at_the_idempotent(a230):
@@ -123,11 +121,9 @@ def sampled_r_composition(A, samples=5):
     return True
 
 
-def test_mul_operator_identities_keep_their_verdicts(six, monkeypatch):
+def test_mul_operator_identities_keep_their_verdicts(six):
     name, A = six
-    draws = record_calls(monkeypatch, core, "random_element")
     rep = check_mul_operator_identities(A)
-    assert draws == []
     assert rep.passed == SIX[name] == sampled_r_composition(A)
     assert rep.note == (PROVED if rep.passed else "R-composition fails on basis pair")
 

@@ -1,19 +1,23 @@
 import random
+import time
+from itertools import combinations
 
 import pytest
 
-from homalt.core import HomAlgebra, apply_alpha, mul, random_element
+from homalt.core import HomAlgebra, apply_alpha, mul
 from homalt.linalg import identity_matrix, qq
 from homalt.powers import (
+    MAX_SWEEP,
     PowerTable,
     check_nth_hom_power_associative,
-    check_power_associativity_polarized,
     check_third_fourth_criterion,
     hom_power,
     hom_power_pair,
+    sweep_size,
 )
+from homalt.symbolic import identity_registry
 
-
+from conftest import SIX, random_element
 
 
 def diagonal_associative():
@@ -112,9 +116,8 @@ def test_alpha_commutes_with_powers(twisted):
 
 def test_checkers_pass_on_twisted(twisted):
     for n in range(2, 9):
-        assert check_nth_hom_power_associative(twisted, n, samples=10, seed=0).passed
-    for n in range(2, 6):
-        assert check_power_associativity_polarized(twisted, n).passed
+        rep = check_nth_hom_power_associative(twisted, n)
+        assert rep.passed and rep.note == "polarized sweep proved it"
     assert check_third_fourth_criterion(twisted).passed
 
 
@@ -122,9 +125,72 @@ def test_classical_associative_algebra_power_associative():
     A = diagonal_associative()
     for n in range(2, 7):
         assert check_nth_hom_power_associative(A, n).passed
-    for n in range(2, 6):
-        assert check_power_associativity_polarized(A, n).passed
     assert check_third_fourth_criterion(A).passed
+
+
+# -- the sampled route the sweep replaced -------------------------------------------
+
+
+def sampled_power_associative(A, n, samples=25, seed=0):
+    """x^n == x^(n-i,i) for all i on seeded random x."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        t = PowerTable(A, random_element(A, rng))
+        if any(t.pair(n - i, i) != t.power(n) for i in range(1, n)):
+            return False
+    return True
+
+
+def sampled_third_fourth(A, samples=25, seed=0):
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x = random_element(A, rng)
+        t = PowerTable(A, x)
+        ax, ax2 = apply_alpha(A, x), apply_alpha(A, t.power(2))
+        if mul(A, t.power(2), ax) != mul(A, ax, t.power(2)) or t.power(4) != mul(A, ax2, ax2):
+            return False
+    return True
+
+
+def polarized(A, M, fn):
+    """sum over nonempty slot subsets S of (-1)^(d-|S|) fn(x_S), x_S the sum of
+    the basis elements M indexes at S: the polarized form of fn at M, with
+    every subset summed on its own (no multiset collapsing)."""
+    d = len(M)
+    total = A.zero()
+    for r in range(1, d + 1):
+        for S in combinations(M, r):
+            x = sum((A.basis_element(i) for i in S), A.zero())
+            total = total + fn(x).scale((-1) ** (d - r))
+    return total
+
+
+def power_defect(A, n, i):
+    return lambda x: hom_power(A, x, n) - hom_power_pair(A, x, n - i, i)
+
+
+def third_defect(A):
+    def fn(x):
+        x2, ax = hom_power(A, x, 2), apply_alpha(A, x)
+        return mul(A, x2, ax) - mul(A, ax, x2)
+    return fn
+
+
+def test_sweep_keeps_the_sampled_verdicts(six):
+    name, A = six
+    for n in range(2, 7):
+        rep = check_nth_hom_power_associative(A, n)
+        sampled = sampled_power_associative(A, n)
+        assert rep.passed == sampled, (n, rep.witness)
+        assert sampled or not rep.passed  # a sampled failure is a sweep failure
+        if not rep.passed:
+            M, i = rep.witness
+            assert rep.lhs == polarized(A, M, power_defect(A, n, i)) != A.zero()
+    rep = check_third_fourth_criterion(A)
+    assert rep.passed == sampled_third_fourth(A) == SIX[name]
+    if not rep.passed:
+        assert rep.witness[1] == "third"
+        assert rep.lhs == polarized(A, rep.witness[0], third_defect(A)) != A.zero()
 
 
 # -- failures ------------------------------------------------------------------------
@@ -134,31 +200,55 @@ def test_fixture_fails_small_powers(bad_algebra):
     assert check_nth_hom_power_associative(bad_algebra, 2).passed  # trivially
     rep3 = check_nth_hom_power_associative(bad_algebra, 3)
     assert not rep3.passed
-    x, i = rep3.witness
-    assert i == 2
-    t = PowerTable(bad_algebra, x)
-    assert t.pair(1, 2) != t.power(3)  # the witness really witnesses
-    assert rep3.lhs == t.power(3) and rep3.rhs == t.pair(1, 2)
+    assert rep3.witness == ((0, 0, 0), 2)
+    assert rep3.note == "polarized sweep found the failure"
+    # the witness replays: the polarized defect at (0, 0, 0) is 3! (x^3 - x^(1,2)) at e_0
+    e = bad_algebra.basis_element(0)
+    assert rep3.lhs == power_defect(bad_algebra, 3, 2)(e).scale(6) != bad_algebra.zero()
+    assert rep3.rhs == bad_algebra.zero()
     assert not check_nth_hom_power_associative(bad_algebra, 4).passed
-    assert not check_power_associativity_polarized(bad_algebra, 3).passed
 
 
 def test_fixture_witness_reproducible(bad_algebra):
     a = check_nth_hom_power_associative(bad_algebra, 3)
     b = check_nth_hom_power_associative(bad_algebra, 3)
-    assert a.witness == b.witness
-    assert repr(a.witness[0]) == "3/2*a + 3/2*b - 3/2*c"
+    assert a.witness == b.witness == ((0, 0, 0), 2)
+    assert a.lhs == b.lhs
+    assert repr(a.lhs) == "-12*b - 24*c"
 
 
 def test_fixture_fails_third_fourth(bad_algebra):
     rep = check_third_fourth_criterion(bad_algebra)
     assert not rep.passed
-    x, tag = rep.witness
-    assert tag == "third"
-    # the third-power criterion x^2 alpha(x) = alpha(x) x^2 fails at x
-    x2 = mul(bad_algebra, x, x)
-    ax = apply_alpha(bad_algebra, x)
-    assert mul(bad_algebra, x2, ax) != mul(bad_algebra, ax, x2)
+    M, tag = rep.witness
+    assert (M, tag) == ((0, 0, 0), "third")
+    # the third-power criterion x^2 alpha(x) = alpha(x) x^2, polarized at M
+    assert rep.lhs == polarized(bad_algebra, M, third_defect(bad_algebra)) != bad_algebra.zero()
+
+
+# -- the sweep-size cap --------------------------------------------------------------
+
+
+def test_default_sweeps_fit_the_cap_up_to_dim_20():
+    # powers at the default --nmax 5, third/fourth, Jordan on A+, and the
+    # largest registry identity, associator-tail
+    assert sweep_size(20, (5,)) == 1360128
+    for degrees in ((3,), (4,), *(tuple(i.degrees.values()) for i in identity_registry().values())):
+        assert sweep_size(20, degrees) <= MAX_SWEEP
+    assert sweep_size(20, (1, 2, 2)) == 28224000
+
+
+def test_cap_refuses_huge_sweeps_before_any_work(a230):
+    with pytest.raises(ValueError, match="makes 50135040 evaluations, above the cap of %d"
+                       % MAX_SWEEP):
+        sweep_size(5, (14,))
+    for ident in identity_registry().values():
+        with pytest.raises(ValueError, match="above the cap"):
+            sweep_size(64, tuple(ident.degrees.values()))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="above the cap"):
+        check_nth_hom_power_associative(a230, 40)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_checker_guards(a230, non_multiplicative):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homalt.cli import main
-from homalt.core import apply_alpha, hom_associator, mul, random_element
+from homalt.core import apply_alpha, hom_associator, mul
 from homalt.dsl import (
     MAX_ALPHA_POWER,
     MAX_DEPTH,
@@ -49,6 +49,8 @@ from homalt.symbolic import (
     verify_certificate,
     verify_hom_teichmuller,
 )
+
+from conftest import random_element
 
 
 # -- raw-tree rewriting: the reference for normalize_raw and evaluate_polynomial
