@@ -43,7 +43,17 @@ and where it fails its witness, now a basis pair, and its lhs and rhs)
 and the ``operators`` config (no ``samples`` or ``seed``) changed, and
 the last command lost ``--seed 7``, a flag ``operators`` no longer
 takes; tests/test_jordan.py and tests/test_operators.py hold the new
-routes to the old ones on six algebras.  To regenerate a file after an
+routes to the old ones on six algebras.  Seven files were regenerated
+when every powers row became one polarized sweep:
+``check_albert5_230.json``, ``check_albert5_m147.json``,
+``check_random00.json``, ``check_random00.txt``,
+``check_random00_rational.json``, ``powers_albert5_230_n4.json`` and
+``powers_random00_rational.txt``.  Only the config (no ``samples`` or
+``seed``), the powers notes and the witness, lhs and rhs of failing
+powers rows changed: a witness is now a basis multiset and the lhs the
+polarized defect there.  The ``powers_albert5_230_n4`` command lost
+``--samples 3``; tests/test_powers.py holds the sweep to the sampled
+route on six algebras.  To regenerate a file after an
 intended change of output, run its command from data/golden/ with
 ``python -m homalt.cli ARGS > FILE``.
 """
