@@ -74,7 +74,7 @@ def test_failing_law_exits_one(capsys):
         ["check", "albert5", "--twist", "2,3"],
         ["check", "albert5", "--suites", "axioms,bogus"],
         ["check", "albert5", "--nmax", "1"],
-        ["powers", "albert5", "--n", "40"],  # a sweep above powers.MAX_SWEEP
+        ["check", "albert5", "--nmax", "14"],  # a sweep above powers.MAX_SWEEP
         ["identity", "albert5", "--expr", "(mul x"],
         ["identity", "albert5", "--expr", "(= (as x y y) (scale 0 x))",
          "--degrees", "x=0,y=2"],

@@ -142,6 +142,7 @@ def sampled_power_associative(A, n, samples=25, seed=0):
 
 
 def sampled_third_fourth(A, samples=25, seed=0):
+    """x^2 alpha(x) == alpha(x) x^2 and x^4 == alpha(x^2) alpha(x^2) on seeded random x."""
     rng = random.Random(seed)
     for _ in range(samples):
         x = random_element(A, rng)
@@ -178,11 +179,12 @@ def third_defect(A):
 
 def test_sweep_keeps_the_sampled_verdicts(six):
     name, A = six
-    for n in range(2, 7):
+    # n = 6 on the dim-10 sum would add ~4 s to tier-1, so that algebra
+    # stops at n = 5; the five algebras of dim <= 5 cover n = 6
+    for n in range(2, 7 if A.dim <= 5 else 6):
         rep = check_nth_hom_power_associative(A, n)
-        sampled = sampled_power_associative(A, n)
-        assert rep.passed == sampled, (n, rep.witness)
-        assert sampled or not rep.passed  # a sampled failure is a sweep failure
+        # equal verdicts: in particular a sampled failure is a sweep failure
+        assert rep.passed == sampled_power_associative(A, n), (n, rep.witness)
         if not rep.passed:
             M, i = rep.witness
             assert rep.lhs == polarized(A, M, power_defect(A, n, i)) != A.zero()
