@@ -144,7 +144,9 @@ def test_bad_thread_cap_exits_two(monkeypatch, capsys):
         ["powers", "albert5", "--twist", "2,3,0", "--n", "\u0663"],
         ["check", "albert5", "--nmax", "1_0"],
         ["operators", "albert5", "--twist", "2,3,0", "--nmax", "\u0663"],
-        ["derive", "albert5", "--twist", "2,3,0", "--n", "\u0661"],
+        ["powers", "albert5", "--twist", "2,3,0", "--n", "1_0"],
+        ["check", "albert5", "--nmax", "\u0662"],
+        ["derive","albert5", "--twist", "2,3,0", "--n", "\u0661"],
     ],
 )
 def test_integer_options_take_only_ascii_digits(argv, capsys):
