@@ -89,7 +89,8 @@ from .idempotents import albert_decomposition, decompose_element, idempotent_sea
 from .jordan import check_hom_jordan_admissible
 from .linalg import Matrix, char_poly, format_scalar, parse_scalar
 from .operators import check_idempotent_operator_suite, check_mul_operator_identities
-from .powers import check_nth_hom_power_associative, check_third_fourth_criterion, sweep_size
+from .powers import (DefectMemo, check_nth_hom_power_associative, check_third_fourth_criterion,
+                     sweep_size)
 from .symbolic import (
     certified_identities,
     check_identity_on_algebra,
@@ -396,9 +397,11 @@ def _sweepable(A, degrees):
 
 def _suite_powers(A, cfg, idempotent):
     require(A, "the powers suite", "multiplicative")
-    _sweepable(A, (max(cfg.nmax, 4),))  # third/fourth sweeps degree 4
-    checks = [partial(check_nth_hom_power_associative, A, n) for n in range(2, cfg.nmax + 1)]
-    return checks + [partial(check_third_fourth_criterion, A)]
+    memo = DefectMemo(A, max(cfg.nmax, 4))  # third/fourth sweeps degree 4
+    _sweepable(A, (memo.top,))
+    rows = [partial(check_nth_hom_power_associative, A, n, memo=memo)
+            for n in range(2, cfg.nmax + 1)]
+    return rows + [partial(memo.last_row, check_third_fourth_criterion, A)]
 
 
 def _suite_jordan(A, cfg, idempotent):

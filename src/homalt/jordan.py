@@ -29,10 +29,15 @@ def jordan_defect(A, x, y):
 
 
 def _polarized_jordan(A, law):
-    basis = A.basis()
-    return polarized_defect_sweep(
-        A, 3, lambda x: [(yi, jordan_defect(A, x, basis[yi])) for yi in range(A.dim)], law
-    )
+    alpha_basis = [apply_alpha(A, b) for b in A.basis()]
+
+    def defects(x):  # jordan_defect at every alpha(y), x's own products made once
+        x2, ax = mul(A, x, x), apply_alpha(A, x)
+        aax, ax2 = apply_alpha(A, ax), apply_alpha(A, x2)
+        return [(yi, mul(A, mul(A, x2, ay), aax) - mul(A, ax2, mul(A, ay, ax)))
+                for yi, ay in enumerate(alpha_basis)]
+
+    return polarized_defect_sweep(A, 3, defects, law)
 
 
 def check_hom_jordan(A):

@@ -14,7 +14,14 @@ for all n as soon as
 
     x^2 * alpha(x) = alpha(x) * x^2   and   x^4 = alpha(x^2) * alpha(x^2),
 
-which is the criterion checked by check_third_fourth_criterion.
+which is the criterion checked by check_third_fourth_criterion.  By the
+definitions x^(n-1,1) = x^(n-1) * alpha^(n-2)(x) = x^n, so i = 1 is never
+a witness and only 2 <= i <= n-1 is checked; n = 2 then has no split to
+check (x^2 = x^(1,1) = x*x) and makes no product; and the criterion's
+two defects are the i = 2 defects of n = 3 and n = 4.  So one DefectMemo
+serves a powers suite: the first row to reach a sub-multiset S computes
+x_S's Hom-powers once and keeps its defects for every larger n, later
+rows only read them, and after n = 4 the criterion row makes no product.
 
 Every check is one polarized basis sweep, so a verdict is a proof and a
 failure's witness is a basis multiset.  polarized_defect_sweep, the
@@ -33,10 +40,12 @@ prod C(dim + d - 1, d) multisets and combines 2^d defects at each, which
 grows fast in d; sweep_size refuses a sweep above MAX_SWEEP.
 """
 
+from functools import cache
 from itertools import combinations_with_replacement, product
 from math import comb, prod
+from operator import itemgetter
 
-from .linalg import linear_combination
+from .linalg import Vector, linear_combination
 from .core import CheckReport, apply_alpha, mul, require
 
 __all__ = [
@@ -49,7 +58,8 @@ __all__ = [
 
 
 class PowerTable:
-    """Memoised Hom-powers x^n and pairs x^(i,j) of a fixed base element."""
+    """Hom-powers x^n of a fixed base element, memoised with their alpha^k, and
+    the pairs x^(i,j) they make."""
 
     def __init__(self, A, base):
         if base.algebra is not A:
@@ -58,7 +68,6 @@ class PowerTable:
         self.base = base
         self._pow = {1: base}
         self._alpha_pow = {}  # (n, k) -> alpha^k(x^n)
-        self.pair_cache = {}
 
     def power(self, n):
         """x^n for n >= 1."""
@@ -87,12 +96,7 @@ class PowerTable:
         """x^(i,j) = alpha^(j-1)(x^i) * alpha^(i-1)(x^j), i, j >= 1."""
         if not (isinstance(i, int) and isinstance(j, int) and i >= 1 and j >= 1):
             raise ValueError("Hom-power pairs need i, j >= 1, got (%r, %r)" % (i, j))
-        key = (i, j)
-        e = self.pair_cache.get(key)
-        if e is None:
-            e = mul(self.algebra, self.alpha_power(i, j - 1), self.alpha_power(j, i - 1))
-            self.pair_cache[key] = e
-        return e
+        return mul(self.algebra, self.alpha_power(i, j - 1), self.alpha_power(j, i - 1))
 
 
 def hom_power(A, x, n):
@@ -103,21 +107,30 @@ def hom_power_pair(A, x, i, j):
     return PowerTable(A, x).pair(i, j)
 
 
-def _power_defects(A, x, n):
-    """[(i, x^n - x^(n-i,i))] for i in 1..n-1."""
-    t = PowerTable(A, x)
-    full = t.power(n)
-    return [(i, full - t.pair(n - i, i)) for i in range(1, n)]
+def _subset_sum(A, S):
+    """x_S, the sum of the basis elements indexed by S: S's multiplicities."""
+    return A.element(Vector.from_ints([S.count(v) for v in range(A.dim)], 1))
+
+
+@cache
+def _sign_template(runs):
+    """[(getter, signed count)] for the sorted multisets whose runs of equal
+    values have the lengths runs: k of a run's m copies are C(m, k) slot
+    subsets with one sub-multiset.  Runs hold increasing values, so sorting
+    the slot tuples sorts the sub-multisets."""
+    d, starts, template = sum(runs), [sum(runs[:r]) for r in range(len(runs))], []
+    for ks in product(*(range(m + 1) for m in runs)):
+        slots = tuple(s + j for s, k in zip(starts, ks) for j in range(k))
+        if slots:
+            template.append((slots, (-1) ** (d - len(slots)) * prod(map(comb, runs, ks))))
+    return [(itemgetter(*slots) if len(slots) > 1 else lambda M, t=slots[0]: (M[t],), cnt)
+            for slots, cnt in sorted(template)]
 
 
 def _signed_submultisets(M):
-    """[(sub-multiset, signed count)] of the inclusion-exclusion over M's slots."""
-    d = len(M)
-    counts = {}
-    for mask in range(1, 1 << d):
-        sub = tuple(sorted(M[t] for t in range(d) if mask >> t & 1))
-        counts[sub] = counts.get(sub, 0) + (-1) ** (d - len(sub))
-    return [(sub, cnt) for sub, cnt in sorted(counts.items()) if cnt]
+    """[(sub-multiset, signed count)] of the inclusion-exclusion over the
+    slots of the sorted multiset M, sorted by sub-multiset."""
+    return [(get(M), cnt) for get, cnt in _sign_template(tuple(map(M.count, dict.fromkeys(M))))]
 
 
 # The most evaluations a polarized sweep may make: every default sweep up
@@ -136,92 +149,116 @@ def sweep_size(dim, degrees):
     return size
 
 
-def polarized_defect_sweep(A, degrees, defect_fn, law):
+def polarized_defect_sweep(A, degrees, defect_fn, law, memo=None):
     """Exhaustive proof that a multihomogeneous map vanishes.
 
     degrees is the degree of defect_fn's one argument, or a tuple of the
     degrees of its arguments (one per variable group); defect_fn returns
-    a list of (tag, Element) defects.  Each group is polarized and swept
-    over basis multisets, the first group outermost.  Returns a
-    CheckReport; a failure witnesses the first failing (multiset, tag)
-    -- (tuple of multisets, tag) for a tuple of degrees -- with the
-    polarized defect as lhs.  Raises ValueError, before any work, when
-    sweep_size refuses the sweep.
+    a list of (tag, Element) defects, the same tags at every point.  Each
+    group is polarized and swept over basis multisets, the first group
+    outermost.  Returns a CheckReport; a failure witnesses the first
+    failing (multiset, tag) -- (tuple of multisets, tag) for a tuple of
+    degrees -- with the polarized defect as lhs.  Raises ValueError,
+    before any work, when sweep_size refuses the sweep.
+
+    Each point's defects are kept for the sweep by its sub-multisets.
+    memo, a function of the sub-multisets that gives the defects in tag
+    order, replaces defect_fn and that store, so sweeps can share one.
     """
     single = isinstance(degrees, int)
     degrees = (degrees,) if single else tuple(degrees)
     dim = A.dim
     sweep_size(dim, degrees)
-    basis = A.basis()
-    cache = {}  # tuple of sorted index tuples -> {tag: Element}
-    sums = {}  # sorted index tuple -> the sum of those basis elements
-    signed = {}  # multiset -> _signed_submultisets(multiset)
+    if memo is None:
+        store = {}
 
-    def defects_at(subs):
-        got = cache.get(subs)
-        if got is None:
-            for sub in subs:
-                if sub not in sums:
-                    sums[sub] = sum((basis[i] for i in sub), A.zero())
-            xs = [sums[sub] for sub in subs]
-            got = cache[subs] = dict(defect_fn(*xs))
-        return got
+        def memo(*subs):
+            got = store.get(subs)
+            if got is None:
+                got = store[subs] = sorted(
+                    defect_fn(*(_subset_sum(A, sub) for sub in subs)), key=itemgetter(0))
+            return got
 
-    for Ms in product(*(combinations_with_replacement(range(dim), d) for d in degrees)):
-        for M in Ms:
-            if M not in signed:
-                signed[M] = _signed_submultisets(M)
-        terms = [
-            (prod(cnt for _, cnt in picked), defects_at(tuple(sub for sub, _ in picked)))
-            for picked in product(*(signed[M] for M in Ms))
-        ]
-        for tag in sorted(terms[0][1]):
-            acc = linear_combination(((cnt, 1, vals[tag].coords) for cnt, vals in terms), dim)
-            if not acc.is_zero():
-                witness = (Ms[0] if single else Ms, tag)
-                return CheckReport(False, law, witness, A.element(acc), A.zero())
+    multisets = [combinations_with_replacement(range(dim), d) for d in degrees]
+    # Only the inner groups' multisets repeat, once per outer multiset.
+    inner = [[(M, _signed_submultisets(M)) for M in group] for group in multisets[1:]]
+    for M0 in multisets[0]:
+        signed0 = _signed_submultisets(M0)
+        for rest in product(*inner):
+            terms = [
+                (prod(cnt for _, cnt in picked), memo(*(sub for sub, _ in picked)))
+                for picked in product(signed0, *(signed for _, signed in rest))
+            ]
+            for k, (tag, _) in enumerate(terms[0][1]):
+                acc = linear_combination(((cnt, 1, vals[k][1].coords) for cnt, vals in terms), dim)
+                if not acc.is_zero():
+                    witness = (M0 if single else (M0, *(M for M, _ in rest)), tag)
+                    return CheckReport(False, law, witness, A.element(acc), A.zero())
     return CheckReport(True, law)
 
 
-def check_nth_hom_power_associative(A, n):
+class DefectMemo:
+    """The defects x_S^n - x_S^(n-i,i), 2 <= i < n <= top, of one powers
+    suite by sub-multiset S, shared by the suite's rows.  They run in order
+    on one thread, so nothing is locked, and the last one releases it."""
+
+    def __init__(self, A, top):
+        self.algebra, self.top, self.entries = A, top, {}
+
+    def defects(self, S, n):
+        """[(i, x_S^n - x_S^(n-i,i)) for i in 2..n-1]."""
+        if n < 3:
+            return []
+        entry = self.entries.get(S)
+        if entry is None or n not in entry:
+            t = PowerTable(self.algebra, _subset_sum(self.algebra, S))
+            entry = {k: [(i, t.power(k) - t.pair(k - i, i)) for i in range(2, k)]
+                     for k in range(n, max(n, self.top) + 1)}
+            if len(S) < max(self.top, 5):  # else only its own multiset reaches S
+                self.entries[S] = entry
+        return entry[n]
+
+    def last_row(self, check, *args):
+        """check(*args, memo=self), then release the memo."""
+        try:
+            return check(*args, memo=self)
+        finally:
+            self.entries = {}
+
+
+def check_nth_hom_power_associative(A, n, memo=None):
     """x^n == x^(n-i,i) for all i, proved or refuted by the polarized sweep.
 
     A failure witnesses the first failing (basis multiset, i), with the
     polarized defect x^n - x^(n-i,i) as lhs.  Requires a multiplicative
-    algebra.
+    algebra.  memo, a DefectMemo, shares defects with a suite's other rows.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("Hom-power associativity needs n >= 1, got %r" % (n,))
     require(A, "power associativity check", "multiplicative")
     law = "hom-power-associative(n=%d)" % n
-    rep = polarized_defect_sweep(A, n, lambda x: _power_defects(A, x, n), law)
+    memo = memo or DefectMemo(A, n)
+    rep = polarized_defect_sweep(A, n, None, law, memo=lambda S: memo.defects(S, n))
     rep.note = "polarized sweep %s" % ("proved it" if rep.passed else "found the failure")
     return rep
 
 
-def check_third_fourth_criterion(A):
+def check_third_fourth_criterion(A, memo=None):
     """x^2*alpha(x) == alpha(x)*x^2 and x^4 == alpha(x^2)*alpha(x^2).
 
     Proved or refuted by two polarized sweeps, of degrees 3 and 4; a
     failure witnesses (basis multiset, "third" or "fourth").  For a
     multiplicative right Hom-alternative algebra these two laws imply
-    n-th Hom-power associativity for every n.
+    n-th Hom-power associativity for every n.  memo, a DefectMemo,
+    shares defects with a suite's other rows.
     """
     require(A, "third/fourth power criterion", "multiplicative")
     law = "third-fourth-power-criterion"
-
-    def third(x):
-        x2 = PowerTable(A, x).power(2)
-        ax = apply_alpha(A, x)
-        return [("third", mul(A, x2, ax) - mul(A, ax, x2))]
-
-    def fourth(x):
-        t = PowerTable(A, x)
-        ax2 = apply_alpha(A, t.power(2))
-        return [("fourth", t.power(4) - mul(A, ax2, ax2))]
-
-    for degree, defects in ((3, third), (4, fourth)):
-        rep = polarized_defect_sweep(A, degree, defects, law)
+    memo = memo or DefectMemo(A, 4)
+    for degree, tag in ((3, "third"), (4, "fourth")):
+        rep = polarized_defect_sweep(
+            A, degree, None, law,
+            memo=lambda S, n=degree, tag=tag: [(tag, memo.defects(S, n)[0][1])])
         if not rep.passed:
             rep.note = "polarized sweep found the failure"
             return rep

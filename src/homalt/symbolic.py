@@ -649,8 +649,9 @@ def subst_poly(p, sub):
     return HomPolynomial((subst_monomial(m, sub), c) for m, c in p._terms.items())
 
 
+@functools.cache
 def _axiom_polynomial(axiom):
-    """(defining polynomial, formal variables) of a certificate axiom."""
+    """(defining polynomial, formal variables) of a certificate axiom; shared."""
     if axiom == "right-alternative":
         return ra_polynomial(), ("x", "y", "z")
     if axiom == "hom-teichmuller":
@@ -698,8 +699,10 @@ def build_instance(entry):
     return coeff, inst
 
 
+@functools.cache
 def load_certificates():
-    """The shipped certificate data, keyed by identity name."""
+    """The shipped certificate data, keyed by identity name, read once per
+    process (cache_clear() forgets it): callers must not change it."""
     # Imported on first use: it costs every process start-up time, and
     # nothing else needs it.
     from importlib import resources

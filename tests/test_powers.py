@@ -1,14 +1,20 @@
 import random
 import time
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homalt.core import HomAlgebra, apply_alpha, mul
+from homalt import core
+from homalt.cli import SuiteConfig, _suite_powers
+from homalt.core import CheckReport, HomAlgebra, apply_alpha, mul
 from homalt.linalg import identity_matrix, qq
 from homalt.powers import (
     MAX_SWEEP,
     PowerTable,
+    _signed_submultisets,
     check_nth_hom_power_associative,
     check_third_fourth_criterion,
     hom_power,
@@ -17,7 +23,8 @@ from homalt.powers import (
 )
 from homalt.symbolic import identity_registry
 
-from conftest import SIX, random_element
+from conftest import SIX, random_element, six_algebra
+from test_cli import record_calls
 
 
 def diagonal_associative():
@@ -260,3 +267,145 @@ def test_checker_guards(a230, non_multiplicative):
         check_nth_hom_power_associative(non_multiplicative, 3)
     with pytest.raises(ValueError, match="multiplicative"):
         check_third_fourth_criterion(non_multiplicative)
+
+
+# -- one defect memo per powers suite ------------------------------------------------
+
+
+def slot_mask_submultisets(M):
+    """The inclusion-exclusion over M's slots, one slot subset at a time:
+    [(sorted sub-multiset, summed sign)] over all 2^d - 1 nonempty masks."""
+    d = len(M)
+    signed = {}
+    for mask in range(1, 1 << d):
+        sub = tuple(sorted(M[t] for t in range(d) if mask >> t & 1))
+        signed[sub] = signed.get(sub, 0) + (-1) ** (d - len(sub))
+    return sorted(signed.items())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=9).map(lambda v: tuple(sorted(v))))
+def test_multiplicity_form_is_the_slot_mask_enumeration(M):
+    assert _signed_submultisets(M) == slot_mask_submultisets(M)
+
+
+def reference_rows(A, nmax):
+    """The powers suite's rows by plain per-row sweeps: each n checks every
+    split i = 1..n-1 and the criterion its own third and fourth defects,
+    each sweep with its own memo, slot-mask signs and no DefectMemo."""
+
+    def sweep(degree, law, defects):
+        memo = {}
+        for M in combinations_with_replacement(range(A.dim), degree):
+            signed = slot_mask_submultisets(M)
+            for sub, _ in signed:
+                if sub not in memo:
+                    memo[sub] = defects(sum((A.basis_element(v) for v in sub), A.zero()))
+            for k, (tag, _) in enumerate(memo[signed[0][0]]):
+                acc = A.zero()
+                for sub, cnt in signed:
+                    acc = acc + memo[sub][k][1].scale(cnt)
+                if not acc.is_zero():
+                    return CheckReport(False, law, (M, tag), acc, A.zero())
+        return CheckReport(True, law)
+
+    def splits(n):
+        def defects(x):
+            t = PowerTable(A, x)
+            return [(i, t.power(n) - t.pair(n - i, i)) for i in range(1, n)]
+        return defects
+
+    def third(x):
+        x2, ax = hom_power(A, x, 2), apply_alpha(A, x)
+        return [("third", mul(A, x2, ax) - mul(A, ax, x2))]
+
+    def fourth(x):
+        ax2 = apply_alpha(A, hom_power(A, x, 2))
+        return [("fourth", hom_power(A, x, 4) - mul(A, ax2, ax2))]
+
+    rows = []
+    for n in range(2, nmax + 1):
+        rep = sweep(n, "hom-power-associative(n=%d)" % n, splits(n))
+        rep.note = "polarized sweep %s" % ("proved it" if rep.passed else "found the failure")
+        rows.append(rep)
+    law = "third-fourth-power-criterion"
+    rep = sweep(3, law, third)
+    if rep.passed:
+        rep = sweep(4, law, fourth)
+    rep.note = "polarized sweep found the failure" if not rep.passed else (
+        "both polarized sweeps proved it")
+    return rows + [rep]
+
+
+def suite_rows(A, nmax):
+    return [check() for check in _suite_powers(A, SuiteConfig(None, nmax=nmax), None)]
+
+
+def random_commutative(seed, dim=3):
+    """A seeded commutative integer table with alpha = Id: multiplicative,
+    and x^3 = x^(1,2) holds by commutativity, while n = 4 fails."""
+    rng = random.Random(seed)
+    mu = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            mu[i][j] = mu[j][i] = [qq(rng.randint(-3, 3)) for _ in range(dim)]
+    return HomAlgebra(dim, ["e%d" % i for i in range(dim)], mu, identity_matrix(dim))
+
+
+FIELDS = ("passed", "law", "witness", "lhs", "rhs", "note")
+
+
+def assert_rows_agree(A, nmax):
+    got, want = suite_rows(A, nmax), reference_rows(A, nmax)
+    assert [[getattr(r, f) for f in FIELDS] for r in got] == [
+        [getattr(r, f) for f in FIELDS] for r in want]
+    return got
+
+
+# n = 6 on the dim-10 sum would add seconds to tier-1; nmax 5 covers it.
+@pytest.mark.parametrize("name,nmax", [(name, nmax) for name in SIX for nmax in (2, 3, 5, 6)
+                                       if nmax < 6 or name != "sum-dim10"])
+def test_suite_rows_equal_per_row_reference_sweeps(name, nmax):
+    rows = assert_rows_agree(six_algebra(name), nmax)
+    assert rows[-1].passed == SIX[name]
+
+
+@pytest.mark.parametrize("nmax", [2, 3, 5, 6])
+@pytest.mark.parametrize("seed", range(4))
+def test_suite_rows_equal_reference_on_random_commutative_tables(seed, nmax):
+    A = random_commutative(seed)
+    *powers, criterion = assert_rows_agree(A, nmax)
+    assert all(r.passed for r in powers[:2])  # n = 2, 3
+    if nmax >= 4:
+        assert not powers[2].passed and powers[2].witness[1] == 2
+    assert not criterion.passed and criterion.witness[1] == "fourth"
+
+
+def test_n2_and_criterion_rows_make_no_product(a230, bad_algebra, monkeypatch):
+    for A in (a230, bad_algebra):
+        core.is_multiplicative(A)
+        products = record_calls(monkeypatch, core, "mul")
+        made = []
+        for check in _suite_powers(A, SuiteConfig(None, nmax=5), None):
+            before = len(products)
+            check()
+            made.append(len(products) - before)
+        # rows n = 2, 3, 4, 5, then the criterion
+        assert made[0] == made[-1] == 0 and min(made[1:-1]) > 0, made
+        monkeypatch.undo()
+
+
+def test_powers_suite_memory_is_bounded():
+    # The dim-10 direct sum at the default nmax peaks at 2.3 MB under
+    # tracemalloc on Python 3.10, 3.11 and 3.13.  When each row kept its own
+    # defects and every outer multiset's sign list, it peaked at 9.9 MB.
+    A = six_algebra("sum-dim10")
+    core.is_multiplicative(A)
+    tracemalloc.start()
+    try:
+        rows = suite_rows(A, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in rows)
+    assert peak < 4e6, peak

@@ -382,14 +382,19 @@ def test_certificates_may_lean_only_on_earlier_identities(used, tmp_path, monkey
                  "substitution": {"x": "x", "y": "y", "z": "z"}}]
     with pytest.raises(ValueError, match="only identities certified before it, not %r" % used):
         verify_certificate("assoc-shift", circular)
-    data = load_certificates()
+    data = copy.deepcopy(load_certificates())  # the cached dict is shared
     data["assoc-shift"]["instances"] = circular
     (tmp_path / "data").mkdir()
     (tmp_path / "data" / "certificates.json").write_text(json.dumps(data))
-    # load_certificates imports importlib.resources when called.
+    # load_certificates imports importlib.resources when called, and
+    # reads the file only once per process until cache_clear().
     monkeypatch.setattr(resources, "files", lambda pkg: tmp_path)
-    with pytest.raises(ValueError, match="only identities certified before it"):
-        load_certificates()
+    load_certificates.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="only identities certified before it"):
+            load_certificates()
+    finally:
+        load_certificates.cache_clear()
 
 
 def test_build_instance_rejects_malformed_entries():
