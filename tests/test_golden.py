@@ -53,7 +53,12 @@ when every powers row became one polarized sweep:
 powers rows changed: a witness is now a basis multiset and the lhs the
 polarized defect there.  The ``powers_albert5_230_n4`` command lost
 ``--samples 3``; tests/test_powers.py holds the sweep to the sampled
-route on six algebras.  To regenerate a file after an
+route on six algebras.  ``jordan_random00.json``,
+``symbolic_teichmuller.json``, ``symbolic_certificates.json``,
+``decompose_albert5_230_e.json`` and ``operators_albert5_230_e_nmax3.json``
+pin the ``config`` block that each of those commands echoes; they were
+written while a checker command's report still read its config from a
+record of its own, before it read the parsed flags.  To regenerate a file after an
 intended change of output, run its command from data/golden/ with
 ``python -m homalt.cli ARGS > FILE``.
 """
@@ -96,14 +101,23 @@ CASES = [
      ["decompose", "albert5", "--twist", "2,3,0", "--output", "json"]),
     ("decompose_albert5_230_e.txt", 0,
      ["decompose", "albert5", "--twist", "2,3,0", "--idempotent", "1,0,0,0,0"]),
+    ("decompose_albert5_230_e.json", 0,
+     ["decompose", "albert5", "--twist", "2,3,0", "--idempotent", "1,0,0,0,0",
+      "--output", "json"]),
     ("jordan_random00.txt", 1, ["jordan", "random-00.json"]),
+    ("jordan_random00.json", 1, ["jordan", "random-00.json", "--output", "json"]),
     ("operators_albert5_230.json", 0,
      ["operators", "albert5", "--twist", "2,3,0", "--output", "json"]),
     ("operators_albert5_230_e_nmax3.txt", 0,
      ["operators", "albert5", "--twist", "2,3,0", "--idempotent", "1,0,0,0,0",
       "--nmax", "3"]),
+    ("operators_albert5_230_e_nmax3.json", 0,
+     ["operators", "albert5", "--twist", "2,3,0", "--idempotent", "1,0,0,0,0",
+      "--nmax", "3", "--output", "json"]),
     ("symbolic.json", 0, ["symbolic", "--output", "json"]),
     ("symbolic_teichmuller.txt", 0, ["symbolic", "--teichmuller"]),
+    ("symbolic_teichmuller.json", 0, ["symbolic", "--teichmuller", "--output", "json"]),
+    ("symbolic_certificates.json", 0, ["symbolic", "--certificates", "--output", "json"]),
     ("powers_albert5_230_n4.json", 0,
      ["powers", "albert5", "--twist", "2,3,0", "--n", "4", "--output", "json"]),
     ("distinguish_rational.json", 0,
