@@ -11,53 +11,19 @@ arithmetic) and symbolically (in the free multiplicative Hom-algebra,
 with machine-checked certificates).
 
 ``import homalt`` loads only ``linalg`` and ``core`` (and ``record``,
-which ``core`` uses) and binds their public names here.  Every other
-public name is looked up in ``_LAZY`` and its submodule imported on
-first access (PEP 562), as is ``homalt.symbolic`` and each other
-submodule there, so a client that builds and serializes algebras never
-compiles the symbolic, DSL, powers or operator layers.  ``__all__``,
+which ``core`` uses) and binds here the names in ``linalg.__all__`` and
+``core.__all__``.  Every other public name is looked up in ``_LAZY``
+and its submodule imported on first access (PEP 562), as is
+``homalt.symbolic`` and each other submodule there, so a client that
+builds and serializes algebras never compiles the symbolic, DSL, powers
+or operator layers.  ``__all__``,
 ``dir(homalt)``, ``from homalt import X`` and ``from homalt import *``
 see every name, loaded or not.
 """
 
-from .linalg import (
-    Matrix,
-    Scalar,
-    Vector,
-    char_poly,
-    format_scalar,
-    identity_matrix,
-    inverse,
-    kernel_basis,
-    mat_mul,
-    mat_pow,
-    mat_vec,
-    parse_scalar,
-    qq,
-    rank,
-    solve,
-    vec_mat,
-)
-from .core import (
-    CheckReport,
-    Element,
-    HomAlgebra,
-    HypothesisError,
-    algebra_from_json,
-    algebra_to_json,
-    apply_alpha,
-    commutator,
-    hom_associator,
-    is_hom_alternative,
-    is_hom_flexible,
-    is_idempotent,
-    is_left_hom_alternative,
-    is_multiplicative,
-    is_right_hom_alternative,
-    load_algebra,
-    mul,
-    save_algebra,
-)
+from . import core, linalg
+from .linalg import *
+from .core import *
 
 __version__ = "0.1.0"
 
@@ -125,44 +91,7 @@ _LAZY = {
 }
 _SUBMODULE = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = [
-    "Matrix",
-    "Scalar",
-    "Vector",
-    "char_poly",
-    "format_scalar",
-    "identity_matrix",
-    "inverse",
-    "kernel_basis",
-    "mat_mul",
-    "mat_pow",
-    "mat_vec",
-    "parse_scalar",
-    "qq",
-    "rank",
-    "solve",
-    "vec_mat",
-    "CheckReport",
-    "Element",
-    "HomAlgebra",
-    "HypothesisError",
-    "algebra_from_json",
-    "algebra_to_json",
-    "apply_alpha",
-    "commutator",
-    "hom_associator",
-    "is_hom_alternative",
-    "is_hom_flexible",
-    "is_idempotent",
-    "is_left_hom_alternative",
-    "is_multiplicative",
-    "is_right_hom_alternative",
-    "load_algebra",
-    "mul",
-    "save_algebra",
-    *_SUBMODULE,
-    "__version__",
-]
+__all__ = [*linalg.__all__, *core.__all__, *_SUBMODULE, "__version__"]
 
 
 def __getattr__(name):

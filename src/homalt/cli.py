@@ -6,10 +6,12 @@ to stdout or to ``-o FILE``.  Checkers run law suites and emit a report,
 human-readable (``--output text``) or machine-readable (``--output json``).
 ``check`` runs the suites named by ``--suites``; ``powers``, ``jordan``,
 ``decompose``, ``operators`` and ``symbolic`` are ``check --suites X``
-under their own flags (see ``COMMANDS``), but stricter about idempotents:
-where ``check`` drops the idempotent operator suite, they exit 3, and
-``decompose`` and ``operators`` take ``--idempotent``.  ``identity`` and
-``distinguish`` are checkers of their own.
+under their own flags, and ``decompose`` and ``operators`` take
+``--idempotent``.  ``COMMANDS`` names each checker command's suites and
+its report's config fields; ``run`` reads everything else from the
+parsed flags, where the report parser's defaults stand in for the flags
+a command lacks.  ``identity`` and ``distinguish`` are checkers of their
+own.
 
 Exit codes: 0 all selected checks passed; 1 some law failed (or
 ``distinguish`` was inconclusive); 2 bad input (unparseable file, flag, or
@@ -88,7 +90,8 @@ from .core import (
 from .idempotents import albert_decomposition, decompose_element, idempotent_search
 from .jordan import check_hom_jordan_admissible
 from .linalg import Matrix, char_poly, format_scalar, parse_scalar
-from .operators import check_idempotent_operator_suite, check_mul_operator_identities
+from .operators import (MAX_OPERATOR_POWER, check_idempotent_operator_suite,
+                        check_mul_operator_identities)
 from .powers import (DefectMemo, check_nth_hom_power_associative, check_third_fourth_criterion,
                      sweep_size)
 from .symbolic import (
@@ -100,7 +103,6 @@ from .symbolic import (
     verify_hom_teichmuller,
 )
 from .dsl import MAX_ALPHA_POWER, parse_identity
-from .record import FrozenRecord
 
 ALL_SUITES = ("axioms", "powers", "jordan", "decompose", "operators", "identities", "symbolic")
 
@@ -110,68 +112,16 @@ class InputError(argparse.ArgumentTypeError):
     Raised by an option's ``type``, argparse reports it as a usage error."""
 
 
-class Command(FrozenRecord):
-    """A checker command: the suites it runs (``check``'s come from
-    ``--suites``), its report's config fields, named as its flags, and
-    whether a missing idempotent exits 3 (else operators drops that row)."""
-
-    _fields = ("suites", "fields", "require_idempotent")
-
-    def __init__(self, suites, fields, require_idempotent=True):
-        self._set(suites=suites, fields=fields, require_idempotent=require_idempotent)
-
-
+# Each checker command: the suites it runs (None: ``check``'s --suites)
+# and its report's config fields, named as its flags.
 COMMANDS = {
-    "check": Command((), ("suites", "nmax", "timings"), False),
-    "powers": Command(("powers",), ("n", "timings")),
-    "jordan": Command(("jordan",), ("timings",)),
-    "decompose": Command(("decompose",), ("idempotent", "timings")),
-    "operators": Command(("operators",), ("idempotent", "nmax", "timings")),
-    "symbolic": Command(("symbolic",), ("teichmuller", "certificates", "timings")),
+    "check": (None, ("suites", "nmax", "timings")),
+    "powers": (("powers",), ("n", "timings")),
+    "jordan": (("jordan",), ("timings",)),
+    "decompose": (("decompose",), ("idempotent", "timings")),
+    "operators": (("operators",), ("idempotent", "nmax", "timings")),
+    "symbolic": (("symbolic",), ("teichmuller", "certificates", "timings")),
 }
-
-
-class SuiteConfig(FrozenRecord):
-    """Everything a checker command needs, normalized and validated.
-
-    ``algebra`` is None for ``symbolic``, which needs no algebra.
-    """
-
-    _fields = ("algebra", "command", "suites", "nmax", "output", "twist", "timings",
-               "idempotent", "teichmuller", "certificates")
-
-    def __init__(
-        self,
-        algebra: str | None,
-        command: str = "check",
-        suites: tuple = ALL_SUITES,
-        nmax: int = 5,
-        output: str = "text",
-        twist: str | None = None,
-        timings: bool = False,
-        idempotent: str | None = None,
-        teichmuller: bool = True,
-        certificates: bool = True,
-    ):
-        self._set(algebra=algebra, command=command, suites=suites, nmax=nmax, output=output,
-                  twist=twist, timings=timings, idempotent=idempotent,
-                  teichmuller=teichmuller, certificates=certificates)
-        if self.nmax < 2:
-            flag = "--n" if self.command == "powers" else "--nmax"
-            raise InputError("%s must be >= 2, got %d" % (flag, self.nmax))
-        if self.command not in COMMANDS:
-            raise InputError("unknown command %r" % self.command)
-        if self.output not in ("text", "json"):
-            raise InputError("output must be 'text' or 'json', got %r" % self.output)
-        unknown = [s for s in self.suites if s not in ALL_SUITES]
-        if unknown:
-            raise InputError(
-                "unknown suite %r (have: %s)" % (unknown[0], ", ".join(ALL_SUITES))
-            )
-
-    @property
-    def require_idempotent(self):
-        return COMMANDS[self.command].require_idempotent
 
 
 # -- input plumbing -----------------------------------------------------------
@@ -249,7 +199,7 @@ def _load_morphism(path, dim):
             obj = json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError("bad JSON in %s: %s" % (path, exc)) from exc
     if isinstance(obj, dict):
         obj = obj.get("matrix")
@@ -370,19 +320,23 @@ def _emit(rows, output, command, fields, A=None, source=None, **extra):
 
 # -- the check suites ---------------------------------------------------------
 #
-# Each takes the algebra, the config and ``idempotent``, the one cached
-# resolver of the idempotent to split at: ``--idempotent``, else the first
-# nonzero one of height <= 1.  With none, a single-suite command exits 3
-# and inside ``check`` it returns None.  A suite first decides its
+# Each takes the algebra, the parsed flags and ``idempotent``, the one
+# cached resolver of the idempotent to split at: ``--idempotent``, else the
+# first nonzero one of height <= 1.  A suite first decides its
 # preconditions, raising HypothesisError (exit 3) at the first unmet one,
 # and then returns its checks: zero-argument callables that each return
 # one CheckReport.  Deciding a precondition fills the fact on A, so no two
 # suites compute one.
+#
+# ``check`` differs from the single-suite commands in one thing: where they
+# exit 3 for want of an idempotent, or of the operator suite's hypotheses,
+# it drops the idempotent operator row (and its decompose suite asks to be
+# dropped), so a failing algebra still gives a failing report.
 
 _NO_IDEMPOTENT = "no nonzero idempotent with coordinates of height <= 1"
 
 
-def _suite_axioms(A, cfg, idempotent):
+def _suite_axioms(A, args, idempotent):
     # The laws are this suite's checks, not its preconditions.
     return [partial(fn, A) for fn in (is_multiplicative, is_right_hom_alternative)]
 
@@ -395,16 +349,16 @@ def _sweepable(A, degrees):
         raise InputError(str(exc)) from exc
 
 
-def _suite_powers(A, cfg, idempotent):
+def _suite_powers(A, args, idempotent):
     require(A, "the powers suite", "multiplicative")
-    memo = DefectMemo(A, max(cfg.nmax, 4))  # third/fourth sweeps degree 4
+    memo = DefectMemo(A, max(args.nmax, 4))  # third/fourth sweeps degree 4
     _sweepable(A, (memo.top,))
     rows = [partial(check_nth_hom_power_associative, A, n, memo=memo)
-            for n in range(2, cfg.nmax + 1)]
+            for n in range(2, args.nmax + 1)]
     return rows + [partial(memo.last_row, check_third_fourth_criterion, A)]
 
 
-def _suite_jordan(A, cfg, idempotent):
+def _suite_jordan(A, args, idempotent):
     return [partial(check_hom_jordan_admissible, A)]
 
 
@@ -436,16 +390,15 @@ def _check_element_splitting(A, e):
     return CheckReport(True, "element-splitting", note="all basis elements split")
 
 
-def _suite_decompose(A, cfg, idempotent):
-    # Inside `check` an unmet precondition names the suite to drop.
-    where = "" if cfg.require_idempotent else "decompose suite: "
+def _suite_decompose(A, args, idempotent):
+    where = "decompose suite: " if args.command == "check" else ""
     require(A, where + "decomposition", "surjective")
     e = idempotent()
     if e is None:
         raise HypothesisError(
             "%s%s; drop 'decompose' from --suites" % (where, _NO_IDEMPOTENT)
         )
-    if cfg.idempotent is not None and not is_idempotent(A, e):
+    if args.idempotent is not None and not is_idempotent(A, e):
         raise HypothesisError(
             "--idempotent is not an idempotent: e*e = %r, alpha(e) = %r, e = %r"
             % (mul(A, e, e), apply_alpha(A, e), e)
@@ -453,19 +406,19 @@ def _suite_decompose(A, cfg, idempotent):
     return [partial(_decomposition, A, e), partial(_check_element_splitting, A, e)]
 
 
-def _suite_operators(A, cfg, idempotent):
-    # `check` drops the idempotent operator row, rather than exit 3, when
-    # no idempotent is found or A is not multiplicative right
-    # Hom-alternative, so a failing algebra still gives a failing report.
+def _suite_operators(A, args, idempotent):
+    if args.nmax > MAX_OPERATOR_POWER:
+        raise InputError("--nmax %d is above the operator exponent cap of %d"
+                         % (args.nmax, MAX_OPERATOR_POWER))
     e = None
-    if cfg.require_idempotent or is_multiplicative(A) and is_right_hom_alternative(A):
+    if args.command != "check" or is_multiplicative(A) and is_right_hom_alternative(A):
         e = idempotent()
         if e is not None:
             require(A, "operator suite", "idempotent", "multiplicative",
                     "right-hom-alternative", e=e)
     checks = [partial(check_mul_operator_identities, A)]
     if e is not None:
-        checks.append(partial(check_idempotent_operator_suite, A, e, cfg.nmax))
+        checks.append(partial(check_idempotent_operator_suite, A, e, args.nmax))
     return checks
 
 
@@ -484,7 +437,7 @@ def _transferred(name):
     return CheckReport(True, name, note=note)
 
 
-def _suite_identities(A, cfg, idempotent):
+def _suite_identities(A, args, idempotent):
     """Each identity by certificate transfer where _transferable allows it
     (which verifies the shipped certificates), else by the polarized basis
     sweep, which finds the witness."""
@@ -518,9 +471,9 @@ def _teichmuller():
     )
 
 
-def _suite_symbolic(A, cfg, idempotent):
-    checks = [_teichmuller] if cfg.teichmuller else []
-    if cfg.certificates:
+def _suite_symbolic(A, args, idempotent):
+    checks = [_teichmuller] if args.teichmuller else []
+    if args.certificates:
         checks += [partial(shipped_certificate_report, n) for n in sorted(load_certificates())]
     return checks
 
@@ -536,40 +489,49 @@ _SUITE_FNS = {
 }
 
 
-def run(config):
-    """Run the command's suites and print its report; returns the exit code.
-    Every suite decides its preconditions here, before the pool starts."""
+def run(args):
+    """Run a checker command from its parsed flags, print its report and return
+    the exit code.  Every suite decides its preconditions before the pool starts."""
+    if args.nmax < 2:
+        flag = "--n" if args.command == "powers" else "--nmax"
+        raise InputError("%s must be >= 2, got %d" % (flag, args.nmax))
+    wanted, fields = COMMANDS[args.command]
+    if wanted is None:
+        wanted = [s.strip() for s in args.suites.split(",")]
+    unknown = [s for s in wanted if s not in ALL_SUITES]
+    if unknown:
+        raise InputError("unknown suite %r (have: %s)" % (unknown[0], ", ".join(ALL_SUITES)))
+    if args.command == "symbolic" and not (args.teichmuller or args.certificates):
+        args.teichmuller = args.certificates = True  # neither flag runs both
     A = source = given = None
-    if config.algebra is not None:
-        A, source = _resolve_algebra(config.algebra, config.twist)
-        if config.idempotent is not None:
-            given = _parse_coords(config.idempotent, A)  # bad input exits 2 first
-    selected = [s for s in ALL_SUITES if s in set(config.suites)]
+    if args.algebra is not None:
+        A, source = _resolve_algebra(args.algebra, args.twist)
+        if args.idempotent is not None:
+            given = _parse_coords(args.idempotent, A)  # bad input exits 2 first
+    selected = [s for s in ALL_SUITES if s in set(wanted)]
     # Only `check` runs its suites on the pool and reads HOMALT_THREADS.
-    workers = _thread_cap(len(selected)) if config.command == "check" else 1
+    workers = _thread_cap(len(selected)) if args.command == "check" else 1
 
     @cache
     def idempotent():
         found = [given] if given is not None else idempotent_search(A, height=1)
-        if not found and config.require_idempotent:
+        if not found and args.command != "check":
             raise HypothesisError("%s; pass --idempotent" % _NO_IDEMPOTENT)
         return found[0] if found else None
 
-    suites = [(s, _SUITE_FNS[s](A, config, idempotent)) for s in selected]
+    suites = [(s, _SUITE_FNS[s](A, args, idempotent)) for s in selected]
 
     def run_suite(suite):
         s, checks = suite
-        return [_row(s, config.timings, check) for check in checks]
+        return [_row(s, args.timings, check) for check in checks]
 
     if workers > 1 and len(suites) > 1:
         results = _map_on_threads(run_suite, suites, workers)
     else:
         results = [run_suite(suite) for suite in suites]
     rows = [row for suite_rows in results for row in suite_rows]
-    values = dict({f: getattr(config, f) for f in SuiteConfig._fields},
-                  n=config.nmax, suites=selected)
-    fields = {f: values[f] for f in COMMANDS[config.command].fields}
-    return _emit(rows, config.output, config.command, fields, A, source)
+    values = dict(vars(args), n=args.nmax, suites=selected)
+    return _emit(rows, args.output, args.command, {f: values[f] for f in fields}, A, source)
 
 
 # -- constructor subcommands --------------------------------------------------
@@ -611,19 +573,6 @@ def cmd_plus(args):
 # -- checker subcommands ------------------------------------------------------
 
 
-def _suite_config(args):
-    """The SuiteConfig of ``check`` or a single-suite command's arguments."""
-    opts = {k: v for k, v in vars(args).items() if k in SuiteConfig._fields}
-    opts.setdefault("algebra", None)  # symbolic takes no algebra
-    if args.command == "check":
-        opts["suites"] = tuple(s.strip() for s in args.suites.split(","))
-    else:
-        opts["suites"] = COMMANDS[args.command].suites
-    if args.command == "symbolic" and not (args.teichmuller or args.certificates):
-        opts.update(teichmuller=True, certificates=True)  # neither flag runs both
-    return SuiteConfig(**opts)
-
-
 def cmd_identity(args):
     A, source = _resolve_algebra(args.algebra, args.twist)
     if args.expr is not None:
@@ -632,7 +581,7 @@ def cmd_identity(args):
         try:
             with open(args.file) as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError("cannot read %s: %s" % (args.file, exc)) from exc
     try:
         lhs, rhs = parse_identity(text)
@@ -727,6 +676,9 @@ def _build_parser():
     rep.add_argument(
         "--timings", action="store_true", help="add wall-clock times (breaks byte-determinism)"
     )
+    # What a checker command without the flag runs with (see run).
+    rep.set_defaults(nmax=5, idempotent=None, algebra=None, twist=None,
+                     teichmuller=True, certificates=True)
 
     p = sub.add_parser("albert5", parents=[out], help="emit the 5-dimensional example algebra")
     p.add_argument("--twist", metavar="G,D,E", help="twist along the parameterized morphism")
@@ -775,8 +727,11 @@ def _build_parser():
     p.set_defaults(fn=cmd_identity)
 
     p = sub.add_parser("symbolic", parents=[rep], help="free-algebra checks and certificates")
-    p.add_argument("--teichmuller", action="store_true", help="only the five-term expansion")
-    p.add_argument("--certificates", action="store_true", help="only the shipped certificates")
+    # default=False: an option without one takes the parser's (rep's) default
+    p.add_argument("--teichmuller", action="store_true", default=False,
+                   help="only the five-term expansion")
+    p.add_argument("--certificates", action="store_true", default=False,
+                   help="only the shipped certificates")
 
     p = sub.add_parser("distinguish", parents=[rep], help="separate two algebras by alpha spectra")
     p.add_argument("algebra", help="first algebra (path or 'albert5')")
@@ -791,7 +746,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command in COMMANDS:  # the other commands name their function
-            return run(_suite_config(args))
+            return run(args)
         return args.fn(args)
     except HypothesisError as exc:
         print("precondition unmet: %s" % exc, file=sys.stderr)

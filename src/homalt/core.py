@@ -38,6 +38,8 @@ from .linalg import (
 )
 from .record import Record
 
+# The package re-exports these; require, the submodules' precondition
+# helper, is imported from here by name.
 __all__ = [
     "HypothesisError",
     "HomAlgebra",
@@ -53,7 +55,6 @@ __all__ = [
     "is_hom_flexible",
     "is_hom_alternative",
     "is_idempotent",
-    "require",
     "algebra_to_json",
     "algebra_from_json",
     "save_algebra",
@@ -479,6 +480,6 @@ def load_algebra(path):
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError("bad algebra JSON in %s: %s" % (path, exc)) from exc
     return algebra_from_json(obj)

@@ -27,6 +27,25 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
+__all__ = [
+    "Matrix",
+    "Scalar",
+    "Vector",
+    "char_poly",
+    "format_scalar",
+    "identity_matrix",
+    "inverse",
+    "kernel_basis",
+    "mat_mul",
+    "mat_pow",
+    "mat_vec",
+    "parse_scalar",
+    "qq",
+    "rank",
+    "solve",
+    "vec_mat",
+]
+
 Scalar = Fraction
 
 

@@ -42,6 +42,10 @@ __all__ = [
     "check_idempotent_operator_suite",
 ]
 
+# Largest nmax of check_idempotent_operator_suite: its entries grow like
+# alpha^(4 nmax), so the suite's cost grows faster than nmax.
+MAX_OPERATOR_POWER = 100
+
 
 class MulOperator:
     """A linear operator on A acting on the right of coordinate rows.
@@ -210,11 +214,11 @@ def check_idempotent_operator_suite(A, e, nmax=5):
     (e*e = e = alpha(e)) and A must be multiplicative right
     Hom-alternative -- the identities are theorems only under those
     hypotheses, so feeding anything else is a usage error, not a
-    refutation.
+    refutation.  An nmax outside 0..MAX_OPERATOR_POWER raises ValueError.
     """
     require(A, "operator suite", "idempotent", "multiplicative", "right-hom-alternative", e=e)
-    if not isinstance(nmax, int) or nmax < 0:
-        raise ValueError("nmax must be a non-negative integer, got %r" % (nmax,))
+    if not isinstance(nmax, int) or not 0 <= nmax <= MAX_OPERATOR_POWER:
+        raise ValueError("nmax must be an integer in 0..%d, got %r" % (MAX_OPERATOR_POWER, nmax))
 
     L = left_op(A, e)
     R = right_op(A, e)

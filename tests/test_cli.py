@@ -11,7 +11,7 @@ import time
 import pytest
 
 from homalt import cli, core, idempotents, powers
-from homalt.cli import InputError, SuiteConfig, _build_parser, main
+from homalt.cli import _build_parser, main
 from homalt.constructions import (
     AlbertParams,
     albert5_base,
@@ -121,9 +121,52 @@ def test_operators_takes_no_sampling_flags(flag, capsys):
     assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
 
 
-def test_suite_config_rejects_an_unknown_command():
-    with pytest.raises(InputError, match="unknown command 'bogus'"):
-        SuiteConfig("albert5", command="bogus")
+def test_unknown_command_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["operators", "albert5", "--twist", "2,3,0", "--nmax", "101"],
+        ["operators", "albert5", "--twist", "2,3,0", "--nmax", "20000"],
+        ["check", "albert5", "--twist", "2,3,0", "--suites", "operators", "--nmax", "20000"],
+        # refused even where check drops the idempotent operator row
+        ["check", BAD, "--suites", "axioms,operators", "--nmax", "20000"],
+    ],
+)
+def test_operator_exponent_above_the_cap_exits_two(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before any check ran
+    assert err == "error: --nmax %s is above the operator exponent cap of 100\n" % argv[-1]
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+# Nested past the JSON decoder's recursion limit.
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
+
+
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (["check", "FILE"], NOT_UTF8),
+        (["check", "FILE"], DEEP_JSON),
+        (["twist", "albert5", "--by", "FILE"], NOT_UTF8),
+        (["twist", "albert5", "--by", "FILE"], DEEP_JSON),
+        (["identity", "albert5", "--file", "FILE"], NOT_UTF8),
+    ],
+    ids=["check-not-utf8", "check-deep", "twist-not-utf8", "twist-deep", "identity-not-utf8"],
+)
+def test_unreadable_file_exits_two(argv, content, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_bad_power_names_the_n_flag(capsys):

@@ -6,6 +6,7 @@ from homalt.constructions import AlbertParams, albert5_twisted
 from homalt.core import HomAlgebra, apply_alpha, mul
 from homalt.linalg import Matrix, Vector, mat_mul, qq
 from homalt.operators import (
+    MAX_OPERATOR_POWER,
     MulOperator,
     alpha_op,
     build_T,
@@ -136,6 +137,15 @@ def test_idempotent_suite_passes(twisted):
     rep = check_idempotent_operator_suite(twisted, e, nmax=5)
     assert rep.passed
     assert rep.note == "20 identities verified"
+
+
+@pytest.mark.parametrize("nmax", [-1, MAX_OPERATOR_POWER + 1])
+def test_idempotent_suite_refuses_an_exponent_out_of_range(a230, nmax):
+    e = a230.basis_element(0)
+    with pytest.raises(ValueError, match=r"nmax must be an integer in 0\.\.%d, got %d"
+                       % (MAX_OPERATOR_POWER, nmax)):
+        check_idempotent_operator_suite(a230, e, nmax)
+    assert check_idempotent_operator_suite(a230, e, MAX_OPERATOR_POWER).passed
 
 
 def test_explicit_matrix_identities(a230):

@@ -1,3 +1,4 @@
+import argparse
 import random
 import time
 import tracemalloc
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homalt import core
-from homalt.cli import SuiteConfig, _suite_powers
+from homalt.cli import _suite_powers
 from homalt.core import CheckReport, HomAlgebra, apply_alpha, mul
 from homalt.linalg import identity_matrix, qq
 from homalt.powers import (
@@ -338,7 +339,7 @@ def reference_rows(A, nmax):
 
 
 def suite_rows(A, nmax):
-    return [check() for check in _suite_powers(A, SuiteConfig(None, nmax=nmax), None)]
+    return [check() for check in _suite_powers(A, argparse.Namespace(nmax=nmax), None)]
 
 
 def random_commutative(seed, dim=3):
@@ -386,7 +387,7 @@ def test_n2_and_criterion_rows_make_no_product(a230, bad_algebra, monkeypatch):
         core.is_multiplicative(A)
         products = record_calls(monkeypatch, core, "mul")
         made = []
-        for check in _suite_powers(A, SuiteConfig(None, nmax=5), None):
+        for check in _suite_powers(A, argparse.Namespace(nmax=5), None):
             before = len(products)
             check()
             made.append(len(products) - before)
