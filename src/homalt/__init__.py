@@ -16,9 +16,8 @@ which ``core`` uses) and binds here the names in ``linalg.__all__`` and
 and its submodule imported on first access (PEP 562), as is
 ``homalt.symbolic`` and each other submodule there, so a client that
 builds and serializes algebras never compiles the symbolic, DSL, powers
-or operator layers.  ``__all__``,
-``dir(homalt)``, ``from homalt import X`` and ``from homalt import *``
-see every name, loaded or not.
+or operator layers.  ``__all__``, ``dir(homalt)``, ``from homalt import
+X`` and ``from homalt import *`` see every name, loaded or not.
 """
 
 from . import core, linalg

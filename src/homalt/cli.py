@@ -199,7 +199,7 @@ def _load_morphism(path, dim):
             obj = json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable, or nested too deep
         raise InputError("bad JSON in %s: %s" % (path, exc)) from exc
     if isinstance(obj, dict):
         obj = obj.get("matrix")

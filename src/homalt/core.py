@@ -480,6 +480,6 @@ def load_algebra(path):
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # undecodable, or nested too deep
             raise ValueError("bad algebra JSON in %s: %s" % (path, exc)) from exc
     return algebra_from_json(obj)

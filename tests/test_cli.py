@@ -148,6 +148,8 @@ def test_operator_exponent_above_the_cap_exits_two(argv, capsys):
 NOT_UTF8 = b"\xff\xfe{}"
 # Nested past the JSON decoder's recursion limit.
 DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
+# An integer past int()'s digit limit (where there is one), then cut off.
+LONG_INT = b"[[" + b"1" * 5000
 
 
 @pytest.mark.parametrize(
@@ -158,8 +160,11 @@ DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
         (["twist", "albert5", "--by", "FILE"], NOT_UTF8),
         (["twist", "albert5", "--by", "FILE"], DEEP_JSON),
         (["identity", "albert5", "--file", "FILE"], NOT_UTF8),
+        (["check", "FILE"], LONG_INT),
+        (["twist", "albert5", "--by", "FILE"], LONG_INT),
     ],
-    ids=["check-not-utf8", "check-deep", "twist-not-utf8", "twist-deep", "identity-not-utf8"],
+    ids=["check-not-utf8", "check-deep", "twist-not-utf8", "twist-deep", "identity-not-utf8",
+         "check-long-int", "twist-long-int"],
 )
 def test_unreadable_file_exits_two(argv, content, tmp_path, capsys):
     path = tmp_path / "input.json"
