@@ -19,9 +19,11 @@ substitutions and wraps require.  Malformed input, including terms
 nested more than MAX_DEPTH levels deep, alpha powers that add up to
 more than MAX_ALPHA_POWER on one leaf and products whose operands' term
 counts multiply past MAX_TERMS, raises ValueError with the offending
-position.
+position.  A message quotes at most QUOTE_CHARS characters of an
+offending token, and gives the length of a longer one.
 """
 
+import operator
 import re
 from math import prod
 
@@ -48,9 +50,30 @@ MAX_ALPHA_POWER = 1000
 # 16 deep is 257 characters, has 65536 terms and took seconds to parse.
 # A product of 4096 terms expands in about 0.1 s (Python 3.11, 2 vCPU).
 MAX_TERMS = 4096
+# Error messages quote at most this many characters of the input, so a
+# huge token cannot make a huge message.
+QUOTE_CHARS = 32
+
+# The operators of fixed arity: head -> (arity, builder, whether the
+# builder multiplies its operands' terms, so that MAX_TERMS caps it).
+_FIXED_ARITY = {
+    "mul": (2, poly_mul, True),
+    "as": (3, expand_associator, True),
+    "com": (2, poly_commutator, True),
+    "sub": (2, operator.sub, False),
+    "neg": (1, operator.neg, False),
+}
 
 _VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _INT_RE = re.compile(r"^[0-9]+$")  # ASCII only: \d takes any script's digits
+
+
+def _quote(text):
+    """repr(text), cut to its first QUOTE_CHARS characters and its length
+    when it is longer."""
+    if len(text) <= QUOTE_CHARS:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:QUOTE_CHARS], len(text))
 
 
 def _tokenize(s):
@@ -99,7 +122,7 @@ class _Parser:
     def expect(self, what):
         tok, _ = self.next()
         if tok != what:
-            self.error("expected %r, got %r" % (what, tok), self.pos - 1)
+            self.error("expected %r, got %s" % (what, _quote(tok)), self.pos - 1)
 
     def parse_term(self):
         self.depth += 1
@@ -115,20 +138,22 @@ class _Parser:
             self.error("unexpected ')'", self.pos - 1)
         if tok != "(":
             if not _VAR_RE.match(tok):
-                self.error("bad variable name %r" % tok, self.pos - 1)
+                self.error("bad variable name %s" % _quote(tok), self.pos - 1)
             return var(tok)
         start = self.pos - 1
         head, _ = self.next()
-        if head == "mul":
-            p = self.parse_term()
-            q = self.parse_term()
+        if head in _FIXED_ARITY:
+            arity, build, expands = _FIXED_ARITY[head]
+            operands = [self.parse_term() for _ in range(arity)]
             self.expect(")")
-            self.cap_terms(head, start, p, q)
-            return poly_mul(p, q)
+            if expands and prod(p.num_terms() for p in operands) > MAX_TERMS:
+                self.error("(%s ...) would expand to more than %d terms" % (head, MAX_TERMS),
+                           start)
+            return build(*operands)
         if head == "a":
             ktok, _ = self.next()
             if not _INT_RE.match(ktok):
-                self.error("alpha power must be a non-negative integer, got %r" % ktok,
+                self.error("alpha power must be a non-negative integer, got %s" % _quote(ktok),
                            self.pos - 1)
             # Compare lengths first: int() refuses numerals of over 4300 digits.
             if (len(ktok.lstrip("0")) > len(str(MAX_ALPHA_POWER))
@@ -141,48 +166,22 @@ class _Parser:
             self.alpha_power -= k
             self.expect(")")
             return p.alpha(k)
-        if head == "as":
-            p = self.parse_term()
-            q = self.parse_term()
-            r = self.parse_term()
-            self.expect(")")
-            self.cap_terms(head, start, p, q, r)
-            return expand_associator(p, q, r)
-        if head == "com":
-            p = self.parse_term()
-            q = self.parse_term()
-            self.expect(")")
-            self.cap_terms(head, start, p, q)
-            return poly_commutator(p, q)
         if head == "add":
             total = self.parse_term()
             while self.peek() != ")":
                 total = total + self.parse_term()
             self.expect(")")
             return total
-        if head == "sub":
-            p = self.parse_term()
-            q = self.parse_term()
-            self.expect(")")
-            return p - q
-        if head == "neg":
-            p = self.parse_term()
-            self.expect(")")
-            return -p
         if head == "scale":
             ctok, _ = self.next()
             try:
                 c = parse_scalar(ctok)
             except ValueError:
-                self.error("bad scalar literal %r" % ctok, self.pos - 1)
+                self.error("bad scalar literal %s" % _quote(ctok), self.pos - 1)
             p = self.parse_term()
             self.expect(")")
             return p.scale(c)
-        self.error("unknown operator %r" % head, self.pos - 1)
-
-    def cap_terms(self, head, at, *operands):
-        if prod(p.num_terms() for p in operands) > MAX_TERMS:
-            self.error("(%s ...) would expand to more than %d terms" % (head, MAX_TERMS), at)
+        self.error("unknown operator %s" % _quote(head), self.pos - 1)
 
     def done(self):
         if self.pos != len(self.toks):
@@ -203,7 +202,7 @@ def parse_identity(s):
     p.expect("(")
     tok, _ = p.next()
     if tok != "=":
-        p.error("identities must start with (=, got %r" % tok, p.pos - 1)
+        p.error("identities must start with (=, got %s" % _quote(tok), p.pos - 1)
     lhs = p.parse_term()
     rhs = p.parse_term()
     p.expect(")")
@@ -216,7 +215,7 @@ def parse_monomial(s):
     poly = parse_term(s)
     terms = poly.terms()
     if len(terms) != 1 or terms[0][1] != 1:
-        raise ValueError("expected a single monomial with coefficient 1: %r" % s)
+        raise ValueError("expected a single monomial with coefficient 1: %s" % _quote(s))
     return terms[0][0]
 
 

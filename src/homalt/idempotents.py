@@ -17,8 +17,11 @@ vector a lies in the left kernel of (R_e - alpha), i.e. the column
 kernel of its transpose.
 """
 
-from .linalg import Matrix, kernel_basis, qq, rank, solve
+from itertools import chain, combinations
+
+from .linalg import ONE, Matrix, kernel_basis, qq, rank, solve
 from .core import Element, is_idempotent, mul, require
+from .operators import right_op
 from .record import Record
 
 __all__ = [
@@ -30,42 +33,27 @@ __all__ = [
 ]
 
 
-def _height_values(height):
-    vals = set()
-    for p in range(-height, height + 1):
-        for q in range(1, height + 1):
-            vals.add(qq(p, q))
-    vals.discard(qq(0))
-    return sorted(vals)
+# The coordinates the search tries, in ascending order.
+_SIGNS = (qq(-1), ONE)
 
 
-def idempotent_search(A, height=1):
-    """All nonzero idempotents supported on at most two basis vectors.
+def idempotent_search(A):
+    """All nonzero idempotents supported on at most two basis vectors,
+    with coordinates -1 or 1 there.
 
-    Coordinates range over {p/q : |p| <= height, 1 <= q <= height} minus
-    zero.  The result order is deterministic: single supports first,
-    then pairs, each in index order with coefficients in ascending
-    order.  The search runs once per algebra instance and height.
+    The result order is deterministic: single supports first, then
+    pairs, each in index order with coefficients in ascending order.
+    The search runs once per algebra instance.
     """
-    return list(A.fact(("idempotents", height), lambda: _search(A, height)))
+    return list(A.fact("idempotents", lambda: _search(A)))
 
 
-def _search(A, height):
-    vals = _height_values(height)
-    found = []
-    for i in range(A.dim):
-        for c in vals:
-            cand = A.basis_element(i).scale(c)
-            if is_idempotent(A, cand):
-                found.append(cand)
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            for c in vals:
-                for d in vals:
-                    cand = A.basis_element(i).scale(c) + A.basis_element(j).scale(d)
-                    if is_idempotent(A, cand):
-                        found.append(cand)
-    return found
+def _search(A):
+    basis = A.basis()
+    singles = (b.scale(c) for b in basis for c in _SIGNS)
+    pairs = (basis[i].scale(c) + basis[j].scale(d)
+             for i, j in combinations(range(A.dim), 2) for c in _SIGNS for d in _SIGNS)
+    return [e for e in chain(singles, pairs) if is_idempotent(A, e)]
 
 
 class Decomposition(Record):
@@ -87,10 +75,6 @@ class Decomposition(Record):
         self.spans_all = spans_all
 
 
-def _right_mul_matrix(A, e):
-    return Matrix.from_vectors([mul(A, A.basis_element(i), e).coords for i in range(A.dim)])
-
-
 def albert_decomposition(A, e):
     """Split A as A_e(alpha) + A_e(0) along the idempotent e.
 
@@ -98,7 +82,7 @@ def albert_decomposition(A, e):
     surjective (the splitting holds only under both hypotheses).
     """
     require(A, "decomposition", "idempotent", "surjective", e=e)
-    re = _right_mul_matrix(A, e)
+    re = right_op(A, e).matrix
     part_alpha = [A.element(v) for v in kernel_basis((re - A.alpha).transpose())]
     part_zero = [A.element(v) for v in kernel_basis(re.transpose())]
     parts = part_alpha + part_zero

@@ -18,7 +18,7 @@ commutative by construction.
 
 from .core import CheckReport, apply_alpha, hom_associator, mul
 from .constructions import plus_algebra
-from .powers import polarized_defect_sweep
+from .powers import polarized_defect_sweep, subset_sum_defects
 
 __all__ = ["jordan_defect", "check_hom_jordan", "check_hom_jordan_admissible"]
 
@@ -37,7 +37,7 @@ def _polarized_jordan(A, law):
         return [(yi, mul(A, mul(A, x2, ay), aax) - mul(A, ax2, mul(A, ay, ax)))
                 for yi, ay in enumerate(alpha_basis)]
 
-    return polarized_defect_sweep(A, 3, defects, law)
+    return polarized_defect_sweep(A, 3, subset_sum_defects(A, defects), law)
 
 
 def check_hom_jordan(A):

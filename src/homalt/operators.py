@@ -48,16 +48,12 @@ MAX_OPERATOR_POWER = 100
 
 
 class MulOperator:
-    """A linear operator on A acting on the right of coordinate rows.
+    """A linear operator on A acting on the right of coordinate rows,
+    given by its matrix; equality and hashing compare matrices only."""
 
-    kind records provenance ("twist", "identity", "composite", or
-    ("left", x) and ("right", x) for L_x and R_x, printed as "left x")
-    and is ignored by equality, which compares matrices only.
-    """
+    __slots__ = ("algebra", "matrix")
 
-    __slots__ = ("algebra", "matrix", "kind")
-
-    def __init__(self, algebra, matrix, kind="composite"):
+    def __init__(self, algebra, matrix):
         d = algebra.dim
         if not isinstance(matrix, Matrix) or (matrix.rows, matrix.cols) != (d, d):
             got = ("%dx%d" % (matrix.rows, matrix.cols) if isinstance(matrix, Matrix)
@@ -66,7 +62,6 @@ class MulOperator:
                              % (d, d, d, got))
         self.algebra = algebra
         self.matrix = matrix
-        self.kind = kind
 
     def apply(self, x):
         if x.algebra is not self.algebra:
@@ -113,28 +108,27 @@ class MulOperator:
         return hash(self.matrix)
 
     def __repr__(self):
-        kind = self.kind if isinstance(self.kind, str) else "%s %r" % self.kind
-        return "MulOperator(%s, %r)" % (kind, self.matrix)
+        return "MulOperator(%r)" % (self.matrix,)
 
 
 def left_op(A, x):
     """L_x: a |-> x*a."""
     rows = [mul(A, x, A.basis_element(i)).coords for i in range(A.dim)]
-    return MulOperator(A, Matrix.from_vectors(rows), ("left", x))
+    return MulOperator(A, Matrix.from_vectors(rows))
 
 
 def right_op(A, x):
     """R_x: a |-> a*x."""
     rows = [mul(A, A.basis_element(i), x).coords for i in range(A.dim)]
-    return MulOperator(A, Matrix.from_vectors(rows), ("right", x))
+    return MulOperator(A, Matrix.from_vectors(rows))
 
 
 def alpha_op(A):
-    return MulOperator(A, A.alpha, "twist")
+    return MulOperator(A, A.alpha)
 
 
 def identity_op(A):
-    return MulOperator(A, identity_matrix(A.dim), "identity")
+    return MulOperator(A, identity_matrix(A.dim))
 
 
 def op_commutator(f, g):

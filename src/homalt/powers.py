@@ -149,36 +149,37 @@ def sweep_size(dim, degrees):
     return size
 
 
-def polarized_defect_sweep(A, degrees, defect_fn, law, memo=None):
+def subset_sum_defects(A, fn):
+    """The defects callback of polarized_defect_sweep for fn, a function of
+    one Element per variable group: fn at the subset sums x_S of the
+    sub-multisets, computed once per tuple of sub-multisets."""
+
+    @cache
+    def defects(*subs):
+        return fn(*(_subset_sum(A, sub) for sub in subs))
+
+    return defects
+
+
+def polarized_defect_sweep(A, degrees, defects, law):
     """Exhaustive proof that a multihomogeneous map vanishes.
 
-    degrees is the degree of defect_fn's one argument, or a tuple of the
-    degrees of its arguments (one per variable group); defect_fn returns
-    a list of (tag, Element) defects, the same tags at every point.  Each
-    group is polarized and swept over basis multisets, the first group
-    outermost.  Returns a CheckReport; a failure witnesses the first
-    failing (multiset, tag) -- (tuple of multisets, tag) for a tuple of
-    degrees -- with the polarized defect as lhs.  Raises ValueError,
-    before any work, when sweep_size refuses the sweep.
-
-    Each point's defects are kept for the sweep by its sub-multisets.
-    memo, a function of the sub-multisets that gives the defects in tag
-    order, replaces defect_fn and that store, so sweeps can share one.
+    degrees is the degree of the map's one variable, or a tuple of the
+    degrees of its variable groups.  defects(*subs) gets one sub-multiset
+    of basis indices per group and returns the map's (tag, Element)
+    defects at their subset sums, the same tags in the same order at
+    every point; subset_sum_defects builds it from a function of
+    Elements.  Each group is polarized and swept over basis multisets,
+    the first group outermost.  Returns a CheckReport; a failure
+    witnesses the first failing (multiset, tag), tags in defects' order
+    -- (tuple of multisets, tag) for a tuple of degrees -- with the
+    polarized defect as lhs.  Raises ValueError, before any work, when
+    sweep_size refuses the sweep.
     """
     single = isinstance(degrees, int)
     degrees = (degrees,) if single else tuple(degrees)
     dim = A.dim
     sweep_size(dim, degrees)
-    if memo is None:
-        store = {}
-
-        def memo(*subs):
-            got = store.get(subs)
-            if got is None:
-                got = store[subs] = sorted(
-                    defect_fn(*(_subset_sum(A, sub) for sub in subs)), key=itemgetter(0))
-            return got
-
     multisets = [combinations_with_replacement(range(dim), d) for d in degrees]
     # Only the inner groups' multisets repeat, once per outer multiset.
     inner = [[(M, _signed_submultisets(M)) for M in group] for group in multisets[1:]]
@@ -186,7 +187,7 @@ def polarized_defect_sweep(A, degrees, defect_fn, law, memo=None):
         signed0 = _signed_submultisets(M0)
         for rest in product(*inner):
             terms = [
-                (prod(cnt for _, cnt in picked), memo(*(sub for sub, _ in picked)))
+                (prod(cnt for _, cnt in picked), defects(*(sub for sub, _ in picked)))
                 for picked in product(signed0, *(signed for _, signed in rest))
             ]
             for k, (tag, _) in enumerate(terms[0][1]):
@@ -238,7 +239,7 @@ def check_nth_hom_power_associative(A, n, memo=None):
     require(A, "power associativity check", "multiplicative")
     law = "hom-power-associative(n=%d)" % n
     memo = memo or DefectMemo(A, n)
-    rep = polarized_defect_sweep(A, n, None, law, memo=lambda S: memo.defects(S, n))
+    rep = polarized_defect_sweep(A, n, lambda S: memo.defects(S, n), law)
     rep.note = "polarized sweep %s" % ("proved it" if rep.passed else "found the failure")
     return rep
 
@@ -257,8 +258,7 @@ def check_third_fourth_criterion(A, memo=None):
     memo = memo or DefectMemo(A, 4)
     for degree, tag in ((3, "third"), (4, "fourth")):
         rep = polarized_defect_sweep(
-            A, degree, None, law,
-            memo=lambda S, n=degree, tag=tag: [(tag, memo.defects(S, n)[0][1])])
+            A, degree, lambda S, n=degree, tag=tag: [(tag, memo.defects(S, n)[0][1])], law)
         if not rep.passed:
             rep.note = "polarized sweep found the failure"
             return rep

@@ -52,7 +52,7 @@ from operator import itemgetter
 
 from .linalg import ONE, ZERO, as_scalar, format_scalar, linear_combination, parse_scalar
 from .core import CheckReport, apply_alpha, mul, require
-from .powers import polarized_defect_sweep
+from .powers import polarized_defect_sweep, subset_sum_defects
 from .record import FrozenRecord
 
 __all__ = [
@@ -182,6 +182,19 @@ def mono(name, k=0):
     return HomMonomial.variable(name, k)
 
 
+def _accumulate(out, terms):
+    """Add the (monomial, Scalar) terms into the dict out, dropping the
+    monomials whose coefficient becomes zero; returns out."""
+    get = out.get
+    for m, c in terms:
+        acc = get(m, ZERO) + c
+        if acc:
+            out[m] = acc
+        else:
+            out.pop(m, None)
+    return out
+
+
 class HomPolynomial:
     """Scalar combination of HomMonomials; zero coefficients are dropped."""
 
@@ -190,15 +203,8 @@ class HomPolynomial:
     def __init__(self, terms=None):
         self._terms = {}
         if terms:
-            for m, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = as_scalar(c)
-                if c == 0:
-                    continue
-                acc = self._terms.get(m, ZERO) + c
-                if acc == 0:
-                    self._terms.pop(m, None)
-                else:
-                    self._terms[m] = acc
+            items = terms.items() if isinstance(terms, dict) else terms
+            _accumulate(self._terms, ((m, as_scalar(c)) for m, c in items))
 
     @staticmethod
     def zero():
@@ -218,15 +224,8 @@ class HomPolynomial:
         return not self._terms
 
     def __add__(self, other):
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = out.get(m, ZERO) + c
-            if acc == 0:
-                out.pop(m, None)
-            else:
-                out[m] = acc
         p = HomPolynomial()
-        p._terms = out
+        p._terms = _accumulate(dict(self._terms), other._terms.items())
         return p
 
     def __sub__(self, other):
@@ -284,17 +283,9 @@ def var(name, k=0):
 
 
 def poly_mul(p, q):
-    out = {}
-    for m1, c1 in p._terms.items():
-        for m2, c2 in q._terms.items():
-            m = m1.mul(m2)
-            acc = out.get(m, ZERO) + c1 * c2
-            if acc == 0:
-                out.pop(m, None)
-            else:
-                out[m] = acc
     r = HomPolynomial()
-    r._terms = out
+    r._terms = _accumulate({}, ((m1.mul(m2), c1 * c2) for m1, c1 in p._terms.items()
+                                for m2, c2 in q._terms.items()))
     return r
 
 
@@ -320,11 +311,7 @@ def specialize_classical(p):
             return ("v", tree[1], 0)
         return ("m", strip(tree[1]), strip(tree[2]))
 
-    out = {}
-    for m, c in p._terms.items():
-        m2 = HomMonomial(strip(m.tree))
-        out[m2] = out.get(m2, ZERO) + c
-    return HomPolynomial(out)
+    return HomPolynomial((HomMonomial(strip(m.tree)), c) for m, c in p._terms.items())
 
 
 # -- raw (un-normalized) trees ----------------------------------------------
@@ -434,15 +421,10 @@ class IdentityDef(FrozenRecord):
         return self.lhs - self.rhs
 
 
-_REGISTRY = None
-
-
+@functools.cache
 def identity_registry():
     """The six associator identities of multiplicative right Hom-alternative
-    algebras, in certificate dependency order."""
-    global _REGISTRY
-    if _REGISTRY is not None:
-        return _REGISTRY
+    algebras, in certificate dependency order, built once per process."""
     w, x, y, z = var("w"), var("x"), var("y"), var("z")
     A = expand_associator
 
@@ -492,7 +474,6 @@ def identity_registry():
         poly_mul(poly_mul(A(x, y, z), a(y, 2)), a(z, 3)),
         a(poly_mul(A(x, y, z), a(poly_mul(z, y)))),
     )
-    _REGISTRY = reg
     return reg
 
 
@@ -520,20 +501,13 @@ def hom_teichmuller_terms(w, x, y, z):
 
 def teichmuller_f(w, x, y, z):
     """f(w,x,y,z); normalizes to zero in the free multiplicative algebra."""
-    total = HomPolynomial.zero()
-    for t in hom_teichmuller_terms(w, x, y, z):
-        total = total + t
-    return total
+    return sum(hom_teichmuller_terms(w, x, y, z), HomPolynomial())
 
 
 def verify_hom_teichmuller():
     """True iff f expands to exactly 10 product terms that sum to zero."""
     terms = hom_teichmuller_terms(var("w"), var("x"), var("y"), var("z"))
-    before_cancel = sum(t.num_terms() for t in terms)
-    total = HomPolynomial.zero()
-    for t in terms:
-        total = total + t
-    return before_cancel == 10 and total.is_zero()
+    return sum(t.num_terms() for t in terms) == 10 and sum(terms, HomPolynomial()).is_zero()
 
 
 # -- multilinearization and concrete identity checking ------------------------
@@ -620,9 +594,8 @@ def check_identity_on_algebra(A, lhs, rhs, degrees, name="identity"):
         return CheckReport(True, name, note="defect normalizes to zero symbolically")
     names = sorted(degrees)
     evaluate = _polynomial_evaluator(A, defect, names)
-    rep = polarized_defect_sweep(
-        A, tuple(degrees[v] for v in names), lambda *xs: [(None, evaluate(xs))], name
-    )
+    rep = polarized_defect_sweep(A, tuple(degrees[v] for v in names),
+                                 subset_sum_defects(A, lambda *xs: [(None, evaluate(xs))]), name)
     if not rep.passed:
         return CheckReport(False, name, tuple(zip(names, rep.witness[0])), rep.lhs, rep.rhs)
     return CheckReport(True, name, note="polarized sweep over all basis tuples")
@@ -745,10 +718,8 @@ def verify_certificate(name, instances):
     """
     target = identity_defect(name)
     _check_references(name, instances)
-    total = HomPolynomial.zero()
-    for entry in instances:
-        coeff, inst = build_instance(entry)
-        total = total + inst.scale(coeff)
+    total = sum((inst.scale(coeff) for coeff, inst in map(build_instance, instances)),
+                HomPolynomial())
     residue = target - total
     return residue.is_zero(), residue
 

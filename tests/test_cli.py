@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from homalt import cli, core, idempotents, powers
+from homalt import cli, core, idempotents, linalg, powers
 from homalt.cli import _build_parser, main
 from homalt.constructions import (
     AlbertParams,
@@ -174,6 +174,24 @@ def test_unreadable_file_exits_two(argv, content, tmp_path, capsys):
     assert err.startswith("error:") and str(path) in err
 
 
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (["identity", "albert5", "--file", "FILE"], "[" * 200_000 + "]" * 200_000),
+        (["identity", "albert5", "--expr", "(= %s x)" % ("$" * 300_000)], None),
+    ],
+    ids=["file-of-brackets", "expr-bad-variable"],
+)
+def test_huge_dsl_token_exits_two_with_a_short_message(argv, content, tmp_path, capsys):
+    # The message quotes a prefix of the offending token and its length.
+    path = tmp_path / "identity.txt"
+    if content is not None:
+        path.write_text(content)
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.encode()) <= 200, err[:300]
+
+
 def test_bad_power_names_the_n_flag(capsys):
     assert main(["powers", "albert5", "--n", "1"]) == 2
     assert capsys.readouterr().err == "error: --n must be >= 2, got 1\n"
@@ -315,7 +333,8 @@ PRECONDITIONS = [
     (["operators", "albert5", "--twist", "2,3,1"], NO_IDEMPOTENT + "; pass --idempotent"),
     (["decompose", "albert5", "--twist", "2,3,1"], NO_IDEMPOTENT + "; pass --idempotent"),
     (["decompose", "albert5", "--twist", "2,3,0", "--idempotent", "0,1,0,0,0"],
-     "--idempotent is not an idempotent: e*e = 0, alpha(e) = 3*u, e = u"),
+     "decomposition needs an idempotent: e*e = e = alpha(e), got e = u with "
+     "e*e = 0, alpha(e) = 3*u"),
     (["check", "albert5", "--twist", "2,3,1"],
      "decompose suite: " + NO_IDEMPOTENT + "; drop 'decompose' from --suites"),
     (["check", SWAPPED, "--suites", "identities"], "the identities suite " + NOT_A_MORPHISM),
@@ -630,6 +649,14 @@ def test_distinguish_command(tmp_path, capsys):
     assert main(["distinguish", "albert5", "albert5"]) == 1
     out = capsys.readouterr().out
     assert "inconclusive" in out
+
+
+def test_distinguish_computes_each_characteristic_polynomial_once(tmp_path, monkeypatch):
+    other = str(tmp_path / "other.json")
+    assert main(["albert5", "--twist", "5,7,0", "-o", other]) == 0
+    polys = record_calls(monkeypatch, linalg, "char_poly")
+    assert main(["distinguish", "albert5", other]) == 0
+    assert len(polys) == 2
 
 
 # -- the single-suite commands are aliases of check --------------------------------

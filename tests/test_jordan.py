@@ -5,7 +5,7 @@ from homalt.constructions import albert5_alpha, plus_algebra, yau_twist
 from homalt.core import apply_alpha, mul
 from homalt.jordan import check_hom_jordan, check_hom_jordan_admissible, jordan_defect
 from homalt.linalg import qq
-from homalt.powers import polarized_defect_sweep
+from homalt.powers import polarized_defect_sweep, subset_sum_defects
 
 from conftest import SIX, random_element
 from test_cli import record_calls
@@ -30,9 +30,8 @@ def direct_sweep(A):
     sweeps the associator form: a reference coded apart from homalt.jordan."""
     P = plus_algebra(A)
     basis = P.basis()
-    return polarized_defect_sweep(
-        P, 3, lambda x: [(yi, direct_defect(P, x, basis[yi])) for yi in range(P.dim)], "direct"
-    )
+    return polarized_defect_sweep(P, 3, subset_sum_defects(
+        P, lambda x: [(yi, direct_defect(P, x, basis[yi])) for yi in range(P.dim)]), "direct")
 
 
 def test_plus_product_is_the_symmetrization(a230):

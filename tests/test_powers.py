@@ -20,6 +20,8 @@ from homalt.powers import (
     check_third_fourth_criterion,
     hom_power,
     hom_power_pair,
+    polarized_defect_sweep,
+    subset_sum_defects,
     sweep_size,
 )
 from homalt.symbolic import identity_registry
@@ -268,6 +270,27 @@ def test_checker_guards(a230, non_multiplicative):
         check_nth_hom_power_associative(non_multiplicative, 3)
     with pytest.raises(ValueError, match="multiplicative"):
         check_third_fourth_criterion(non_multiplicative)
+
+
+def test_subset_sum_defects_evaluates_each_sub_multiset_once(a230):
+    # Degree 3 at dim 5: 5 + 15 + 35 sub-multisets of sizes 1, 2 and 3,
+    # though the sweep asks for 7 of them at each of its 35 multisets.
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return [("zero", x - x)]
+
+    assert polarized_defect_sweep(a230, 3, subset_sum_defects(a230, fn), "zero").passed
+    assert len(seen) == 5 + 15 + 35 == len(set(seen))
+
+
+def test_sweep_reports_the_first_failing_tag_in_callback_order(a230):
+    # Tags are not sorted: both defects fail, and "b" comes first.
+    rep = polarized_defect_sweep(
+        a230, 1, subset_sum_defects(a230, lambda x: [("b", x), ("a", x.scale(2))]), "order")
+    assert not rep.passed
+    assert rep.witness == ((0,), "b") and rep.lhs == a230.basis_element(0)
 
 
 # -- one defect memo per powers suite ------------------------------------------------

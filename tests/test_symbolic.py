@@ -19,6 +19,7 @@ from homalt.dsl import (
     MAX_ALPHA_POWER,
     MAX_DEPTH,
     MAX_TERMS,
+    QUOTE_CHARS,
     parse_identity,
     parse_monomial,
     parse_term,
@@ -454,6 +455,36 @@ def test_parse_monomial_requires_unit_coefficient():
 def test_parse_errors_carry_positions(bad):
     with pytest.raises(ValueError, match=r"\(at position \d+\)"):
         parse_identity(bad) if bad.startswith("(=") else parse_term(bad)
+
+
+# (parser, input with {} for the offending token, a short token, its message)
+BAD_TOKENS = [
+    (parse_term, "(mul x y {})", "zz", "expected ')', got 'zz' (at position 9)"),
+    (parse_term, "{}", "$x", "bad variable name '$x' (at position 0)"),
+    (parse_term, "(a {} x)", "k", "alpha power must be a non-negative integer, got 'k' "
+     "(at position 3)"),
+    (parse_term, "(scale {} x)", "1/x", "bad scalar literal '1/x' (at position 7)"),
+    (parse_term, "({} x)", "bogus", "unknown operator 'bogus' (at position 1)"),
+    (parse_identity, "({} x x)", "==", "identities must start with (=, got '==' (at position 1)"),
+    (parse_monomial, "(add x {})", "y", "expected a single monomial with coefficient 1: "
+     "'(add x y)'"),
+]
+
+
+@pytest.mark.parametrize("parse,text,token,message", BAD_TOKENS,
+                         ids=[m.split(" (at")[0].split(",")[0] for *_, m in BAD_TOKENS])
+def test_parse_errors_quote_at_most_a_prefix(parse, text, token, message):
+    # A short token is quoted whole; a long one by its first QUOTE_CHARS
+    # characters and its length.  parse_monomial quotes its whole input.
+    with pytest.raises(ValueError) as short:
+        parse(text.format(token))
+    assert str(short.value) == message
+    long = token * 1000
+    whole = (text.format(token), text.format(long)) if parse is parse_monomial else (token, long)
+    with pytest.raises(ValueError) as cut:
+        parse(text.format(long))
+    assert str(cut.value) == message.replace(
+        repr(whole[0]), "%r... (%d characters)" % (whole[1][:QUOTE_CHARS], len(whole[1])))
 
 
 def test_parse_caps_nesting_depth():
