@@ -87,7 +87,7 @@ from .core import (
 )
 from .idempotents import albert_decomposition, decompose_element, idempotent_search
 from .jordan import check_hom_jordan_admissible
-from .linalg import Matrix, char_poly, format_scalar, parse_scalar
+from .linalg import Matrix, char_poly, format_scalar, parse_scalar, quote
 from .operators import (MAX_OPERATOR_POWER, check_idempotent_operator_suite,
                         check_mul_operator_identities)
 from .powers import (DefectMemo, check_nth_hom_power_associative, check_third_fourth_criterion,
@@ -128,7 +128,8 @@ COMMANDS = {
 def _parse_twist(text):
     parts = text.split(",")
     if len(parts) != 3:
-        raise InputError("--twist wants three comma-separated rationals G,D,E, got %r" % text)
+        raise InputError("--twist wants three comma-separated rationals G,D,E, got %s"
+                         % quote(text))
     try:
         gamma, delta, epsilon = (parse_scalar(p.strip()) for p in parts)
         return AlbertParams(gamma, delta, epsilon)
@@ -171,7 +172,7 @@ def _ascii_int(text):
     """int(text) for ASCII [+-]?[0-9]+ only: int() also takes other
     scripts' digits and "1_0".  The ``type`` of every integer option."""
     if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
-        raise InputError("want an ASCII integer, got %r" % text)
+        raise InputError("want an ASCII integer, got %s" % quote(text))
     return int(text)
 
 
@@ -180,13 +181,13 @@ def _parse_degrees(text):
     for item in text.split(","):
         name, eq, value = item.partition("=")
         if not eq or not name:
-            raise InputError("bad --degrees entry %r (want name=degree)" % item)
+            raise InputError("bad --degrees entry %s (want name=degree)" % quote(item))
         try:
             d = _ascii_int(value)
         except InputError as exc:
-            raise InputError("bad degree in %r" % item) from exc
+            raise InputError("bad degree in %s" % quote(item)) from exc
         if d < 1:
-            raise InputError("degree must be >= 1 in %r" % item)
+            raise InputError("degree must be >= 1 in %s" % quote(item))
         degrees[name.strip()] = d
     return degrees
 
@@ -218,7 +219,7 @@ def _thread_cap(njobs):
     try:
         cap = _ascii_int(text)
     except InputError as exc:
-        raise InputError("HOMALT_THREADS must be an integer, got %r" % text) from exc
+        raise InputError("HOMALT_THREADS must be an integer, got %s" % quote(text)) from exc
     if cap < 1:
         raise InputError("HOMALT_THREADS must be >= 1, got %d" % cap)
     return min(cap, njobs)
@@ -494,7 +495,7 @@ def run(args):
         wanted = [s.strip() for s in args.suites.split(",")]
     unknown = [s for s in wanted if s not in ALL_SUITES]
     if unknown:
-        raise InputError("unknown suite %r (have: %s)" % (unknown[0], ", ".join(ALL_SUITES)))
+        raise InputError("unknown suite %s (have: %s)" % (quote(unknown[0]), ", ".join(ALL_SUITES)))
     if args.command == "symbolic" and not (args.teichmuller or args.certificates):
         args.teichmuller = args.certificates = True  # neither flag runs both
     A = source = given = None

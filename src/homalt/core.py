@@ -33,6 +33,7 @@ from .linalg import (
     format_scalar,
     parse_scalar,
     qq,
+    quote,
     rank,
     vec_mat,
 )
@@ -91,15 +92,15 @@ class HomAlgebra:
         self.basis_names = basis_names
         self.mu = tuple(tuple(Vector(c) for c in row) for row in mu)
         self.alpha = alpha
-        # The hot loops read mu as an integer tensor over one common
-        # denominator: e_i * e_j = sum of c * e_k / _mu_den over the
-        # nonzero (k, c) pairs in _mu_num[i][j].
+        # The hot loops read mu as a sparse integer tensor over one common
+        # denominator: _mu_num[i] holds a pair (j, pairs) for each nonzero
+        # e_i * e_j, which is the sum of c * e_k / _mu_den over (k, c) in pairs.
         den = lcm(*(v.den for v in chain.from_iterable(self.mu)))
         self._mu_den = den
         self._mu_num = tuple(
             tuple(
-                tuple((k, c * (den // v.den)) for k, c in enumerate(v.nums) if c)
-                for v in row
+                (j, tuple((k, c * (den // v.den)) for k, c in enumerate(v.nums) if c))
+                for j, v in enumerate(row) if any(v.nums)
             )
             for row in self.mu
         )
@@ -210,20 +211,29 @@ class Element:
         return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
+# The integer kernel: for integer rows x, y over dx, dy, x*y is mul_nums(A, x, y) over
+# dx * dy * A._mu_den (and alpha(x) is linalg.row_times(x, A.alpha) over dx * A.alpha.den),
+# unreduced, so a value's denominator depends only on how it was built.
+
+
+def mul_nums(A, x, y):
+    acc = [0] * A.dim
+    for xi, row in zip(x, A._mu_num):
+        if xi:
+            for j, pairs in row:
+                s = xi * y[j]
+                if s:
+                    for k, c in pairs:
+                        acc[k] += s * c
+    return acc
+
+
 def mul(A, x, y):
     """Product x*y in A."""
     if x.algebra is not A or y.algebra is not A:
         raise ValueError("elements belong to different algebras")
     xv, yv = x.coords, y.coords
-    ys = [(j, yj) for j, yj in enumerate(yv.nums) if yj]
-    acc = [0] * A.dim
-    for xi, row in zip(xv.nums, A._mu_num):
-        if xi:
-            for j, yj in ys:
-                s = xi * yj
-                for k, c in row[j]:
-                    acc[k] += s * c
-    return Element(A, Vector.from_ints(acc, xv.den * yv.den * A._mu_den))
+    return Element(A, Vector.from_ints(mul_nums(A, xv.nums, yv.nums), xv.den * yv.den * A._mu_den))
 
 
 def apply_alpha(A, x):
@@ -444,18 +454,18 @@ def algebra_from_json(obj):
     seen = set()
     for ent in obj["mu"]:
         if not isinstance(ent, dict) or set(ent) != {"i", "j", "k", "c"}:
-            _fail("mu entries must be objects with keys i, j, k, c (got %r)" % (ent,))
+            _fail("mu entries must be objects with keys i, j, k, c (got %s)" % quote(ent))
         i, j, k = ent["i"], ent["j"], ent["k"]
         for idx in (i, j, k):
             if not _is_json_int(idx) or not 0 <= idx < dim:
-                _fail("mu index out of range in %r" % (ent,))
+                _fail("mu index out of range in %s" % quote(ent))
         if (i, j, k) in seen:
             _fail("duplicate mu entry for (%d, %d, %d)" % (i, j, k))
         seen.add((i, j, k))
         try:
             mu[i][j][k] = parse_scalar(ent["c"])
         except ValueError:
-            _fail("mu coefficient %r is not a rational literal" % (ent.get("c"),))
+            _fail("mu coefficient %s is not a rational literal" % quote(ent["c"]))
     alpha = obj["alpha"]
     if not isinstance(alpha, list) or len(alpha) != dim:
         _fail("alpha must be a list of %d rows" % dim)

@@ -19,7 +19,7 @@ substitutions and wraps require.  Malformed input, including terms
 nested more than MAX_DEPTH levels deep, alpha powers that add up to
 more than MAX_ALPHA_POWER on one leaf and products whose operands' term
 counts multiply past MAX_TERMS, raises ValueError with the offending
-position.  A message quotes at most QUOTE_CHARS characters of an
+position.  A message quotes at most linalg.QUOTE_CHARS characters of an
 offending token, and gives the length of a longer one.
 """
 
@@ -27,7 +27,7 @@ import operator
 import re
 from math import prod
 
-from .linalg import parse_scalar
+from .linalg import parse_scalar, quote
 from .symbolic import (
     HomMonomial,
     expand_associator,
@@ -50,9 +50,6 @@ MAX_ALPHA_POWER = 1000
 # 16 deep is 257 characters, has 65536 terms and took seconds to parse.
 # A product of 4096 terms expands in about 0.1 s (Python 3.11, 2 vCPU).
 MAX_TERMS = 4096
-# Error messages quote at most this many characters of the input, so a
-# huge token cannot make a huge message.
-QUOTE_CHARS = 32
 
 # The operators of fixed arity: head -> (arity, builder, whether the
 # builder multiplies its operands' terms, so that MAX_TERMS caps it).
@@ -66,14 +63,6 @@ _FIXED_ARITY = {
 
 _VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _INT_RE = re.compile(r"^[0-9]+$")  # ASCII only: \d takes any script's digits
-
-
-def _quote(text):
-    """repr(text), cut to its first QUOTE_CHARS characters and its length
-    when it is longer."""
-    if len(text) <= QUOTE_CHARS:
-        return repr(text)
-    return "%r... (%d characters)" % (text[:QUOTE_CHARS], len(text))
 
 
 def _tokenize(s):
@@ -122,7 +111,7 @@ class _Parser:
     def expect(self, what):
         tok, _ = self.next()
         if tok != what:
-            self.error("expected %r, got %s" % (what, _quote(tok)), self.pos - 1)
+            self.error("expected %r, got %s" % (what, quote(tok)), self.pos - 1)
 
     def parse_term(self):
         self.depth += 1
@@ -138,7 +127,7 @@ class _Parser:
             self.error("unexpected ')'", self.pos - 1)
         if tok != "(":
             if not _VAR_RE.match(tok):
-                self.error("bad variable name %s" % _quote(tok), self.pos - 1)
+                self.error("bad variable name %s" % quote(tok), self.pos - 1)
             return var(tok)
         start = self.pos - 1
         head, _ = self.next()
@@ -153,7 +142,7 @@ class _Parser:
         if head == "a":
             ktok, _ = self.next()
             if not _INT_RE.match(ktok):
-                self.error("alpha power must be a non-negative integer, got %s" % _quote(ktok),
+                self.error("alpha power must be a non-negative integer, got %s" % quote(ktok),
                            self.pos - 1)
             # Compare lengths first: int() refuses numerals of over 4300 digits.
             if (len(ktok.lstrip("0")) > len(str(MAX_ALPHA_POWER))
@@ -177,11 +166,11 @@ class _Parser:
             try:
                 c = parse_scalar(ctok)
             except ValueError:
-                self.error("bad scalar literal %s" % _quote(ctok), self.pos - 1)
+                self.error("bad scalar literal %s" % quote(ctok), self.pos - 1)
             p = self.parse_term()
             self.expect(")")
             return p.scale(c)
-        self.error("unknown operator %s" % _quote(head), self.pos - 1)
+        self.error("unknown operator %s" % quote(head), self.pos - 1)
 
     def done(self):
         if self.pos != len(self.toks):
@@ -202,7 +191,7 @@ def parse_identity(s):
     p.expect("(")
     tok, _ = p.next()
     if tok != "=":
-        p.error("identities must start with (=, got %s" % _quote(tok), p.pos - 1)
+        p.error("identities must start with (=, got %s" % quote(tok), p.pos - 1)
     lhs = p.parse_term()
     rhs = p.parse_term()
     p.expect(")")
@@ -215,7 +204,7 @@ def parse_monomial(s):
     poly = parse_term(s)
     terms = poly.terms()
     if len(terms) != 1 or terms[0][1] != 1:
-        raise ValueError("expected a single monomial with coefficient 1: %s" % _quote(s))
+        raise ValueError("expected a single monomial with coefficient 1: %s" % quote(s))
     return terms[0][0]
 
 

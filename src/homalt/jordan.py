@@ -16,8 +16,9 @@ check_hom_jordan_admissible makes that one sweep on A+, which is
 commutative by construction.
 """
 
-from .core import CheckReport, apply_alpha, hom_associator, mul
+from .core import CheckReport, apply_alpha, hom_associator, mul, mul_nums
 from .constructions import plus_algebra
+from .linalg import row_times
 from .powers import polarized_defect_sweep, subset_sum_defects
 
 __all__ = ["jordan_defect", "check_hom_jordan", "check_hom_jordan_admissible"]
@@ -29,12 +30,14 @@ def jordan_defect(A, x, y):
 
 
 def _polarized_jordan(A, law):
-    alpha_basis = [apply_alpha(A, b) for b in A.basis()]
+    alpha_basis = A.alpha.nums  # alpha(e_i) is row i of alpha
+    den = (A._mu_den * A.alpha.den) ** 3  # each side: three products, three alphas
 
     def defects(x):  # jordan_defect at every alpha(y), x's own products made once
-        x2, ax = mul(A, x, x), apply_alpha(A, x)
-        aax, ax2 = apply_alpha(A, ax), apply_alpha(A, x2)
-        return [(yi, mul(A, mul(A, x2, ay), aax) - mul(A, ax2, mul(A, ay, ax)))
+        x2, ax = mul_nums(A, x, x), row_times(x, A.alpha)
+        aax, ax2 = row_times(ax, A.alpha), row_times(x2, A.alpha)
+        return [(yi, [a - b for a, b in zip(mul_nums(A, mul_nums(A, x2, ay), aax),
+                                             mul_nums(A, ax2, mul_nums(A, ay, ax)))], den)
                 for yi, ay in enumerate(alpha_basis)]
 
     return polarized_defect_sweep(A, 3, subset_sum_defects(A, defects), law)

@@ -59,6 +59,20 @@ ONE = qq(1)
 
 _SCALAR_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")  # ASCII only: \d takes any script's digits
 
+# Error messages quote at most QUOTE_CHARS characters of an input string, and
+# 3 * QUOTE_CHARS of another value's repr, so a huge input makes a short message.
+QUOTE_CHARS = 32
+
+
+def quote(x):
+    """repr(x), or, when it is longer, a string's first QUOTE_CHARS characters
+    (another value's repr's first 3 * QUOTE_CHARS) and the length."""
+    text, limit = (x, QUOTE_CHARS) if isinstance(x, str) else (repr(x), 3 * QUOTE_CHARS)
+    if len(text) <= limit:
+        return repr(x)
+    head = repr(text[:limit]) if isinstance(x, str) else text[:limit]
+    return "%s... (%d characters)" % (head, len(text))
+
 
 def as_scalar(x):
     """Coerce an int, Scalar or 'p/q' string to a Scalar."""
@@ -68,7 +82,7 @@ def as_scalar(x):
         return qq(x)
     if isinstance(x, str):
         return parse_scalar(x)
-    raise ValueError("cannot interpret %r as an exact rational" % (x,))
+    raise ValueError("cannot interpret %s as an exact rational" % quote(x))
 
 
 def parse_scalar(s):
@@ -78,14 +92,14 @@ def parse_scalar(s):
     True
     """
     if not isinstance(s, str):
-        raise ValueError("bad rational literal %r (expected a string p or p/q)" % (s,))
+        raise ValueError("bad rational literal %s (expected a string p or p/q)" % quote(s))
     t = s.strip()
     if not _SCALAR_RE.match(t):
-        raise ValueError("bad rational literal %r (expected p or p/q)" % (s,))
+        raise ValueError("bad rational literal %s (expected p or p/q)" % quote(s))
     if "/" in t:
         p, q = t.split("/")
         if int(q) == 0:
-            raise ValueError("bad rational literal %r (zero denominator)" % (s,))
+            raise ValueError("bad rational literal %s (zero denominator)" % quote(s))
         return qq(int(p), int(q))
     return qq(int(t))
 
@@ -212,30 +226,6 @@ class Vector:
 
     def __repr__(self):
         return "Vector(%s)" % (", ".join(format_scalar(a) for a in self.entries),)
-
-
-def linear_combination(terms, n):
-    """Exact sum of p/q * v over (p, q, v) in terms, as a Vector of length n.
-
-    p and q > 0 are ints and v a Vector.  The sum runs on integer
-    numerators over one running common denominator and reduces once at
-    the end, so no Vector is built per term.
-    """
-    acc = [0] * n
-    den = 1
-    for p, q, v in terms:
-        d = q * v.den
-        if d != den:
-            common = lcm(den, d)
-            if common != den:
-                f = common // den
-                acc = [a * f for a in acc]
-                den = common
-            p *= den // d
-        for k, a in enumerate(v.nums):
-            if a:
-                acc[k] += p * a
-    return _reduced(acc, den)
 
 
 def _sparse(nums):
@@ -402,17 +392,22 @@ def mat_vec(m, v):
     return _reduced([sum(a * x[j] for j, a in row) for row in m._sparse], m.den * v.den)
 
 
+def row_times(x, m):
+    """The integer numerators of x @ m for an integer row x: over m.den, unreduced."""
+    acc = [0] * m.cols
+    for a, row in zip(x, m._sparse):
+        if a:
+            for j, b in row:
+                acc[j] += a * b
+    return acc
+
+
 def vec_mat(v, m):
     """Row vector times matrix: v @ m."""
     if len(v.nums) != m.rows:
         raise ValueError("shape mismatch: length-%d vector @ %dx%d matrix"
                          % (len(v), m.rows, m.cols))
-    acc = [0] * m.cols
-    for x, row in zip(v.nums, m._sparse):
-        if x:
-            for j, a in row:
-                acc[j] += x * a
-    return _reduced(acc, m.den * v.den)
+    return _reduced(row_times(v.nums, m), m.den * v.den)
 
 
 def mat_pow(m, n):

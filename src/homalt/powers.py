@@ -38,15 +38,22 @@ only depends on the multiset of S: 2^d evaluations per point, not d!.
 A sweep of degrees d_1, ..., d_g on dim basis elements visits
 prod C(dim + d - 1, d) multisets and combines 2^d defects at each, which
 grows fast in d; sweep_size refuses a sweep above MAX_SWEEP.
+
+The defects are unreduced integer rows (core.mul_nums): x_S is an integer
+vector, so each tag's defect lies over one denominator, a product of powers
+of mu's and alpha's fixed by the expression's shape.  The sweep sums nonzero
+(index, numerator) pairs and reduces once, at a failing witness, to the one
+canonical form of that rational value: reports match a sweep on Elements.
 """
 
 from functools import cache
 from itertools import combinations_with_replacement, product
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import itemgetter
 
-from .linalg import Vector, linear_combination
-from .core import CheckReport, apply_alpha, mul, require
+from .linalg import Vector, row_times
+# mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
+from .core import CheckReport, Element, mul, mul_nums, require  # noqa: F401
 
 __all__ = [
     "PowerTable",
@@ -59,44 +66,47 @@ __all__ = [
 
 class PowerTable:
     """Hom-powers x^n of a fixed base element, memoised with their alpha^k, and
-    the pairs x^(i,j) they make."""
+    the pairs x^(i,j) they make, as unreduced integer rows (core.mul_nums) whose
+    denominators depend only on n, k and the base's; Elements handed out are reduced."""
 
     def __init__(self, A, base):
         if base.algebra is not A:
             raise ValueError("elements belong to different algebras")
         self.algebra = A
-        self.base = base
-        self._pow = {1: base}
-        self._alpha_pow = {}  # (n, k) -> alpha^k(x^n)
+        self._chains = {1: [(base.coords.nums, base.coords.den)]}  # n -> [alpha^k(x^n)]
+
+    def _row(self, n, k):
+        """(numerators, denominator) of alpha^k(x^n)."""
+        A, chain = self.algebra, self._chains.get(n)
+        if chain is None:
+            (a, da), (b, db) = self._row(n - 1, 0), self._row(1, n - 2)
+            chain = self._chains[n] = [(mul_nums(A, a, b), da * db * A._mu_den)]
+        while len(chain) <= k:
+            nums, den = chain[-1]
+            chain.append((row_times(nums, A.alpha), den * A.alpha.den))
+        return chain[k]
+
+    def _pair_row(self, i, j):
+        (a, da), (b, db) = self._row(i, j - 1), self._row(j, i - 1)
+        return mul_nums(self.algebra, a, b), da * db * self.algebra._mu_den
 
     def power(self, n):
         """x^n for n >= 1."""
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("Hom-powers are defined for n >= 1, got %r" % (n,))
-        p = self._pow.get(n)
-        if p is None:
-            p = mul(self.algebra, self.power(n - 1), self.alpha_power(1, n - 2))
-            self._pow[n] = p
-        return p
+        return self.alpha_power(n, 0)
 
     def alpha_power(self, n, k):
         """alpha^k(x^n) for n >= 1, k >= 0."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("alpha powers need an integer k >= 0, got %r" % (k,))
-        if k == 0:
-            return self.power(n)
-        key = (n, k)
-        e = self._alpha_pow.get(key)
-        if e is None:
-            e = apply_alpha(self.algebra, self.alpha_power(n, k - 1))
-            self._alpha_pow[key] = e
-        return e
+        if not isinstance(n, int) or n < 1:
+            raise ValueError("Hom-powers are defined for n >= 1, got %r" % (n,))
+        return Element(self.algebra, Vector.from_ints(*self._row(n, k)))
 
     def pair(self, i, j):
         """x^(i,j) = alpha^(j-1)(x^i) * alpha^(i-1)(x^j), i, j >= 1."""
         if not (isinstance(i, int) and isinstance(j, int) and i >= 1 and j >= 1):
             raise ValueError("Hom-power pairs need i, j >= 1, got (%r, %r)" % (i, j))
-        return mul(self.algebra, self.alpha_power(i, j - 1), self.alpha_power(j, i - 1))
+        return Element(self.algebra, Vector.from_ints(*self._pair_row(i, j)))
 
 
 def hom_power(A, x, n):
@@ -107,9 +117,13 @@ def hom_power_pair(A, x, i, j):
     return PowerTable(A, x).pair(i, j)
 
 
-def _subset_sum(A, S):
+def _subset_sum(dim, S):
     """x_S, the sum of the basis elements indexed by S: S's multiplicities."""
-    return A.element(Vector.from_ints([S.count(v) for v in range(A.dim)], 1))
+    return tuple(map(S.count, range(dim)))
+
+
+def _nonzero(nums):
+    return tuple((k, a) for k, a in enumerate(nums) if a)
 
 
 @cache
@@ -151,12 +165,14 @@ def sweep_size(dim, degrees):
 
 def subset_sum_defects(A, fn):
     """The defects callback of polarized_defect_sweep for fn, a function of
-    one Element per variable group: fn at the subset sums x_S of the
-    sub-multisets, computed once per tuple of sub-multisets."""
+    one integer row per variable group that returns [(tag, numerators,
+    denominator)]: fn at the subset sums x_S of the sub-multisets, computed
+    once per tuple of sub-multisets."""
 
     @cache
     def defects(*subs):
-        return fn(*(_subset_sum(A, sub) for sub in subs))
+        return [(tag, den, _nonzero(nums))
+                for tag, nums, den in fn(*(_subset_sum(A.dim, sub) for sub in subs))]
 
     return defects
 
@@ -166,36 +182,49 @@ def polarized_defect_sweep(A, degrees, defects, law):
 
     degrees is the degree of the map's one variable, or a tuple of the
     degrees of its variable groups.  defects(*subs) gets one sub-multiset
-    of basis indices per group and returns the map's (tag, Element)
-    defects at their subset sums, the same tags in the same order at
-    every point; subset_sum_defects builds it from a function of
-    Elements.  Each group is polarized and swept over basis multisets,
-    the first group outermost.  Returns a CheckReport; a failure
-    witnesses the first failing (multiset, tag), tags in defects' order
-    -- (tuple of multisets, tag) for a tuple of degrees -- with the
-    polarized defect as lhs.  Raises ValueError, before any work, when
-    sweep_size refuses the sweep.
+    of basis indices per group and returns the map's defects at their
+    subset sums as (tag, denominator, nonzero (index, numerator) pairs),
+    the same tags in the same order, each over the same denominator, at
+    every point; subset_sum_defects builds it from a function of integer
+    rows.  Each group is polarized and swept over basis multisets, the
+    first group outermost.  Returns a CheckReport; a failure witnesses the
+    first failing (multiset, tag), tags in defects' order -- (tuple of
+    multisets, tag) for a tuple of degrees -- with the polarized defect,
+    reduced, as lhs.  Raises ValueError, before any work, when sweep_size
+    refuses the sweep.
     """
     single = isinstance(degrees, int)
     degrees = (degrees,) if single else tuple(degrees)
-    dim = A.dim
-    sweep_size(dim, degrees)
-    multisets = [combinations_with_replacement(range(dim), d) for d in degrees]
-    # Only the inner groups' multisets repeat, once per outer multiset.
-    inner = [[(M, _signed_submultisets(M)) for M in group] for group in multisets[1:]]
-    for M0 in multisets[0]:
-        signed0 = _signed_submultisets(M0)
-        for rest in product(*inner):
-            terms = [
-                (prod(cnt for _, cnt in picked), defects(*(sub for sub, _ in picked)))
-                for picked in product(signed0, *(signed for _, signed in rest))
-            ]
-            for k, (tag, _) in enumerate(terms[0][1]):
-                acc = linear_combination(((cnt, 1, vals[k][1].coords) for cnt, vals in terms), dim)
-                if not acc.is_zero():
-                    witness = (M0 if single else (M0, *(M for M, _ in rest)), tag)
-                    return CheckReport(False, law, witness, A.element(acc), A.zero())
+    sweep_size(A.dim, degrees)
+    multisets = [combinations_with_replacement(range(A.dim), d) for d in degrees]
+    if len(degrees) == 1:
+        points = (((M,), [(cnt, defects(sub)) for sub, cnt in _signed_submultisets(M)])
+                  for M in multisets[0])
+    else:
+        # Only the inner groups' multisets repeat, once per outer multiset.
+        inner = [[(M, _signed_submultisets(M)) for M in group] for group in multisets[1:]]
+        points = (
+            ((M0, *(M for M, _ in rest)),
+             [(prod(cnt for _, cnt in picked), defects(*(sub for sub, _ in picked)))
+              for picked in product(_signed_submultisets(M0), *(signed for _, signed in rest))])
+            for M0 in multisets[0] for rest in product(*inner))
+    for point, terms in points:
+        for k, (tag, den, _) in enumerate(terms[0][1]):
+            acc = [0] * A.dim
+            for cnt, rows in terms:
+                for i, a in rows[k][2]:
+                    acc[i] += cnt * a
+            if any(acc):
+                return CheckReport(False, law, (point[0] if single else point, tag),
+                                   Element(A, Vector.from_ints(acc, den)), A.zero())
     return CheckReport(True, law)
+
+
+def _difference(x, y):
+    """(den, nonzero pairs) of the rows x - y, over the lcm of their dens."""
+    den = lcm(x[1], y[1])
+    fx, fy = den // x[1], den // y[1]
+    return den, _nonzero([a * fx - b * fy for a, b in zip(x[0], y[0])])
 
 
 class DefectMemo:
@@ -207,13 +236,15 @@ class DefectMemo:
         self.algebra, self.top, self.entries = A, top, {}
 
     def defects(self, S, n):
-        """[(i, x_S^n - x_S^(n-i,i)) for i in 2..n-1]."""
+        """[(i, den, nonzero pairs of x_S^n - x_S^(n-i,i)) for i in 2..n-1]."""
         if n < 3:
             return []
         entry = self.entries.get(S)
         if entry is None or n not in entry:
-            t = PowerTable(self.algebra, _subset_sum(self.algebra, S))
-            entry = {k: [(i, t.power(k) - t.pair(k - i, i)) for i in range(2, k)]
+            A = self.algebra
+            t = PowerTable(A, Element(A, Vector.from_ints(_subset_sum(A.dim, S), 1)))
+            entry = {k: [(i, *_difference(t._row(k, 0), t._pair_row(k - i, i)))
+                         for i in range(2, k)]
                      for k in range(n, max(n, self.top) + 1)}
             if len(S) < max(self.top, 5):  # else only its own multiset reaches S
                 self.entries[S] = entry
@@ -258,7 +289,7 @@ def check_third_fourth_criterion(A, memo=None):
     memo = memo or DefectMemo(A, 4)
     for degree, tag in ((3, "third"), (4, "fourth")):
         rep = polarized_defect_sweep(
-            A, degree, lambda S, n=degree, tag=tag: [(tag, memo.defects(S, n)[0][1])], law)
+            A, degree, lambda S, n=degree, tag=tag: [(tag, *memo.defects(S, n)[0][1:])], law)
         if not rep.passed:
             rep.note = "polarized sweep found the failure"
             return rep

@@ -48,10 +48,12 @@ multilinearize's symbolic form.
 import functools
 import json
 from itertools import permutations
+from math import lcm
 from operator import itemgetter
 
-from .linalg import ONE, ZERO, as_scalar, format_scalar, linear_combination, parse_scalar
-from .core import CheckReport, apply_alpha, mul, require
+from .linalg import ONE, ZERO, Vector, as_scalar, format_scalar, parse_scalar, row_times
+# mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
+from .core import CheckReport, Element, mul, mul_nums, require  # noqa: F401
 from .powers import polarized_defect_sweep, subset_sum_defects
 from .record import FrozenRecord
 
@@ -124,21 +126,22 @@ class HomMonomial:
     canonical.
     """
 
-    __slots__ = ("tree", "_key")
+    __slots__ = ("tree", "_sort_key", "_hash")
 
     def __init__(self, tree):
         if tree[0] not in ("v", "m"):
             raise ValueError("a monomial tree is a ('v', name, k) leaf or an ('m', left, right) "
                              "product, got tag %r" % (tree[0],))
         self.tree = tree
-        leaves = []
-        _tree_leaves(tree, leaves)
-        self._key = (
-            len(leaves),
-            _tree_shape(tree),
-            tuple(n for n, _ in leaves),
-            tuple(k for _, k in leaves),
-        )
+        self._sort_key, self._hash = None, hash(tree)  # the key is made on first use
+
+    @property
+    def _key(self):
+        if self._sort_key is None:
+            leaves = self.leaves()
+            self._sort_key = (len(leaves), _tree_shape(self.tree),
+                              tuple(n for n, _ in leaves), tuple(k for _, k in leaves))
+        return self._sort_key
 
     @staticmethod
     def variable(name, k=0):
@@ -169,7 +172,7 @@ class HomMonomial:
         return isinstance(other, HomMonomial) and other.tree == self.tree
 
     def __hash__(self):
-        return hash(self.tree)
+        return self._hash
 
     def __lt__(self, other):
         return self._key < other._key
@@ -333,8 +336,9 @@ def normalize_raw(tree):
 # -- evaluation of normalized polynomials ------------------------------------
 
 
-def _compile_tree(A, tree, slot_of, done):
-    """(f, slots): f(xs, ids) is tree at one Element per variable.
+def _compile_tree(A, tree, slot_of, dens, done):
+    """(f, slots, den): f(xs, ids) is tree at one integer row per variable,
+    xs[t] over dens[t], as integer numerators over den.
 
     tree reads xs[slots].  ids numbers the values in xs, and f memoises
     on ids[slots] through one operator.itemgetter, so a subtree shared
@@ -347,20 +351,21 @@ def _compile_tree(A, tree, slot_of, done):
         if tree[1] not in slot_of:
             raise ValueError("unassigned variable %r" % tree[1])
         slots, shift = (slot_of[tree[1]],), tree[2]
+        den = dens[slots[0]] * A.alpha.den ** shift
 
         def compute(xs, ids):
             e = xs[slots[0]]
             for _ in range(shift):
-                e = apply_alpha(A, e)
+                e = row_times(e, A.alpha)
             return e
 
     else:
-        left, lslots = _compile_tree(A, tree[1], slot_of, done)
-        right, rslots = _compile_tree(A, tree[2], slot_of, done)
-        slots = tuple(sorted(set(lslots + rslots)))
+        left, lslots, lden = _compile_tree(A, tree[1], slot_of, dens, done)
+        right, rslots, rden = _compile_tree(A, tree[2], slot_of, dens, done)
+        slots, den = tuple(sorted(set(lslots + rslots))), lden * rden * A._mu_den
 
         def compute(xs, ids):
-            return mul(A, left(xs, ids), right(xs, ids))
+            return mul_nums(A, left(xs, ids), right(xs, ids))
 
     key = itemgetter(*slots)
     memo = {}
@@ -372,22 +377,26 @@ def _compile_tree(A, tree, slot_of, done):
             e = memo[k] = compute(xs, ids)
         return e
 
-    done[tree] = f, slots
-    return f, slots
+    done[tree] = f, slots, den
+    return done[tree]
 
 
-def _polynomial_evaluator(A, p, names):
-    """xs -> p evaluated at one Element per variable in names."""
+def _polynomial_evaluator(A, p, names, dens):
+    """xs -> (numerators, denominator) of p at one integer row per variable
+    in names, xs[t] over dens[t]; the denominator is the same at every xs."""
     slot_of = {v: t for t, v in enumerate(names)}
     done = {}
-    terms = [(_compile_tree(A, m.tree, slot_of, done)[0], c.numerator, c.denominator)
-             for m, c in p.terms()]
-    seen = {}  # Element -> its number
+    trees = [(_compile_tree(A, m.tree, slot_of, dens, done), c) for m, c in p.terms()]
+    den = lcm(*(c.denominator * tden for (_, _, tden), c in trees))
+    terms = [(f, c.numerator * (den // (c.denominator * tden))) for (f, _, tden), c in trees]
+    seen = {}  # row -> its number
 
     def evaluate(xs):
         ids = tuple([seen.setdefault(x, len(seen)) for x in xs])
-        acc = linear_combination(((n, d, f(xs, ids).coords) for f, n, d in terms), A.dim)
-        return A.element(acc)
+        acc = [0] * A.dim
+        for f, factor in terms:
+            acc = [s + factor * a for s, a in zip(acc, f(xs, ids))]
+        return acc, den
 
     return evaluate
 
@@ -402,7 +411,9 @@ def evaluate_polynomial(A, p, assignment):
     if any(x.algebra is not A for x in assignment.values()):
         raise ValueError("elements belong to different algebras")
     names = sorted(assignment)
-    return _polynomial_evaluator(A, p, names)(tuple(assignment[v] for v in names))
+    coords = [assignment[v].coords for v in names]
+    evaluate = _polynomial_evaluator(A, p, names, [v.den for v in coords])
+    return Element(A, Vector.from_ints(*evaluate(tuple(v.nums for v in coords))))
 
 
 # -- the identity registry ---------------------------------------------------
@@ -593,9 +604,9 @@ def check_identity_on_algebra(A, lhs, rhs, degrees, name="identity"):
     if defect.is_zero():
         return CheckReport(True, name, note="defect normalizes to zero symbolically")
     names = sorted(degrees)
-    evaluate = _polynomial_evaluator(A, defect, names)
+    evaluate = _polynomial_evaluator(A, defect, names, [1] * len(names))
     rep = polarized_defect_sweep(A, tuple(degrees[v] for v in names),
-                                 subset_sum_defects(A, lambda *xs: [(None, evaluate(xs))]), name)
+                                 subset_sum_defects(A, lambda *xs: [(None, *evaluate(xs))]), name)
     if not rep.passed:
         return CheckReport(False, name, tuple(zip(names, rep.witness[0])), rep.lhs, rep.rhs)
     return CheckReport(True, name, note="polarized sweep over all basis tuples")

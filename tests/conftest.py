@@ -1,9 +1,10 @@
 import pathlib
+from itertools import combinations_with_replacement
 
 import pytest
 
 from homalt.constructions import AlbertParams, albert5_base, albert5_twisted, direct_sum
-from homalt.core import HomAlgebra, load_algebra
+from homalt.core import CheckReport, HomAlgebra, load_algebra
 from homalt.linalg import Matrix, identity_matrix, qq
 from homalt.symbolic import poly_mul, var
 
@@ -32,6 +33,37 @@ def random_element(A, rng):
     return A.element(
         [qq(rng.choice(range(-3, 4)), rng.choice((1, 2, 3))) for _ in range(A.dim)]
     )
+
+
+def slot_mask_submultisets(M):
+    """The inclusion-exclusion over M's slots, one slot subset at a time:
+    [(sorted sub-multiset, summed sign)] over all 2^d - 1 nonempty masks."""
+    d = len(M)
+    signed = {}
+    for mask in range(1, 1 << d):
+        sub = tuple(sorted(M[t] for t in range(d) if mask >> t & 1))
+        signed[sub] = signed.get(sub, 0) + (-1) ** (d - len(sub))
+    return sorted(signed.items())
+
+
+def element_sweep(A, degree, law, defects):
+    """A polarized sweep on Elements, coded apart from homalt.powers: at each
+    basis multiset M, the slot-mask inclusion-exclusion of defects(x), a list
+    of (tag, Element), over the subset sums x of M's sub-multisets.  Reports
+    the first failing (M, tag), with the polarized defect as lhs."""
+    memo = {}
+    for M in combinations_with_replacement(range(A.dim), degree):
+        signed = slot_mask_submultisets(M)
+        for sub, _ in signed:
+            if sub not in memo:
+                memo[sub] = defects(sum((A.basis_element(v) for v in sub), A.zero()))
+        for k, (tag, _) in enumerate(memo[signed[0][0]]):
+            acc = A.zero()
+            for sub, cnt in signed:
+                acc = acc + memo[sub][k][1].scale(cnt)
+            if not acc.is_zero():
+                return CheckReport(False, law, (M, tag), acc, A.zero())
+    return CheckReport(True, law)
 
 
 def hom_power_poly(n):

@@ -229,6 +229,64 @@ def test_thread_cap_takes_only_ascii_digits(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: HOMALT_THREADS must be an integer, got '\u0662'\n"
 
 
+BIG = "x" * 100_000
+
+
+def bad_entry_algebra(tmp_path, **entry):
+    """A dim-1 algebra file whose one mu entry is {i: 0, j: 0, k: 0, c: "1"}
+    updated by entry."""
+    path = tmp_path / "bad.json"
+    mu = [{"i": 0, "j": 0, "k": 0, "c": "1", **entry}]
+    path.write_text(json.dumps({"dim": 1, "basis": ["e"], "mu": mu, "alpha": [["1"]]}))
+    return str(path)
+
+
+def exit_and_stderr(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+# Each message quotes a bounded prefix of a huge input: argparse's usage
+# text takes about 160 of the 400 bytes.
+@pytest.mark.parametrize("argv", [
+    ["check", "albert5", "--twist", BIG],
+    ["check", "albert5", "--twist", "1,2," + BIG],
+    ["check", "albert5", "--suites", BIG],
+    ["check", "albert5", "--nmax", BIG],
+    ["decompose", "albert5", "--idempotent", "0,0,0,0," + BIG],
+    ["identity", "albert5", "--expr", "(= (mul x x) x)", "--degrees", BIG],
+    ["identity", "albert5", "--expr", "(= (mul x x) x)", "--degrees", "x=" + BIG],
+], ids=["twist", "twist-entry", "suites", "nmax", "idempotent", "degrees", "degree"])
+def test_huge_flag_values_make_short_messages(argv, capsys):
+    code, err = exit_and_stderr(argv, capsys)
+    assert code == 2 and "... (1000" in err, err[:400]
+    assert len(err.encode()) <= 400, err[:400]
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"c": "x" * 300_000}, "mu coefficient 'xx"),
+    ({"c": "1/0x"}, "mu coefficient '1/0x' is not a rational literal"),
+    ({"x" * 300_000: 1}, "mu entries must be objects with keys i, j, k, c (got {'i': 0"),
+    ({"n": 1}, "mu entries must be objects with keys i, j, k, c "
+               "(got {'i': 0, 'j': 0, 'k': 0, 'c': '1', 'n': 1})"),
+    ({"i": "x" * 300_000}, "mu index out of range in {'i': 'xx"),
+    ({"i": 1}, "mu index out of range in {'i': 1, 'j': 0, 'k': 0, 'c': '1'}"),
+], ids=["coefficient", "short-coefficient", "key", "short-key", "index", "short-index"])
+def test_bad_mu_entries_make_short_messages(entry, message, tmp_path, capsys):
+    code, err = exit_and_stderr(["check", bad_entry_algebra(tmp_path, **entry)], capsys)
+    assert code == 2 and err.startswith("error: bad algebra JSON: " + message), err[:400]
+    assert len(err.encode()) <= 400, err[:400]
+
+
+def test_huge_thread_cap_makes_a_short_message(monkeypatch, capsys):
+    monkeypatch.setenv("HOMALT_THREADS", BIG)
+    code, err = exit_and_stderr(["check", "albert5", "--suites", "axioms"], capsys)
+    assert code == 2 and err.endswith("... (100000 characters)\n") and len(err.encode()) <= 400
+
+
 def test_dim_above_the_cap_exits_two(tmp_path, capsys):
     # An empty basis: the cap must refuse before anything is allocated.
     path = tmp_path / "huge.json"

@@ -5,9 +5,8 @@ from homalt.constructions import albert5_alpha, plus_algebra, yau_twist
 from homalt.core import apply_alpha, mul
 from homalt.jordan import check_hom_jordan, check_hom_jordan_admissible, jordan_defect
 from homalt.linalg import qq
-from homalt.powers import polarized_defect_sweep, subset_sum_defects
 
-from conftest import SIX, random_element
+from conftest import SIX, element_sweep, random_element
 from test_cli import record_calls
 
 ADMISSIBLE_NOTE = "polarized sweep of as(x*x, alpha(y), alpha(x)) on A+"
@@ -26,12 +25,12 @@ def direct_defect(A, x, y):
 
 
 def direct_sweep(A):
-    """The direct form swept on A+ the way check_hom_jordan_admissible
-    sweeps the associator form: a reference coded apart from homalt.jordan."""
+    """The direct form swept on A+ by the Element sweep: a reference coded
+    apart from homalt.jordan and homalt.powers."""
     P = plus_algebra(A)
     basis = P.basis()
-    return polarized_defect_sweep(P, 3, subset_sum_defects(
-        P, lambda x: [(yi, direct_defect(P, x, basis[yi])) for yi in range(P.dim)]), "direct")
+    return element_sweep(
+        P, 3, "direct", lambda x: [(yi, direct_defect(P, x, basis[yi])) for yi in range(P.dim)])
 
 
 def test_plus_product_is_the_symmetrization(a230):

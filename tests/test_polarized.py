@@ -111,7 +111,7 @@ def test_degree_seven_power_identity_is_cheap(monkeypatch):
     # Symbolic multilinearization turns each monomial of x^7 into 7! slot
     # permutations; subset sums need one evaluation per sub-multiset.
     calls = []
-    orig = homalt.core.mul
+    orig = homalt.core.mul_nums
 
     def counted(*args):
         calls.append(None)

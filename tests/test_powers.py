@@ -2,7 +2,7 @@ import argparse
 import random
 import time
 import tracemalloc
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from homalt import core
 from homalt.cli import _suite_powers
-from homalt.core import CheckReport, HomAlgebra, apply_alpha, mul
+from homalt.core import HomAlgebra, apply_alpha, mul
 from homalt.linalg import identity_matrix, qq
 from homalt.powers import (
     MAX_SWEEP,
@@ -26,7 +26,7 @@ from homalt.powers import (
 )
 from homalt.symbolic import identity_registry
 
-from conftest import SIX, random_element, six_algebra
+from conftest import SIX, element_sweep, random_element, six_algebra, slot_mask_submultisets
 from test_cli import record_calls
 
 
@@ -279,7 +279,7 @@ def test_subset_sum_defects_evaluates_each_sub_multiset_once(a230):
 
     def fn(x):
         seen.append(x)
-        return [("zero", x - x)]
+        return [("zero", [0] * len(x), 1)]
 
     assert polarized_defect_sweep(a230, 3, subset_sum_defects(a230, fn), "zero").passed
     assert len(seen) == 5 + 15 + 35 == len(set(seen))
@@ -288,23 +288,13 @@ def test_subset_sum_defects_evaluates_each_sub_multiset_once(a230):
 def test_sweep_reports_the_first_failing_tag_in_callback_order(a230):
     # Tags are not sorted: both defects fail, and "b" comes first.
     rep = polarized_defect_sweep(
-        a230, 1, subset_sum_defects(a230, lambda x: [("b", x), ("a", x.scale(2))]), "order")
+        a230, 1, subset_sum_defects(a230, lambda x: [("b", x, 1), ("a", [2 * a for a in x], 1)]),
+        "order")
     assert not rep.passed
     assert rep.witness == ((0,), "b") and rep.lhs == a230.basis_element(0)
 
 
 # -- one defect memo per powers suite ------------------------------------------------
-
-
-def slot_mask_submultisets(M):
-    """The inclusion-exclusion over M's slots, one slot subset at a time:
-    [(sorted sub-multiset, summed sign)] over all 2^d - 1 nonempty masks."""
-    d = len(M)
-    signed = {}
-    for mask in range(1, 1 << d):
-        sub = tuple(sorted(M[t] for t in range(d) if mask >> t & 1))
-        signed[sub] = signed.get(sub, 0) + (-1) ** (d - len(sub))
-    return sorted(signed.items())
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -314,48 +304,41 @@ def test_multiplicity_form_is_the_slot_mask_enumeration(M):
 
 
 def reference_rows(A, nmax):
-    """The powers suite's rows by plain per-row sweeps: each n checks every
-    split i = 1..n-1 and the criterion its own third and fourth defects,
-    each sweep with its own memo, slot-mask signs and no DefectMemo."""
+    """The powers suite's rows by plain per-row sweeps on Elements: each n
+    checks every split i = 1..n-1 and the criterion its own third and fourth
+    defects, each sweep with its own memo, slot-mask signs and no DefectMemo;
+    powers come from mul and apply_alpha, not PowerTable."""
 
-    def sweep(degree, law, defects):
-        memo = {}
-        for M in combinations_with_replacement(range(A.dim), degree):
-            signed = slot_mask_submultisets(M)
-            for sub, _ in signed:
-                if sub not in memo:
-                    memo[sub] = defects(sum((A.basis_element(v) for v in sub), A.zero()))
-            for k, (tag, _) in enumerate(memo[signed[0][0]]):
-                acc = A.zero()
-                for sub, cnt in signed:
-                    acc = acc + memo[sub][k][1].scale(cnt)
-                if not acc.is_zero():
-                    return CheckReport(False, law, (M, tag), acc, A.zero())
-        return CheckReport(True, law)
+    def power(x, n):  # alpha^k(x^n) by the recursions, on Elements
+        return x if n == 1 else mul(A, power(x, n - 1), alpha(x, 1, n - 2))
+
+    def alpha(x, n, k):
+        return power(x, n) if k == 0 else apply_alpha(A, alpha(x, n, k - 1))
 
     def splits(n):
         def defects(x):
-            t = PowerTable(A, x)
-            return [(i, t.power(n) - t.pair(n - i, i)) for i in range(1, n)]
+            xn = power(x, n)
+            return [(i, xn - mul(A, alpha(x, n - i, i - 1), alpha(x, i, n - i - 1)))
+                    for i in range(1, n)]
         return defects
 
     def third(x):
-        x2, ax = hom_power(A, x, 2), apply_alpha(A, x)
+        x2, ax = power(x, 2), apply_alpha(A, x)
         return [("third", mul(A, x2, ax) - mul(A, ax, x2))]
 
     def fourth(x):
-        ax2 = apply_alpha(A, hom_power(A, x, 2))
-        return [("fourth", hom_power(A, x, 4) - mul(A, ax2, ax2))]
+        ax2 = apply_alpha(A, power(x, 2))
+        return [("fourth", power(x, 4) - mul(A, ax2, ax2))]
 
     rows = []
     for n in range(2, nmax + 1):
-        rep = sweep(n, "hom-power-associative(n=%d)" % n, splits(n))
+        rep = element_sweep(A, n, "hom-power-associative(n=%d)" % n, splits(n))
         rep.note = "polarized sweep %s" % ("proved it" if rep.passed else "found the failure")
         rows.append(rep)
     law = "third-fourth-power-criterion"
-    rep = sweep(3, law, third)
+    rep = element_sweep(A, 3, law, third)
     if rep.passed:
-        rep = sweep(4, law, fourth)
+        rep = element_sweep(A, 4, law, fourth)
     rep.note = "polarized sweep found the failure" if not rep.passed else (
         "both polarized sweeps proved it")
     return rows + [rep]
@@ -408,7 +391,7 @@ def test_suite_rows_equal_reference_on_random_commutative_tables(seed, nmax):
 def test_n2_and_criterion_rows_make_no_product(a230, bad_algebra, monkeypatch):
     for A in (a230, bad_algebra):
         core.is_multiplicative(A)
-        products = record_calls(monkeypatch, core, "mul")
+        products = record_calls(monkeypatch, core, "mul_nums")
         made = []
         for check in _suite_powers(A, argparse.Namespace(nmax=5), None):
             before = len(products)

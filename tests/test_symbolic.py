@@ -19,13 +19,12 @@ from homalt.dsl import (
     MAX_ALPHA_POWER,
     MAX_DEPTH,
     MAX_TERMS,
-    QUOTE_CHARS,
     parse_identity,
     parse_monomial,
     parse_term,
     term_to_dsl,
 )
-from homalt.linalg import format_scalar, parse_scalar, qq
+from homalt.linalg import QUOTE_CHARS, format_scalar, parse_scalar, qq
 from homalt.symbolic import (
     HomMonomial,
     HomPolynomial,
