@@ -43,8 +43,6 @@ _LAZY = {
         "PowerTable",
         "check_nth_hom_power_associative",
         "check_third_fourth_criterion",
-        "hom_power",
-        "hom_power_pair",
     ),
     "jordan": ("check_hom_jordan", "check_hom_jordan_admissible", "jordan_defect"),
     "idempotents": (
@@ -59,7 +57,6 @@ _LAZY = {
         "build_T",
         "check_idempotent_operator_suite",
         "check_mul_operator_identities",
-        "identity_op",
         "is_alpha_n_idempotent",
         "left_op",
         "op_commutator",

@@ -2,8 +2,10 @@
 
 Subcommands fall into two groups.  Constructors (``albert5``, ``twist``,
 ``derive``, ``plus``) emit algebras in the JSON structure-constant format,
-to stdout or to ``-o FILE``.  Checkers run law suites and emit a report,
-human-readable (``--output text``) or machine-readable (``--output json``).
+to stdout or to ``-o FILE``: each is a row of ``CONSTRUCTORS``, and
+``construct`` resolves its algebra, builds and writes.  Checkers run law
+suites and emit a report, human-readable (``--output text``) or
+machine-readable (``--output json``).
 ``check`` runs the suites named by ``--suites``; ``powers``, ``jordan``,
 ``decompose``, ``operators`` and ``symbolic`` are ``check --suites X``
 under their own flags, and ``decompose`` and ``operators`` take
@@ -15,14 +17,15 @@ own.
 
 Exit codes: 0 all selected checks passed; 1 some law failed (or
 ``distinguish`` was inconclusive); 2 bad input (unparseable file, flag, or
-expression); 3 a precondition was unmet (e.g. a non-multiplicative algebra
-fed to ``powers``, or no idempotent found for ``decompose``), i.e. a
-``core.HypothesisError``.  Each suite in ``_SUITE_FNS`` owns its
-preconditions and its checks: called, it decides the preconditions
-(exit 3 at the first unmet one) and returns the checks.  ``run`` calls
-every selected suite, in suite order, before it runs any check, so an
-unmet precondition exits 3 before any work.  Hypotheses are decided once
-per algebra instance and cached on it.
+expression): an ``InputError``, or a ``ValueError`` from the library,
+which raises one for each input it refuses; 3 a precondition was unmet
+(e.g. a non-multiplicative algebra fed to ``powers``, or no idempotent
+found for ``decompose``), i.e. a ``core.HypothesisError``.  Each suite in
+``_SUITE_FNS`` owns its preconditions and its checks: called, it decides
+the preconditions (exit 3 at the first unmet one) and returns the
+checks.  ``run`` calls every selected suite, in suite order, before it
+runs any check, so an unmet precondition exits 3 before any work.
+Hypotheses are decided once per algebra instance and cached on it.
 
 The ``identities`` suite decides an identity by certificate transfer,
 without a sweep, when the algebra is multiplicative and right
@@ -33,6 +36,13 @@ verify -- the suite runs the polarized basis sweep, which also finds the
 witness.  ``identity`` always sweeps.  A sweep above
 ``powers.MAX_SWEEP`` evaluations is bad input (exit 2); the powers and
 identities suites size theirs while they decide their preconditions.
+
+Files are read and written only through ``core``: algebras by
+``load_algebra`` and ``save_algebra``, the ``--by`` matrix by
+``read_json`` and the ``--file`` identity by ``read_text``.  Their
+messages name a path once, with the OS's reason, and cut a path longer
+than ``linalg.CLIP_CHARS``; argparse's usage errors, which echo the
+argument they refuse, are cut the same way.
 
 Reports are deterministic: the same command line produces
 byte-identical output.  ``--timings`` adds wall-clock times and is
@@ -58,36 +68,39 @@ this module imports every submodule, because its suites use them all.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
 import threading
 import time
-from functools import cache, partial
+from functools import partial
 
 from .constructions import (
     AlbertParams,
     albert5_base,
     albert5_twisted,
     derived_algebra,
+    hom_module_distinguish,
     plus_algebra,
     yau_twist,
 )
 from .core import (
     CheckReport,
     HypothesisError,
-    algebra_to_json,
     apply_alpha,
     is_multiplicative,
     is_right_hom_alternative,
     load_algebra,
     mul,
+    read_json,
+    read_text,
     require,
+    save_algebra,
+    write_json,
 )
 from .idempotents import albert_decomposition, decompose_element, idempotent_search
 from .jordan import check_hom_jordan_admissible
-from .linalg import Matrix, char_poly, format_scalar, parse_scalar, quote
+from .linalg import Matrix, clip, parse_scalar, quote
 from .operators import (MAX_OPERATOR_POWER, check_idempotent_operator_suite,
                         check_mul_operator_identities)
 from .powers import (DefectMemo, check_nth_hom_power_associative, check_third_fourth_criterion,
@@ -102,12 +115,19 @@ from .symbolic import (
 )
 from .dsl import MAX_ALPHA_POWER, parse_identity
 
-ALL_SUITES = ("axioms", "powers", "jordan", "decompose", "operators", "identities", "symbolic")
-
 
 class InputError(argparse.ArgumentTypeError):
-    """Bad input: unparseable file, expression, or flag value (exit 2).
-    Raised by an option's ``type``, argparse reports it as a usage error."""
+    """Bad input that this module finds in a flag (exit 2, as a ValueError
+    from the library).  Raised by an option's ``type``, argparse reports it
+    as a usage error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, its usage errors cut by linalg.clip: they echo the
+    argument they name, which may be any length."""
+
+    def error(self, message):
+        super().error(clip(message))
 
 
 # Each checker command: the suites it runs (None: ``check``'s --suites)
@@ -130,11 +150,8 @@ def _parse_twist(text):
     if len(parts) != 3:
         raise InputError("--twist wants three comma-separated rationals G,D,E, got %s"
                          % quote(text))
-    try:
-        gamma, delta, epsilon = (parse_scalar(p.strip()) for p in parts)
-        return AlbertParams(gamma, delta, epsilon)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    gamma, delta, epsilon = (parse_scalar(p.strip()) for p in parts)
+    return AlbertParams(gamma, delta, epsilon)
 
 
 def _resolve_algebra(name, twist):
@@ -148,12 +165,7 @@ def _resolve_algebra(name, twist):
         return albert5_twisted(_parse_twist(twist)), "albert5 --twist %s" % twist
     if twist is not None:
         raise InputError("--twist only applies to the built-in albert5 generator")
-    try:
-        return load_algebra(name), name
-    except OSError as exc:
-        raise InputError("cannot read %s: %s" % (name, exc)) from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return load_algebra(name), name
 
 
 def _parse_coords(text, A):
@@ -162,10 +174,7 @@ def _parse_coords(text, A):
         raise InputError(
             "expected %d comma-separated coordinates, got %d" % (A.dim, len(parts))
         )
-    try:
-        return A.element([parse_scalar(p.strip()) for p in parts])
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return A.element([parse_scalar(p.strip()) for p in parts])
 
 
 def _ascii_int(text):
@@ -193,23 +202,17 @@ def _parse_degrees(text):
 
 
 def _load_morphism(path, dim):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError("cannot read %s: %s" % (path, exc)) from exc
-    except (ValueError, RecursionError) as exc:  # undecodable, or nested too deep
-        raise InputError("bad JSON in %s: %s" % (path, exc)) from exc
+    obj = read_json(path, "JSON")
     if isinstance(obj, dict):
         obj = obj.get("matrix")
     if not isinstance(obj, list) or len(obj) != dim or any(
         not isinstance(row, list) or len(row) != dim for row in obj
     ):
-        raise InputError("%s must hold a %dx%d matrix of rationals" % (path, dim, dim))
+        raise InputError("%s must hold a %dx%d matrix of rationals" % (clip(path), dim, dim))
     try:
         return Matrix.from_rows([[parse_scalar(str(v)) for v in row] for row in obj])
     except ValueError as exc:
-        raise InputError("%s: %s" % (path, exc)) from exc
+        raise InputError("%s: %s" % (clip(path), exc)) from exc
 
 
 def _thread_cap(njobs):
@@ -311,7 +314,7 @@ def _emit(rows, output, command, fields, A=None, source=None, **extra):
         **extra,
     }
     if output == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        write_json(report, None)
     else:
         print(_format_text(report))
     return 0 if report["passed"] else 1
@@ -319,13 +322,13 @@ def _emit(rows, output, command, fields, A=None, source=None, **extra):
 
 # -- the check suites ---------------------------------------------------------
 #
-# Each takes the algebra, the parsed flags and ``idempotent``, the one
-# cached resolver of the idempotent to split at: ``--idempotent``, else the
-# first nonzero one of height <= 1.  A suite first decides its
-# preconditions, raising HypothesisError (exit 3) at the first unmet one,
-# and then returns its checks: zero-argument callables that each return
-# one CheckReport.  Deciding a precondition fills the fact on A, so no two
-# suites compute one.
+# Each takes the algebra, the parsed flags and ``idempotent``, the resolver
+# of the idempotent to split at: ``--idempotent``, else the first nonzero
+# one of height <= 1 (idempotent_search runs once per algebra).  A suite
+# first decides its preconditions, raising HypothesisError (exit 3) at the
+# first unmet one, and then returns its checks: zero-argument callables
+# that each return one CheckReport.  Deciding a precondition fills the
+# fact on A, so no two suites compute one.
 #
 # ``check`` differs from the single-suite commands in one thing: where they
 # exit 3 for want of an idempotent, or of the operator suite's hypotheses,
@@ -340,18 +343,10 @@ def _suite_axioms(A, args, idempotent):
     return [partial(fn, A) for fn in (is_multiplicative, is_right_hom_alternative)]
 
 
-def _sweepable(A, degrees):
-    """Refuse (exit 2) a sweep that sweep_size caps."""
-    try:
-        sweep_size(A.dim, degrees)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _suite_powers(A, args, idempotent):
     require(A, "the powers suite", "multiplicative")
     memo = DefectMemo(A, max(args.nmax, 4))  # third/fourth sweeps degree 4
-    _sweepable(A, (memo.top,))
+    sweep_size(A.dim, (memo.top,))  # a sweep above the cap is bad input
     rows = [partial(check_nth_hom_power_associative, A, n, memo=memo)
             for n in range(2, args.nmax + 1)]
     return rows + [partial(memo.last_row, check_third_fourth_criterion, A)]
@@ -440,7 +435,7 @@ def _suite_identities(A, args, idempotent):
     transfer = _transferable(A)
     for ident in identity_registry().values():
         if ident.name not in transfer:
-            _sweepable(A, tuple(ident.degrees.values()))
+            sweep_size(A.dim, tuple(ident.degrees.values()))
     return [
         partial(_transferred, ident.name)
         if ident.name in transfer
@@ -482,6 +477,7 @@ _SUITE_FNS = {
     "identities": _suite_identities,
     "symbolic": _suite_symbolic,
 }
+ALL_SUITES = tuple(_SUITE_FNS)
 
 
 def run(args):
@@ -507,7 +503,6 @@ def run(args):
     # Only `check` runs its suites on the pool and reads HOMALT_THREADS.
     workers = _thread_cap(len(selected)) if args.command == "check" else 1
 
-    @cache
     def idempotent():
         found = [given] if given is not None else idempotent_search(A)
         if not found and args.command != "check":
@@ -530,39 +525,32 @@ def run(args):
 
 
 # -- constructor subcommands --------------------------------------------------
+#
+# Each builds the algebra it writes from the resolved algebra and the flags.
 
 
-def _write_algebra(A, out):
-    text = json.dumps(algebra_to_json(A), indent=2, sort_keys=True)
-    if out is None:
-        print(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    return 0
-
-
-def cmd_albert5(args):
-    return _write_algebra(_resolve_algebra("albert5", args.twist)[0], args.out)
-
-
-def cmd_twist(args):
-    A, _ = _resolve_algebra(args.algebra, args.twist)
-    return _write_algebra(yau_twist(A, _load_morphism(args.by, A.dim)), args.out)
-
-
-def cmd_derive(args):
-    A, _ = _resolve_algebra(args.algebra, args.twist)
+def _derived(A, args):
     if args.n < 0:
         raise InputError("--n must be >= 0, got %d" % args.n)
     if args.n > MAX_ALPHA_POWER:
         raise InputError("--n must be <= %d, got %d" % (MAX_ALPHA_POWER, args.n))
-    return _write_algebra(derived_algebra(A, args.n), args.out)
+    return derived_algebra(A, args.n)
 
 
-def cmd_plus(args):
+CONSTRUCTORS = {
+    "albert5": lambda A, args: A,
+    "twist": lambda A, args: yau_twist(A, _load_morphism(args.by, A.dim)),
+    "derive": _derived,
+    "plus": lambda A, args: plus_algebra(A),
+}
+
+
+def construct(args):
+    """Run a constructor command: resolve its algebra, build the new one and
+    write it to ``-o FILE``, or to stdout."""
     A, _ = _resolve_algebra(args.algebra, args.twist)
-    return _write_algebra(plus_algebra(A), args.out)
+    save_algebra(CONSTRUCTORS[args.command](A, args), args.out)
+    return 0
 
 
 # -- checker subcommands ------------------------------------------------------
@@ -570,18 +558,7 @@ def cmd_plus(args):
 
 def cmd_identity(args):
     A, source = _resolve_algebra(args.algebra, args.twist)
-    if args.expr is not None:
-        text = args.expr
-    else:
-        try:
-            with open(args.file) as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError("cannot read %s: %s" % (args.file, exc)) from exc
-    try:
-        lhs, rhs = parse_identity(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    lhs, rhs = parse_identity(args.expr if args.expr is not None else read_text(args.file))
     defect = lhs - rhs
     if defect.is_zero():
         rep = CheckReport(
@@ -601,43 +578,18 @@ def cmd_identity(args):
             )
     require(A, "the identity sweep", "multiplicative")
     check = partial(check_identity_on_algebra, A, lhs, rhs, degrees, name=args.name)
-    try:
-        rows = [_row("identity", args.timings, check)]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    rows = [_row("identity", args.timings, check)]
     fields = {"name": args.name, "degrees": degrees, "timings": args.timings}
     return _emit(rows, args.output, "identity", fields, A, source)
-
-
-def _distinguish(A, B, src_a, src_b):
-    if A.dim != B.dim:
-        return CheckReport(
-            True,
-            "hom-module-distinguish",
-            note="distinguishable: dimensions differ (%d != %d)" % (A.dim, B.dim),
-        )
-    pa = [format_scalar(c) for c in char_poly(A.alpha)]
-    pb = [format_scalar(c) for c in char_poly(B.alpha)]
-    ok = pa != pb
-    note = (
-        "distinguishable: the twisting maps have different characteristic polynomials"
-        if ok
-        else "inconclusive: alpha spectra agree; the algebras may or may not be isomorphic"
-    )
-    return CheckReport(
-        ok,
-        "hom-module-distinguish",
-        witness=None if ok else (src_a, src_b),
-        lhs=pa,
-        rhs=pb,
-        note=note,
-    )
 
 
 def cmd_distinguish(args):
     A, src_a = _resolve_algebra(args.algebra, None)
     B, src_b = _resolve_algebra(args.other, None)
-    rows = [_row("distinguish", False, partial(_distinguish, A, B, src_a, src_b))]
+    report = hom_module_distinguish(A, B)
+    if not report:
+        report.witness = (src_a, src_b)  # the algebras as the command line names them
+    rows = [_row("distinguish", False, lambda: report)]
     return _emit(rows, args.output, "distinguish", {}, A, src_a, other=_describe(B, src_b))
 
 
@@ -645,7 +597,7 @@ def cmd_distinguish(args):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homalt",
         description="Construct, twist, and verify right Hom-alternative algebras "
         "in exact rational arithmetic.",
@@ -665,30 +617,28 @@ def _build_parser():
 
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("-o", "--out", metavar="FILE", help="write the algebra here instead of stdout")
+    out.set_defaults(fn=construct)
 
     rep = argparse.ArgumentParser(add_help=False)
     rep.add_argument("--output", choices=("text", "json"), default="text", help="report format")
     rep.add_argument(
         "--timings", action="store_true", help="add wall-clock times (breaks byte-determinism)"
     )
-    # What a checker command without the flag runs with (see run).
-    rep.set_defaults(nmax=5, idempotent=None, algebra=None, twist=None,
+    # A checker command's function, and what it runs with for the flags it lacks (see run).
+    rep.set_defaults(fn=run, nmax=5, idempotent=None, algebra=None, twist=None,
                      teichmuller=True, certificates=True)
 
     p = sub.add_parser("albert5", parents=[out], help="emit the 5-dimensional example algebra")
     p.add_argument("--twist", metavar="G,D,E", help="twist along the parameterized morphism")
-    p.set_defaults(fn=cmd_albert5)
+    p.set_defaults(algebra="albert5")
 
     p = sub.add_parser("twist", parents=[alg, out], help="Yau-twist along a self-morphism")
     p.add_argument("--by", metavar="BETA.json", required=True, help="matrix of the morphism")
-    p.set_defaults(fn=cmd_twist)
 
     p = sub.add_parser("derive", parents=[alg, out], help="nth derived algebra (twist by alpha^n)")
     p.add_argument("--n", type=_ascii_int, required=True, help="power of alpha to twist by (>= 0)")
-    p.set_defaults(fn=cmd_derive)
 
-    p = sub.add_parser("plus", parents=[alg, out], help="symmetrized (plus) algebra")
-    p.set_defaults(fn=cmd_plus)
+    sub.add_parser("plus", parents=[alg, out], help="symmetrized (plus) algebra")
 
     p = sub.add_parser("check", parents=[alg, rep], help="run named law suites")
     p.add_argument(
@@ -740,13 +690,11 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in COMMANDS:  # the other commands name their function
-            return run(args)
         return args.fn(args)
     except HypothesisError as exc:
         print("precondition unmet: %s" % exc, file=sys.stderr)
         return 3
-    except InputError as exc:
+    except (InputError, ValueError) as exc:  # the library's ValueError is bad input
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

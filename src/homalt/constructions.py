@@ -32,7 +32,9 @@ from .linalg import (
     mat_pow,
     vec_mat,
 )
-from .core import HomAlgebra, HypothesisError, mul, require
+# mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
+from .core import CheckReport, HomAlgebra, HypothesisError, morphism_defect, require
+from .core import mul  # noqa: F401
 from .record import FrozenRecord
 
 __all__ = [
@@ -118,16 +120,11 @@ def yau_twist(A, beta):
         raise ValueError(
             "beta must be %dx%d, got %dx%d" % (A.dim, A.dim, beta.rows, beta.cols)
         )
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = vec_mat(A.mu[i][j], beta)
-            bi = A.element(beta.row(i))
-            bj = A.element(beta.row(j))
-            if lhs != mul(A, bi, bj).coords:
-                raise HypothesisError(
-                    "beta is not a weak morphism: beta(%s*%s) != beta(%s)*beta(%s)"
-                    % (A.basis_names[i], A.basis_names[j], A.basis_names[i], A.basis_names[j])
-                )
+    bad = morphism_defect(A, beta)
+    if bad is not None:
+        x, y = (A.basis_names[i] for i in bad[0])
+        raise HypothesisError(
+            "beta is not a weak morphism: beta(%s*%s) != beta(%s)*beta(%s)" % (x, y, x, y))
     new_mu = [
         [list(vec_mat(A.mu[i][j], beta)) for j in range(A.dim)] for i in range(A.dim)
     ]
@@ -188,14 +185,22 @@ def direct_sum(A, B):
 
 
 def hom_module_distinguish(A, B):
-    """One-sided non-isomorphism certificate via the twist maps.
+    """One-sided non-isomorphism certificate via the twist maps, as a CheckReport.
 
-    An isomorphism of Hom-algebras intertwines the two alphas, so equal
-    algebras force equal characteristic polynomials of alpha.  Returns
-    True when char_poly(A.alpha) != char_poly(B.alpha) -- then no
-    isomorphism can exist -- and False (inconclusive) otherwise.
-    Dimensions must agree.
+    An isomorphism of Hom-algebras intertwines the two alphas, so
+    isomorphic algebras have equal dimensions and equal characteristic
+    polynomials of alpha.  The report passes -- no isomorphism can exist
+    -- when the dimensions differ or the polynomials do; it fails as
+    inconclusive, with witness (A, B), when they agree.  At equal
+    dimensions lhs and rhs list the coefficients of the two polynomials.
     """
+    law = "hom-module-distinguish"
     if A.dim != B.dim:
-        raise ValueError("algebras have different dimensions (%d vs %d)" % (A.dim, B.dim))
-    return char_poly(A.alpha) != char_poly(B.alpha)
+        return CheckReport(True, law, note="distinguishable: dimensions differ (%d != %d)"
+                           % (A.dim, B.dim))
+    pa, pb = ([format_scalar(c) for c in char_poly(X.alpha)] for X in (A, B))
+    if pa != pb:
+        note = "distinguishable: the twisting maps have different characteristic polynomials"
+        return CheckReport(True, law, lhs=pa, rhs=pb, note=note)
+    note = "inconclusive: alpha spectra agree; the algebras may or may not be isomorphic"
+    return CheckReport(False, law, (A, B), pa, pb, note)

@@ -22,6 +22,7 @@ Each is decided once per HomAlgebra instance and cached on it, and
 """
 
 import json
+import sys
 from itertools import chain, product
 from math import lcm
 
@@ -30,6 +31,7 @@ from .linalg import (
     Scalar,
     Vector,
     ZERO,
+    clip,
     format_scalar,
     parse_scalar,
     qq,
@@ -287,13 +289,24 @@ class CheckReport(Record):
         return self.passed
 
 
-def _multiplicative(A):
+def morphism_defect(A, beta):
+    """((i, j), lhs, rhs) at the lexicographically first basis pair where
+    lhs = beta(e_i*e_j) differs from rhs = beta(e_i)*beta(e_j), or None
+    when the matrix beta is a weak self-morphism of A's product."""
+    images = [A.element(beta.row(i)) for i in range(A.dim)]
     for i, j in product(range(A.dim), repeat=2):
-        lhs = A.element(vec_mat(A.mu[i][j], A.alpha))
-        rhs = mul(A, apply_alpha(A, A.basis_element(i)), apply_alpha(A, A.basis_element(j)))
+        lhs = A.element(vec_mat(A.mu[i][j], beta))
+        rhs = mul(A, images[i], images[j])
         if lhs != rhs:
-            return CheckReport(False, "multiplicative", (i, j), lhs, rhs)
-    return CheckReport(True, "multiplicative")
+            return (i, j), lhs, rhs
+    return None
+
+
+def _multiplicative(A):
+    bad = morphism_defect(A, A.alpha)
+    if bad is None:
+        return CheckReport(True, "multiplicative")
+    return CheckReport(False, "multiplicative", *bad)
 
 
 def is_multiplicative(A):
@@ -480,16 +493,48 @@ def algebra_from_json(obj):
     return HomAlgebra(dim, basis, mu, Matrix(rows))
 
 
+# A file that cannot be read or written, or is not JSON, is a ValueError whose
+# message names the path once (linalg.clip cuts a long one) and the reason:
+# an OSError's own text would repeat the path.
+
+
+def read_text(path):
+    """The text of the file at path."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError("cannot read %s: %s" % (clip(path), reason)) from exc
+
+
+def read_json(path, what):
+    """The JSON value in the file at path; what names the format in messages."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
+        raise ValueError("bad %s in %s: %s" % (what, clip(path), exc)) from exc
+
+
+def write_json(obj, path):
+    """obj as indented JSON with sorted keys, and a newline, to the file at
+    path, or to stdout when path is None."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (clip(path), exc.strerror or exc)) from exc
+
+
 def save_algebra(A, path):
-    with open(path, "w") as fh:
-        json.dump(algebra_to_json(A), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write A in the format above to the file at path, or to stdout when path is None."""
+    write_json(algebra_to_json(A), path)
 
 
 def load_algebra(path):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # undecodable, or nested too deep
-            raise ValueError("bad algebra JSON in %s: %s" % (path, exc)) from exc
-    return algebra_from_json(obj)
+    return algebra_from_json(read_json(path, "algebra JSON"))

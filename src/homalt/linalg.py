@@ -38,7 +38,6 @@ __all__ = [
     "kernel_basis",
     "mat_mul",
     "mat_pow",
-    "mat_vec",
     "parse_scalar",
     "qq",
     "rank",
@@ -60,8 +59,10 @@ ONE = qq(1)
 _SCALAR_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")  # ASCII only: \d takes any script's digits
 
 # Error messages quote at most QUOTE_CHARS characters of an input string, and
-# 3 * QUOTE_CHARS of another value's repr, so a huge input makes a short message.
+# 3 * QUOTE_CHARS of another value's repr, so a huge input makes a short message;
+# they print a file path, or a message built elsewhere, up to CLIP_CHARS.
 QUOTE_CHARS = 32
+CLIP_CHARS = 256
 
 
 def quote(x):
@@ -72,6 +73,14 @@ def quote(x):
         return repr(x)
     head = repr(text[:limit]) if isinstance(x, str) else text[:limit]
     return "%s... (%d characters)" % (head, len(text))
+
+
+def clip(x):
+    """str(x), or, when it is longer, its first CLIP_CHARS characters and the length."""
+    text = str(x)
+    if len(text) <= CLIP_CHARS:
+        return text
+    return "%s... (%d characters)" % (text[:CLIP_CHARS], len(text))
 
 
 def as_scalar(x):
@@ -381,15 +390,6 @@ def mat_mul(a, b):
                 acc[j] += x * y
         out.append(acc)
     return _reduced_matrix(out, a.den * b.den)
-
-
-def mat_vec(m, v):
-    """m @ v for a column vector v (returns a Vector of length m.rows)."""
-    if m.cols != len(v):
-        raise ValueError("shape mismatch: %dx%d matrix @ length-%d vector"
-                         % (m.rows, m.cols, len(v)))
-    x = v.nums
-    return _reduced([sum(a * x[j] for j, a in row) for row in m._sparse], m.den * v.den)
 
 
 def row_times(x, m):

@@ -27,7 +27,7 @@ and T = 3 alpha^2 L^2 - 2 alpha L^3 satisfies T^(n+1) = alpha^(4n) T
 (so T is alpha^4-idempotent) and [T, R] = 0.
 """
 
-from .linalg import Matrix, identity_matrix, mat_mul, mat_pow
+from .linalg import Matrix, mat_mul, mat_pow
 from .core import CheckReport, apply_alpha, mul, require
 
 __all__ = [
@@ -125,10 +125,6 @@ def right_op(A, x):
 
 def alpha_op(A):
     return MulOperator(A, A.alpha)
-
-
-def identity_op(A):
-    return MulOperator(A, identity_matrix(A.dim))
 
 
 def op_commutator(f, g):

@@ -57,8 +57,6 @@ from .core import CheckReport, Element, mul, mul_nums, require  # noqa: F401
 
 __all__ = [
     "PowerTable",
-    "hom_power",
-    "hom_power_pair",
     "check_nth_hom_power_associative",
     "check_third_fourth_criterion",
 ]
@@ -107,14 +105,6 @@ class PowerTable:
         if not (isinstance(i, int) and isinstance(j, int) and i >= 1 and j >= 1):
             raise ValueError("Hom-power pairs need i, j >= 1, got (%r, %r)" % (i, j))
         return Element(self.algebra, Vector.from_ints(*self._pair_row(i, j)))
-
-
-def hom_power(A, x, n):
-    return PowerTable(A, x).power(n)
-
-
-def hom_power_pair(A, x, i, j):
-    return PowerTable(A, x).pair(i, j)
 
 
 def _subset_sum(dim, S):

@@ -51,7 +51,8 @@ from itertools import permutations
 from math import lcm
 from operator import itemgetter
 
-from .linalg import ONE, ZERO, Vector, as_scalar, format_scalar, parse_scalar, row_times
+from .linalg import (ONE, ZERO, Vector, as_scalar, format_scalar, parse_scalar, quote,
+                     row_times)
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
 from .core import CheckReport, Element, mul, mul_nums, require  # noqa: F401
 from .powers import polarized_defect_sweep, subset_sum_defects
@@ -61,14 +62,11 @@ __all__ = [
     "HomMonomial",
     "HomPolynomial",
     "var",
-    "mono",
-    "poly_mul",
     "expand_associator",
-    "poly_commutator",
     "ra_polynomial",
     "specialize_classical",
-    "normalize_raw",
     "evaluate_polynomial",
+    "multilinearize",
     "IdentityDef",
     "identity_registry",
     "identity_defect",
@@ -76,13 +74,8 @@ __all__ = [
     "hom_teichmuller_terms",
     "teichmuller_f",
     "verify_hom_teichmuller",
-    "subst_monomial",
-    "subst_poly",
-    "build_instance",
     "load_certificates",
     "verify_certificate",
-    "certificate_report",
-    "shipped_certificate_report",
     "verify_all_certificates",
     "certified_identities",
 ]
@@ -91,7 +84,6 @@ __all__ = [
 # -- monomials ---------------------------------------------------------------
 #
 # normalized trees:  ("v", name, k)  |  ("m", left, right)
-# raw trees may also contain ("a", subtree) nodes.
 
 
 def _shift_tree(tree, k):
@@ -315,22 +307,6 @@ def specialize_classical(p):
         return ("m", strip(tree[1]), strip(tree[2]))
 
     return HomPolynomial((HomMonomial(strip(m.tree)), c) for m, c in p._terms.items())
-
-
-# -- raw (un-normalized) trees ----------------------------------------------
-
-
-def normalize_raw(tree):
-    """Push alphas to the leaves; returns the normalized tree."""
-
-    def go(t, pending):
-        if t[0] == "a":
-            return go(t[1], pending + 1)
-        if t[0] == "v":
-            return ("v", t[1], t[2] + pending)
-        return ("m", go(t[1], pending), go(t[2], pending))
-
-    return go(tree, 0)
 
 
 # -- evaluation of normalized polynomials ------------------------------------
@@ -582,8 +558,8 @@ def _check_homogeneous(p, degrees, side):
             got[n] = got.get(n, 0) + 1
         if got != {v: d for v, d in degrees.items()}:
             raise ValueError(
-                "%s is not homogeneous of multidegree %r: monomial %r has %r"
-                % (side, degrees, m, got)
+                "%s is not homogeneous of multidegree %s: monomial %s has %s"
+                % (side, quote(degrees), quote(m), quote(got))
             )
 
 
@@ -735,8 +711,11 @@ def verify_certificate(name, instances):
     return residue.is_zero(), residue
 
 
-def certificate_report(name, instances):
-    """The ``certificate:<name>`` CheckReport of one certificate."""
+@functools.cache
+def shipped_certificate_report(name):
+    """The ``certificate:<name>`` CheckReport of the shipped certificate of
+    name, verified at most once per process (cache_clear() forgets it)."""
+    instances = load_certificates()[name]["instances"]
     ok, residue = verify_certificate(name, instances)
     return CheckReport(
         ok,
@@ -744,13 +723,6 @@ def certificate_report(name, instances):
         witness=None if ok else (repr(residue),),
         note="%d instances" % len(instances),
     )
-
-
-@functools.cache
-def shipped_certificate_report(name):
-    """certificate_report of the shipped certificate of name, verified at
-    most once per process (cache_clear() forgets it)."""
-    return certificate_report(name, load_certificates()[name]["instances"])
 
 
 def verify_all_certificates():

@@ -259,11 +259,50 @@ def exit_and_stderr(argv, capsys):
     ["decompose", "albert5", "--idempotent", "0,0,0,0," + BIG],
     ["identity", "albert5", "--expr", "(= (mul x x) x)", "--degrees", BIG],
     ["identity", "albert5", "--expr", "(= (mul x x) x)", "--degrees", "x=" + BIG],
-], ids=["twist", "twist-entry", "suites", "nmax", "idempotent", "degrees", "degree"])
+    ["check", BIG],
+    ["twist", "albert5", "--by", BIG],
+    ["identity", "albert5", "--file", BIG],
+], ids=["twist", "twist-entry", "suites", "nmax", "idempotent", "degrees", "degree",
+        "path", "by-path", "file-path"])
 def test_huge_flag_values_make_short_messages(argv, capsys):
     code, err = exit_and_stderr(argv, capsys)
     assert code == 2 and "... (1000" in err, err[:400]
     assert len(err.encode()) <= 400, err[:400]
+
+
+# A file path is named once, with the OS's reason: the OSError's own text
+# would repeat it.
+def test_missing_file_is_named_once(capsys):
+    assert main(["check", "/no/such/file.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot read /no/such/file.json: No such file or directory\n")
+
+
+def test_unwritable_output_exits_two(capsys):
+    assert main(["albert5", "-o", "/no/such/dir/out.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write /no/such/dir/out.json: No such file or directory\n")
+
+
+@pytest.mark.parametrize("name,tail", [
+    ("y", "multidegree {'y': 2}: monomial (x*x) has {'x': 2}\n"),
+    (BIG, "multidegree {'%s... (100007 characters): monomial (x*x) has {'x': 2}\n" % BIG[:94]),
+], ids=["short", "huge"])
+def test_inhomogeneous_degrees_make_a_short_message(name, tail, capsys):
+    argv = ["identity", "albert5", "--expr", "(= (mul x x) x)", "--degrees", name + "=2"]
+    code, err = exit_and_stderr(argv, capsys)
+    assert code == 2 and err == "error: lhs is not homogeneous of " + tail, err[:400]
+
+
+@pytest.mark.parametrize("value", ["1,0,0,0,0", BIG], ids=["short", "huge"])
+def test_usage_errors_cut_the_argument_they_echo(value, capsys):
+    # check takes no --idempotent, so argparse echoes both arguments
+    code, err = exit_and_stderr(["check", "albert5", "--idempotent", value], capsys)
+    message = "unrecognized arguments: --idempotent " + value
+    if len(message) > 256:
+        message = "%s... (%d characters)" % (message[:256], len(message))
+    assert code == 2 and err.endswith("error: %s\n" % message), err[-400:]
+    assert len(err.encode()) <= 512
 
 
 @pytest.mark.parametrize("entry,message", [
@@ -447,7 +486,7 @@ def test_check_decides_each_shared_fact_once(monkeypatch, capsys):
     alpha = albert5_alpha(AlbertParams(2, 3, 0))
     laws = record_calls(monkeypatch, core, "_associator_law",
                         lambda A, law, perm: law == "right-hom-alternative")
-    searches = record_calls(monkeypatch, idempotents, "idempotent_search")
+    searches = record_calls(monkeypatch, idempotents, "_search")
     ranks = record_calls(monkeypatch, core, "rank", lambda m: m == alpha)
     assert main(["check", "albert5", "--twist", "2,3,0"]) == 0
     assert "25/25 checks passed" in capsys.readouterr().out

@@ -1,4 +1,7 @@
+import pathlib
 import random
+import re
+import runpy
 
 import pytest
 
@@ -13,6 +16,9 @@ from homalt.constructions import (
     yau_twist,
 )
 from homalt.core import (
+    HomAlgebra,
+    HypothesisError,
+    algebra_to_json,
     hom_associator,
     is_multiplicative,
     is_right_hom_alternative,
@@ -165,6 +171,73 @@ def test_yau_twist_composition_for_commuting_morphisms(albert):
     assert same_algebra(twice, once)
 
 
+# -- morphism witnesses against perfbench/reference.py, which imports nothing
+# -- from homalt
+
+REFERENCE = runpy.run_path(
+    str(pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"))
+
+
+def random_table_matrix(rng, dim):
+    """The identity, zero, a diagonal of 0 and +-1, a permutation, or a
+    sparse matrix: the first four are often weak morphisms of a sparse table."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return identity_matrix(dim)
+    if kind == 1:
+        return Matrix.zero(dim, dim)
+    if kind == 2:
+        return Matrix.diagonal([rng.choice((0, 1, -1)) for _ in range(dim)])
+    rows = [[qq(0)] * dim for _ in range(dim)]
+    if kind == 3:
+        for i, j in enumerate(rng.sample(range(dim), dim)):
+            rows[i][j] = qq(1)
+    else:
+        for i in range(dim):
+            for j in rng.sample(range(dim), 2):
+                rows[i][j] = qq(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+    return Matrix.from_rows(rows)
+
+
+def random_table_algebra(rng, dim):
+    """A sparse random product table: each e_i*e_j is 0 or c * e_k."""
+    mu = [[[qq(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            if rng.random() < 0.4:
+                mu[i][j][rng.randrange(dim)] = qq(rng.choice((-1, 1, 2)), rng.choice((1, 2)))
+    names = ["b%d" % i for i in range(dim)]
+    return HomAlgebra(dim, names, mu, random_table_matrix(rng, dim))
+
+
+def refused_pair(A, beta):
+    """The basis pair yau_twist(A, beta) names in its refusal, or None."""
+    try:
+        yau_twist(A, beta)
+    except HypothesisError as exc:
+        x, y = re.fullmatch(r"beta is not a weak morphism: beta\((\w+)\*(\w+)\) != .*",
+                            str(exc)).groups()
+        return A.basis_names.index(x), A.basis_names.index(y)
+    return None
+
+
+def test_morphism_witnesses_match_the_reference():
+    rng = random.Random(17)
+    witnesses = []
+    for _ in range(200):
+        A = random_table_algebra(rng, rng.randint(2, 4))
+        beta = random_table_matrix(rng, A.dim)
+        obj = algebra_to_json(A)
+        want = REFERENCE["morphism_witness"](obj, obj["alpha"])
+        rep = is_multiplicative(A)
+        assert (None if rep.passed else rep.witness) == want
+        want_beta = REFERENCE["morphism_witness"](obj, [list(row) for row in beta.data])
+        assert refused_pair(A, beta) == want_beta
+        witnesses += [want, want_beta]
+    # both verdicts, and failures at many pairs, not only at (0, 0)
+    assert witnesses.count(None) > 100 and len(set(witnesses)) > 8
+
+
 # -- derived algebras --------------------------------------------------------------
 
 
@@ -256,5 +329,6 @@ def test_hom_module_distinguish():
 
 
 def test_hom_module_distinguish_dim_guard(albert, bad_algebra):
-    with pytest.raises(ValueError):
-        hom_module_distinguish(albert, bad_algebra)
+    # algebras of different dimensions are never isomorphic
+    rep = hom_module_distinguish(albert, bad_algebra)
+    assert rep.passed and rep.note == "distinguishable: dimensions differ (5 != 3)"

@@ -27,7 +27,6 @@ from homalt.linalg import (
     kernel_basis,
     mat_mul,
     mat_pow,
-    mat_vec,
     qq,
     rank,
     solve,
@@ -154,7 +153,7 @@ def test_matrix_products_match_fractions(data):
     assert ab == Matrix(ref_mat_mul(a, b))
     assert mat_mul(ab, ma).data == tuple(tuple(r) for r in ref_mat_mul(ref_mat_mul(a, b), a))
     check(vec_mat(Vector(v), ma), ref_vec_mat(v, a))
-    check(mat_vec(ma, Vector(w)), [sum(r[j] * w[j] for j in range(k)) for r in a])
+    check(vec_mat(Vector(w), ma.transpose()), [sum(r[j] * w[j] for j in range(k)) for r in a])
 
 
 # -- vector arithmetic -------------------------------------------------------------
@@ -328,7 +327,7 @@ def test_solve_matches_sympy(data):
         return
     sol = sol.subs({p: 0 for p in params})
     check(got, [from_sympy(x) for x in sol])
-    assert mat_vec(Matrix(a), got) == Vector(b)
+    assert vec_mat(got, Matrix(a).transpose()) == Vector(b)
 
 
 @SETTINGS
@@ -363,7 +362,7 @@ def test_matrix_work_makes_no_scalar_coercions(monkeypatch):
     assert total == total.transpose().transpose() and hash(total) == hash(t + singular - m)
     assert (rank(m), rank(singular)) == (3, 2)
     assert len(kernel_basis(singular)) == 1 and kernel_basis(m) == []
-    assert mat_vec(m, solve(m, b)) == b
+    assert vec_mat(solve(m, b), m.transpose()) == b
     assert solve(singular, b) is None
     assert mat_mul(m, inverse(m)) == mat_pow(m, 0)
     assert mat_pow(m, 3) == mat_mul(m, mat_mul(m, m)) and mat_pow(m, -1) == inverse(m)

@@ -14,7 +14,6 @@ from homalt.linalg import (
     kernel_basis,
     mat_mul,
     mat_pow,
-    mat_vec,
     parse_scalar,
     qq,
     rank,
@@ -108,7 +107,7 @@ def test_matrix_product_and_identity():
 def test_mat_vec_conventions():
     m = Matrix.from_rows([[qq(1), qq(2)], [qq(3), qq(4)]])
     v = Vector((qq(1), qq(1)))
-    assert mat_vec(m, v).entries == (qq(3), qq(7))
+    assert vec_mat(v, m.transpose()).entries == (qq(3), qq(7))  # m @ v
     assert vec_mat(v, m).entries == (qq(4), qq(6))
 
 
@@ -131,7 +130,7 @@ def test_kernel_and_rank_nullity():
         basis = kernel_basis(m)
         assert rank(m) + len(basis) == n
         for v in basis:
-            assert mat_vec(m, v).is_zero()
+            assert vec_mat(v, m.transpose()).is_zero()
 
 
 def test_kernel_canonical_form():
@@ -153,7 +152,7 @@ def test_solve_and_inverse():
         x = solve(m, b)
         if x is not None:
             solved += 1
-            assert mat_vec(m, x) == b
+            assert vec_mat(x, m.transpose()) == b
     assert solved > 10  # far from vacuous
 
 

@@ -18,8 +18,6 @@ from homalt.powers import (
     _signed_submultisets,
     check_nth_hom_power_associative,
     check_third_fourth_criterion,
-    hom_power,
-    hom_power_pair,
     polarized_defect_sweep,
     subset_sum_defects,
     sweep_size,
@@ -50,12 +48,8 @@ def test_hom_power_against_straight_line_recursion(twisted):
         x4 = mul(twisted, x3, a2x)
         x5 = mul(twisted, x4, apply_alpha(twisted, a2x))
         x6 = mul(twisted, x5, apply_alpha(twisted, apply_alpha(twisted, a2x)))
-        assert hom_power(twisted, x, 1) == x
-        assert hom_power(twisted, x, 2) == x2
-        assert hom_power(twisted, x, 3) == x3
-        assert hom_power(twisted, x, 4) == x4
-        assert hom_power(twisted, x, 5) == x5
-        assert hom_power(twisted, x, 6) == x6
+        t = PowerTable(twisted, x)
+        assert [t.power(n) for n in range(1, 7)] == [x, x2, x3, x4, x5, x6]
 
 
 def test_hom_power_pair_definition(a230):
@@ -70,7 +64,7 @@ def test_hom_power_pair_definition(a230):
                 t.alpha_power(j, i - 1),
             )
             assert t.pair(i, j) == want
-            assert hom_power_pair(a230, x, i, j) == want
+            assert PowerTable(a230, x).pair(i, j) == want
 
 
 def test_pair_with_one_is_the_power(a230):
@@ -119,9 +113,8 @@ def test_alpha_commutes_with_powers(twisted):
     for _ in range(5):
         x = random_element(twisted, rng)
         for n in range(1, 7):
-            assert apply_alpha(twisted, hom_power(twisted, x, n)) == hom_power(
-                twisted, apply_alpha(twisted, x), n
-            )
+            assert apply_alpha(twisted, PowerTable(twisted, x).power(n)) == PowerTable(
+                twisted, apply_alpha(twisted, x)).power(n)
 
 
 def test_checkers_pass_on_twisted(twisted):
@@ -177,12 +170,15 @@ def polarized(A, M, fn):
 
 
 def power_defect(A, n, i):
-    return lambda x: hom_power(A, x, n) - hom_power_pair(A, x, n - i, i)
+    def fn(x):
+        t = PowerTable(A, x)
+        return t.power(n) - t.pair(n - i, i)
+    return fn
 
 
 def third_defect(A):
     def fn(x):
-        x2, ax = hom_power(A, x, 2), apply_alpha(A, x)
+        x2, ax = PowerTable(A, x).power(2), apply_alpha(A, x)
         return mul(A, x2, ax) - mul(A, ax, x2)
     return fn
 

@@ -69,6 +69,15 @@ def test_every_public_name_resolves_to_its_submodule(name):
     assert name in dir(homalt)
 
 
+@pytest.mark.parametrize("module", sorted(homalt._LAZY))
+def test_lazy_table_lists_each_submodules_own_public_names(module):
+    # _LAZY is kept by hand: it must list exactly the names in the
+    # submodule's __all__ that the submodule defines, not ones it imports.
+    mod = importlib.import_module("homalt." + module)
+    own = [n for n in mod.__all__ if getattr(mod, n).__module__ == mod.__name__]
+    assert sorted(homalt._LAZY[module]) == sorted(own)
+
+
 def test_namespace_is_complete_and_closed():
     assert len(set(homalt.__all__)) == len(homalt.__all__)
     assert "__version__" in dir(homalt)

@@ -38,7 +38,6 @@ from homalt.symbolic import (
     load_certificates,
     mono,
     multilinearize,
-    normalize_raw,
     poly_commutator,
     poly_mul,
     ra_polynomial,
@@ -53,7 +52,17 @@ from homalt.symbolic import (
 from conftest import random_element
 
 
-# -- raw-tree rewriting: the reference for normalize_raw and evaluate_polynomial
+# -- raw trees, which may also hold ("a", subtree) nodes: the reference for
+# -- HomMonomial's normal form and for evaluate_polynomial
+
+
+def normalize_raw(tree):
+    """The normalized tree of a raw tree, built by HomMonomial's mul and alpha."""
+    if tree[0] == "v":
+        return tree
+    if tree[0] == "a":
+        return HomMonomial(normalize_raw(tree[1])).alpha(1).tree
+    return HomMonomial(normalize_raw(tree[1])).mul(HomMonomial(normalize_raw(tree[2]))).tree
 
 
 def raw_redexes(tree, path=()):
