@@ -32,10 +32,11 @@ without a sweep, when the algebra is multiplicative and right
 Hom-alternative and the identity is in ``symbolic.certified_identities()``:
 its shipped certificate then proves it in every such algebra.  Otherwise
 -- an axiom fails, or the certificate or one it leans on does not
-verify -- the suite runs the polarized basis sweep, which also finds the
-witness.  ``identity`` always sweeps.  A sweep above
-``powers.MAX_SWEEP`` evaluations is bad input (exit 2); the powers and
-identities suites size theirs while they decide their preconditions.
+verify -- the suite runs the lattice sweep, which evaluates the identity
+once per point and also finds the witness.  ``identity`` always sweeps.
+A sweep whose size (``powers.sweep_size``) is above ``powers.MAX_SWEEP``
+is bad input (exit 2); the powers and identities suites size theirs
+while they decide their preconditions.
 
 Files are read and written only through ``core``: algebras by
 ``load_algebra`` and ``save_algebra``, the ``--by`` matrix by
@@ -345,8 +346,8 @@ def _suite_axioms(A, args, idempotent):
 
 def _suite_powers(A, args, idempotent):
     require(A, "the powers suite", "multiplicative")
-    memo = DefectMemo(A, max(args.nmax, 4))  # third/fourth sweeps degree 4
-    sweep_size(A.dim, (memo.top,))  # a sweep above the cap is bad input
+    sweep_size(A.dim, (max(args.nmax, 4),))  # bad input above the cap; the criterion sweeps 4
+    memo = DefectMemo(A)
     rows = [partial(check_nth_hom_power_associative, A, n, memo=memo)
             for n in range(2, args.nmax + 1)]
     return rows + [partial(memo.last_row, check_third_fourth_criterion, A)]
@@ -429,8 +430,8 @@ def _transferred(name):
 
 def _suite_identities(A, args, idempotent):
     """Each identity by certificate transfer where _transferable allows it
-    (which verifies the shipped certificates), else by the polarized basis
-    sweep, which finds the witness."""
+    (which verifies the shipped certificates), else by the lattice sweep,
+    which finds the witness."""
     require(A, "the identities suite", "multiplicative")
     transfer = _transferable(A)
     for ident in identity_registry().values():

@@ -10,8 +10,8 @@ Multiplicative right Hom-alternative algebras are always Hom-Jordan
 admissible; that is the main consequence checked here.
 
 The Jordan identity is homogeneous of degree 3 in x and linear in y, so
-it is checked by polarizing the x-slot (inclusion-exclusion over basis
-triples, an exact proof over Q) against every basis y.
+it is checked at the lattice points x = e_i + e_j + e_k of the x-slot
+(an exact proof over Q, see powers) against every basis y.
 check_hom_jordan_admissible makes that one sweep on A+, which is
 commutative by construction.
 """
@@ -19,7 +19,7 @@ commutative by construction.
 from .core import CheckReport, apply_alpha, hom_associator, mul, mul_nums
 from .constructions import plus_algebra
 from .linalg import row_times
-from .powers import polarized_defect_sweep, subset_sum_defects
+from .powers import polarized_defect_sweep
 
 __all__ = ["jordan_defect", "check_hom_jordan", "check_hom_jordan_admissible"]
 
@@ -40,15 +40,16 @@ def _polarized_jordan(A, law):
                                              mul_nums(A, ax2, mul_nums(A, ay, ax)))], den)
                 for yi, ay in enumerate(alpha_basis)]
 
-    return polarized_defect_sweep(A, 3, subset_sum_defects(A, defects), law)
+    return polarized_defect_sweep(A, 3, defects, law)
 
 
 def check_hom_jordan(A):
-    """Commutativity plus the polarized Hom-Jordan identity.
+    """Commutativity plus the Hom-Jordan identity, by lattice sweep.
 
     Commutativity is checked first (its own witness: the first basis
-    pair with e_i*e_j != e_j*e_i); the identity sweep witnesses the
-    first failing (x-multiset, y-index) pair.
+    pair with e_i*e_j != e_j*e_i); the identity's lattice sweep witnesses
+    the first failing (x-multiset M, y-index) pair, with the defect at
+    x = x_M, y = e_y as lhs.
     """
     for i in range(A.dim):
         for j in range(i + 1, A.dim):
@@ -65,7 +66,7 @@ def check_hom_jordan(A):
 
 
 def check_hom_jordan_admissible(A):
-    """Is A+ Hom-Jordan?  Proved or refuted by one polarized sweep on A+."""
+    """Is A+ Hom-Jordan?  Proved or refuted by one lattice sweep on A+."""
     rep = _polarized_jordan(plus_algebra(A), "hom-jordan-admissible")
-    rep.note = "polarized sweep of as(x*x, alpha(y), alpha(x)) on A+"
+    rep.note = "lattice sweep of as(x*x, alpha(y), alpha(x)) on A+"
     return rep

@@ -292,6 +292,11 @@ class Matrix:
         return Matrix(rows)
 
     @staticmethod
+    def from_ints(rows, den):
+        """The Matrix rows/den for rows of integers and den > 0, reduced."""
+        return _reduced_matrix(rows, den)
+
+    @staticmethod
     def from_vectors(vectors):
         """The Matrix whose rows are the given Vectors, all of one length."""
         den = lcm(*(v.den for v in vectors))

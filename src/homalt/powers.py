@@ -19,37 +19,39 @@ definitions x^(n-1,1) = x^(n-1) * alpha^(n-2)(x) = x^n, so i = 1 is never
 a witness and only 2 <= i <= n-1 is checked; n = 2 then has no split to
 check (x^2 = x^(1,1) = x*x) and makes no product; and the criterion's
 two defects are the i = 2 defects of n = 3 and n = 4.  So one DefectMemo
-serves a powers suite: the first row to reach a sub-multiset S computes
-x_S's Hom-powers once and keeps its defects for every larger n, later
-rows only read them, and after n = 4 the criterion row makes no product.
+serves a powers suite: rows n = 3 and 4 keep their defects at each x_M,
+|M| = n, and the criterion row only reads them, making no product.
 
-Every check is one polarized basis sweep, so a verdict is a proof and a
-failure's witness is a basis multiset.  polarized_defect_sweep, the
-engine behind every polarized proof in homalt (jordan's and symbolic's
-too), replaces a map P of degree d in a variable by its multilinear form
-via inclusion-exclusion,
+Every check is one lattice sweep, so a verdict is a proof and a failure's
+witness is a basis multiset.  polarized_defect_sweep, the engine behind
+every exact sweep in homalt (jordan's and symbolic's too; the name is
+kept from the inclusion-exclusion route it replaced), evaluates a map P
+of degree d in a variable once at each lattice point
 
-    sum over nonempty S of {1..d} of (-1)^(d-|S|) P(x_S),
-    x_S = sum of the slot elements indexed by S,
+    x_M = sum of e_i over i in M,    M a multiset of d basis indices,
 
-and sweeps all basis tuples for the slots; over Q this vanishes
-identically iff P does, so the sweep is a proof, not a sample.  P(x_S)
-only depends on the multiset of S: 2^d evaluations per point, not d!.
-A sweep of degrees d_1, ..., d_g on dim basis elements visits
-prod C(dim + d - 1, d) multisets and combines 2^d defects at each, which
-grows fast in d; sweep_size refuses a sweep above MAX_SWEEP.
+and reports the first M where P(x_M) != 0.  Over Q a form of degree d on
+Q^dim vanishes iff it vanishes at these C(dim + d - 1, d) points: they
+are the simplex lattice of the hyperplane where the coordinates sum to d,
+which is unisolvent for polynomials of degree <= d (Chung-Yao 1977), so
+P vanishes on that hyperplane and, being homogeneous, everywhere.  The
+sweep is a proof, not a sample, and a failure is replayed by evaluating
+P at x_M with mul and alpha alone.  For several variable groups, of
+degrees d_1, ..., d_g, the points are the product of the groups'
+lattices, one evaluation each.  sweep_size refuses a sweep whose size,
+prod C(dim + d - 1, d) * 2^d (the evaluations of the inclusion-exclusion
+route, kept as the measure so the cap refuses the same inputs), is above
+MAX_SWEEP.
 
-The defects are unreduced integer rows (core.mul_nums): x_S is an integer
+The defects are unreduced integer rows (core.mul_nums): x_M is an integer
 vector, so each tag's defect lies over one denominator, a product of powers
-of mu's and alpha's fixed by the expression's shape.  The sweep sums nonzero
-(index, numerator) pairs and reduces once, at a failing witness, to the one
-canonical form of that rational value: reports match a sweep on Elements.
+of mu's and alpha's fixed by the expression's shape.  The sweep tests the
+numerators and reduces once, at a failing witness, to the one canonical
+form of that rational value: reports match a sweep on Elements.
 """
 
-from functools import cache
 from itertools import combinations_with_replacement, product
 from math import comb, lcm, prod
-from operator import itemgetter
 
 from .linalg import Vector, row_times
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
@@ -107,138 +109,85 @@ class PowerTable:
         return Element(self.algebra, Vector.from_ints(*self._pair_row(i, j)))
 
 
-def _subset_sum(dim, S):
-    """x_S, the sum of the basis elements indexed by S: S's multiplicities."""
-    return tuple(map(S.count, range(dim)))
+def _lattice_point(dim, M):
+    """x_M, the sum of the basis elements indexed by the multiset M: M's multiplicities."""
+    x = [0] * dim
+    for i in M:
+        x[i] += 1
+    return tuple(x)
 
 
-def _nonzero(nums):
-    return tuple((k, a) for k, a in enumerate(nums) if a)
-
-
-@cache
-def _sign_template(runs):
-    """[(getter, signed count)] for the sorted multisets whose runs of equal
-    values have the lengths runs: k of a run's m copies are C(m, k) slot
-    subsets with one sub-multiset.  Runs hold increasing values, so sorting
-    the slot tuples sorts the sub-multisets."""
-    d, starts, template = sum(runs), [sum(runs[:r]) for r in range(len(runs))], []
-    for ks in product(*(range(m + 1) for m in runs)):
-        slots = tuple(s + j for s, k in zip(starts, ks) for j in range(k))
-        if slots:
-            template.append((slots, (-1) ** (d - len(slots)) * prod(map(comb, runs, ks))))
-    return [(itemgetter(*slots) if len(slots) > 1 else lambda M, t=slots[0]: (M[t],), cnt)
-            for slots, cnt in sorted(template)]
-
-
-def _signed_submultisets(M):
-    """[(sub-multiset, signed count)] of the inclusion-exclusion over the
-    slots of the sorted multiset M, sorted by sub-multiset."""
-    return [(get(M), cnt) for get, cnt in _sign_template(tuple(map(M.count, dict.fromkeys(M))))]
-
-
-# The most evaluations a polarized sweep may make: every default sweep up
-# to dim 20 (the largest, the associator-tail identity, makes 28,224,000).
+# The largest sweep size allowed: every default sweep up to dim 20 (the
+# largest, the associator-tail identity, has size 28,224,000).
 MAX_SWEEP = 2**25
 
 
 def sweep_size(dim, degrees):
-    """prod over degrees d of C(dim + d - 1, d) * 2^d, the evaluations of a
-    polarized sweep on dim basis elements; ValueError above MAX_SWEEP."""
+    """prod over degrees d of C(dim + d - 1, d) * 2^d, the size of a sweep
+    on dim basis elements; ValueError above MAX_SWEEP."""
     size = prod(comb(dim + d - 1, d) << d for d in degrees)
     if size > MAX_SWEEP:
-        raise ValueError("a polarized sweep of degrees %s on %d basis elements makes %d "
-                         "evaluations, above the cap of %d" % (
+        raise ValueError("a sweep of degrees %s on %d basis elements has size %d, "
+                         "above the cap of %d" % (
                              ",".join(map(str, degrees)), dim, size, MAX_SWEEP))
     return size
-
-
-def subset_sum_defects(A, fn):
-    """The defects callback of polarized_defect_sweep for fn, a function of
-    one integer row per variable group that returns [(tag, numerators,
-    denominator)]: fn at the subset sums x_S of the sub-multisets, computed
-    once per tuple of sub-multisets."""
-
-    @cache
-    def defects(*subs):
-        return [(tag, den, _nonzero(nums))
-                for tag, nums, den in fn(*(_subset_sum(A.dim, sub) for sub in subs))]
-
-    return defects
 
 
 def polarized_defect_sweep(A, degrees, defects, law):
     """Exhaustive proof that a multihomogeneous map vanishes.
 
     degrees is the degree of the map's one variable, or a tuple of the
-    degrees of its variable groups.  defects(*subs) gets one sub-multiset
-    of basis indices per group and returns the map's defects at their
-    subset sums as (tag, denominator, nonzero (index, numerator) pairs),
-    the same tags in the same order, each over the same denominator, at
-    every point; subset_sum_defects builds it from a function of integer
-    rows.  Each group is polarized and swept over basis multisets, the
-    first group outermost.  Returns a CheckReport; a failure witnesses the
-    first failing (multiset, tag), tags in defects' order -- (tuple of
-    multisets, tag) for a tuple of degrees -- with the polarized defect,
-    reduced, as lhs.  Raises ValueError, before any work, when sweep_size
-    refuses the sweep.
+    degrees of its variable groups.  defects(*xs) gets one lattice point
+    x_M per group, as an integer row, and returns the map's defects there
+    as [(tag, numerators, denominator)], the same tags in the same order,
+    each over the same denominator, at every point.  The groups' basis
+    multisets M are swept, the first group outermost, and each point is
+    evaluated once.  Returns a CheckReport; a failure witnesses the first
+    failing (multiset, tag), tags in defects' order -- (tuple of multisets,
+    tag) for a tuple of degrees -- with the defect at x_M, reduced, as lhs.
+    Raises ValueError, before any work, when sweep_size refuses the sweep.
     """
     single = isinstance(degrees, int)
     degrees = (degrees,) if single else tuple(degrees)
     sweep_size(A.dim, degrees)
-    multisets = [combinations_with_replacement(range(A.dim), d) for d in degrees]
-    if len(degrees) == 1:
-        points = (((M,), [(cnt, defects(sub)) for sub, cnt in _signed_submultisets(M)])
-                  for M in multisets[0])
-    else:
-        # Only the inner groups' multisets repeat, once per outer multiset.
-        inner = [[(M, _signed_submultisets(M)) for M in group] for group in multisets[1:]]
-        points = (
-            ((M0, *(M for M, _ in rest)),
-             [(prod(cnt for _, cnt in picked), defects(*(sub for sub, _ in picked)))
-              for picked in product(_signed_submultisets(M0), *(signed for _, signed in rest))])
-            for M0 in multisets[0] for rest in product(*inner))
-    for point, terms in points:
-        for k, (tag, den, _) in enumerate(terms[0][1]):
-            acc = [0] * A.dim
-            for cnt, rows in terms:
-                for i, a in rows[k][2]:
-                    acc[i] += cnt * a
-            if any(acc):
-                return CheckReport(False, law, (point[0] if single else point, tag),
-                                   Element(A, Vector.from_ints(acc, den)), A.zero())
+    groups = [[(M, _lattice_point(A.dim, M))
+               for M in combinations_with_replacement(range(A.dim), d)] for d in degrees]
+    for point in product(*groups):
+        for tag, nums, den in defects(*(x for _, x in point)):
+            if any(nums):
+                Ms = tuple(M for M, _ in point)
+                return CheckReport(False, law, (Ms[0] if single else Ms, tag),
+                                   Element(A, Vector.from_ints(nums, den)), A.zero())
     return CheckReport(True, law)
 
 
 def _difference(x, y):
-    """(den, nonzero pairs) of the rows x - y, over the lcm of their dens."""
+    """(numerators, den) of the rows x - y, over the lcm of their dens."""
     den = lcm(x[1], y[1])
     fx, fy = den // x[1], den // y[1]
-    return den, _nonzero([a * fx - b * fy for a, b in zip(x[0], y[0])])
+    return [a * fx - b * fy for a, b in zip(x[0], y[0])], den
 
 
 class DefectMemo:
-    """The defects x_S^n - x_S^(n-i,i), 2 <= i < n <= top, of one powers
-    suite by sub-multiset S, shared by the suite's rows.  They run in order
-    on one thread, so nothing is locked, and the last one releases it."""
+    """The defects x^n - x^(n-i,i), 2 <= i < n, of one powers suite at
+    each lattice point x = x_M, n = |M|, shared by the suite's rows: the
+    criterion row rereads those of n = 3 and 4, so only those are kept.
+    The rows run in order on one thread, so nothing is locked, and the
+    last one releases it."""
 
-    def __init__(self, A, top):
-        self.algebra, self.top, self.entries = A, top, {}
+    def __init__(self, A):
+        self.algebra, self.entries = A, {}
 
-    def defects(self, S, n):
-        """[(i, den, nonzero pairs of x_S^n - x_S^(n-i,i)) for i in 2..n-1]."""
-        if n < 3:
-            return []
-        entry = self.entries.get(S)
-        if entry is None or n not in entry:
-            A = self.algebra
-            t = PowerTable(A, Element(A, Vector.from_ints(_subset_sum(A.dim, S), 1)))
-            entry = {k: [(i, *_difference(t._row(k, 0), t._pair_row(k - i, i)))
-                         for i in range(2, k)]
-                     for k in range(n, max(n, self.top) + 1)}
-            if len(S) < max(self.top, 5):  # else only its own multiset reaches S
-                self.entries[S] = entry
-        return entry[n]
+    def defects(self, x):
+        """[(i, numerators, den of x^n - x^(n-i,i)) for i in 2..n-1], n = sum(x)."""
+        entry = self.entries.get(x)
+        if entry is None:
+            A, n = self.algebra, sum(x)
+            t = PowerTable(A, Element(A, Vector.from_ints(x, 1)))
+            entry = [(i, *_difference(t._row(n, 0), t._pair_row(n - i, i))) for i in range(2, n)]
+            if n in (3, 4):
+                self.entries[x] = entry
+        return entry
 
     def last_row(self, check, *args):
         """check(*args, memo=self), then release the memo."""
@@ -249,38 +198,37 @@ class DefectMemo:
 
 
 def check_nth_hom_power_associative(A, n, memo=None):
-    """x^n == x^(n-i,i) for all i, proved or refuted by the polarized sweep.
+    """x^n == x^(n-i,i) for all i, proved or refuted by the lattice sweep.
 
-    A failure witnesses the first failing (basis multiset, i), with the
-    polarized defect x^n - x^(n-i,i) as lhs.  Requires a multiplicative
+    A failure witnesses the first failing (basis multiset M, i), with the
+    defect x^n - x^(n-i,i) at x_M as lhs.  Requires a multiplicative
     algebra.  memo, a DefectMemo, shares defects with a suite's other rows.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("Hom-power associativity needs n >= 1, got %r" % (n,))
     require(A, "power associativity check", "multiplicative")
     law = "hom-power-associative(n=%d)" % n
-    memo = memo or DefectMemo(A, n)
-    rep = polarized_defect_sweep(A, n, lambda S: memo.defects(S, n), law)
-    rep.note = "polarized sweep %s" % ("proved it" if rep.passed else "found the failure")
+    rep = polarized_defect_sweep(A, n, (memo or DefectMemo(A)).defects, law)
+    rep.note = "lattice sweep %s" % ("proved it" if rep.passed else "found the failure")
     return rep
 
 
 def check_third_fourth_criterion(A, memo=None):
     """x^2*alpha(x) == alpha(x)*x^2 and x^4 == alpha(x^2)*alpha(x^2).
 
-    Proved or refuted by two polarized sweeps, of degrees 3 and 4; a
-    failure witnesses (basis multiset, "third" or "fourth").  For a
-    multiplicative right Hom-alternative algebra these two laws imply
-    n-th Hom-power associativity for every n.  memo, a DefectMemo,
-    shares defects with a suite's other rows.
+    Proved or refuted by two lattice sweeps, of degrees 3 and 4; a
+    failure witnesses (basis multiset M, "third" or "fourth"), with the
+    defect at x_M as lhs.  For a multiplicative right Hom-alternative
+    algebra these two laws imply n-th Hom-power associativity for every
+    n.  memo, a DefectMemo, shares defects with a suite's other rows.
     """
     require(A, "third/fourth power criterion", "multiplicative")
     law = "third-fourth-power-criterion"
-    memo = memo or DefectMemo(A, 4)
+    memo = memo or DefectMemo(A)
     for degree, tag in ((3, "third"), (4, "fourth")):
         rep = polarized_defect_sweep(
-            A, degree, lambda S, n=degree, tag=tag: [(tag, *memo.defects(S, n)[0][1:])], law)
+            A, degree, lambda x, tag=tag: [(tag, *memo.defects(x)[0][1:])], law)
         if not rep.passed:
-            rep.note = "polarized sweep found the failure"
+            rep.note = "lattice sweep found the failure"
             return rep
-    return CheckReport(True, law, note="both polarized sweeps proved it")
+    return CheckReport(True, law, note="both lattice sweeps proved it")

@@ -37,11 +37,11 @@ proved without evaluating them.  Where an axiom fails, the concrete
 check below still decides, and finds the witness.
 
 Identities are also checkable concretely: check_identity_on_algebra
-evaluates the defect lhs - rhs on subset sums of basis elements, and
-powers.polarized_defect_sweep polarizes each variable by
-inclusion-exclusion (over Q the polarized form vanishes iff the
-identity does) and sweeps all basis assignments, exactly: 2^d
-evaluations per point for a degree-d variable, not the d! terms of
+evaluates the defect lhs - rhs once at each lattice point of
+powers.polarized_defect_sweep, a sum x_M of d basis elements (with
+repeats) for each degree-d variable.  Over Q a multihomogeneous defect
+vanishes iff it vanishes at all those points, so the sweep is exact,
+and it makes one evaluation per point, not the d! terms of
 multilinearize's symbolic form.
 """
 
@@ -55,7 +55,7 @@ from .linalg import (ONE, ZERO, Vector, as_scalar, format_scalar, parse_scalar, 
                      row_times)
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
 from .core import CheckReport, Element, mul, mul_nums, require  # noqa: F401
-from .powers import polarized_defect_sweep, subset_sum_defects
+from .powers import polarized_defect_sweep
 from .record import FrozenRecord
 
 __all__ = [
@@ -568,10 +568,10 @@ def check_identity_on_algebra(A, lhs, rhs, degrees, name="identity"):
 
     Both sides must be homogeneous of the given multidegrees
     (ValueError otherwise), and A multiplicative.  The defect lhs - rhs
-    is evaluated on subset sums of basis elements, and
-    powers.polarized_defect_sweep polarizes each variable by
-    inclusion-exclusion and sweeps all basis multisets, variables in
-    sorted order; a failure witnesses ((variable, multiset), ...).
+    is evaluated by powers.polarized_defect_sweep at each lattice point:
+    each variable v of degree d is x_M, the sum of the basis elements of
+    a multiset M of d indices, variables in sorted order.  A failure
+    witnesses ((variable, multiset), ...), with the defect there as lhs.
     """
     require(A, "identity check", "multiplicative")
     _check_homogeneous(lhs, degrees, "lhs")
@@ -582,10 +582,10 @@ def check_identity_on_algebra(A, lhs, rhs, degrees, name="identity"):
     names = sorted(degrees)
     evaluate = _polynomial_evaluator(A, defect, names, [1] * len(names))
     rep = polarized_defect_sweep(A, tuple(degrees[v] for v in names),
-                                 subset_sum_defects(A, lambda *xs: [(None, *evaluate(xs))]), name)
+                                 lambda *xs: [(None, *evaluate(xs))], name)
     if not rep.passed:
         return CheckReport(False, name, tuple(zip(names, rep.witness[0])), rep.lhs, rep.rhs)
-    return CheckReport(True, name, note="polarized sweep over all basis tuples")
+    return CheckReport(True, name, note="lattice sweep over all basis multisets")
 
 
 # -- certificates --------------------------------------------------------------
@@ -626,10 +626,17 @@ def _axiom_polynomial(axiom):
     raise ValueError("unknown certificate axiom %r" % axiom)
 
 
-def build_instance(entry):
-    """One certificate instance -> (coefficient, polynomial)."""
+@functools.cache
+def _monomial(text):
+    """The monomial that text parses to, parsed once per process: the
+    certificates repeat a few dozen texts over their instances."""
     from .dsl import parse_monomial
 
+    return parse_monomial(text)
+
+
+def build_instance(entry):
+    """One certificate instance -> (coefficient, polynomial)."""
     if not isinstance(entry, dict) or "coeff" not in entry or "axiom" not in entry:
         raise ValueError("certificate instance needs coeff and axiom: %r" % (entry,))
     coeff = parse_scalar(entry["coeff"])
@@ -640,7 +647,7 @@ def build_instance(entry):
             "substitution for %s must cover exactly %r, got %r"
             % (entry["axiom"], sorted(formal), sorted(raw_sub))
         )
-    sub = {v: parse_monomial(t) for v, t in raw_sub.items()}
+    sub = {v: _monomial(t) for v, t in raw_sub.items()}
     inst = subst_poly(base, sub)
     for op in entry.get("wrap", []):
         if not isinstance(op, (list, tuple)) or len(op) != 2:
@@ -651,9 +658,9 @@ def build_instance(entry):
                 raise ValueError("alpha wrap needs a positive shift, got %r" % (arg,))
             inst = inst.alpha(arg)
         elif tag == "premul":
-            inst = poly_mul(HomPolynomial({parse_monomial(arg): ONE}), inst)
+            inst = poly_mul(HomPolynomial({_monomial(arg): ONE}), inst)
         elif tag == "postmul":
-            inst = poly_mul(inst, HomPolynomial({parse_monomial(arg): ONE}))
+            inst = poly_mul(inst, HomPolynomial({_monomial(arg): ONE}))
         else:
             raise ValueError("unknown wrap op %r" % (tag,))
     return coeff, inst
@@ -705,8 +712,9 @@ def verify_certificate(name, instances):
     """
     target = identity_defect(name)
     _check_references(name, instances)
-    total = sum((inst.scale(coeff) for coeff, inst in map(build_instance, instances)),
-                HomPolynomial())
+    total = HomPolynomial()
+    for coeff, inst in map(build_instance, instances):
+        _accumulate(total._terms, ((m, coeff * c) for m, c in inst._terms.items()))
     residue = target - total
     return residue.is_zero(), residue
 

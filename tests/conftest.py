@@ -66,6 +66,22 @@ def element_sweep(A, degree, law, defects):
     return CheckReport(True, law)
 
 
+def lattice_point(A, M):
+    """x_M, the sum of the basis elements the multiset M indexes, as an Element."""
+    return sum((A.basis_element(i) for i in M), A.zero())
+
+
+def lattice_sweep(A, degree, law, defects):
+    """A lattice sweep on Elements, coded apart from homalt.powers: at each
+    basis multiset M, defects(x_M), a list of (tag, Element).  Reports the
+    first failing (M, tag), with the defect at x_M as lhs."""
+    for M in combinations_with_replacement(range(A.dim), degree):
+        for tag, value in defects(lattice_point(A, M)):
+            if not value.is_zero():
+                return CheckReport(False, law, (M, tag), value, A.zero())
+    return CheckReport(True, law)
+
+
 def hom_power_poly(n):
     """x^n in the free algebra: x^1 = x, x^n = x^(n-1) * alpha^(n-2)(x)."""
     return var("x") if n == 1 else poly_mul(hom_power_poly(n - 1), var("x", n - 2))

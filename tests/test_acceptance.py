@@ -138,7 +138,7 @@ def test_criterion_02_hom_power_associativity():
             for n in range(2, 6):
                 rep = check_nth_hom_power_associative(A, n)
                 assert rep.passed, (A.dim, n, rep.witness)
-                assert rep.note == "polarized sweep proved it"
+                assert rep.note == "lattice sweep proved it"
             # with multiplicativity and right Hom-alternativity, this gives every n
             assert check_third_fourth_criterion(A).passed
 
@@ -226,7 +226,7 @@ def test_criterion_05_operator_calculus():
 
 
 def test_criterion_06_associator_identities():
-    with verdict(6, "all six associator identities pass the polarized basis sweep"):
+    with verdict(6, "all six associator identities pass the lattice sweep"):
         reg = identity_registry()
         for triple in TWIST_TRIPLES:
             A = albert5_twisted(AlbertParams(*triple))

@@ -342,7 +342,7 @@ def test_sweep_above_the_cap_exits_two_at_once(capsys):
     assert main(["powers", "albert5", "--n", "40"]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        "error: a polarized sweep of degrees 40 on 5 basis elements makes %d evaluations, "
+        "error: a sweep of degrees 40 on 5 basis elements has size %d, "
         "above the cap of %d\n" % (math.comb(44, 40) << 40, powers.MAX_SWEEP)
     )
 
@@ -373,7 +373,7 @@ def test_dim_64_identity_sweeps_exit_two(argv, degrees, size, tmp_path, monkeypa
     save_dim64_table("dim64.json")
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "error: a polarized sweep of degrees %s on 64 basis elements makes %d evaluations, "
+        "error: a sweep of degrees %s on 64 basis elements has size %d, "
         "above the cap of %d\n" % (degrees, size, powers.MAX_SWEEP)
     )
 
@@ -704,7 +704,7 @@ def test_identity_command_proves_the_right_alternative_law(capsys):
     rc = main(["identity", "albert5", "--twist", "2,3,0",
                "--expr", "(= (as x y y) (scale 0 x))"])
     assert rc == 0
-    assert "polarized sweep" in capsys.readouterr().out
+    assert "lattice sweep" in capsys.readouterr().out
 
 
 def test_identity_command_refutes_on_the_bad_algebra(capsys):

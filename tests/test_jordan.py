@@ -6,10 +6,10 @@ from homalt.core import apply_alpha, mul
 from homalt.jordan import check_hom_jordan, check_hom_jordan_admissible, jordan_defect
 from homalt.linalg import qq
 
-from conftest import SIX, element_sweep, random_element
+from conftest import SIX, lattice_sweep, random_element
 from test_cli import record_calls
 
-ADMISSIBLE_NOTE = "polarized sweep of as(x*x, alpha(y), alpha(x)) on A+"
+ADMISSIBLE_NOTE = "lattice sweep of as(x*x, alpha(y), alpha(x)) on A+"
 
 
 def direct_defect(A, x, y):
@@ -25,11 +25,11 @@ def direct_defect(A, x, y):
 
 
 def direct_sweep(A):
-    """The direct form swept on A+ by the Element sweep: a reference coded
-    apart from homalt.jordan and homalt.powers."""
+    """The direct form swept on A+ by the Element lattice sweep: a reference
+    coded apart from homalt.jordan and homalt.powers."""
     P = plus_algebra(A)
     basis = P.basis()
-    return element_sweep(
+    return lattice_sweep(
         P, 3, "direct", lambda x: [(yi, direct_defect(P, x, basis[yi])) for yi in range(P.dim)])
 
 

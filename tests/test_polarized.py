@@ -1,13 +1,14 @@
 """The identity sweep against symbolic multilinearization.
 
-check_identity_on_algebra evaluates a defect on subset sums of basis
-elements and lets powers.polarized_defect_sweep polarize it by
-inclusion-exclusion.  The reference below takes the independent route:
-multilinearize the defect symbolically (d! slot permutations per
-degree-d variable), then evaluate the multilinear polynomial on every
-assignment of basis elements to the slots.  Over Q both compute the
-same polarization, so the two reports must be equal field for field,
-witness and polarized lhs included.
+check_identity_on_algebra evaluates a defect once at each lattice point
+of powers.polarized_defect_sweep: each degree-d variable is a sum x_M of
+d basis elements, with repeats.  The verdict reference takes the
+independent route: multilinearize the defect symbolically (d! slot
+permutations per degree-d variable), then evaluate the multilinear
+polynomial on every assignment of basis elements to the slots.  Over Q
+the defect vanishes iff its multilinear form does, so the verdicts must
+agree; the witness and lhs must equal those of the same lattice sweep
+on Elements, the defect's tree evaluated by mul and apply_alpha.
 """
 
 import sys
@@ -22,7 +23,7 @@ from homalt.core import CheckReport, HomAlgebra, apply_alpha, mul
 from homalt.linalg import Matrix, identity_matrix
 from homalt.symbolic import check_identity_on_algebra, identity_registry, multilinearize
 
-from conftest import hom_power_pair_poly, hom_power_poly
+from conftest import hom_power_pair_poly, hom_power_poly, lattice_point
 
 SETTINGS = settings(max_examples=120, derandomize=True, deadline=None)
 
@@ -48,12 +49,10 @@ def _eval_tree(A, tree, env, memo):
     return got
 
 
-def reference_check(A, lhs, rhs, degrees, name):
-    """multilinearize, then a plain sweep over basis assignments of the slots."""
-    defect = lhs - rhs
-    if defect.is_zero():
-        return CheckReport(True, name, note="defect normalizes to zero symbolically")
-    lin, groups = multilinearize(defect, degrees)
+def multilinear_verdict(A, lhs, rhs, degrees):
+    """multilinearize, then a plain sweep over basis assignments of the slots:
+    does lhs = rhs hold throughout A?"""
+    lin, groups = multilinearize(lhs - rhs, degrees)
     names = sorted(groups)
     basis = A.basis()
     for combo in product(
@@ -65,8 +64,28 @@ def reference_check(A, lhs, rhs, degrees, name):
         for m, c in lin.terms():
             acc = acc + _eval_tree(A, m.tree, env, memo).scale(c)
         if not acc.is_zero():
+            return False
+    return True
+
+
+def reference_check(A, lhs, rhs, degrees, name):
+    """The lattice sweep on Elements: the defect at x_M for each variable,
+    variables in sorted order, first failing point as witness."""
+    defect = lhs - rhs
+    if defect.is_zero():
+        return CheckReport(True, name, note="defect normalizes to zero symbolically")
+    names = sorted(degrees)
+    for combo in product(
+        *(combinations_with_replacement(range(A.dim), degrees[v]) for v in names)
+    ):
+        env = {v: lattice_point(A, M) for v, M in zip(names, combo)}
+        memo = {}
+        acc = A.zero()
+        for m, c in defect.terms():
+            acc = acc + _eval_tree(A, m.tree, env, memo).scale(c)
+        if not acc.is_zero():
             return CheckReport(False, name, tuple(zip(names, combo)), acc, A.zero())
-    return CheckReport(True, name, note="polarized sweep over all basis tuples")
+    return CheckReport(True, name, note="lattice sweep over all basis multisets")
 
 
 @st.composite
@@ -97,6 +116,7 @@ def test_engine_matches_symbolic_multilinearization(A, identity):
     name, lhs, rhs, degrees = identity
     got = check_identity_on_algebra(A, lhs, rhs, degrees, name)
     assert got.as_dict() == reference_check(A, lhs, rhs, degrees, name).as_dict()
+    assert got.passed == multilinear_verdict(A, lhs, rhs, degrees)
 
 
 @SETTINGS
@@ -105,11 +125,12 @@ def test_engine_matches_on_corrupted_registry_identities(A, identity):
     name, lhs, rhs, degrees = identity
     got = check_identity_on_algebra(A, lhs, -rhs, degrees, name)
     assert got.as_dict() == reference_check(A, lhs, -rhs, degrees, name).as_dict()
+    assert got.passed == multilinear_verdict(A, lhs, -rhs, degrees)
 
 
 def test_degree_seven_power_identity_is_cheap(monkeypatch):
     # Symbolic multilinearization turns each monomial of x^7 into 7! slot
-    # permutations; subset sums need one evaluation per sub-multiset.
+    # permutations; the lattice needs one evaluation per point.
     calls = []
     orig = homalt.core.mul_nums
 
@@ -124,5 +145,5 @@ def test_degree_seven_power_identity_is_cheap(monkeypatch):
                     monkeypatch.setattr(module, attr, counted)
     A = albert5_twisted(AlbertParams(2, 3, 0))
     rep = check_identity_on_algebra(A, hom_power_poly(7), hom_power_pair_poly(5, 2), {"x": 7})
-    assert rep.passed and rep.note == "polarized sweep over all basis tuples"
+    assert rep.passed and rep.note == "lattice sweep over all basis multisets"
     assert 0 < len(calls) < 20000, len(calls)

@@ -2,7 +2,7 @@ import argparse
 import random
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +15,15 @@ from homalt.linalg import identity_matrix, qq
 from homalt.powers import (
     MAX_SWEEP,
     PowerTable,
-    _signed_submultisets,
+    _lattice_point,
     check_nth_hom_power_associative,
     check_third_fourth_criterion,
     polarized_defect_sweep,
-    subset_sum_defects,
     sweep_size,
 )
 from homalt.symbolic import identity_registry
 
-from conftest import SIX, element_sweep, random_element, six_algebra, slot_mask_submultisets
+from conftest import SIX, lattice_point, lattice_sweep, random_element, six_algebra
 from test_cli import record_calls
 
 
@@ -120,7 +119,7 @@ def test_alpha_commutes_with_powers(twisted):
 def test_checkers_pass_on_twisted(twisted):
     for n in range(2, 9):
         rep = check_nth_hom_power_associative(twisted, n)
-        assert rep.passed and rep.note == "polarized sweep proved it"
+        assert rep.passed and rep.note == "lattice sweep proved it"
     assert check_third_fourth_criterion(twisted).passed
 
 
@@ -156,19 +155,6 @@ def sampled_third_fourth(A, samples=25, seed=0):
     return True
 
 
-def polarized(A, M, fn):
-    """sum over nonempty slot subsets S of (-1)^(d-|S|) fn(x_S), x_S the sum of
-    the basis elements M indexes at S: the polarized form of fn at M, with
-    every subset summed on its own (no multiset collapsing)."""
-    d = len(M)
-    total = A.zero()
-    for r in range(1, d + 1):
-        for S in combinations(M, r):
-            x = sum((A.basis_element(i) for i in S), A.zero())
-            total = total + fn(x).scale((-1) ** (d - r))
-    return total
-
-
 def power_defect(A, n, i):
     def fn(x):
         t = PowerTable(A, x)
@@ -193,12 +179,12 @@ def test_sweep_keeps_the_sampled_verdicts(six):
         assert rep.passed == sampled_power_associative(A, n), (n, rep.witness)
         if not rep.passed:
             M, i = rep.witness
-            assert rep.lhs == polarized(A, M, power_defect(A, n, i)) != A.zero()
+            assert rep.lhs == power_defect(A, n, i)(lattice_point(A, M)) != A.zero()
     rep = check_third_fourth_criterion(A)
     assert rep.passed == sampled_third_fourth(A) == SIX[name]
     if not rep.passed:
         assert rep.witness[1] == "third"
-        assert rep.lhs == polarized(A, rep.witness[0], third_defect(A)) != A.zero()
+        assert rep.lhs == third_defect(A)(lattice_point(A, rep.witness[0])) != A.zero()
 
 
 # -- failures ------------------------------------------------------------------------
@@ -209,10 +195,11 @@ def test_fixture_fails_small_powers(bad_algebra):
     rep3 = check_nth_hom_power_associative(bad_algebra, 3)
     assert not rep3.passed
     assert rep3.witness == ((0, 0, 0), 2)
-    assert rep3.note == "polarized sweep found the failure"
-    # the witness replays: the polarized defect at (0, 0, 0) is 3! (x^3 - x^(1,2)) at e_0
+    assert rep3.note == "lattice sweep found the failure"
+    # the witness replays: at x_(0,0,0) = 3 e_0 the degree-3 defect is 3^3 times its value at e_0
     e = bad_algebra.basis_element(0)
-    assert rep3.lhs == power_defect(bad_algebra, 3, 2)(e).scale(6) != bad_algebra.zero()
+    defect = power_defect(bad_algebra, 3, 2)
+    assert rep3.lhs == defect(e.scale(3)) == defect(e).scale(27) != bad_algebra.zero()
     assert rep3.rhs == bad_algebra.zero()
     assert not check_nth_hom_power_associative(bad_algebra, 4).passed
 
@@ -222,7 +209,7 @@ def test_fixture_witness_reproducible(bad_algebra):
     b = check_nth_hom_power_associative(bad_algebra, 3)
     assert a.witness == b.witness == ((0, 0, 0), 2)
     assert a.lhs == b.lhs
-    assert repr(a.lhs) == "-12*b - 24*c"
+    assert repr(a.lhs) == "-54*b - 108*c"
 
 
 def test_fixture_fails_third_fourth(bad_algebra):
@@ -230,8 +217,8 @@ def test_fixture_fails_third_fourth(bad_algebra):
     assert not rep.passed
     M, tag = rep.witness
     assert (M, tag) == ((0, 0, 0), "third")
-    # the third-power criterion x^2 alpha(x) = alpha(x) x^2, polarized at M
-    assert rep.lhs == polarized(bad_algebra, M, third_defect(bad_algebra)) != bad_algebra.zero()
+    # the third-power criterion x^2 alpha(x) = alpha(x) x^2, at x_M
+    assert rep.lhs == third_defect(bad_algebra)(lattice_point(bad_algebra, M)) != bad_algebra.zero()
 
 
 # -- the sweep-size cap --------------------------------------------------------------
@@ -247,7 +234,7 @@ def test_default_sweeps_fit_the_cap_up_to_dim_20():
 
 
 def test_cap_refuses_huge_sweeps_before_any_work(a230):
-    with pytest.raises(ValueError, match="makes 50135040 evaluations, above the cap of %d"
+    with pytest.raises(ValueError, match="has size 50135040, above the cap of %d"
                        % MAX_SWEEP):
         sweep_size(5, (14,))
     for ident in identity_registry().values():
@@ -268,24 +255,23 @@ def test_checker_guards(a230, non_multiplicative):
         check_third_fourth_criterion(non_multiplicative)
 
 
-def test_subset_sum_defects_evaluates_each_sub_multiset_once(a230):
-    # Degree 3 at dim 5: 5 + 15 + 35 sub-multisets of sizes 1, 2 and 3,
-    # though the sweep asks for 7 of them at each of its 35 multisets.
+def test_sweep_evaluates_each_lattice_point_once(a230):
+    # Degree 3 at dim 5: the C(7, 3) = 35 points x_M, |M| = 3, in multiset order.
     seen = []
 
     def fn(x):
         seen.append(x)
         return [("zero", [0] * len(x), 1)]
 
-    assert polarized_defect_sweep(a230, 3, subset_sum_defects(a230, fn), "zero").passed
-    assert len(seen) == 5 + 15 + 35 == len(set(seen))
+    assert polarized_defect_sweep(a230, 3, fn, "zero").passed
+    assert seen == [_lattice_point(5, M) for M in combinations_with_replacement(range(5), 3)]
+    assert len(set(seen)) == 35 and all(sum(x) == 3 for x in seen)
 
 
 def test_sweep_reports_the_first_failing_tag_in_callback_order(a230):
     # Tags are not sorted: both defects fail, and "b" comes first.
     rep = polarized_defect_sweep(
-        a230, 1, subset_sum_defects(a230, lambda x: [("b", x, 1), ("a", [2 * a for a in x], 1)]),
-        "order")
+        a230, 1, lambda x: [("b", x, 1), ("a", [2 * a for a in x], 1)], "order")
     assert not rep.passed
     assert rep.witness == ((0,), "b") and rep.lhs == a230.basis_element(0)
 
@@ -295,15 +281,16 @@ def test_sweep_reports_the_first_failing_tag_in_callback_order(a230):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=9).map(lambda v: tuple(sorted(v))))
-def test_multiplicity_form_is_the_slot_mask_enumeration(M):
-    assert _signed_submultisets(M) == slot_mask_submultisets(M)
+def test_lattice_point_is_the_sum_of_the_multisets_basis_elements(M):
+    x = _lattice_point(7, M)
+    assert sum(x) == len(M) and tuple(i for i, m in enumerate(x) for _ in range(m)) == M
 
 
 def reference_rows(A, nmax):
-    """The powers suite's rows by plain per-row sweeps on Elements: each n
-    checks every split i = 1..n-1 and the criterion its own third and fourth
-    defects, each sweep with its own memo, slot-mask signs and no DefectMemo;
-    powers come from mul and apply_alpha, not PowerTable."""
+    """The powers suite's rows by plain per-row lattice sweeps on Elements:
+    each n checks every split i = 1..n-1 and the criterion its own third and
+    fourth defects, with no DefectMemo; powers come from mul and apply_alpha,
+    not PowerTable."""
 
     def power(x, n):  # alpha^k(x^n) by the recursions, on Elements
         return x if n == 1 else mul(A, power(x, n - 1), alpha(x, 1, n - 2))
@@ -328,15 +315,15 @@ def reference_rows(A, nmax):
 
     rows = []
     for n in range(2, nmax + 1):
-        rep = element_sweep(A, n, "hom-power-associative(n=%d)" % n, splits(n))
-        rep.note = "polarized sweep %s" % ("proved it" if rep.passed else "found the failure")
+        rep = lattice_sweep(A, n, "hom-power-associative(n=%d)" % n, splits(n))
+        rep.note = "lattice sweep %s" % ("proved it" if rep.passed else "found the failure")
         rows.append(rep)
     law = "third-fourth-power-criterion"
-    rep = element_sweep(A, 3, law, third)
+    rep = lattice_sweep(A, 3, law, third)
     if rep.passed:
-        rep = element_sweep(A, 4, law, fourth)
-    rep.note = "polarized sweep found the failure" if not rep.passed else (
-        "both polarized sweeps proved it")
+        rep = lattice_sweep(A, 4, law, fourth)
+    rep.note = "lattice sweep found the failure" if not rep.passed else (
+        "both lattice sweeps proved it")
     return rows + [rep]
 
 
@@ -399,9 +386,10 @@ def test_n2_and_criterion_rows_make_no_product(a230, bad_algebra, monkeypatch):
 
 
 def test_powers_suite_memory_is_bounded():
-    # The dim-10 direct sum at the default nmax peaks at 2.3 MB under
-    # tracemalloc on Python 3.10, 3.11 and 3.13.  When each row kept its own
-    # defects and every outer multiset's sign list, it peaked at 9.9 MB.
+    # The dim-10 direct sum at the default nmax peaks at 1.2 MB under
+    # tracemalloc on Python 3.11 (2.3 MB when the memo kept every
+    # sub-multiset's defects for inclusion-exclusion).  When each row kept
+    # its own defects and every outer multiset's sign list, it peaked at 9.9 MB.
     A = six_algebra("sum-dim10")
     core.is_multiplicative(A)
     tracemalloc.start()

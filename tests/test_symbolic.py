@@ -273,7 +273,7 @@ def test_registry_identities_hold(twisted):
     for name, idf in identity_registry().items():
         rep = check_identity_on_algebra(twisted, idf.lhs, idf.rhs, idf.degrees, name)
         assert rep.passed, name
-        assert rep.note == "polarized sweep over all basis tuples"
+        assert rep.note == "lattice sweep over all basis multisets"
 
 
 def test_registry_identities_hold_classically(albert):

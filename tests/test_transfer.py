@@ -27,7 +27,7 @@ from homalt.symbolic import (
 from conftest import FIXTURES
 from test_cli import GOLDEN, record_calls
 
-SWEEP_NOTE = "polarized sweep over all basis tuples"
+SWEEP_NOTE = "lattice sweep over all basis multisets"
 TRANSFER_NOTE = "transfers: multiplicative and right Hom-alternative hold"
 # The identities each certificate leans on, directly or through another.
 DEPENDENTS = {
