@@ -6,8 +6,8 @@ that preceded the integer kernel, so these tests tie today's output to
 that release, not just one run of the current code to another.  The two
 ``identity_*_x*.json`` files were written by the integer kernel's
 symbolic-multilinearization identity sweep, before check_identity_on_algebra
-moved onto the inclusion-exclusion engine; the random-00 one pins a
-polarized lhs at a degree-4 witness.  The ``jordan``, ``operators``,
+moved onto the inclusion-exclusion engine; the random-00 one pins the
+lhs at a degree-4 witness.  The ``jordan``, ``operators``,
 ``symbolic``, ``powers_albert5_*`` and ``decompose_albert5_230_e`` files
 were written before the single-suite subcommands became aliases of
 ``check --suites X``, so they tie each alias to the code it replaced.
@@ -53,7 +53,20 @@ when every powers row became one polarized sweep:
 powers rows changed: a witness is now a basis multiset and the lhs the
 polarized defect there.  The ``powers_albert5_230_n4`` command lost
 ``--samples 3``; tests/test_powers.py holds the sweep to the sampled
-route on six algebras.  ``jordan_random00.json``,
+route on six algebras.  Twelve files were regenerated when every sweep
+(powers, Jordan and identities) moved from inclusion-exclusion to one
+evaluation per lattice point x_M, the sum of the basis elements of the
+witness multiset M: ``check_albert5_230.json``,
+``check_albert5_m147.json``, ``check_random00.json``,
+``check_random00.txt``, ``check_random00_rational.json``,
+``powers_random00_rational.txt``, ``identity_random00_rational.txt``,
+``identity_albert5_230_x6.json``, ``identity_random00_x4.json``,
+``jordan_random00.txt``, ``jordan_random00.json`` and
+``powers_albert5_230_n4.json``.  Only the sweep notes ("polarized" became
+"lattice") and the lhs of failing sweep rows changed: the lhs is now the
+defect at x_M, not the polarized defect at M.  No verdict, exit code or
+witness changed; tests/test_lattice.py replays every failing sweep row of
+these files through perfbench/reference.py.  ``jordan_random00.json``,
 ``symbolic_teichmuller.json``, ``symbolic_certificates.json``,
 ``decompose_albert5_230_e.json`` and ``operators_albert5_230_e_nmax3.json``
 pin the ``config`` block that each of those commands echoes; they were
