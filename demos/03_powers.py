@@ -30,8 +30,10 @@ for i in range(1, 5):
     print("  x^(%d,%d) =" % (5 - i, i), t.pair(5 - i, i),
           " equal to x^5:", t.pair(5 - i, i) == t.power(5))
 
-# The checker proves the law for every x at once: it polarizes x^n and
-# sweeps all multisets of n basis elements, so the verdict is exact.
+# The checker proves the law for every x at once: it evaluates the law
+# at x = e_i + e_j + ... for every multiset of n basis elements, and a
+# degree-n law that vanishes at those points vanishes everywhere, so the
+# verdict is exact.
 for n in (2, 5, 6):
     rep = check_nth_hom_power_associative(A, n)
     print("\nn = %d: %s  (%s)" % (n, "PASS" if rep.passed else "FAIL", rep.note))

@@ -39,7 +39,8 @@ rep = check_hom_jordan(P)
 print("A+ is Hom-Jordan:", rep.passed, "--", rep.note)
 
 # The admissibility checker builds A+ and proves the Jordan law there by
-# one polarized sweep of the associator form over basis triples.
+# one lattice sweep of the associator form: x = e_i + e_j + e_k for every
+# basis multiset {i, j, k}, against every basis y.
 rep = check_hom_jordan_admissible(A)
 print("A is Hom-Jordan admissible:", rep.passed, "--", rep.note)
 

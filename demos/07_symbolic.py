@@ -3,8 +3,8 @@
 Monomials are binary trees with alpha-powers pushed onto the leaves
 (the normal form for multiplicative algebras).  This layer can state
 identities, multilinearize them, prove them on a concrete algebra by an
-exhaustive basis sweep (each variable polarized by inclusion-exclusion
-on subset sums of basis elements), and verify certificates expressing
+exhaustive lattice sweep (each variable of degree d set to a sum of d
+basis elements, over all basis multisets), and verify certificates expressing
 an identity as an explicit combination of axiom instances.
 
 Run:  python3 demos/07_symbolic.py
@@ -40,7 +40,7 @@ print("their sum:", total)
 print("verify_hom_teichmuller():", verify_hom_teichmuller())
 
 # Six consequences of the right-alternative axiom, each proved on a
-# concrete algebra by polarizing and sweeping all basis substitutions.
+# concrete algebra by evaluating it at every lattice point of the basis.
 A = albert5_twisted(AlbertParams(2, 3, 0))
 print("\nregistry identities on the (2,3,0) twist:")
 for name, idf in identity_registry().items():
