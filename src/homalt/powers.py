@@ -111,10 +111,7 @@ class PowerTable:
 
 def _lattice_point(dim, M):
     """x_M, the sum of the basis elements indexed by the multiset M: M's multiplicities."""
-    x = [0] * dim
-    for i in M:
-        x[i] += 1
-    return tuple(x)
+    return tuple(map(M.count, range(dim)))
 
 
 # The largest sweep size allowed: every default sweep up to dim 20 (the
