@@ -182,11 +182,12 @@ def _accumulate(out, terms):
     monomials whose coefficient becomes zero; returns out."""
     get = out.get
     for m, c in terms:
-        acc = get(m, ZERO) + c
+        old = get(m)
+        acc = c if old is None else old + c
         if acc:
             out[m] = acc
-        else:
-            out.pop(m, None)
+        elif old is not None:
+            del out[m]
     return out
 
 
