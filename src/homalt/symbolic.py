@@ -606,10 +606,6 @@ def subst_monomial(m, sub):
     return HomMonomial(go(m.tree))
 
 
-def subst_poly(p, sub):
-    return HomPolynomial((subst_monomial(m, sub), c) for m, c in p._terms.items())
-
-
 @functools.cache
 def _axiom_polynomial(axiom):
     """(defining polynomial, formal variables) of a certificate axiom; shared."""
@@ -649,7 +645,7 @@ def build_instance(entry):
             % (entry["axiom"], sorted(formal), sorted(raw_sub))
         )
     sub = {v: _monomial(t) for v, t in raw_sub.items()}
-    inst = subst_poly(base, sub)
+    wraps = []  # tree -> tree, in order; each is one-to-one on monomials
     for op in entry.get("wrap", []):
         if not isinstance(op, (list, tuple)) or len(op) != 2:
             raise ValueError("bad wrap entry %r" % (op,))
@@ -657,13 +653,22 @@ def build_instance(entry):
         if tag == "alpha":
             if not isinstance(arg, int) or arg < 1:
                 raise ValueError("alpha wrap needs a positive shift, got %r" % (arg,))
-            inst = inst.alpha(arg)
+            wraps.append(lambda t, k=arg: _shift_tree(t, k))
         elif tag == "premul":
-            inst = poly_mul(HomPolynomial({_monomial(arg): ONE}), inst)
+            wraps.append(lambda t, w=_monomial(arg).tree: ("m", w, t))
         elif tag == "postmul":
-            inst = poly_mul(inst, HomPolynomial({_monomial(arg): ONE}))
+            wraps.append(lambda t, w=_monomial(arg).tree: ("m", t, w))
         else:
             raise ValueError("unknown wrap op %r" % (tag,))
+
+    def wrapped(m):
+        tree = subst_monomial(m, sub).tree
+        for wrap in wraps:
+            tree = wrap(tree)
+        return HomMonomial(tree)
+
+    inst = HomPolynomial()
+    _accumulate(inst._terms, ((wrapped(m), c) for m, c in base._terms.items()))
     return coeff, inst
 
 
