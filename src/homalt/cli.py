@@ -597,7 +597,89 @@ def cmd_distinguish(args):
 # -- argument parsing ---------------------------------------------------------
 
 
-def _build_parser():
+def _add_albert5(p):
+    p.add_argument("--twist", metavar="G,D,E", help="twist along the parameterized morphism")
+    p.set_defaults(algebra="albert5")
+
+
+def _add_twist(p):
+    p.add_argument("--by", metavar="BETA.json", required=True, help="matrix of the morphism")
+
+
+def _add_derive(p):
+    p.add_argument("--n", type=_ascii_int, required=True, help="power of alpha to twist by (>= 0)")
+
+
+def _add_check(p):
+    p.add_argument(
+        "--suites",
+        default=",".join(ALL_SUITES),
+        help="comma-separated subset of: %s" % ", ".join(ALL_SUITES),
+    )
+    p.add_argument("--nmax", type=_ascii_int, default=5, help="largest power / operator exponent")
+
+
+def _add_powers(p):
+    p.add_argument(
+        "--n", dest="nmax", metavar="N", type=_ascii_int, default=5,
+        help="check powers 2..n (n >= 2)",
+    )
+
+
+def _add_decompose(p):
+    p.add_argument("--idempotent", metavar="C0,C1,...", help="coordinates of the idempotent")
+
+
+def _add_operators(p):
+    _add_decompose(p)
+    p.add_argument("--nmax", type=_ascii_int, default=5, help="largest operator exponent (>= 2)")
+
+
+def _add_identity(p):
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--expr", help="identity as '(= LHS RHS)'")
+    group.add_argument("--file", help="file holding the identity")
+    p.add_argument("--degrees", metavar="x=1,y=2", help="variable degrees (inferred if omitted)")
+    p.add_argument("--name", default="identity", help="label for the report")
+    p.set_defaults(fn=cmd_identity)
+
+
+def _add_symbolic(p):
+    # default=False: an option without one takes the parser's (rep's) default
+    p.add_argument("--teichmuller", action="store_true", default=False,
+                   help="only the five-term expansion")
+    p.add_argument("--certificates", action="store_true", default=False,
+                   help="only the shipped certificates")
+
+
+def _add_distinguish(p):
+    p.add_argument("algebra", help="first algebra (path or 'albert5')")
+    p.add_argument("other", help="second algebra (path or 'albert5')")
+    p.set_defaults(fn=cmd_distinguish)
+
+
+# Each subcommand: its parent parsers (the algebra argument, -o FILE and the
+# report options), its help, and the function that adds its own flags.
+SUBCOMMANDS = {
+    "albert5": (("out",), "emit the 5-dimensional example algebra", _add_albert5),
+    "twist": (("alg", "out"), "Yau-twist along a self-morphism", _add_twist),
+    "derive": (("alg", "out"), "nth derived algebra (twist by alpha^n)", _add_derive),
+    "plus": (("alg", "out"), "symmetrized (plus) algebra", None),
+    "check": (("alg", "rep"), "run named law suites", _add_check),
+    "powers": (("alg", "rep"), "nth Hom-power associativity", _add_powers),
+    "jordan": (("alg", "rep"), "Hom-Jordan admissibility", None),
+    "decompose": (("alg", "rep"), "idempotent splitting of the algebra", _add_decompose),
+    "operators": (("alg", "rep"), "multiplication-operator identities", _add_operators),
+    "identity": (("alg", "rep"), "prove an s-expression identity", _add_identity),
+    "symbolic": (("rep",), "free-algebra checks and certificates", _add_symbolic),
+    "distinguish": (("rep",), "separate two algebras by alpha spectra", _add_distinguish),
+}
+
+
+def _build_parser(command=None):
+    """homalt's argument parser.  Given command, a name in SUBCOMMANDS, only
+    that subcommand is added: argparse takes milliseconds to build them all,
+    which every call would pay."""
     parser = _Parser(
         prog="homalt",
         description="Construct, twist, and verify right Hom-alternative algebras "
@@ -629,66 +711,18 @@ def _build_parser():
     rep.set_defaults(fn=run, nmax=5, idempotent=None, algebra=None, twist=None,
                      teichmuller=True, certificates=True)
 
-    p = sub.add_parser("albert5", parents=[out], help="emit the 5-dimensional example algebra")
-    p.add_argument("--twist", metavar="G,D,E", help="twist along the parameterized morphism")
-    p.set_defaults(algebra="albert5")
-
-    p = sub.add_parser("twist", parents=[alg, out], help="Yau-twist along a self-morphism")
-    p.add_argument("--by", metavar="BETA.json", required=True, help="matrix of the morphism")
-
-    p = sub.add_parser("derive", parents=[alg, out], help="nth derived algebra (twist by alpha^n)")
-    p.add_argument("--n", type=_ascii_int, required=True, help="power of alpha to twist by (>= 0)")
-
-    sub.add_parser("plus", parents=[alg, out], help="symmetrized (plus) algebra")
-
-    p = sub.add_parser("check", parents=[alg, rep], help="run named law suites")
-    p.add_argument(
-        "--suites",
-        default=",".join(ALL_SUITES),
-        help="comma-separated subset of: %s" % ", ".join(ALL_SUITES),
-    )
-    p.add_argument("--nmax", type=_ascii_int, default=5, help="largest power / operator exponent")
-
-    p = sub.add_parser("powers", parents=[alg, rep], help="nth Hom-power associativity")
-    p.add_argument(
-        "--n", dest="nmax", metavar="N", type=_ascii_int, default=5,
-        help="check powers 2..n (n >= 2)",
-    )
-
-    p = sub.add_parser("jordan", parents=[alg, rep], help="Hom-Jordan admissibility")
-
-    p = sub.add_parser("decompose", parents=[alg, rep], help="idempotent splitting of the algebra")
-    p.add_argument("--idempotent", metavar="C0,C1,...", help="coordinates of the idempotent")
-
-    p = sub.add_parser("operators", parents=[alg, rep], help="multiplication-operator identities")
-    p.add_argument("--idempotent", metavar="C0,C1,...", help="coordinates of the idempotent")
-    p.add_argument("--nmax", type=_ascii_int, default=5, help="largest operator exponent (>= 2)")
-
-    p = sub.add_parser("identity", parents=[alg, rep], help="prove an s-expression identity")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--expr", help="identity as '(= LHS RHS)'")
-    group.add_argument("--file", help="file holding the identity")
-    p.add_argument("--degrees", metavar="x=1,y=2", help="variable degrees (inferred if omitted)")
-    p.add_argument("--name", default="identity", help="label for the report")
-    p.set_defaults(fn=cmd_identity)
-
-    p = sub.add_parser("symbolic", parents=[rep], help="free-algebra checks and certificates")
-    # default=False: an option without one takes the parser's (rep's) default
-    p.add_argument("--teichmuller", action="store_true", default=False,
-                   help="only the five-term expansion")
-    p.add_argument("--certificates", action="store_true", default=False,
-                   help="only the shipped certificates")
-
-    p = sub.add_parser("distinguish", parents=[rep], help="separate two algebras by alpha spectra")
-    p.add_argument("algebra", help="first algebra (path or 'albert5')")
-    p.add_argument("other", help="second algebra (path or 'albert5')")
-    p.set_defaults(fn=cmd_distinguish)
-
+    parents = {"alg": alg, "out": out, "rep": rep}
+    for name, (uses, help_, add_flags) in SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, parents=[parents[u] for u in uses], help=help_)
+            if add_flags is not None:
+                add_flags(p)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
