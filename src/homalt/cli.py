@@ -3,7 +3,9 @@
 Subcommands fall into two groups.  Constructors (``albert5``, ``twist``,
 ``derive``, ``plus``) emit algebras in the JSON structure-constant format,
 to stdout or to ``-o FILE``: each is a row of ``CONSTRUCTORS``, and
-``construct`` resolves its algebra, builds and writes.  Checkers run law
+``construct`` resolves its algebra, builds and writes.  Each subcommand's
+flags are a row of ``SUBCOMMANDS``, and ``main`` builds only the parser
+of the subcommand its arguments name.  Checkers run law
 suites and emit a report, human-readable (``--output text``) or
 machine-readable (``--output json``).
 ``check`` runs the suites named by ``--suites``; ``powers``, ``jordan``,
