@@ -4,7 +4,8 @@ A law of degree d is evaluated once at each point x_M = e_i + ... (the
 basis elements of a multiset M of d indices).  That is a proof because
 the C(dim + d - 1, d) points are unisolvent for forms of degree d: the
 first test checks it as a rank.  The lattice verdicts must equal those of
-the polarized Element sweep it replaced (conftest.element_sweep), and
+the polarized Element sweep it replaced (conftest.element_sweep), also
+where a law fails only at points that mix basis elements, and
 every failing sweep row in the golden files must replay, from its
 witness alone, through perfbench/reference.py, which imports nothing
 from homalt.
@@ -59,10 +60,12 @@ def test_lattice_points_are_unisolvent_for_degree_d_forms(dim, d):
 def seeded_algebra(seed):
     """A multiplicative dim 2..4 algebra with rational constants: a sparse
     table with alpha = Id (failing), a commutative one with alpha = Id
-    (n = 3 holds, n = 4 fails) or a diagonal one, e_i e_i = c_i e_i, with
-    alpha a coordinate projection (every law holds)."""
+    (n = 3 holds, n = 4 fails), a diagonal one, e_i e_i = c_i e_i, with
+    alpha a coordinate projection (every law holds), or a table with
+    e_i e_i = 0 and alpha = Id, where every law holds at the points
+    x = d e_i and can fail only where x mixes basis elements."""
     rng = random.Random(seed)
-    dim, kind = rng.randint(2, 4), seed % 3
+    dim, kind = rng.randint(2, 4), seed % 4
 
     def scalar():
         return qq(rng.randint(-3, 3), rng.randint(1, 3))
@@ -77,11 +80,16 @@ def seeded_algebra(seed):
         for i in range(dim):
             for j in range(i, dim):
                 mu[i][j] = mu[j][i] = [scalar() for _ in range(dim)]
-    else:
+    elif kind == 2:
         keep = [rng.random() < 0.7 for _ in range(dim)]
         for i in range(dim):
             mu[i][i][i] = scalar()
         alpha = Matrix([[int(keep[i] and i == j) for j in range(dim)] for i in range(dim)])
+    else:
+        for i in range(dim):
+            for j in range(dim):
+                if i != j:
+                    mu[i][j] = [scalar() for _ in range(dim)]
     return HomAlgebra(dim, ["b%d" % i for i in range(dim)], mu, alpha)
 
 
@@ -133,7 +141,7 @@ def polarized_verdicts(A):
 
 def test_lattice_verdicts_equal_the_polarized_element_sweep():
     seen = set()
-    for seed in range(18):
+    for seed in range(24):
         A = seeded_algebra(seed)
         got = [check_nth_hom_power_associative(A, n).passed for n in range(2, 6)]
         got += [check_third_fourth_criterion(A).passed, check_hom_jordan_admissible(A).passed]
