@@ -1,8 +1,9 @@
 """The multiplication-operator calculus at an idempotent.
 
-L_x and R_x are left and right multiplication; operators act on the
-right of coordinate rows, so (f g) means "apply f, then g" and the
-matrix of the composite is M_f M_g.  At an idempotent e of a
+L_x and R_x are left and right multiplication.  An operator is a
+Matrix acting on the right of coordinate rows (b's image is
+vec_mat(b.coords, M)), so (f g) means "apply f, then g" and the matrix
+of the composite is M_f M_g.  At an idempotent e of a
 multiplicative right Hom-alternative algebra a small calculus emerges:
 R squares to alpha R, the commutator [L, R] equals L^2 - alpha L, both
 square to zero, and T = 3 alpha^2 L^2 - 2 alpha L^3 is alpha^4-idempotent.
@@ -13,7 +14,6 @@ Run:  python3 demos/06_operators.py
 from homalt import (
     AlbertParams,
     albert5_twisted,
-    alpha_op,
     build_T,
     check_idempotent_operator_suite,
     check_mul_operator_identities,
@@ -21,16 +21,17 @@ from homalt import (
     left_op,
     op_commutator,
     right_op,
+    vec_mat,
 )
 
 A = albert5_twisted(AlbertParams(2, 3, 0))
 e = A.basis_element(0)
-L, R, al = left_op(A, e), right_op(A, e), alpha_op(A)
+L, R, al = left_op(A, e), right_op(A, e), A.alpha
 
 print("action of R_e on the basis:")
 for i in range(A.dim):
     b = A.basis_element(i)
-    print("  %s . R_e = %s" % (A.basis_names[i], R.apply(b)))
+    print("  %s . R_e = %s" % (A.basis_names[i], A.element(vec_mat(b.coords, R))))
 
 print("\nR_e^2 == alpha R_e:          ", R * R == al * R)
 print("L_e^2 - alpha L_e == [L, R]: ", L * L - al * L == op_commutator(L, R))

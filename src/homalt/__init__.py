@@ -52,8 +52,6 @@ _LAZY = {
         "idempotent_search",
     ),
     "operators": (
-        "MulOperator",
-        "alpha_op",
         "build_T",
         "check_idempotent_operator_suite",
         "check_mul_operator_identities",

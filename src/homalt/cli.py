@@ -563,6 +563,9 @@ def cmd_identity(args):
     A, source = _resolve_algebra(args.algebra, args.twist)
     lhs, rhs = parse_identity(args.expr if args.expr is not None else read_text(args.file))
     defect = lhs - rhs
+    # lhs and rhs are normal forms in the free multiplicative Hom-algebra, so both
+    # routes below decide the identity only on a multiplicative algebra.
+    require(A, "the identity sweep", "multiplicative")
     if defect.is_zero():
         rep = CheckReport(
             True, args.name, note="normalizes to zero in the free multiplicative Hom-algebra"
@@ -579,7 +582,6 @@ def cmd_identity(args):
                 "cannot infer degrees (a variable is missing from some monomial); "
                 "pass --degrees"
             )
-    require(A, "the identity sweep", "multiplicative")
     check = partial(check_identity_on_algebra, A, lhs, rhs, degrees, name=args.name)
     rows = [_row("identity", args.timings, check)]
     fields = {"name": args.name, "degrees": degrees, "timings": args.timings}

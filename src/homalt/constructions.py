@@ -30,6 +30,7 @@ from .linalg import (
     identity_matrix,
     mat_mul,
     mat_pow,
+    qq,
     vec_mat,
 )
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
@@ -148,14 +149,9 @@ def derived_algebra(A, n):
 
 def plus_algebra(A):
     """A+ = (A, (mu + mu^op)/2, alpha): same alpha, symmetrised product."""
-    half = as_scalar("1/2")
-    new_mu = [
-        [
-            [(A.mu[i][j][k] + A.mu[j][i][k]) * half for k in range(A.dim)]
-            for j in range(A.dim)
-        ]
-        for i in range(A.dim)
-    ]
+    half = qq(1, 2)
+    new_mu = [[(A.mu[i][j] + A.mu[j][i]).scale(half) for j in range(A.dim)]
+              for i in range(A.dim)]
     return HomAlgebra(A.dim, A.basis_names, new_mu, A.alpha)
 
 

@@ -71,7 +71,8 @@ class HypothesisError(ValueError):
 
 class HomAlgebra:
     """(A, mu, alpha) with A = Q^dim; never changed once built, so facts
-    about it are cached on it (see fact())."""
+    about it are cached on it (see fact()).  mu[i][j] is e_i * e_j, a
+    Vector (kept as given) or a sequence of rationals."""
 
     def __init__(self, dim, basis_names, mu, alpha):
         if not isinstance(dim, int) or dim < 1:
@@ -92,7 +93,8 @@ class HomAlgebra:
                              % (dim, dim, dim))
         self.dim = dim
         self.basis_names = basis_names
-        self.mu = tuple(tuple(Vector(c) for c in row) for row in mu)
+        self.mu = tuple(tuple(c if isinstance(c, Vector) else Vector(c) for c in row)
+                        for row in mu)
         self.alpha = alpha
         # The hot loops read mu as a sparse integer tensor over one common
         # denominator: _mu_num[i] holds a pair (j, pairs) for each nonzero

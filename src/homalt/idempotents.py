@@ -82,7 +82,7 @@ def albert_decomposition(A, e):
     surjective (the splitting holds only under both hypotheses).
     """
     require(A, "decomposition", "idempotent", "surjective", e=e)
-    re = right_op(A, e).matrix
+    re = right_op(A, e)
     part_alpha = [A.element(v) for v in kernel_basis((re - A.alpha).transpose())]
     part_zero = [A.element(v) for v in kernel_basis(re.transpose())]
     parts = part_alpha + part_zero

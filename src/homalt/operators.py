@@ -1,17 +1,19 @@
 """Multiplication operators L_x, R_x and their identities.
 
-Operators act on the right of row vectors:
+An operator is a linalg.Matrix acting on the right of coordinate rows
+(a's image has coordinates vec_mat(a.coords, M)):
 
-    a L_x = x*a,    a R_x = a*x,    a alpha_op = alpha(a),
+    a L_x = x*a,    a R_x = a*x,    a A.alpha = alpha(a),
 
 so composing "f then g" multiplies matrices in reading order, fg has
-matrix M_f @ M_g, and operator identities can be checked as exact
-matrix identities.
+matrix M_f @ M_g, and operator identities are exact matrix identities.
+L_x and R_x are linear in x, so both are read off one table per
+algebra, of the L_{e_i} and R_{e_i}.
 
 For a multiplicative right Hom-alternative algebra,
 
-    R_x R_alpha(x) = alpha_op R_{x*x}                       (all x)
-    L_y L_alpha(x) - alpha_op L_{x*y}
+    R_x R_alpha(x) = alpha R_{x*x}                          (all x)
+    L_y L_alpha(x) - alpha L_{x*y}
         = L_x R_alpha(y) - R_y L_alpha(x)                   (all x, y)
 
 and for an idempotent e (e*e = e = alpha(e)), with L = L_e, R = R_e:
@@ -27,14 +29,14 @@ and T = 3 alpha^2 L^2 - 2 alpha L^3 satisfies T^(n+1) = alpha^(4n) T
 (so T is alpha^4-idempotent) and [T, R] = 0.
 """
 
-from .linalg import Matrix, mat_mul, mat_pow
-from .core import CheckReport, mul, require
+from .linalg import Matrix, mat_pow, vec_mat
+# mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
+from .core import CheckReport, require
+from .core import mul  # noqa: F401
 
 __all__ = [
-    "MulOperator",
     "left_op",
     "right_op",
-    "alpha_op",
     "op_commutator",
     "build_T",
     "is_alpha_n_idempotent",
@@ -47,120 +49,41 @@ __all__ = [
 MAX_OPERATOR_POWER = 100
 
 
-class MulOperator:
-    """A linear operator on A acting on the right of coordinate rows,
-    given by its matrix; equality and hashing compare matrices only."""
+def _basis_ops(A):
+    """(lefts, rights): dim x dim^2 Matrices whose row i is L_{e_i}, resp.
+    R_{e_i}, flattened row by row, read from A._mu_num."""
+    n = A.dim
+    lefts = [[0] * (n * n) for _ in range(n)]   # lefts[i][a n + k]: e_i * e_a at e_k
+    rights = [[0] * (n * n) for _ in range(n)]  # rights[j][a n + k]: e_a * e_j at e_k
+    for a, row in enumerate(A._mu_num):
+        for j, pairs in row:
+            for k, c in pairs:
+                rights[j][a * n + k] = lefts[a][j * n + k] = c
+    return Matrix.from_ints(lefts, A._mu_den), Matrix.from_ints(rights, A._mu_den)
 
-    __slots__ = ("algebra", "matrix")
 
-    def __init__(self, algebra, matrix):
-        d = algebra.dim
-        if not isinstance(matrix, Matrix) or (matrix.rows, matrix.cols) != (d, d):
-            got = ("%dx%d" % (matrix.rows, matrix.cols) if isinstance(matrix, Matrix)
-                   else type(matrix).__name__)
-            raise ValueError("an operator on a dim-%d algebra needs a %dx%d Matrix, got %s"
-                             % (d, d, d, got))
-        self.algebra = algebra
-        self.matrix = matrix
-
-    def apply(self, x):
-        if x.algebra is not self.algebra:
-            raise ValueError("elements belong to different algebras")
-        from .linalg import vec_mat
-
-        return self.algebra.element(vec_mat(x.coords, self.matrix))
-
-    def _check_same(self, other):
-        if not isinstance(other, MulOperator) or other.algebra is not self.algebra:
-            raise ValueError("operators belong to different algebras")
-
-    def __mul__(self, other):
-        """Composition in action order: a (fg) = (a f) g."""
-        self._check_same(other)
-        return MulOperator(self.algebra, mat_mul(self.matrix, other.matrix))
-
-    def __add__(self, other):
-        self._check_same(other)
-        return MulOperator(self.algebra, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return MulOperator(self.algebra, self.matrix - other.matrix)
-
-    def __neg__(self):
-        return MulOperator(self.algebra, -self.matrix)
-
-    def scale(self, c):
-        return MulOperator(self.algebra, self.matrix.scale(c))
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("operator powers need an integer n >= 0, got %r" % (n,))
-        return MulOperator(self.algebra, mat_pow(self.matrix, n))
-
-    def is_zero(self):
-        return self.matrix.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, MulOperator) and other.matrix == self.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return "MulOperator(%r)" % (self.matrix,)
+def _op(A, side, x):
+    """The sum of x_i O_i, where O_i is L_{e_i} for side 0 and R_{e_i} for
+    side 1, read from the table of _basis_ops, built once per A."""
+    if x.algebra is not A:
+        raise ValueError("elements belong to different algebras")
+    flat, n = vec_mat(x.coords, A.fact("basis-operators", lambda: _basis_ops(A))[side]), A.dim
+    return Matrix.from_ints([flat.nums[r * n:(r + 1) * n] for r in range(n)], flat.den)
 
 
 def left_op(A, x):
     """L_x: a |-> x*a."""
-    rows = [mul(A, x, A.basis_element(i)).coords for i in range(A.dim)]
-    return MulOperator(A, Matrix.from_vectors(rows))
+    return _op(A, 0, x)
 
 
 def right_op(A, x):
     """R_x: a |-> a*x."""
-    rows = [mul(A, A.basis_element(i), x).coords for i in range(A.dim)]
-    return MulOperator(A, Matrix.from_vectors(rows))
-
-
-def alpha_op(A):
-    return MulOperator(A, A.alpha)
+    return _op(A, 1, x)
 
 
 def op_commutator(f, g):
     """[f, g] = fg - gf."""
     return f * g - g * f
-
-
-def _compose(f, g):
-    """f @ g for integer matrices given as lists of rows."""
-    sparse_g = [[(j, b) for j, b in enumerate(row) if b] for row in g]
-    out = []
-    for row in f:
-        acc = [0] * len(g)
-        for a, srow in zip(row, sparse_g):
-            if a:
-                for j, b in srow:
-                    acc[j] += a * b
-        out.append(acc)
-    return out
-
-
-def _plus(f, g, sign=1):
-    """f + sign * g for integer matrices given as lists of rows."""
-    return [[a + sign * b for a, b in zip(r, s)] for r, s in zip(f, g)]
-
-
-def _span(x, ops):
-    """sum of x[b] * ops[b]: the operator of the integer row x, given the
-    basis elements' operators ops as integer matrices."""
-    out = [[0] * len(ops) for _ in ops]
-    for c, m in zip(x, ops):
-        if c:
-            for orow, mrow in zip(out, m):
-                for k, v in enumerate(mrow):
-                    orow[k] += c * v
-    return out
 
 
 def check_mul_operator_identities(A):
@@ -172,72 +95,54 @@ def check_mul_operator_identities(A):
     is bilinear.  No preconditions are enforced: on algebras that are not
     multiplicative right Hom-alternative this simply fails, with the
     basis pair (i, j) as witness.
-
-    The operators are integer matrices read from A._mu_num and
-    alpha.nums: R_{e_j} and L_{e_i} lie over mu's denominator, and every
-    side of both identities over its square times alpha's, so the sides
-    compare as integers; Matrices are built only for a failing pair.
     """
-    law, n, al = "mul-operator-identities", A.dim, A.alpha.nums
-    right = [[[0] * n for _ in range(n)] for _ in range(n)]  # right[j][a] = e_a * e_j
-    left = [[[0] * n for _ in range(n)] for _ in range(n)]   # left[i][a] = e_i * e_a
-    for a, row in enumerate(A._mu_num):
-        for j, pairs in row:
-            for k, c in pairs:
-                right[j][a][k] = left[a][j][k] = c
-
-    def failure(i, j, lhs, rhs, note):
-        den = A._mu_den ** 2 * A.alpha.den
-        return CheckReport(False, law, (i, j), Matrix.from_ints(lhs, den),
-                           Matrix.from_ints(rhs, den), note=note)
-
-    right_alpha = [_span(row, right) for row in al]  # R_alpha(e_j)
+    law, n, al, mu = "mul-operator-identities", A.dim, A.alpha, A.mu
+    basis = A.basis()
+    L = [_op(A, 0, b) for b in basis]  # L_{e_i}
+    R = [_op(A, 1, b) for b in basis]  # R_{e_i}
+    ra = [_op(A, 1, A.element(al.row(i))) for i in range(n)]  # R_alpha(e_i)
     for i in range(n):
         for j in range(i, n):
-            lhs = _plus(_compose(right[i], right_alpha[j]), _compose(right[j], right_alpha[i]))
-            sym = [p + q for p, q in zip(right[j][i], right[i][j])]  # e_i e_j + e_j e_i
-            rhs = _compose(al, _span(sym, right))
+            lhs = R[i] * ra[j] + R[j] * ra[i]
+            rhs = al * _op(A, 1, A.element(mu[i][j] + mu[j][i]))
             if lhs != rhs:
-                return failure(i, j, lhs, rhs, "R-composition fails on basis pair")
+                return CheckReport(False, law, (i, j), lhs, rhs,
+                                   note="R-composition fails on basis pair")
     for i in range(n):
-        lai = _span(al[i], left)  # L_alpha(e_i)
-        for j in range(n):
-            # x = e_i, y = e_j
-            lhs = _plus(_compose(left[j], lai), _compose(al, _span(right[j][i], left)), -1)
-            rhs = _plus(_compose(left[i], right_alpha[j]), _compose(right[j], lai), -1)
+        la = _op(A, 0, A.element(al.row(i)))  # L_alpha(e_i)
+        for j in range(n):  # x = e_i, y = e_j
+            lhs = L[j] * la - al * _op(A, 0, A.element(mu[i][j]))
+            rhs = L[i] * ra[j] - R[j] * la
             if lhs != rhs:
-                return failure(i, j, lhs, rhs, "L/R exchange fails on basis pair")
+                return CheckReport(False, law, (i, j), lhs, rhs,
+                                   note="L/R exchange fails on basis pair")
     return CheckReport(True, law,
                        note="R-composition and L/R exchange proved on basis pairs")
 
 
 def build_T(A, e):
     """T = 3 alpha^2 L^2 - 2 alpha L^3 for L = L_e."""
-    L = left_op(A, e)
-    al = alpha_op(A)
+    L, al = left_op(A, e), A.alpha
     return ((al ** 2) * (L ** 2)).scale(3) - (al * (L ** 3)).scale(2)
 
 
 def is_alpha_n_idempotent(A, f, n):
-    """f*f == alpha^n f.
+    """f*f == alpha^n f, for an operator f on A.
 
     n may be negative only when alpha is invertible (ValueError
     otherwise: negative twist powers need alpha^(-1)).
     """
-    if not isinstance(f, MulOperator) or f.algebra is not A:
-        raise ValueError("expected a MulOperator on this algebra")
+    if not isinstance(f, Matrix) or (f.rows, f.cols) != (A.dim, A.dim):
+        raise ValueError("an operator on a dim-%d algebra is a %dx%d Matrix" % ((A.dim,) * 3))
     if not isinstance(n, int):
         raise ValueError("n must be an integer, got %r" % (n,))
-    if n < 0:
-        try:
-            an = mat_pow(A.alpha, n)
-        except ValueError as exc:
-            raise ValueError(
-                "alpha^%d needs invertible alpha, but alpha is singular" % n
-            ) from exc
-    else:
+    try:
         an = mat_pow(A.alpha, n)
-    return mat_mul(f.matrix, f.matrix) == mat_mul(an, f.matrix)
+    except ValueError as exc:  # only a negative n inverts
+        raise ValueError(
+            "alpha^%d needs invertible alpha, but alpha is singular" % n
+        ) from exc
+    return f * f == an * f
 
 
 def check_idempotent_operator_suite(A, e, nmax=5):
@@ -255,8 +160,8 @@ def check_idempotent_operator_suite(A, e, nmax=5):
 
     L = left_op(A, e)
     R = right_op(A, e)
-    al = alpha_op(A)
-    zero = MulOperator(A, Matrix.zero(A.dim, A.dim))
+    al = A.alpha
+    zero = Matrix.zero(A.dim, A.dim)
     lsq = L * L - al * L
     lr = op_commutator(L, R)
     T = build_T(A, e)
@@ -286,5 +191,5 @@ def check_idempotent_operator_suite(A, e, nmax=5):
     law = "idempotent-operator-suite"
     for name, lhs, rhs in checks:
         if lhs != rhs:
-            return CheckReport(False, law, (name,), lhs.matrix, rhs.matrix)
+            return CheckReport(False, law, (name,), lhs, rhs)
     return CheckReport(True, law, note="%d identities verified" % len(checks))

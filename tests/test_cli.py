@@ -38,6 +38,8 @@ BAD = str(FIXTURES / "non_right_alt_dim3.json")
 # Relative paths that test_unmet_precondition_pins_stderr puts in place.
 RANDOM00 = "random-00.json"
 SWAPPED = "swapped.json"  # swapped_alpha_albert()
+# albert5 (2,3,0) with alpha's rows u and v swapped: not multiplicative
+NON_MULTIPLICATIVE = "non_multiplicative_dim5.json"
 # Nested past Python's recursion limit.
 DEEP = "(= %sx%s x)" % ("(neg " * 3000, ")" * 3000)
 # Each level doubles the expanded term count: 2^40 terms unless capped.
@@ -435,6 +437,10 @@ PRECONDITIONS = [
     (["check", "albert5", "--twist", "2,3,1"],
      "decompose suite: " + NO_IDEMPOTENT + "; drop 'decompose' from --suites"),
     (["check", SWAPPED, "--suites", "identities"], "the identities suite " + NOT_A_MORPHISM),
+    # alpha(x*y) = alpha(x)*alpha(y) normalizes to zero in the free multiplicative
+    # Hom-algebra, which proves it only on multiplicative algebras
+    (["identity", NON_MULTIPLICATIVE, "--expr", "(= (a 1 (mul x y)) (mul (a 1 x) (a 1 y)))"],
+     "the identity sweep " + NOT_A_MORPHISM.replace("(0, 0)", "(0, 1)")),
 ]
 
 
@@ -444,6 +450,7 @@ def test_unmet_precondition_pins_stderr(argv, message, tmp_path, monkeypatch, ca
     monkeypatch.chdir(tmp_path)
     save_algebra(swapped_alpha_albert(), SWAPPED)
     shutil.copy(GOLDEN / RANDOM00, RANDOM00)
+    shutil.copy(FIXTURES / NON_MULTIPLICATIVE, NON_MULTIPLICATIVE)
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -13,6 +13,7 @@ from homalt import core
 from homalt.constructions import AlbertParams, plus_algebra
 from homalt.core import (
     CheckReport,
+    HomAlgebra,
     HypothesisError,
     algebra_from_json,
     algebra_to_json,
@@ -112,6 +113,13 @@ def test_right_alt_checker_on_untwisted_product(a230):
 
 
 # -- element arithmetic -----------------------------------------------------------
+
+
+def test_vector_structure_constants_are_kept_as_given(a230):
+    mu = [[a230.mu[i][j] for j in range(5)] for i in range(5)]
+    B = HomAlgebra(5, a230.basis_names, mu, a230.alpha)
+    assert all(B.mu[i][j] is mu[i][j] for i in range(5) for j in range(5))
+    assert (B._mu_num, B._mu_den) == (a230._mu_num, a230._mu_den)
 
 
 def test_element_arithmetic(a230):
@@ -389,15 +397,15 @@ def test_check_report_bool_and_dict(a230):
 
 # -- validation -------------------------------------------------------------------
 
-# Each case builds a bad algebra, matrix, element or operator and prints the
-# error it raises.
+# Each case builds a bad algebra, matrix or element, or hands a bad operator to
+# is_alpha_n_idempotent, and prints the error it raises.
 BAD_INPUTS = """
 from homalt import linalg
 from homalt.constructions import AlbertParams, albert5_base, albert5_twisted, yau_twist
 from homalt.core import HomAlgebra
 from homalt.idempotents import decompose_element
 from homalt.linalg import Matrix, Vector, identity_matrix
-from homalt.operators import MulOperator, alpha_op
+from homalt.operators import is_alpha_n_idempotent
 from homalt.powers import PowerTable
 from homalt.symbolic import HomMonomial
 mu = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
@@ -413,9 +421,9 @@ for build in (lambda: HomAlgebra(2, ["a", "a"], mu, identity_matrix(3)),
               lambda: HomAlgebra(2, ["a", "b"], mu, [[1, 0], [0, 1]]),
               lambda: Matrix([[1, 2], [3]]),
               lambda: A.element([1, 2]),
-              lambda: MulOperator(A, identity_matrix(2)),
-              lambda: MulOperator(A, [[1]]),
-              lambda: alpha_op(A) ** -1,
+              lambda: is_alpha_n_idempotent(A, identity_matrix(2), 1),
+              lambda: is_alpha_n_idempotent(A, [[1]], 1),
+              lambda: is_alpha_n_idempotent(N, identity_matrix(5), -1),
               lambda: PowerTable(A, A.basis_element(0)).alpha_power(1, -1),
               lambda: yau_twist(A, [[1]]),
               lambda: decompose_element(N, N.basis_element(0), N.basis_element(3)),
@@ -454,9 +462,9 @@ def test_validation_holds_under_python_O():
         "ValueError: alpha must be a Matrix, got list",
         "ValueError: ragged rows: lengths [1, 2]",
         "ValueError: an element of a dim-5 algebra needs 5 coordinates, got 2",
-        "ValueError: an operator on a dim-5 algebra needs a 5x5 Matrix, got 2x2",
-        "ValueError: an operator on a dim-5 algebra needs a 5x5 Matrix, got list",
-        "ValueError: operator powers need an integer n >= 0, got -1",
+        "ValueError: an operator on a dim-5 algebra is a 5x5 Matrix",
+        "ValueError: an operator on a dim-5 algebra is a 5x5 Matrix",
+        "ValueError: alpha^-1 needs invertible alpha, but alpha is singular",
         "ValueError: alpha powers need an integer k >= 0, got -1",
         "ValueError: beta must be a Matrix, got list",
         "ValueError: decomposition needs surjective alpha; alpha(a) = w has no solution",
