@@ -47,10 +47,10 @@ print("is_alpha_n_idempotent(L, 1): ", is_alpha_n_idempotent(A, L, 1),
       " (L is NOT alpha-idempotent)")
 print("[T, R] == 0:                 ", op_commutator(T, R).is_zero())
 
-# The two identities that hold everywhere (not just at idempotents),
-# R_x R_alpha(x) = alpha R_{x*x} and the bilinear L/R exchange law,
-# both proved on basis pairs: the first is quadratic in x, so its
-# polarization in x and y is checked on every pair e_i, e_j.
+# The two identities that hold in every right Hom-alternative algebra
+# (not just at idempotents), R_x R_alpha(x) = alpha R_{x*x} and the
+# bilinear L/R exchange law: applied to an element, each is the right
+# Hom-alternative law, so the check reads that law's verdict.
 rep = check_mul_operator_identities(A)
 print("\ngeneral operator identities:", rep.passed, "--", rep.note)
 

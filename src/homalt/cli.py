@@ -404,7 +404,8 @@ def _suite_operators(A, args, idempotent):
         raise InputError("--nmax %d is above the operator exponent cap of %d"
                          % (args.nmax, MAX_OPERATOR_POWER))
     e = None
-    if args.command != "check" or is_multiplicative(A) and is_right_hom_alternative(A):
+    # RA first, so that it is decided before the pool: check_mul_operator_identities reads it.
+    if args.command != "check" or is_right_hom_alternative(A) and is_multiplicative(A):
         e = idempotent()
         if e is not None:
             require(A, "operator suite", "idempotent", "multiplicative",

@@ -260,10 +260,10 @@ def commutator(A, x, y):
 class CheckReport(Record):
     """Outcome of a law check.
 
-    witness is None exactly when the check passed; otherwise it is the
-    lexicographically first failing tuple (basis indices or multisets
-    for swept laws) and lhs/rhs hold the two evaluated sides at that
-    witness.
+    witness is None exactly when the check passed; otherwise it comes
+    from the lexicographically first failing tuple of the law's sweep
+    (basis indices or multisets) and lhs/rhs hold the two evaluated
+    sides at that witness.
     """
 
     _fields = ("passed", "law", "witness", "lhs", "rhs", "note")
@@ -320,26 +320,30 @@ def _associator_law(A, law, perm):
     """as(t) + as(t permuted by perm) == 0 on basis triples t.
 
     Triples run in lexicographic order and skip t when its partner u
-    comes first (u < t), since that pair was compared at u.  Each law
-    compares two basis associators, so they are memoised; the products
-    e_i * e_j inside them are read off the structure constants.
+    comes first (u < t), since that pair was compared at u.  perm swaps
+    two slots, so the pairs {t, u} partition the triples and each basis
+    associator is evaluated once, as an integer row (see mul_nums); an
+    Element is built only for a witness.
     """
-    alpha_basis = [apply_alpha(A, e) for e in A.basis()]
-    memo = {}
+    al, den = A.alpha.nums, A._mu_den
 
-    def assoc(t):
-        if t not in memo:
-            i, j, k = t
-            memo[t] = (mul(A, A.element(A.mu[i][j]), alpha_basis[k])
-                       - mul(A, alpha_basis[i], A.element(A.mu[j][k])))
-        return memo[t]
+    def prod(i, j):  # e_i * e_j over den, read off the structure constants
+        v = A.mu[i][j]
+        return [c * (den // v.den) for c in v.nums]
+
+    def assoc(i, j, k):
+        return [p - q for p, q in zip(mul_nums(A, prod(i, j), al[k]),
+                                      mul_nums(A, al[i], prod(j, k)))]
 
     for t in product(range(A.dim), repeat=3):
         u = tuple(t[p] for p in perm)
         if t <= u:
-            lhs, rhs = assoc(t), -assoc(u)
-            if lhs != rhs:
-                return CheckReport(False, law, t, lhs, rhs)
+            a = assoc(*t)
+            b = a if u == t else assoc(*u)
+            if any(p + q for p, q in zip(a, b)):
+                d = den * den * A.alpha.den
+                return CheckReport(False, law, t, A.element(Vector.from_ints(a, d)),
+                                   A.element(Vector.from_ints([-q for q in b], d)))
     return CheckReport(True, law)
 
 

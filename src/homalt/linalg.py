@@ -237,8 +237,13 @@ class Vector:
         return "Vector(%s)" % (", ".join(format_scalar(a) for a in self.entries),)
 
 
-def _sparse(nums):
-    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in nums)
+def _sparse(m):
+    """m's nonzero (column, numerator) pairs, row by row, built the first
+    time a product needs them, since most products are only compared with
+    == (two threads asking first may both build them; the values agree)."""
+    if m._sparse is None:
+        m._sparse = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in m.nums)
+    return m._sparse
 
 
 def _matrix(nums, den):
@@ -261,8 +266,8 @@ class Matrix:
     """Immutable dense matrix of rationals; rows/cols are the dimensions.
 
     Integer rows ``nums`` over one ``den``, canonical like a Vector's,
-    with each row's nonzero (column, numerator) pairs cached for the
-    products.  ``data``, indexing and repr hand out Scalars.
+    with each row's nonzero (column, numerator) pairs cached once a
+    product needs them.  ``data``, indexing and repr hand out Scalars.
     """
 
     __slots__ = ("rows", "cols", "nums", "den", "_sparse")
@@ -278,7 +283,7 @@ class Matrix:
     def _set(self, nums, den):
         self.nums = nums
         self.den = den
-        self._sparse = _sparse(nums)
+        self._sparse = None
         self.rows = len(nums)
         self.cols = len(nums[0]) if nums else 0
 
@@ -386,9 +391,9 @@ def mat_mul(a, b):
     """Matrix product a*b."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch: %dx%d * %dx%d" % (a.rows, a.cols, b.rows, b.cols))
-    sb = b._sparse
+    sb = _sparse(b)
     out = []
-    for row in a._sparse:
+    for row in _sparse(a):
         acc = [0] * b.cols
         for k, x in row:
             for j, y in sb[k]:
@@ -400,7 +405,7 @@ def mat_mul(a, b):
 def row_times(x, m):
     """The integer numerators of x @ m for an integer row x: over m.den, unreduced."""
     acc = [0] * m.cols
-    for a, row in zip(x, m._sparse):
+    for a, row in zip(x, _sparse(m)):
         if a:
             for j, b in row:
                 acc[j] += a * b

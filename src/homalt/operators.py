@@ -10,13 +10,14 @@ matrix M_f @ M_g, and operator identities are exact matrix identities.
 L_x and R_x are linear in x, so both are read off one table per
 algebra, of the L_{e_i} and R_{e_i}.
 
-For a multiplicative right Hom-alternative algebra,
+For a right Hom-alternative algebra, multiplicative or not,
 
     R_x R_alpha(x) = alpha R_{x*x}                          (all x)
     L_y L_alpha(x) - alpha L_{x*y}
         = L_x R_alpha(y) - R_y L_alpha(x)                   (all x, y)
 
-and for an idempotent e (e*e = e = alpha(e)), with L = L_e, R = R_e:
+(applied to an element, each is that law), and if it is multiplicative,
+then for an idempotent e (e*e = e = alpha(e)), with L = L_e, R = R_e:
 
     R^(n+1) = alpha^n R,     so R is alpha-idempotent (R^2 = alpha R)
     L^2 - alpha L = [L, R]
@@ -31,7 +32,7 @@ and T = 3 alpha^2 L^2 - 2 alpha L^3 satisfies T^(n+1) = alpha^(4n) T
 
 from .linalg import Matrix, mat_pow, vec_mat
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
-from .core import CheckReport, require
+from .core import CheckReport, is_right_hom_alternative, require
 from .core import mul  # noqa: F401
 
 __all__ = [
@@ -87,37 +88,28 @@ def op_commutator(f, g):
 
 
 def check_mul_operator_identities(A):
-    """The two multiplication-operator identities above, proved on basis pairs.
+    """The two identities above, decided by the right Hom-alternative law
+    (RA) that they restate; no operator is built unless RA fails.
 
-    R_x R_alpha(x) = alpha R_{x*x} is quadratic in x, so over Q it holds
-    iff R_x R_alpha(y) + R_y R_alpha(x) = alpha R_{x*y + y*x} holds on
-    basis pairs x = e_i, y = e_j with i <= j; the L/R exchange identity
-    is bilinear.  No preconditions are enforced: on algebras that are not
-    multiplicative right Hom-alternative this simply fails, with the
-    basis pair (i, j) as witness.
+    Applied to e_a, R-composition polarized at (x, y) is
+    as(e_a, x, y) + as(e_a, y, x) = 0, and the L/R exchange is
+    as(x, y, e_a) + as(x, e_a, y) = 0.  Where RA fails at (i, j, k), the
+    witness is the basis pair (j, k), and lhs and rhs are
+    R_x R_alpha(y) + R_y R_alpha(x) and alpha R_{x*y + y*x} at x = e_j,
+    y = e_k, which differ in row i.
     """
-    law, n, al, mu = "mul-operator-identities", A.dim, A.alpha, A.mu
-    basis = A.basis()
-    L = [_op(A, 0, b) for b in basis]  # L_{e_i}
-    R = [_op(A, 1, b) for b in basis]  # R_{e_i}
-    ra = [_op(A, 1, A.element(al.row(i))) for i in range(n)]  # R_alpha(e_i)
-    for i in range(n):
-        for j in range(i, n):
-            lhs = R[i] * ra[j] + R[j] * ra[i]
-            rhs = al * _op(A, 1, A.element(mu[i][j] + mu[j][i]))
-            if lhs != rhs:
-                return CheckReport(False, law, (i, j), lhs, rhs,
-                                   note="R-composition fails on basis pair")
-    for i in range(n):
-        la = _op(A, 0, A.element(al.row(i)))  # L_alpha(e_i)
-        for j in range(n):  # x = e_i, y = e_j
-            lhs = L[j] * la - al * _op(A, 0, A.element(mu[i][j]))
-            rhs = L[i] * ra[j] - R[j] * la
-            if lhs != rhs:
-                return CheckReport(False, law, (i, j), lhs, rhs,
-                                   note="L/R exchange fails on basis pair")
-    return CheckReport(True, law,
-                       note="R-composition and L/R exchange proved on basis pairs")
+    law, ra = "mul-operator-identities", is_right_hom_alternative(A)
+    if ra:
+        return CheckReport(True, law, note="right Hom-alternativity proves both: applied to "
+                           "e_a, R-composition at (x, y) is as(e_a, x, y) + as(e_a, y, x), and "
+                           "the L/R exchange is the same law with the variables renamed")
+    i, j, k = ra.witness
+    x, y = A.basis_element(j), A.basis_element(k)
+    ax, ay = A.element(A.alpha.row(j)), A.element(A.alpha.row(k))  # alpha(x), alpha(y)
+    lhs = right_op(A, x) * right_op(A, ay) + right_op(A, y) * right_op(A, ax)
+    rhs = A.alpha * right_op(A, A.element(A.mu[j][k] + A.mu[k][j]))
+    return CheckReport(False, law, (j, k), lhs, rhs, note="R-composition fails on basis "
+                       "pair, in row %d: right Hom-alternativity fails at %r" % (i, ra.witness))
 
 
 def build_T(A, e):
@@ -158,35 +150,28 @@ def check_idempotent_operator_suite(A, e, nmax=5):
     if not isinstance(nmax, int) or not 0 <= nmax <= MAX_OPERATOR_POWER:
         raise ValueError("nmax must be an integer in 0..%d, got %r" % (MAX_OPERATOR_POWER, nmax))
 
-    L = left_op(A, e)
-    R = right_op(A, e)
-    al = A.alpha
+    L, R, al = left_op(A, e), right_op(A, e), A.alpha
     zero = Matrix.zero(A.dim, A.dim)
     lsq = L * L - al * L
     lr = op_commutator(L, R)
     T = build_T(A, e)
 
-    checks = []
-    for n in range(nmax + 1):
-        checks.append(("R^%d = alpha^%d R" % (n + 1, n), R ** (n + 1), (al ** n) * R))
-    checks.extend(
-        [
-            ("L^2 - alpha L = [L, R]", lsq, lr),
-            ("[alpha, L] = 0", op_commutator(al, L), zero),
-            ("[alpha, R] = 0", op_commutator(al, R), zero),
-            ("(L^2 - alpha L)^2 = 0", lsq * lsq, zero),
-            ("[L, R]^2 = 0", lr * lr, zero),
-            ("L R L = alpha L R", L * R * L, al * L * R),
-            ("L^3 - alpha L^2 = alpha L R - R L R",
-             L ** 3 - al * (L ** 2), al * L * R - R * L * R),
-            ("T^2 = alpha^4 T", T * T, (al ** 4) * T),
-            ("[T, R] = 0", op_commutator(T, R), zero),
-        ]
-    )
-    for n in range(1, nmax + 1):
-        checks.append(
-            ("T^%d = alpha^%d T" % (n + 1, 4 * n), T ** (n + 1), (al ** (4 * n)) * T)
-        )
+    checks = [("R^%d = alpha^%d R" % (n + 1, n), R ** (n + 1), (al ** n) * R)
+              for n in range(nmax + 1)]
+    checks += [
+        ("L^2 - alpha L = [L, R]", lsq, lr),
+        ("[alpha, L] = 0", op_commutator(al, L), zero),
+        ("[alpha, R] = 0", op_commutator(al, R), zero),
+        ("(L^2 - alpha L)^2 = 0", lsq * lsq, zero),
+        ("[L, R]^2 = 0", lr * lr, zero),
+        ("L R L = alpha L R", L * R * L, al * L * R),
+        ("L^3 - alpha L^2 = alpha L R - R L R",
+         L ** 3 - al * (L ** 2), al * L * R - R * L * R),
+        ("T^2 = alpha^4 T", T * T, (al ** 4) * T),
+        ("[T, R] = 0", op_commutator(T, R), zero),
+    ]
+    checks += [("T^%d = alpha^%d T" % (n + 1, 4 * n), T ** (n + 1), (al ** (4 * n)) * T)
+               for n in range(1, nmax + 1)]
 
     law = "idempotent-operator-suite"
     for name, lhs, rhs in checks:

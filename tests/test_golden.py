@@ -66,7 +66,18 @@ witness multiset M: ``check_albert5_230.json``,
 "lattice") and the lhs of failing sweep rows changed: the lhs is now the
 defect at x_M, not the polarized defect at M.  No verdict, exit code or
 witness changed; tests/test_lattice.py replays every failing sweep row of
-these files through perfbench/reference.py.  ``jordan_random00.json``,
+these files through perfbench/reference.py.  Eight files were
+regenerated when ``mul-operator-identities`` came to be decided by the
+right Hom-alternative law that it restates: ``check_albert5_230.json``,
+``check_albert5_m147.json``, ``check_random00.json``,
+``check_random00.txt``, ``check_random00_rational.json``,
+``operators_albert5_230.json``, ``operators_albert5_230_e_nmax3.json``
+and ``operators_albert5_230_e_nmax3.txt``.  Only that row's note
+changed: on random-00 the law's witness (0, 0, 0) gives the basis pair
+(0, 0) that the basis-pair loops reported, with the same lhs and rhs.
+tests/test_operators.py holds the row to a reference that builds every
+operator from mul, and tests/test_lattice.py replays its failing rows
+through perfbench/reference.py.  ``jordan_random00.json``,
 ``symbolic_teichmuller.json``, ``symbolic_certificates.json``,
 ``decompose_albert5_230_e.json`` and ``operators_albert5_230_e_nmax3.json``
 pin the ``config`` block that each of those commands echoes; they were

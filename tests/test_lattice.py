@@ -8,7 +8,9 @@ the polarized Element sweep it replaced (conftest.element_sweep), also
 where a law fails only at points that mix basis elements, and
 every failing sweep row in the golden files must replay, from its
 witness alone, through perfbench/reference.py, which imports nothing
-from homalt.
+from homalt.  So must the failing right-hom-alternative rows (both
+associators at the basis triple) and mul-operator-identities rows (both
+operators at the basis pair, row by row), though they are not sweeps.
 """
 
 import ast
@@ -197,6 +199,23 @@ class Replay:
     def criterion(self, M, tag):  # the i = 2 defects of n = 3 and n = 4
         return self.powers(3 if tag == "third" else 4, M, 2)
 
+    def associators(self, i, j, k):  # the right Hom-alternative law's two sides
+        e = [self.alg.unit(t) for t in (i, j, k)]
+        return self.alg.associator(*e), [-a for a in self.alg.associator(e[0], e[2], e[1])]
+
+    def r_composition(self, j, k):
+        """R_x R_alpha(y) + R_y R_alpha(x) and alpha R_{x*y + y*x} at x = e_j,
+        y = e_k, built row by row: row a is the operator applied to e_a."""
+        A, x, y = self.alg, self.alg.unit(j), self.alg.unit(k)
+        ax, ay = A.apply(A.alpha, x), A.apply(A.alpha, y)
+        xy = [p + q for p, q in zip(A.mul(x, y), A.mul(y, x))]
+        lhs, rhs = [], []
+        for a in range(A.dim):
+            e = A.unit(a)
+            lhs.append([p + q for p, q in zip(A.mul(A.mul(e, x), ay), A.mul(A.mul(e, y), ax))])
+            rhs.append(A.mul(A.apply(A.alpha, e), xy))
+        return lhs, rhs
+
     def jordan(self, M, yi):
         P, x = self.plus, self.point(M)
         return P.associator(P.mul(x, x), P.apply(P.alpha, P.unit(yi)), P.apply(P.alpha, x))
@@ -218,21 +237,28 @@ def sub(x, y):
     return [a - b for a, b in zip(x, y)]
 
 
+def parse_matrix(text):
+    """A reported "Matrix([[1, -3/2], [0, 2]])", over several lines, as rows of Fractions."""
+    rows = text[len("Matrix([["):-len("]])")].split("],")
+    return [[Fraction(a) for a in row.strip().lstrip("[").split(",")] for row in rows]
+
+
 def failing_rows(name):
-    """(law, witness, lhs) of each failing row of a golden file, JSON or text."""
+    """(law, witness, lhs, rhs) of each failing row of a golden file, JSON or text."""
     text = (GOLDEN / name).read_text()
     if name.endswith(".json"):
-        return [(r["law"], tuple(ast.literal_eval(w) for w in r["witness"]), r["lhs"])
+        return [(r["law"], tuple(ast.literal_eval(w) for w in r["witness"]), r["lhs"], r["rhs"])
                 for r in json.loads(text)["results"] if not r["passed"]]
     rows = []
-    for line in text.splitlines():
-        if line.startswith("FAIL  "):
-            law, rest = line.split("] ", 1)[1].split("  witness=", 1)
+    for entry in text.replace("\n ", " ").splitlines():  # a matrix's rows continue indented
+        if entry.startswith("FAIL  "):
+            law, rest = entry.split("] ", 1)[1].split("  witness=", 1)
             witness, rest = rest.split("  lhs=", 1)
             witness = ast.literal_eval(witness)
             if isinstance(witness[0], str):  # one (variable, multiset) pair
                 witness = (witness,)
-            rows.append((law, witness, rest.split("  rhs=", 1)[0]))
+            lhs, rest = rest.split("  rhs=", 1)
+            rows.append((law, witness, lhs, rest.split("  -- ", 1)[0]))
     return rows
 
 
@@ -260,11 +286,17 @@ def replayed_defect(replay, argv, law, witness):
 def test_golden_sweep_failures_replay_through_the_reference(name, argv):
     obj = json.loads((GOLDEN / argv[1]).read_text())
     replay, replayed = Replay(obj), 0
-    for law, witness, lhs in failing_rows(name):
-        if law in ("right-hom-alternative", "mul-operator-identities"):
-            continue  # not sweeps: basis triples and pairs
-        want = replayed_defect(replay, argv, law, witness)
-        assert parse_vector(lhs, obj["basis"]) == want != [0] * obj["dim"], (law, witness)
+    for law, witness, lhs, rhs in failing_rows(name):
+        if law == "right-hom-alternative":  # basis triple (i, j, k)
+            got = parse_vector(lhs, obj["basis"]), parse_vector(rhs, obj["basis"])
+            want = replay.associators(*witness)
+        elif law == "mul-operator-identities":  # basis pair (j, k)
+            got, want = (parse_matrix(lhs), parse_matrix(rhs)), replay.r_composition(*witness)
+        else:
+            got = parse_vector(lhs, obj["basis"]), rhs
+            want = replayed_defect(replay, argv, law, witness), "0"
+            assert want[0] != [0] * obj["dim"], (law, witness)
+        assert got == want and want[0] != want[1], (law, witness)
         replayed += 1
     assert replayed > 0
 
