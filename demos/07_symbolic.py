@@ -3,9 +3,10 @@
 Monomials are binary trees with alpha-powers pushed onto the leaves
 (the normal form for multiplicative algebras).  This layer can state
 identities, multilinearize them, prove them on a concrete algebra by an
-exhaustive lattice sweep (each variable of degree d set to a sum of d
-basis elements, over all basis multisets), and verify certificates expressing
-an identity as an explicit combination of axiom instances.
+exhaustive lattice sweep (each variable of degree d, as the identity's
+monomials give it, set to a sum of d basis elements, over all basis
+multisets), and verify certificates expressing an identity as an explicit
+combination of axiom instances.
 
 Run:  python3 demos/07_symbolic.py
 """
@@ -44,8 +45,8 @@ print("verify_hom_teichmuller():", verify_hom_teichmuller())
 A = albert5_twisted(AlbertParams(2, 3, 0))
 print("\nregistry identities on the (2,3,0) twist:")
 for name, idf in identity_registry().items():
-    rep = check_identity_on_algebra(A, idf.lhs, idf.rhs, idf.degrees, name)
-    print("  %-22s %s" % (name, "PASS" if rep.passed else "FAIL"))
+    rep = check_identity_on_algebra(A, idf.lhs, idf.rhs, name)
+    print("  %-22s %s  degrees %s" % (name, "PASS" if rep.passed else "FAIL", idf.degrees))
 
 # Certificates: identity = sum of coefficient * axiom-instance.  These
 # are machine-checkable proofs, independent of any particular algebra.
@@ -62,5 +63,5 @@ p = parse_term("(as x y y)")
 print("\nparsed '(as x y y)':", p)
 lhs, rhs = parse_identity("(= (mul (mul x y) (a 1 y)) (mul (a 1 x) (mul y y)))")
 print("right-alternative law restated:", (lhs - rhs) == p)
-print("proved on the twist:",
-      check_identity_on_algebra(A, lhs, rhs, {"x": 1, "y": 2}).passed)
+print("proved on the twist, degrees read from it:",
+      check_identity_on_algebra(A, lhs, rhs).passed)

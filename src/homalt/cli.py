@@ -35,7 +35,8 @@ Hom-alternative and the identity is in ``symbolic.certified_identities()``:
 its shipped certificate then proves it in every such algebra.  Otherwise
 -- an axiom fails, or the certificate or one it leans on does not
 verify -- the suite runs the lattice sweep, which evaluates the identity
-once per point and also finds the witness.  ``identity`` always sweeps.
+once per point and also finds the witness.  ``identity`` always sweeps,
+unless its identity normalizes to zero in the free multiplicative Hom-algebra.
 A sweep whose size (``powers.sweep_size``) is above ``powers.MAX_SWEEP``
 is bad input (exit 2); the powers and identities suites size theirs
 while they decide their preconditions.
@@ -109,6 +110,7 @@ from .operators import (MAX_OPERATOR_POWER, check_idempotent_operator_suite,
 from .powers import (DefectMemo, check_nth_hom_power_associative, check_third_fourth_criterion,
                      sweep_size)
 from .symbolic import (
+    IdentityDef,
     certified_identities,
     check_identity_on_algebra,
     identity_registry,
@@ -186,22 +188,6 @@ def _ascii_int(text):
     if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
         raise InputError("want an ASCII integer, got %s" % quote(text))
     return int(text)
-
-
-def _parse_degrees(text):
-    degrees = {}
-    for item in text.split(","):
-        name, eq, value = item.partition("=")
-        if not eq or not name:
-            raise InputError("bad --degrees entry %s (want name=degree)" % quote(item))
-        try:
-            d = _ascii_int(value)
-        except InputError as exc:
-            raise InputError("bad degree in %s" % quote(item)) from exc
-        if d < 1:
-            raise InputError("degree must be >= 1 in %s" % quote(item))
-        degrees[name.strip()] = d
-    return degrees
 
 
 def _load_morphism(path, dim):
@@ -443,14 +429,7 @@ def _suite_identities(A, args, idempotent):
     return [
         partial(_transferred, ident.name)
         if ident.name in transfer
-        else partial(
-            check_identity_on_algebra,
-            A,
-            ident.lhs,
-            ident.rhs,
-            ident.degrees,
-            name=ident.name,
-        )
+        else partial(check_identity_on_algebra, A, ident.lhs, ident.rhs, name=ident.name)
         for ident in identity_registry().values()
     ]
 
@@ -562,30 +541,15 @@ def construct(args):
 
 def cmd_identity(args):
     A, source = _resolve_algebra(args.algebra, args.twist)
-    lhs, rhs = parse_identity(args.expr if args.expr is not None else read_text(args.file))
-    defect = lhs - rhs
-    # lhs and rhs are normal forms in the free multiplicative Hom-algebra, so both
-    # routes below decide the identity only on a multiplicative algebra.
-    require(A, "the identity sweep", "multiplicative")
-    if defect.is_zero():
-        rep = CheckReport(
-            True, args.name, note="normalizes to zero in the free multiplicative Hom-algebra"
-        )
-        rows = [_row("identity", False, lambda: rep)]
-        return _emit(rows, args.output, "identity", {"name": args.name}, A, source)
-    if args.degrees is not None:
-        degrees = _parse_degrees(args.degrees)
-    else:
-        first = defect.terms()[0][0]
-        degrees = {v: first.degree_of(v) for v in sorted(defect.variables())}
-        if any(d == 0 for d in degrees.values()):
-            raise InputError(
-                "cannot infer degrees (a variable is missing from some monomial); "
-                "pass --degrees"
-            )
-    check = partial(check_identity_on_algebra, A, lhs, rhs, degrees, name=args.name)
-    rows = [_row("identity", args.timings, check)]
-    fields = {"name": args.name, "degrees": degrees, "timings": args.timings}
+    text = args.expr if args.expr is not None else read_text(args.file)
+    ident = IdentityDef(args.name, *parse_identity(text))
+    # A free-algebra zero needs no sweep, so its row is not timed, and its report has no degrees.
+    free = ident.defect().is_zero()
+    check = partial(check_identity_on_algebra, A, ident.lhs, ident.rhs, name=args.name)
+    rows = [_row("identity", args.timings and not free, check)]
+    fields = {"name": args.name}
+    if not free:  # the sweep has read the degrees, or refused them
+        fields.update(degrees=ident.degrees, timings=args.timings)
     return _emit(rows, args.output, "identity", fields, A, source)
 
 
@@ -644,7 +608,6 @@ def _add_identity(p):
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--expr", help="identity as '(= LHS RHS)'")
     group.add_argument("--file", help="file holding the identity")
-    p.add_argument("--degrees", metavar="x=1,y=2", help="variable degrees (inferred if omitted)")
     p.add_argument("--name", default="identity", help="label for the report")
     p.set_defaults(fn=cmd_identity)
 

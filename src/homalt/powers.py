@@ -24,8 +24,7 @@ serves a powers suite: rows n = 3 and 4 keep their defects at each x_M,
 
 Every check is one lattice sweep, so a verdict is a proof and a failure's
 witness is a basis multiset.  polarized_defect_sweep, the engine behind
-every exact sweep in homalt (jordan's and symbolic's too; the name is
-kept from the inclusion-exclusion route it replaced), evaluates a map P
+every exact sweep in homalt (jordan's and symbolic's too), evaluates a map P
 of degree d in a variable once at each lattice point
 
     x_M = sum of e_i over i in M,    M a multiset of d basis indices,
@@ -38,9 +37,8 @@ P vanishes on that hyperplane and, being homogeneous, everywhere.  The
 sweep is a proof, not a sample, and a failure is replayed by evaluating
 P at x_M with mul and alpha alone.  For several variable groups, of
 degrees d_1, ..., d_g, the points are the product of the groups'
-lattices, one evaluation each.  sweep_size refuses a sweep whose size,
-prod C(dim + d - 1, d) * 2^d (the evaluations of the inclusion-exclusion
-route, kept as the measure so the cap refuses the same inputs), is above
+lattices, one evaluation each.  sweep_size prices a sweep in
+point-degrees, its points times its total degree, and refuses one above
 MAX_SWEEP.
 
 The defects are unreduced integer rows (core.mul_nums): x_M is an integer
@@ -114,15 +112,18 @@ def _lattice_point(dim, M):
     return tuple(map(M.count, range(dim)))
 
 
-# The largest sweep size allowed: every default sweep up to dim 20 (the
-# largest, the associator-tail identity, has size 28,224,000).
-MAX_SWEEP = 2**25
+# The largest sweep size, in point-degrees: about a minute at the 5-15 us per
+# point-degree of the registry identities and of powers up to n = 8 at dim 10
+# (2-vCPU host, Python 3.11.7).  The largest default sweep up to dim 20,
+# associator-tail's, has size 882,000 * 5 = 4,410,000.
+MAX_SWEEP = 5_000_000
 
 
 def sweep_size(dim, degrees):
-    """prod over degrees d of C(dim + d - 1, d) * 2^d, the size of a sweep
-    on dim basis elements; ValueError above MAX_SWEEP."""
-    size = prod(comb(dim + d - 1, d) << d for d in degrees)
+    """The lattice points of a sweep of the given degrees on dim basis
+    elements, prod C(dim + d - 1, d), times its total degree, about the
+    products made at each point; ValueError above MAX_SWEEP."""
+    size = prod(comb(dim + d - 1, d) for d in degrees) * sum(degrees)
     if size > MAX_SWEEP:
         raise ValueError("a sweep of degrees %s on %d basis elements has size %d, "
                          "above the cap of %d" % (
@@ -147,14 +148,17 @@ def polarized_defect_sweep(A, degrees, defects, law):
     single = isinstance(degrees, int)
     degrees = (degrees,) if single else tuple(degrees)
     sweep_size(A.dim, degrees)
-    groups = [[(M, _lattice_point(A.dim, M))
-               for M in combinations_with_replacement(range(A.dim), d)] for d in degrees]
-    for point in product(*groups):
-        for tag, nums, den in defects(*(x for _, x in point)):
-            if any(nums):
-                Ms = tuple(M for M, _ in point)
-                return CheckReport(False, law, (Ms[0] if single else Ms, tag),
-                                   Element(A, Vector.from_ints(nums, den)), A.zero())
+    # The outermost group streams; only the inner groups' points are kept.
+    inner = [[(M, _lattice_point(A.dim, M))
+              for M in combinations_with_replacement(range(A.dim), d)] for d in degrees[1:]]
+    for M in combinations_with_replacement(range(A.dim), degrees[0]):
+        x = _lattice_point(A.dim, M)
+        for point in product(*inner):
+            for tag, nums, den in defects(x, *(y for _, y in point)):
+                if any(nums):
+                    Ms = M if single else (M, *(N for N, _ in point))
+                    return CheckReport(False, law, (Ms, tag),
+                                       Element(A, Vector.from_ints(nums, den)), A.zero())
     return CheckReport(True, law)
 
 

@@ -37,16 +37,17 @@ proved without evaluating them.  Where an axiom fails, the concrete
 check below still decides, and finds the witness.
 
 Identities are also checkable concretely: check_identity_on_algebra
-evaluates the defect lhs - rhs once at each lattice point of
+evaluates a nonzero defect lhs - rhs once at each lattice point of
 powers.polarized_defect_sweep, a sum x_M of d basis elements (with
-repeats) for each degree-d variable.  Over Q a multihomogeneous defect
-vanishes iff it vanishes at all those points, so the sweep is exact,
-and it makes one evaluation per point, not the d! terms of
-multilinearize's symbolic form.
+repeats) for each variable of degree d in every monomial.  Over Q a
+multihomogeneous defect vanishes iff it vanishes at all those points, so
+the sweep is exact, and it makes one evaluation per point, not the d!
+terms of multilinearize's symbolic form.
 """
 
 import functools
 import json
+from collections import Counter
 from itertools import permutations
 from math import lcm
 from operator import itemgetter
@@ -153,12 +154,6 @@ class HomMonomial:
         out = []
         _tree_leaves(self.tree, out)
         return out
-
-    def degree_of(self, name):
-        return sum(1 for n, _ in self.leaves() if n == name)
-
-    def size(self):
-        return self._key[0]
 
     def __eq__(self, other):
         return isinstance(other, HomMonomial) and other.tree == self.tree
@@ -396,14 +391,42 @@ def evaluate_polynomial(A, p, assignment):
 # -- the identity registry ---------------------------------------------------
 
 
+def _multidegree(lhs, rhs):
+    """The multidegree {variable: degree}, variables sorted, that every
+    monomial of lhs and of rhs has ({} when both are zero).  ValueError,
+    naming the first monomial in term order, lhs first, whose multidegree
+    differs from the first monomial's."""
+    degrees = None
+    for side, p in (("lhs", lhs), ("rhs", rhs)):
+        for m, _ in p.terms():
+            got = dict(sorted(Counter(n for n, _k in m.leaves()).items()))
+            if degrees is None:
+                degrees = got
+            elif got != degrees:
+                raise ValueError(
+                    "%s is not homogeneous of multidegree %s: monomial %s has %s"
+                    % (side, quote(degrees), quote(m), quote(got))
+                )
+    return degrees or {}
+
+
 class IdentityDef(FrozenRecord):
-    """A named identity lhs = rhs with declared variable multidegrees."""
+    """A named identity lhs = rhs; its multidegree is read from its monomials."""
 
-    _fields = ("name", "variables", "degrees", "lhs", "rhs")
+    _fields = ("name", "lhs", "rhs")
 
-    def __init__(self, name: str, variables: tuple, degrees: dict,
-                 lhs: HomPolynomial, rhs: HomPolynomial):
-        self._set(name=name, variables=variables, degrees=degrees, lhs=lhs, rhs=rhs)
+    def __init__(self, name: str, lhs: HomPolynomial, rhs: HomPolynomial):
+        self._set(name=name, lhs=lhs, rhs=rhs)
+
+    @property
+    def degrees(self):
+        """{variable: degree}, variables sorted, that every monomial of both
+        sides has; ValueError when the sides are not homogeneous of one."""
+        return _multidegree(self.lhs, self.rhs)
+
+    @property
+    def variables(self):
+        return tuple(self.degrees)
 
     def defect(self):
         return self.lhs - self.rhs
@@ -422,43 +445,31 @@ def identity_registry():
     reg = {}
     reg["assoc-shift"] = IdentityDef(
         "assoc-shift",
-        ("x", "y", "z"),
-        {"x": 1, "y": 2, "z": 1},
         A(a(x), a(y), poly_mul(y, z)),
         poly_mul(A(x, y, z), a(y, 2)),
     )
     reg["assoc-shift-linear"] = IdentityDef(
         "assoc-shift-linear",
-        ("x", "w", "y", "z"),
-        {"x": 1, "w": 1, "y": 1, "z": 1},
         A(a(x), a(w), poly_mul(y, z)) + A(a(x), a(y), poly_mul(w, z)),
         poly_mul(A(x, w, z), a(y, 2)) + poly_mul(A(x, y, z), a(w, 2)),
     )
     reg["commutator-exchange"] = IdentityDef(
         "commutator-exchange",
-        ("w", "x", "y", "z"),
-        {"w": 1, "x": 1, "y": 1, "z": 1},
         A(poly_mul(w, x), a(y), a(z)) + A(a(w), a(x), poly_commutator(y, z)),
         poly_mul(a(w, 2), A(x, y, z)) + poly_mul(A(w, y, z), a(x, 2)),
     )
     reg["middle-square"] = IdentityDef(
         "middle-square",
-        ("x", "y", "z"),
-        {"x": 1, "y": 2, "z": 1},
         A(a(x), poly_mul(y, y), a(z)),
         A(a(x), a(y), poly_mul(y, z) + poly_mul(z, y)),
     )
     reg["right-moufang"] = IdentityDef(
         "right-moufang",
-        ("x", "y", "z"),
-        {"x": 1, "y": 2, "z": 1},
         poly_mul(poly_mul(poly_mul(x, y), a(z)), a(y, 2)),
         poly_mul(a(x, 2), poly_mul(poly_mul(y, z), a(y))),
     )
     reg["associator-tail"] = IdentityDef(
         "associator-tail",
-        ("x", "y", "z"),
-        {"x": 1, "y": 2, "z": 2},
         poly_mul(poly_mul(A(x, y, z), a(y, 2)), a(z, 3)),
         a(poly_mul(A(x, y, z), a(poly_mul(z, y)))),
     )
@@ -552,37 +563,27 @@ def multilinearize(p, degrees):
     return q, groups
 
 
-def _check_homogeneous(p, degrees, side):
-    for m, _ in p._terms.items():
-        got = {}
-        for n, _k in m.leaves():
-            got[n] = got.get(n, 0) + 1
-        if got != {v: d for v, d in degrees.items()}:
-            raise ValueError(
-                "%s is not homogeneous of multidegree %s: monomial %s has %s"
-                % (side, quote(degrees), quote(m), quote(got))
-            )
-
-
-def check_identity_on_algebra(A, lhs, rhs, degrees, name="identity"):
+def check_identity_on_algebra(A, lhs, rhs, name="identity"):
     """Exact proof that lhs = rhs holds throughout A.
 
-    Both sides must be homogeneous of the given multidegrees
-    (ValueError otherwise), and A multiplicative.  The defect lhs - rhs
-    is evaluated by powers.polarized_defect_sweep at each lattice point:
-    each variable v of degree d is x_M, the sum of the basis elements of
-    a multiset M of d indices, variables in sorted order.  A failure
-    witnesses ((variable, multiset), ...), with the defect there as lhs.
+    A must be multiplicative: lhs and rhs are normal forms in the free
+    multiplicative Hom-algebra.  When lhs - rhs normalizes to zero there,
+    the identity holds without a sweep.  Otherwise both sides must share
+    one multidegree (ValueError otherwise), and the defect is evaluated
+    by powers.polarized_defect_sweep at each lattice point: each variable
+    v of degree d is x_M, the sum of the basis elements of a multiset M
+    of d indices, variables in sorted order.  A failure witnesses
+    ((variable, multiset), ...), with the defect there as lhs.
     """
-    require(A, "identity check", "multiplicative")
-    _check_homogeneous(lhs, degrees, "lhs")
-    _check_homogeneous(rhs, degrees, "rhs")
+    require(A, "the identity sweep", "multiplicative")
     defect = lhs - rhs
     if defect.is_zero():
-        return CheckReport(True, name, note="defect normalizes to zero symbolically")
-    names = sorted(degrees)
+        return CheckReport(True, name,
+                           note="normalizes to zero in the free multiplicative Hom-algebra")
+    degrees = _multidegree(lhs, rhs)
+    names = list(degrees)
     evaluate = _polynomial_evaluator(A, defect, names, [1] * len(names))
-    rep = polarized_defect_sweep(A, tuple(degrees[v] for v in names),
+    rep = polarized_defect_sweep(A, tuple(degrees.values()),
                                  lambda *xs: [(None, *evaluate(xs))], name)
     if not rep.passed:
         return CheckReport(False, name, tuple(zip(names, rep.witness[0])), rep.lhs, rep.rhs)
@@ -608,19 +609,21 @@ def subst_monomial(m, sub):
 
 @functools.cache
 def _axiom_polynomial(axiom):
-    """(defining polynomial, formal variables) of a certificate axiom; shared."""
+    """(defining polynomial, sorted formal variables) of a certificate axiom; shared."""
     if axiom == "right-alternative":
-        return ra_polynomial(), ("x", "y", "z")
-    if axiom == "hom-teichmuller":
-        return teichmuller_f(var("w"), var("x"), var("y"), var("z")), ("w", "x", "y", "z")
-    if axiom.startswith("defect:"):
+        p = ra_polynomial()
+    elif axiom == "hom-teichmuller":
+        # f normalizes to zero, so its variables are named here, not read from it.
+        return teichmuller_f(*map(var, "wxyz")), list("wxyz")
+    elif axiom.startswith("defect:"):
         name = axiom[len("defect:"):]
         reg = identity_registry()
         if name not in reg:
             raise ValueError("certificate references unknown identity %r" % name)
-        idf = reg[name]
-        return idf.defect(), idf.variables
-    raise ValueError("unknown certificate axiom %r" % axiom)
+        p = reg[name].defect()
+    else:
+        raise ValueError("unknown certificate axiom %r" % axiom)
+    return p, sorted(p.variables())
 
 
 @functools.cache
@@ -642,7 +645,7 @@ def build_instance(entry):
     if set(raw_sub) != set(formal):
         raise ValueError(
             "substitution for %s must cover exactly %r, got %r"
-            % (entry["axiom"], sorted(formal), sorted(raw_sub))
+            % (entry["axiom"], formal, sorted(raw_sub))
         )
     sub = {v: _monomial(t) for v, t in raw_sub.items()}
     wraps = []  # tree -> tree, in order; each is one-to-one on monomials

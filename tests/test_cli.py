@@ -76,10 +76,9 @@ def test_failing_law_exits_one(capsys):
         ["check", "albert5", "--twist", "2,3"],
         ["check", "albert5", "--suites", "axioms,bogus"],
         ["check", "albert5", "--nmax", "1"],
-        ["check", "albert5", "--nmax", "14"],  # a sweep above powers.MAX_SWEEP
+        ["check", "albert5", "--nmax", "40"],  # a sweep above powers.MAX_SWEEP
         ["identity", "albert5", "--expr", "(mul x"],
-        ["identity", "albert5", "--expr", "(= (as x y y) (scale 0 x))",
-         "--degrees", "x=0,y=2"],
+        ["identity", "albert5", "--expr", "(= (mul x x) x)"],  # not homogeneous
         ["twist", "albert5", "--by", "/no/such/beta.json"],
         ["operators", "albert5", "--twist", "2,3,0", "--nmax", "-1"],
         ["operators", "albert5", "--twist", "2,3,0", "--nmax", "0"],
@@ -93,8 +92,8 @@ def test_failing_law_exits_one(capsys):
         # Numerals are ASCII: int() and \d also take other scripts' digits.
         ["check", str(FIXTURES / "arabic_indic_numeral.json")],
         ["identity", "albert5", "--expr", "(= (a \u0661 x) x)"],
-        ["identity", "albert5", "--expr", "(= (as x y y) (as y y x))", "--degrees", "x=\u0661,y=2"],
-        ["identity", "albert5", "--expr", "(= (as x y y) (as y y x))", "--degrees", "x=0_1,y=2"],
+        ["identity", "albert5", "--expr", "(= (scale \u0661 x) x)"],
+        ["identity", "albert5", "--expr", "(= (scale 0_1 x) x)"],
     ],
 )
 def test_bad_input_exits_two(argv, capsys):
@@ -259,8 +258,8 @@ def exit_and_stderr(argv, capsys):
     ["check", "albert5", "--suites", BIG],
     ["check", "albert5", "--nmax", BIG],
     ["decompose", "albert5", "--idempotent", "0,0,0,0," + BIG],
-    ["identity", "albert5", "--expr", "(= (mul x x) x)", "--degrees", BIG],
-    ["identity", "albert5", "--expr", "(= (mul x x) x)", "--degrees", "x=" + BIG],
+    ["identity", "albert5", "--expr", "(= (mul x x) %s)" % BIG],
+    ["identity", "albert5", "--expr", "(= (mul %s %s) x)" % (BIG, BIG)],
     ["check", BIG],
     ["twist", "albert5", "--by", BIG],
     ["identity", "albert5", "--file", BIG],
@@ -286,14 +285,15 @@ def test_unwritable_output_exits_two(capsys):
         "error: cannot write /no/such/dir/out.json: No such file or directory\n")
 
 
+# The multidegree is the first monomial's, lhs first; a huge variable name is cut.
 @pytest.mark.parametrize("name,tail", [
     ("y", "multidegree {'y': 2}: monomial (x*x) has {'x': 2}\n"),
     (BIG, "multidegree {'%s... (100007 characters): monomial (x*x) has {'x': 2}\n" % BIG[:94]),
 ], ids=["short", "huge"])
 def test_inhomogeneous_degrees_make_a_short_message(name, tail, capsys):
-    argv = ["identity", "albert5", "--expr", "(= (mul x x) x)", "--degrees", name + "=2"]
+    argv = ["identity", "albert5", "--expr", "(= (mul %s %s) (mul x x))" % (name, name)]
     code, err = exit_and_stderr(argv, capsys)
-    assert code == 2 and err == "error: lhs is not homogeneous of " + tail, err[:400]
+    assert code == 2 and err == "error: rhs is not homogeneous of " + tail, err[:400]
 
 
 @pytest.mark.parametrize("value", ["1,0,0,0,0", BIG], ids=["short", "huge"])
@@ -340,13 +340,23 @@ def test_dim_above_the_cap_exits_two(tmp_path, capsys):
 
 
 def test_sweep_above_the_cap_exits_two_at_once(capsys):
+    # The size is the sweep's lattice points times its degree.
     start = time.perf_counter()
     assert main(["powers", "albert5", "--n", "40"]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
         "error: a sweep of degrees 40 on 5 basis elements has size %d, "
-        "above the cap of %d\n" % (math.comb(44, 40) << 40, powers.MAX_SWEEP)
+        "above the cap of %d\n" % (math.comb(44, 40) * 40, powers.MAX_SWEEP)
     )
+
+
+@pytest.mark.parametrize("argv", [["powers", "albert5", "--n", "14"],
+                                  ["check", "albert5", "--nmax", "14"]], ids=["powers", "check"])
+def test_a_degree_14_sweep_fits_the_cap(argv, capsys):
+    # 3,060 lattice points: the cap once priced 2^14 evaluations at each.
+    assert powers.sweep_size(5, (14,)) == math.comb(18, 14) * 14
+    assert main(argv) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def save_dim64_table(path):
@@ -364,16 +374,18 @@ def save_dim64_table(path):
 @pytest.mark.parametrize(
     "argv,degrees,size",
     [
-        (["check", "dim64.json", "--suites", "identities"], "1,2,1", 136314880),
+        (["check", "dim64.json", "--suites", "identities"], "1,2,1", 64 * 2080 * 64 * 4),
         (["identity", "dim64.json", "--expr", "(= (mul (mul x y) (mul z w)) (mul x (mul y "
-          "(mul z w))))"], "1,1,1,1", 268435456),
+          "(mul z w))))"], "1,1,1,1", 64 ** 4 * 4),
     ],
     ids=["check", "identity"],
 )
 def test_dim_64_identity_sweeps_exit_two(argv, degrees, size, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     save_dim64_table("dim64.json")
+    start = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
         "error: a sweep of degrees %s on 64 basis elements has size %d, "
         "above the cap of %d\n" % (degrees, size, powers.MAX_SWEEP)
@@ -727,12 +739,19 @@ def test_identity_command_detects_free_zero(capsys):
 
 
 def test_identity_command_with_explicit_degrees(capsys):
+    # The degrees are read from the identity; the report names them.
     rc = main(["identity", "albert5", "--twist", "2,3,0", "--output", "json",
-               "--expr", "(= (as x y y) (scale 0 x))", "--degrees", "x=1,y=2"])
+               "--expr", "(= (as x y y) (scale 0 x))"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["degrees"] == {"x": 1, "y": 2}
     assert report["passed"] is True
+
+
+def test_identity_command_takes_no_degrees_flag(capsys):
+    argv = ["identity", "albert5", "--expr", "(= (mul x y) (mul x y))", "--degrees", "x=1,y=1"]
+    code, err = exit_and_stderr(argv, capsys)
+    assert code == 2 and "unrecognized arguments: --degrees x=1,y=1" in err
 
 
 def test_decompose_command_reports_the_parts(capsys):
@@ -807,9 +826,10 @@ FLAGS = {
     # operators proves its laws on basis pairs, so it lost --samples and --seed
     "operators": {"algebra": None, ("--twist",): None, ("--output",): "text",
                   ("--timings",): False, ("--idempotent",): None, ("--nmax",): 5},
+    # identity reads its degrees from the identity, so it lost --degrees
     "identity": {"algebra": None, ("--twist",): None, ("--output",): "text",
                  ("--timings",): False, ("--expr",): None, ("--file",): None,
-                 ("--degrees",): None, ("--name",): "identity"},
+                 ("--name",): "identity"},
     "symbolic": {("--output",): "text", ("--timings",): False, ("--teichmuller",): False,
                  ("--certificates",): False},
     "distinguish": {("--output",): "text", ("--timings",): False, "algebra": None,

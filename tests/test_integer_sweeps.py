@@ -89,7 +89,7 @@ def test_jordan_matches_the_element_reference(A):
 def test_identity_sweep_matches_the_element_reference(A, identity, corrupt):
     name, lhs, rhs, degrees = identity
     rhs = -rhs if corrupt else rhs
-    got = check_identity_on_algebra(A, lhs, rhs, degrees, name)
+    got = check_identity_on_algebra(A, lhs, rhs, name)
     assert got.as_dict() == reference_check(A, lhs, rhs, degrees, name).as_dict()
 
 

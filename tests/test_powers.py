@@ -1,4 +1,5 @@
 import argparse
+import math
 import random
 import time
 import tracemalloc
@@ -24,7 +25,7 @@ from homalt.powers import (
 from homalt.symbolic import identity_registry
 
 from conftest import SIX, lattice_point, lattice_sweep, random_element, six_algebra
-from test_cli import record_calls
+from test_cli import record_calls, save_dim64_table
 
 
 def diagonal_associative():
@@ -226,17 +227,20 @@ def test_fixture_fails_third_fourth(bad_algebra):
 
 def test_default_sweeps_fit_the_cap_up_to_dim_20():
     # powers at the default --nmax 5, third/fourth, Jordan on A+, and the
-    # largest registry identity, associator-tail
-    assert sweep_size(20, (5,)) == 1360128
+    # largest registry identity, associator-tail; a size is the sweep's
+    # lattice points times its total degree
+    assert sweep_size(20, (5,)) == 42504 * 5
     for degrees in ((3,), (4,), *(tuple(i.degrees.values()) for i in identity_registry().values())):
         assert sweep_size(20, degrees) <= MAX_SWEEP
-    assert sweep_size(20, (1, 2, 2)) == 28224000
+    assert sweep_size(20, (1, 2, 2)) == 20 * 210 * 210 * 5 == 4410000
 
 
 def test_cap_refuses_huge_sweeps_before_any_work(a230):
-    with pytest.raises(ValueError, match="has size 50135040, above the cap of %d"
+    # At dim 5 the cap falls between degree 39 and degree 40.
+    assert sweep_size(5, (39,)) == math.comb(43, 39) * 39 <= MAX_SWEEP
+    with pytest.raises(ValueError, match="has size 5430040, above the cap of %d"
                        % MAX_SWEEP):
-        sweep_size(5, (14,))
+        sweep_size(5, (40,))
     for ident in identity_registry().values():
         with pytest.raises(ValueError, match="above the cap"):
             sweep_size(64, tuple(ident.degrees.values()))
@@ -244,6 +248,22 @@ def test_cap_refuses_huge_sweeps_before_any_work(a230):
     with pytest.raises(ValueError, match="above the cap"):
         check_nth_hom_power_associative(a230, 40)
     assert time.perf_counter() - start < 1.0
+
+
+def test_sweep_streams_its_outermost_group(tmp_path):
+    # A list of the C(66, 3) = 45,760 degree-3 points at dim 64 would take
+    # about 30 MB; a sweep that fails at its first point builds one of them.
+    save_dim64_table(tmp_path / "dim64.json")
+    A = core.load_algebra(str(tmp_path / "dim64.json"))
+    one = [1] + [0] * (A.dim - 1)
+    tracemalloc.start()
+    try:
+        rep = polarized_defect_sweep(A, 3, lambda x: [("tag", one, 1)], "law")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.passed and rep.witness == ((0, 0, 0), "tag")
+    assert peak < 1e6, peak
 
 
 def test_checker_guards(a230, non_multiplicative):

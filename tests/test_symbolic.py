@@ -10,11 +10,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homalt.cli import main
-from homalt.core import apply_alpha, hom_associator, mul
+from homalt.core import HypothesisError, apply_alpha, hom_associator, mul
 from homalt.dsl import (
     MAX_ALPHA_POWER,
     MAX_DEPTH,
@@ -24,10 +24,12 @@ from homalt.dsl import (
     parse_term,
     term_to_dsl,
 )
-from homalt.linalg import QUOTE_CHARS, format_scalar, parse_scalar, qq
+from homalt.linalg import QUOTE_CHARS, format_scalar, parse_scalar, qq, quote
 from homalt.symbolic import (
     HomMonomial,
     HomPolynomial,
+    IdentityDef,
+    _multidegree,
     build_instance,
     check_identity_on_algebra,
     evaluate_polynomial,
@@ -271,7 +273,7 @@ def test_registry_contents():
 
 def test_registry_identities_hold(twisted):
     for name, idf in identity_registry().items():
-        rep = check_identity_on_algebra(twisted, idf.lhs, idf.rhs, idf.degrees, name)
+        rep = check_identity_on_algebra(twisted, idf.lhs, idf.rhs, name)
         assert rep.passed, name
         assert rep.note == "lattice sweep over all basis multisets"
 
@@ -281,7 +283,7 @@ def test_registry_identities_hold_classically(albert):
     for name, idf in identity_registry().items():
         lhs = specialize_classical(idf.lhs)
         rhs = specialize_classical(idf.rhs)
-        rep = check_identity_on_algebra(albert, lhs, rhs, idf.degrees, name)
+        rep = check_identity_on_algebra(albert, lhs, rhs, name)
         assert rep.passed, name
 
 
@@ -294,7 +296,7 @@ def test_specialize_classical_strips_every_alpha():
 
 def test_sign_flip_is_caught(a230):
     idf = identity_registry()["middle-square"]
-    rep = check_identity_on_algebra(a230, idf.lhs, -idf.rhs, idf.degrees, "corrupt")
+    rep = check_identity_on_algebra(a230, idf.lhs, -idf.rhs, "corrupt")
     assert not rep.passed
     assert rep.witness == (("x", (0,)), ("y", (0, 0)), ("z", (1,)))
     assert not rep.lhs.is_zero()
@@ -341,8 +343,96 @@ def test_multilinearize_refuses_an_inhomogeneous_monomial_under_python_O():
 
 def test_check_identity_rejects_wrong_degrees(a230):
     idf = identity_registry()["middle-square"]
-    with pytest.raises(ValueError, match="not homogeneous"):
-        check_identity_on_algebra(a230, idf.lhs, idf.rhs, {"x": 1, "y": 1, "z": 1})
+    with pytest.raises(ValueError, match="rhs is not homogeneous of multidegree "
+                       r"\{'x': 1, 'y': 2, 'z': 1\}: monomial \(x\*z\) has \{'x': 1, 'z': 1\}"):
+        check_identity_on_algebra(a230, idf.lhs, idf.rhs + poly_mul(var("x"), var("z")))
+
+
+# Each registry identity's multidegree, written out by hand.
+REGISTRY_DEGREES = {
+    "assoc-shift": {"x": 1, "y": 2, "z": 1},
+    "assoc-shift-linear": {"x": 1, "w": 1, "y": 1, "z": 1},
+    "commutator-exchange": {"w": 1, "x": 1, "y": 1, "z": 1},
+    "middle-square": {"x": 1, "y": 2, "z": 1},
+    "right-moufang": {"x": 1, "y": 2, "z": 1},
+    "associator-tail": {"x": 1, "y": 2, "z": 2},
+}
+
+
+def test_registry_multidegrees_are_read_from_the_identities():
+    for name, idf in identity_registry().items():
+        assert _multidegree(idf.lhs, idf.rhs) == idf.degrees == REGISTRY_DEGREES[name], name
+        assert idf.variables == tuple(sorted(REGISTRY_DEGREES[name])), name
+
+
+@st.composite
+def homogeneous_polynomials(draw, degrees):
+    """Up to three random monomials, each homogeneous of the multidegree
+    degrees: its leaves in any order and bracketing, each under alpha^0..2."""
+    leaves = [v for v, d in degrees.items() for _ in range(d)]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.permutations(leaves))
+        trees = [("v", v, draw(st.integers(0, 2))) for v in order]
+        while len(trees) > 1:
+            i = draw(st.integers(0, len(trees) - 2))
+            trees[i:i + 2] = [("m", trees[i], trees[i + 1])]
+        terms.append((HomMonomial(trees[0]), draw(st.sampled_from([1, -1, 2, "1/3"]))))
+    return HomPolynomial(terms)
+
+
+def rename_leaf(tree, i, name):
+    """tree with its i-th leaf, left to right, renamed."""
+    leaves = []
+
+    def go(t):
+        if t[0] == "v":
+            leaves.append(t)
+            return ("v", name, t[2]) if len(leaves) == i + 1 else t
+        return ("m", go(t[1]), go(t[2]))
+
+    return go(tree)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.dictionaries(st.sampled_from("wxyz"), st.integers(1, 3), min_size=1, max_size=3),
+       st.data())
+def test_multidegree_of_random_homogeneous_identities(degrees, data):
+    lhs = data.draw(homogeneous_polynomials(degrees))
+    rhs = data.draw(homogeneous_polynomials(degrees))
+    assume(not lhs.is_zero() and not rhs.is_zero())
+    want = dict(sorted(degrees.items()))
+    got = IdentityDef("random", lhs, rhs).degrees
+    assert got == want and list(got) == list(want)
+    # One monomial of rhs gets a leaf renamed to a fresh variable, or one more leaf.
+    m, c = data.draw(st.sampled_from(rhs.terms()))
+    if data.draw(st.booleans()):
+        bad = HomMonomial(rename_leaf(m.tree, data.draw(st.integers(0, len(m.leaves()) - 1)), "u"))
+    else:
+        bad = m.mul(mono(data.draw(st.sampled_from("wxyz"))))
+    perturbed = rhs - HomPolynomial({m: c}) + HomPolynomial({bad: c})
+    has = {}
+    for n in sorted(n for n, _ in bad.leaves()):
+        has[n] = has.get(n, 0) + 1
+    with pytest.raises(ValueError) as exc:
+        _multidegree(lhs, perturbed)
+    assert str(exc.value) == "rhs is not homogeneous of multidegree %s: monomial %s has %s" % (
+        quote(want), quote(bad), quote(has))
+
+
+def test_an_inhomogeneous_free_zero_identity_passes(albert, non_multiplicative, capsys):
+    text = "(= (add x (mul x x)) (add (mul x x) x))"
+    lhs, rhs = parse_identity(text)
+    rep = check_identity_on_algebra(albert, lhs, rhs, "free")
+    assert rep.passed and rep.note == "normalizes to zero in the free multiplicative Hom-algebra"
+    with pytest.raises(HypothesisError, match="the identity sweep needs a multiplicative"):
+        check_identity_on_algebra(non_multiplicative, lhs, rhs)
+    with pytest.raises(ValueError, match="lhs is not homogeneous"):
+        IdentityDef("free", lhs, rhs).degrees
+    assert main(["identity", "albert5", "--expr", text, "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"] == {"command": "identity", "name": "identity"}
+    assert report["results"][0]["note"] == rep.note
 
 
 def test_identity_defect_lookup():
