@@ -39,7 +39,8 @@ once per point and also finds the witness.  ``identity`` always sweeps,
 unless its identity normalizes to zero in the free multiplicative Hom-algebra.
 A sweep whose size (``powers.sweep_size``) is above ``powers.MAX_SWEEP``
 is bad input (exit 2); the powers and identities suites size theirs
-while they decide their preconditions.
+while they decide their preconditions, the powers suite all its rows'
+sweeps together.
 
 Files are read and written only through ``core``: algebras by
 ``load_algebra`` and ``save_algebra``, the ``--by`` matrix by
@@ -107,9 +108,10 @@ from .jordan import check_hom_jordan_admissible
 from .linalg import Matrix, clip, parse_scalar, quote
 from .operators import (MAX_OPERATOR_POWER, check_idempotent_operator_suite,
                         check_mul_operator_identities)
-from .powers import (DefectMemo, check_nth_hom_power_associative, check_third_fourth_criterion,
-                     sweep_size)
+from .powers import (DefectMemo, _suite_size, check_nth_hom_power_associative,
+                     check_third_fourth_criterion, sweep_size)
 from .symbolic import (
+    _FREE_ZERO_NOTE,
     IdentityDef,
     certified_identities,
     check_identity_on_algebra,
@@ -334,7 +336,7 @@ def _suite_axioms(A, args, idempotent):
 
 def _suite_powers(A, args, idempotent):
     require(A, "the powers suite", "multiplicative")
-    sweep_size(A.dim, (max(args.nmax, 4),))  # bad input above the cap; the criterion sweeps 4
+    _suite_size(A.dim, args.nmax)  # bad input above the cap, priced over every row's sweep
     memo = DefectMemo(A)
     rows = [partial(check_nth_hom_power_associative, A, n, memo=memo)
             for n in range(2, args.nmax + 1)]
@@ -543,14 +545,14 @@ def cmd_identity(args):
     A, source = _resolve_algebra(args.algebra, args.twist)
     text = args.expr if args.expr is not None else read_text(args.file)
     ident = IdentityDef(args.name, *parse_identity(text))
-    # A free-algebra zero needs no sweep, so its row is not timed, and its report has no degrees.
-    free = ident.defect().is_zero()
-    check = partial(check_identity_on_algebra, A, ident.lhs, ident.rhs, name=args.name)
-    rows = [_row("identity", args.timings and not free, check)]
+    row = _row("identity", args.timings,
+               partial(check_identity_on_algebra, A, ident.lhs, ident.rhs, name=args.name))
     fields = {"name": args.name}
-    if not free:  # the sweep has read the degrees, or refused them
+    if row["note"] == _FREE_ZERO_NOTE:  # no sweep ran: no time, and no degrees to report
+        row["timing_ms"] = None
+    else:  # the sweep has read the degrees
         fields.update(degrees=ident.degrees, timings=args.timings)
-    return _emit(rows, args.output, "identity", fields, A, source)
+    return _emit([row], args.output, "identity", fields, A, source)
 
 
 def cmd_distinguish(args):

@@ -37,9 +37,10 @@ P vanishes on that hyperplane and, being homogeneous, everywhere.  The
 sweep is a proof, not a sample, and a failure is replayed by evaluating
 P at x_M with mul and alpha alone.  For several variable groups, of
 degrees d_1, ..., d_g, the points are the product of the groups'
-lattices, one evaluation each.  sweep_size prices a sweep in
-point-degrees, its points times its total degree, and refuses one above
-MAX_SWEEP.
+lattices, one evaluation each.  sweep_size prices a sweep as its points
+times the square of its total degree D (a powers row n makes about n^2
+alpha applications at each point), and refuses one above MAX_SWEEP;
+_suite_size prices a powers suite, every row's sweep, the same way.
 
 The defects are unreduced integer rows (core.mul_nums): x_M is an integer
 vector, so each tag's defect lies over one denominator, a product of powers
@@ -112,23 +113,35 @@ def _lattice_point(dim, M):
     return tuple(map(M.count, range(dim)))
 
 
-# The largest sweep size, in point-degrees: about a minute at the 5-15 us per
-# point-degree of the registry identities and of powers up to n = 8 at dim 10
-# (2-vCPU host, Python 3.11.7).  The largest default sweep up to dim 20,
-# associator-tail's, has size 882,000 * 5 = 4,410,000.
-MAX_SWEEP = 5_000_000
+# The largest size of a sweep, or of a powers suite's sweeps together:
+# 2^25 * 9/8 rounded up, so every sweep the earlier price (2^D per point, cap
+# 2^25) admitted still fits.  Near it a unit costs 0.8-3 us (2-vCPU host,
+# Python 3.11.7): assoc-shift-linear at dim 35 (24,010,000) takes 72 s, and
+# the largest powers suites admitted at dims 5 and 40 take 30 s and 67 s.
+MAX_SWEEP = 40_000_000
+
+
+def _capped(size, subject):
+    if size > MAX_SWEEP:
+        raise ValueError("%s size %d, above the cap of %d" % (subject, size, MAX_SWEEP))
+    return size
 
 
 def sweep_size(dim, degrees):
     """The lattice points of a sweep of the given degrees on dim basis
-    elements, prod C(dim + d - 1, d), times its total degree, about the
-    products made at each point; ValueError above MAX_SWEEP."""
-    size = prod(comb(dim + d - 1, d) for d in degrees) * sum(degrees)
-    if size > MAX_SWEEP:
-        raise ValueError("a sweep of degrees %s on %d basis elements has size %d, "
-                         "above the cap of %d" % (
-                             ",".join(map(str, degrees)), dim, size, MAX_SWEEP))
-    return size
+    elements, prod C(dim + d - 1, d), times D^2 for D their sum, about the
+    products and alpha applications at each point; ValueError above MAX_SWEEP."""
+    size = prod(comb(dim + d - 1, d) for d in degrees) * sum(degrees) ** 2
+    return _capped(size, "a sweep of degrees %s on %d basis elements has" % (
+        ",".join(map(str, degrees)), dim))
+
+
+def _suite_size(dim, nmax):
+    """The summed sizes of a powers suite's sweeps, of degrees 2..max(nmax, 4),
+    in closed form (n^2 = n(n-1) + n, and the hockey-stick identity)."""
+    m = max(nmax, 4)
+    size = dim * (dim + 1) * comb(m + dim, m - 2) + dim * comb(m + dim, m - 1) - dim
+    return _capped(size, "the sweeps of degrees 2 to %d on %d basis elements have" % (m, dim))
 
 
 def polarized_defect_sweep(A, degrees, defects, law):

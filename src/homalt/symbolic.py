@@ -315,7 +315,8 @@ def _compile_tree(A, tree, slot_of, dens, done):
     tree reads xs[slots].  ids numbers the values in xs, and f memoises
     on ids[slots] through one operator.itemgetter, so a subtree shared
     by terms or unchanged between sweep points is evaluated once; done
-    maps the trees already compiled.
+    maps the trees already compiled.  A subtree of every variable has a
+    new key at each sweep point, so it keeps only the current one.
     """
     if tree in done:
         return done[tree]
@@ -339,13 +340,14 @@ def _compile_tree(A, tree, slot_of, dens, done):
         def compute(xs, ids):
             return mul_nums(A, left(xs, ids), right(xs, ids))
 
-    key = itemgetter(*slots)
-    memo = {}
+    key, memo, full = itemgetter(*slots), {}, len(slots) == len(dens)
 
     def f(xs, ids):
         k = key(ids)
         e = memo.get(k)
         if e is None:
+            if full:
+                memo.clear()
             e = memo[k] = compute(xs, ids)
         return e
 
@@ -437,43 +439,24 @@ def identity_registry():
     """The six associator identities of multiplicative right Hom-alternative
     algebras, in certificate dependency order, built once per process."""
     w, x, y, z = var("w"), var("x"), var("y"), var("z")
-    A = expand_associator
-
-    def a(p, k=1):
-        return p.alpha(k)
-
-    reg = {}
-    reg["assoc-shift"] = IdentityDef(
-        "assoc-shift",
-        A(a(x), a(y), poly_mul(y, z)),
-        poly_mul(A(x, y, z), a(y, 2)),
-    )
-    reg["assoc-shift-linear"] = IdentityDef(
-        "assoc-shift-linear",
-        A(a(x), a(w), poly_mul(y, z)) + A(a(x), a(y), poly_mul(w, z)),
-        poly_mul(A(x, w, z), a(y, 2)) + poly_mul(A(x, y, z), a(w, 2)),
-    )
-    reg["commutator-exchange"] = IdentityDef(
-        "commutator-exchange",
-        A(poly_mul(w, x), a(y), a(z)) + A(a(w), a(x), poly_commutator(y, z)),
-        poly_mul(a(w, 2), A(x, y, z)) + poly_mul(A(w, y, z), a(x, 2)),
-    )
-    reg["middle-square"] = IdentityDef(
-        "middle-square",
-        A(a(x), poly_mul(y, y), a(z)),
-        A(a(x), a(y), poly_mul(y, z) + poly_mul(z, y)),
-    )
-    reg["right-moufang"] = IdentityDef(
-        "right-moufang",
-        poly_mul(poly_mul(poly_mul(x, y), a(z)), a(y, 2)),
-        poly_mul(a(x, 2), poly_mul(poly_mul(y, z), a(y))),
-    )
-    reg["associator-tail"] = IdentityDef(
-        "associator-tail",
-        poly_mul(poly_mul(A(x, y, z), a(y, 2)), a(z, 3)),
-        a(poly_mul(A(x, y, z), a(poly_mul(z, y)))),
-    )
-    return reg
+    A, a = expand_associator, HomPolynomial.alpha
+    return {name: IdentityDef(name, lhs, rhs) for name, lhs, rhs in (
+        ("assoc-shift", A(a(x), a(y), poly_mul(y, z)), poly_mul(A(x, y, z), a(y, 2))),
+        ("assoc-shift-linear",
+         A(a(x), a(w), poly_mul(y, z)) + A(a(x), a(y), poly_mul(w, z)),
+         poly_mul(A(x, w, z), a(y, 2)) + poly_mul(A(x, y, z), a(w, 2))),
+        ("commutator-exchange",
+         A(poly_mul(w, x), a(y), a(z)) + A(a(w), a(x), poly_commutator(y, z)),
+         poly_mul(a(w, 2), A(x, y, z)) + poly_mul(A(w, y, z), a(x, 2))),
+        ("middle-square",
+         A(a(x), poly_mul(y, y), a(z)), A(a(x), a(y), poly_mul(y, z) + poly_mul(z, y))),
+        ("right-moufang",
+         poly_mul(poly_mul(poly_mul(x, y), a(z)), a(y, 2)),
+         poly_mul(a(x, 2), poly_mul(poly_mul(y, z), a(y)))),
+        ("associator-tail",
+         poly_mul(poly_mul(A(x, y, z), a(y, 2)), a(z, 3)),
+         a(poly_mul(A(x, y, z), a(poly_mul(z, y))))),
+    )}
 
 
 def identity_defect(name):
@@ -563,6 +546,9 @@ def multilinearize(p, degrees):
     return q, groups
 
 
+_FREE_ZERO_NOTE = "normalizes to zero in the free multiplicative Hom-algebra"
+
+
 def check_identity_on_algebra(A, lhs, rhs, name="identity"):
     """Exact proof that lhs = rhs holds throughout A.
 
@@ -578,8 +564,7 @@ def check_identity_on_algebra(A, lhs, rhs, name="identity"):
     require(A, "the identity sweep", "multiplicative")
     defect = lhs - rhs
     if defect.is_zero():
-        return CheckReport(True, name,
-                           note="normalizes to zero in the free multiplicative Hom-algebra")
+        return CheckReport(True, name, note=_FREE_ZERO_NOTE)
     degrees = _multidegree(lhs, rhs)
     names = list(degrees)
     evaluate = _polynomial_evaluator(A, defect, names, [1] * len(names))

@@ -340,21 +340,25 @@ def test_dim_above_the_cap_exits_two(tmp_path, capsys):
 
 
 def test_sweep_above_the_cap_exits_two_at_once(capsys):
-    # The size is the sweep's lattice points times its degree.
-    start = time.perf_counter()
-    assert main(["powers", "albert5", "--n", "40"]) == 2
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == (
-        "error: a sweep of degrees 40 on 5 basis elements has size %d, "
-        "above the cap of %d\n" % (math.comb(44, 40) * 40, powers.MAX_SWEEP)
-    )
+    # A powers suite's size sums every row's sweep, n = 2..N: C(N + 4, N)
+    # lattice points of degree N, each priced N^2.  At dim 5 the cap admits
+    # N = 23 (about 30 s) and refuses N = 24.
+    for n in (24, 40):
+        start = time.perf_counter()
+        assert main(["powers", "albert5", "--n", str(n)]) == 2
+        assert time.perf_counter() - start < 1.0
+        size = sum(math.comb(k + 4, k) * k * k for k in range(2, n + 1))
+        assert capsys.readouterr().err == (
+            "error: the sweeps of degrees 2 to %d on 5 basis elements have size %d, "
+            "above the cap of %d\n" % (n, size, powers.MAX_SWEEP)
+        )
 
 
 @pytest.mark.parametrize("argv", [["powers", "albert5", "--n", "14"],
                                   ["check", "albert5", "--nmax", "14"]], ids=["powers", "check"])
 def test_a_degree_14_sweep_fits_the_cap(argv, capsys):
     # 3,060 lattice points: the cap once priced 2^14 evaluations at each.
-    assert powers.sweep_size(5, (14,)) == math.comb(18, 14) * 14
+    assert powers.sweep_size(5, (14,)) == math.comb(18, 14) * 14 ** 2
     assert main(argv) == 0
     assert "FAIL" not in capsys.readouterr().out
 
@@ -374,9 +378,9 @@ def save_dim64_table(path):
 @pytest.mark.parametrize(
     "argv,degrees,size",
     [
-        (["check", "dim64.json", "--suites", "identities"], "1,2,1", 64 * 2080 * 64 * 4),
+        (["check", "dim64.json", "--suites", "identities"], "1,2,1", 64 * 2080 * 64 * 16),
         (["identity", "dim64.json", "--expr", "(= (mul (mul x y) (mul z w)) (mul x (mul y "
-          "(mul z w))))"], "1,1,1,1", 64 ** 4 * 4),
+          "(mul z w))))"], "1,1,1,1", 64 ** 4 * 16),
     ],
     ids=["check", "identity"],
 )

@@ -15,6 +15,7 @@ from homalt.core import HomAlgebra, apply_alpha, mul
 from homalt.linalg import identity_matrix, qq
 from homalt.powers import (
     MAX_SWEEP,
+    _suite_size,
     PowerTable,
     _lattice_point,
     check_nth_hom_power_associative,
@@ -226,20 +227,37 @@ def test_fixture_fails_third_fourth(bad_algebra):
 
 
 def test_default_sweeps_fit_the_cap_up_to_dim_20():
-    # powers at the default --nmax 5, third/fourth, Jordan on A+, and the
-    # largest registry identity, associator-tail; a size is the sweep's
-    # lattice points times its total degree
-    assert sweep_size(20, (5,)) == 42504 * 5
-    for degrees in ((3,), (4,), *(tuple(i.degrees.values()) for i in identity_registry().values())):
+    # the powers suite at the default --nmax 5, Jordan on A+, and the largest
+    # registry identity, associator-tail; a point of total degree D is priced D^2
+    assert _suite_size(20, 5) == 210 * 4 + 1540 * 9 + 8855 * 16 + 42504 * 25
+    for degrees in ((3,), *(tuple(i.degrees.values()) for i in identity_registry().values())):
         assert sweep_size(20, degrees) <= MAX_SWEEP
-    assert sweep_size(20, (1, 2, 2)) == 20 * 210 * 210 * 5 == 4410000
+    assert sweep_size(20, (1, 2, 2)) == 20 * 210 * 210 * 25 == 22050000
+
+
+def test_the_cap_admits_every_sweep_the_old_price_admitted():
+    # The old price was 2^D per point of total degree D, under a cap of 2^25,
+    # and a powers suite paid only for its largest degree, max(nmax, 4).
+    for D in range(1, 30):
+        assert (2**25 >> D) * D * D <= MAX_SWEEP
+    for dim in range(1, 100):
+        for nmax in range(2, 14):
+            m = max(nmax, 4)
+            if math.comb(dim + m - 1, m) << m <= 2**25:
+                assert _suite_size(dim, nmax) <= MAX_SWEEP
 
 
 def test_cap_refuses_huge_sweeps_before_any_work(a230):
-    # At dim 5 the cap falls between degree 39 and degree 40.
-    assert sweep_size(5, (39,)) == math.comb(43, 39) * 39 <= MAX_SWEEP
-    with pytest.raises(ValueError, match="has size 5430040, above the cap of %d"
-                       % MAX_SWEEP):
+    # At dim 5 a powers suite fits up to n = 23 and is refused from n = 24:
+    # each row n is priced C(n + 4, n) n^2, and so is the criterion's degree 4.
+    assert _suite_size(5, 23) == sum(math.comb(n + 4, n) * n * n for n in range(2, 24))
+    assert _suite_size(5, 23) == 37404895 <= MAX_SWEEP
+    with pytest.raises(ValueError, match="the sweeps of degrees 2 to 24 on 5 basis elements "
+                       "have size 49198495, above the cap of %d" % MAX_SWEEP):
+        _suite_size(5, 24)
+    assert _suite_size(5, 2) == _suite_size(5, 4)
+    with pytest.raises(ValueError, match="has size %d, above the cap of %d"
+                       % (math.comb(44, 40) * 1600, MAX_SWEEP)):
         sweep_size(5, (40,))
     for ident in identity_registry().values():
         with pytest.raises(ValueError, match="above the cap"):
@@ -247,6 +265,8 @@ def test_cap_refuses_huge_sweeps_before_any_work(a230):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="above the cap"):
         check_nth_hom_power_associative(a230, 40)
+    with pytest.raises(ValueError, match="above the cap"):
+        _suite_size(5, 10**100)
     assert time.perf_counter() - start < 1.0
 
 
