@@ -15,9 +15,9 @@ from homalt.core import HomAlgebra, apply_alpha, mul
 from homalt.linalg import identity_matrix, qq
 from homalt.powers import (
     MAX_SWEEP,
-    _suite_size,
     PowerTable,
     _lattice_point,
+    _suite_size,
     check_nth_hom_power_associative,
     check_third_fourth_criterion,
     polarized_defect_sweep,
