@@ -66,22 +66,18 @@ _LAZY = {
         "IdentityDef",
         "certified_identities",
         "check_identity_on_algebra",
-        "evaluate_polynomial",
         "expand_associator",
         "hom_teichmuller_terms",
-        "identity_defect",
         "identity_registry",
         "load_certificates",
-        "multilinearize",
         "ra_polynomial",
         "specialize_classical",
-        "teichmuller_f",
         "var",
         "verify_all_certificates",
         "verify_certificate",
         "verify_hom_teichmuller",
     ),
-    "dsl": ("parse_identity", "parse_monomial", "parse_term", "term_to_dsl"),
+    "dsl": ("parse_identity", "parse_monomial", "parse_term"),
 }
 _SUBMODULE = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -56,24 +56,24 @@ row times a cache hit when the fact it reports was decided as a
 precondition: an ``axioms`` row when another suite needed its
 hypothesis, a transferred ``identities`` row always, and a ``symbolic``
 certificate row after transfer was decided.
-``check`` runs its suites' checks on a pool of plain
-``threading.Thread``s, at most ``HOMALT_THREADS`` of them.  Rows come
-back in suite order, and when checks raise, the exception of the first
-in suite order is re-raised.
+When a command selects several suites, each runs its checks on a plain
+``threading.Thread`` of its own; a single suite runs on the calling
+thread, so ``check --suites X --timings`` times it uncontended.  Rows
+come back in suite order, and when checks raise, the exception of the
+first in suite order is re-raised.
 
 One CLI call pays for interpreter start, the import of ``homalt``, the
 compilation of ``src/homalt`` when no bytecode can be cached (e.g. under
 ``PYTHONDONTWRITEBYTECODE=1``), and only then the work; refuting a
 small table costs less than starting.  So the import path keeps to the
 standard library homalt needs: ``record`` stands in for ``dataclasses``
-and ``typing.NamedTuple``, the pool for ``concurrent.futures``, and
+and ``typing.NamedTuple``, plain threads for ``concurrent.futures``, and
 ``symbolic`` imports ``importlib.resources`` only to read the
 certificates.  ``import homalt`` loads only ``linalg`` and ``core``;
 this module imports every submodule, because its suites use them all.
 """
 
 import argparse
-import os
 import re
 import sys
 import threading
@@ -206,41 +206,20 @@ def _load_morphism(path, dim):
         raise InputError("%s: %s" % (clip(path), exc)) from exc
 
 
-def _thread_cap(njobs):
-    text = os.environ.get("HOMALT_THREADS")
-    if text is None:
-        return max(1, min(njobs, os.cpu_count() or 1))
-    try:
-        cap = _ascii_int(text)
-    except InputError as exc:
-        raise InputError("HOMALT_THREADS must be an integer, got %s" % quote(text)) from exc
-    if cap < 1:
-        raise InputError("HOMALT_THREADS must be >= 1, got %d" % cap)
-    return min(cap, njobs)
-
-
-def _map_on_threads(fn, items, workers):
-    """[fn(x) for x in items] on ``workers`` threads that take items in
-    order.  Once all are done, the exception of the first item in order
-    whose call raised is re-raised, as ``ThreadPoolExecutor.map`` does."""
-    jobs = iter(enumerate(items))
-    lock = threading.Lock()
+def _map_on_threads(fn, items):
+    """[fn(x) for x in items], each call on a thread of its own.  Once all
+    are done, the exception of the first item in order whose call raised
+    is re-raised, as ``ThreadPoolExecutor.map`` does."""
     results = [None] * len(items)
     errors = [None] * len(items)
 
-    def work():
-        while True:
-            with lock:
-                job = next(jobs, None)
-            if job is None:
-                return
-            i, item = job
-            try:
-                results[i] = fn(item)
-            except BaseException as exc:  # re-raised below, in the calling thread
-                errors[i] = exc
+    def work(i, item):
+        try:
+            results[i] = fn(item)
+        except BaseException as exc:  # re-raised below, in the calling thread
+            errors[i] = exc
 
-    threads = [threading.Thread(target=work) for _ in range(workers)]
+    threads = [threading.Thread(target=work, args=job) for job in enumerate(items)]
     for t in threads:
         t.start()
     for t in threads:
@@ -392,7 +371,7 @@ def _suite_operators(A, args, idempotent):
         raise InputError("--nmax %d is above the operator exponent cap of %d"
                          % (args.nmax, MAX_OPERATOR_POWER))
     e = None
-    # RA first, so that it is decided before the pool: check_mul_operator_identities reads it.
+    # RA first, so that it is decided before the threads: check_mul_operator_identities reads it.
     if args.command != "check" or is_right_hom_alternative(A) and is_multiplicative(A):
         e = idempotent()
         if e is not None:
@@ -467,7 +446,7 @@ ALL_SUITES = tuple(_SUITE_FNS)
 
 def run(args):
     """Run a checker command from its parsed flags, print its report and return
-    the exit code.  Every suite decides its preconditions before the pool starts."""
+    the exit code.  Every suite decides its preconditions before any thread starts."""
     if args.nmax < 2:
         flag = "--n" if args.command == "powers" else "--nmax"
         raise InputError("%s must be >= 2, got %d" % (flag, args.nmax))
@@ -485,8 +464,6 @@ def run(args):
         if args.idempotent is not None:
             given = _parse_coords(args.idempotent, A)  # bad input exits 2 first
     selected = [s for s in ALL_SUITES if s in set(wanted)]
-    # Only `check` runs its suites on the pool and reads HOMALT_THREADS.
-    workers = _thread_cap(len(selected)) if args.command == "check" else 1
 
     def idempotent():
         found = [given] if given is not None else idempotent_search(A)
@@ -500,9 +477,9 @@ def run(args):
         s, checks = suite
         return [_row(s, args.timings, check) for check in checks]
 
-    if workers > 1 and len(suites) > 1:
-        results = _map_on_threads(run_suite, suites, workers)
-    else:
+    if len(suites) > 1:
+        results = _map_on_threads(run_suite, suites)
+    else:  # one suite runs on the calling thread
         results = [run_suite(suite) for suite in suites]
     rows = [row for suite_rows in results for row in suite_rows]
     values = dict(vars(args), n=args.nmax, suites=selected)

@@ -28,15 +28,9 @@ import re
 from math import prod
 
 from .linalg import parse_scalar, quote
-from .symbolic import (
-    HomMonomial,
-    expand_associator,
-    poly_commutator,
-    poly_mul,
-    var,
-)
+from .symbolic import expand_associator, poly_commutator, poly_mul, var
 
-__all__ = ["parse_term", "parse_identity", "parse_monomial", "term_to_dsl"]
+__all__ = ["parse_term", "parse_identity", "parse_monomial"]
 
 # Deeper terms would exhaust Python's recursion limit in the parser or in
 # the recursive tree walks of homalt.symbolic.
@@ -207,14 +201,3 @@ def parse_monomial(s):
         raise ValueError("expected a single monomial with coefficient 1: %s" % quote(s))
     return terms[0][0]
 
-
-def term_to_dsl(m):
-    """Serialize a HomMonomial (or its tree) back to DSL syntax."""
-    tree = m.tree if isinstance(m, HomMonomial) else m
-
-    def go(t):
-        if t[0] == "v":
-            return t[1] if t[2] == 0 else "(a %d %s)" % (t[2], t[1])
-        return "(mul %s %s)" % (go(t[1]), go(t[2]))
-
-    return go(tree)

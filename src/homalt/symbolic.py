@@ -14,13 +14,12 @@ A certificate for an identity lhs = rhs is a list of instances
 
 where the axiom is the linearized right-alternative defect
 
-    RA(x, y, z) = as(x, y, z) + as(x, z, y),
+    RA(x, y, z) = as(x, y, z) + as(x, z, y)
 
-the (identically vanishing) Hom-Teichmuller combination, or the defect
-lhs - rhs of an identity certified earlier, the substitution plugs
-monomials into the axiom's formal variables, and wrap is a chain of
-left/right multiplications by monomials and alpha shifts.  The
-certificate verifies when the identity's defect minus the sum of
+or the defect lhs - rhs of an identity certified earlier, the
+substitution plugs monomials into the axiom's formal variables, and wrap
+is a chain of left/right multiplications by monomials and alpha shifts.
+The certificate verifies when the identity's defect minus the sum of
 instances normalizes to zero; since each instance vanishes in every
 multiplicative right Hom-alternative algebra, the identity then holds
 in all of them.  A certificate may use the defect of an identity only
@@ -52,10 +51,9 @@ from itertools import permutations
 from math import lcm
 from operator import itemgetter
 
-from .linalg import (ONE, ZERO, Vector, as_scalar, format_scalar, parse_scalar, quote,
-                     row_times)
+from .linalg import ONE, ZERO, as_scalar, format_scalar, parse_scalar, quote, row_times
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
-from .core import CheckReport, Element, mul, mul_nums, require  # noqa: F401
+from .core import CheckReport, mul, mul_nums, require  # noqa: F401
 from .powers import polarized_defect_sweep
 from .record import FrozenRecord
 
@@ -66,14 +64,10 @@ __all__ = [
     "expand_associator",
     "ra_polynomial",
     "specialize_classical",
-    "evaluate_polynomial",
-    "multilinearize",
     "IdentityDef",
     "identity_registry",
-    "identity_defect",
     "check_identity_on_algebra",
     "hom_teichmuller_terms",
-    "teichmuller_f",
     "verify_hom_teichmuller",
     "load_certificates",
     "verify_certificate",
@@ -375,21 +369,6 @@ def _polynomial_evaluator(A, p, names, dens):
     return evaluate
 
 
-def evaluate_polynomial(A, p, assignment):
-    """Evaluate p in A under {variable: Element}.
-
-    A must be multiplicative (ValueError otherwise: the normal form
-    assumed it); unassigned variables are a ValueError too.
-    """
-    require(A, "polynomial evaluation", "multiplicative")
-    if any(x.algebra is not A for x in assignment.values()):
-        raise ValueError("elements belong to different algebras")
-    names = sorted(assignment)
-    coords = [assignment[v].coords for v in names]
-    evaluate = _polynomial_evaluator(A, p, names, [v.den for v in coords])
-    return Element(A, Vector.from_ints(*evaluate(tuple(v.nums for v in coords))))
-
-
 # -- the identity registry ---------------------------------------------------
 
 
@@ -459,13 +438,6 @@ def identity_registry():
     )}
 
 
-def identity_defect(name):
-    reg = identity_registry()
-    if name not in reg:
-        raise ValueError("unknown identity %r (have: %s)" % (name, ", ".join(reg)))
-    return reg[name].defect()
-
-
 # -- Hom-Teichmuller ----------------------------------------------------------
 
 
@@ -479,11 +451,6 @@ def hom_teichmuller_terms(w, x, y, z):
         -poly_mul(w.alpha(2), A(x, y, z)),
         -poly_mul(A(w, x, y), z.alpha(2)),
     ]
-
-
-def teichmuller_f(w, x, y, z):
-    """f(w,x,y,z); normalizes to zero in the free multiplicative algebra."""
-    return sum(hom_teichmuller_terms(w, x, y, z), HomPolynomial())
 
 
 def verify_hom_teichmuller():
@@ -532,6 +499,8 @@ def multilinearize(p, degrees):
 
     Returns (multilinear polynomial, {variable: [slot names]}).  Over Q
     the result vanishes identically iff p does on all substitutions.
+    Not public: the tests check the lattice sweep against it, and
+    perfbench/traced.py wraps it.
     """
     groups = {}
     q = p
@@ -597,9 +566,6 @@ def _axiom_polynomial(axiom):
     """(defining polynomial, sorted formal variables) of a certificate axiom; shared."""
     if axiom == "right-alternative":
         p = ra_polynomial()
-    elif axiom == "hom-teichmuller":
-        # f normalizes to zero, so its variables are named here, not read from it.
-        return teichmuller_f(*map(var, "wxyz")), list("wxyz")
     elif axiom.startswith("defect:"):
         name = axiom[len("defect:"):]
         reg = identity_registry()
@@ -701,10 +667,14 @@ def _check_references(name, instances):
 def verify_certificate(name, instances):
     """(ok, residue): does the instance sum normalize to the defect?
 
-    A defect: axiom naming name itself or a later identity is a
-    ValueError: the certificate would assume what it proves.
+    A name outside identity_registry() is a ValueError, and so is a
+    defect: axiom naming name itself or a later identity: the
+    certificate would assume what it proves.
     """
-    target = identity_defect(name)
+    reg = identity_registry()
+    if name not in reg:
+        raise ValueError("unknown identity %r (have: %s)" % (name, ", ".join(reg)))
+    target = reg[name].defect()
     _check_references(name, instances)
     total = HomPolynomial()
     for coeff, inst in map(build_instance, instances):
@@ -736,11 +706,10 @@ def certified_identities():
     """The registry identities that certificate transfer decides, as a frozenset.
 
     A shipped certificate proves its identity in every multiplicative
-    right Hom-alternative algebra when it verifies, every defect:
+    right Hom-alternative algebra when it verifies and every defect:
     identity it uses is itself certified (load_certificates admits only
-    earlier ones) and, if it uses hom-teichmuller, verify_hom_teichmuller()
-    holds.  Each certificate is verified through shipped_certificate_report,
-    so at most once per process.
+    earlier ones).  Each certificate is verified through
+    shipped_certificate_report, so at most once per process.
     """
     data = load_certificates()
     certified = set()
@@ -749,6 +718,6 @@ def certified_identities():
             continue
         axioms = {entry["axiom"] for entry in data[name]["instances"]}
         used = {a[len("defect:"):] for a in axioms if a.startswith("defect:")}
-        if used <= certified and ("hom-teichmuller" not in axioms or verify_hom_teichmuller()):
+        if used <= certified:
             certified.add(name)
     return frozenset(certified)

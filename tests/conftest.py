@@ -4,9 +4,9 @@ from itertools import combinations_with_replacement
 import pytest
 
 from homalt.constructions import AlbertParams, albert5_base, albert5_twisted, direct_sum
-from homalt.core import CheckReport, HomAlgebra, load_algebra
-from homalt.linalg import Matrix, identity_matrix, qq
-from homalt.symbolic import poly_mul, var
+from homalt.core import CheckReport, Element, HomAlgebra, load_algebra, require
+from homalt.linalg import Matrix, Vector, identity_matrix, qq
+from homalt.symbolic import _polynomial_evaluator, poly_mul, var
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
@@ -33,6 +33,19 @@ def random_element(A, rng):
     return A.element(
         [qq(rng.choice(range(-3, 4)), rng.choice((1, 2, 3))) for _ in range(A.dim)]
     )
+
+
+def evaluate_polynomial(A, p, assignment):
+    """Evaluate p in A under {variable: Element}, through the sweeps' own
+    evaluator.  A must be multiplicative (ValueError otherwise: the normal
+    form assumed it); unassigned variables are a ValueError too."""
+    require(A, "polynomial evaluation", "multiplicative")
+    if any(x.algebra is not A for x in assignment.values()):
+        raise ValueError("elements belong to different algebras")
+    names = sorted(assignment)
+    coords = [assignment[v].coords for v in names]
+    evaluate = _polynomial_evaluator(A, p, names, [v.den for v in coords])
+    return Element(A, Vector.from_ints(*evaluate(tuple(v.nums for v in coords))))
 
 
 def slot_mask_submultisets(M):

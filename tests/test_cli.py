@@ -94,6 +94,8 @@ def test_failing_law_exits_one(capsys):
         ["identity", "albert5", "--expr", "(= (a \u0661 x) x)"],
         ["identity", "albert5", "--expr", "(= (scale \u0661 x) x)"],
         ["identity", "albert5", "--expr", "(= (scale 0_1 x) x)"],
+        ["check", BAD, "--twist", "1,2,3"],  # --twist only applies to albert5
+        ["derive", "albert5", "--n", "-1"],
     ],
 )
 def test_bad_input_exits_two(argv, capsys):
@@ -198,10 +200,19 @@ def test_bad_power_names_the_n_flag(capsys):
     assert capsys.readouterr().err == "error: --n must be >= 2, got 1\n"
 
 
-def test_bad_thread_cap_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("HOMALT_THREADS", "many")
-    assert main(["check", "albert5", "--suites", "axioms"]) == 2
-    assert "HOMALT_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize("matrix, message", [
+    ([[1, 2], [3, 4]], " must hold a 5x5 matrix of rationals"),
+    ({"matrix": [[1, 0, 0, 0, 0]] * 4}, " must hold a 5x5 matrix of rationals"),
+    ({"rows": [[1] * 5] * 5}, " must hold a 5x5 matrix of rationals"),
+    ([[1] * 5] * 4 + [[1, 1, 1, 1]], " must hold a 5x5 matrix of rationals"),
+    ({"matrix": [[1] * 5] * 4 + [[1, 1, 1, 1, "1/x"]]},
+     ": bad rational literal '1/x' (expected p or p/q)"),
+], ids=["2x2", "4-rows", "no-matrix-key", "short-row", "bad-literal"])
+def test_twist_by_refuses_a_bad_matrix(matrix, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("beta.json").write_text(json.dumps(matrix))
+    assert main(["twist", "albert5", "--by", "beta.json"]) == 2
+    assert capsys.readouterr() == ("", "error: beta.json" + message + "\n")
 
 
 # int() also takes other scripts' digits ("\u0663" is Arabic-Indic 3) and "1_0".
@@ -222,12 +233,6 @@ def test_integer_options_take_only_ascii_digits(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.endswith("error: argument %s: want an ASCII integer, got %r\n" % tuple(argv[-2:]))
-
-
-def test_thread_cap_takes_only_ascii_digits(monkeypatch, capsys):
-    monkeypatch.setenv("HOMALT_THREADS", "\u0662")
-    assert main(["check", "albert5", "--suites", "axioms"]) == 2
-    assert capsys.readouterr().err == "error: HOMALT_THREADS must be an integer, got '\u0662'\n"
 
 
 BIG = "x" * 100_000
@@ -320,12 +325,6 @@ def test_bad_mu_entries_make_short_messages(entry, message, tmp_path, capsys):
     code, err = exit_and_stderr(["check", bad_entry_algebra(tmp_path, **entry)], capsys)
     assert code == 2 and err.startswith("error: bad algebra JSON: " + message), err[:400]
     assert len(err.encode()) <= 400, err[:400]
-
-
-def test_huge_thread_cap_makes_a_short_message(monkeypatch, capsys):
-    monkeypatch.setenv("HOMALT_THREADS", BIG)
-    code, err = exit_and_stderr(["check", "albert5", "--suites", "axioms"], capsys)
-    assert code == 2 and err.endswith("... (100000 characters)\n") and len(err.encode()) <= 400
 
 
 def test_dim_above_the_cap_exits_two(tmp_path, capsys):
@@ -579,15 +578,12 @@ def run_json(argv, capsys):
     return rc, capsys.readouterr().out
 
 
-def test_json_reports_are_byte_identical(capsys, monkeypatch):
+def test_json_reports_are_byte_identical(capsys):
     argv = ["check", "albert5", "--twist", "2,3,0", "--output", "json"]
     rc1, out1 = run_json(argv, capsys)
     rc2, out2 = run_json(argv, capsys)
     assert rc1 == rc2 == 0
     assert out1 == out2
-    for threads in ("1", "2", "4"):
-        monkeypatch.setenv("HOMALT_THREADS", threads)
-        assert run_json(argv, capsys) == (0, out1)
 
 
 def test_pool_raises_the_first_failing_suite_in_suite_order(monkeypatch):
@@ -604,10 +600,28 @@ def test_pool_raises_the_first_failing_suite_in_suite_order(monkeypatch):
     # A suite returns its checks; these two each return one that raises.
     monkeypatch.setitem(cli._SUITE_FNS, "jordan", lambda A, cfg, idempotent: [jordan])
     monkeypatch.setitem(cli._SUITE_FNS, "identities", lambda A, cfg, idempotent: [identities])
-    monkeypatch.setenv("HOMALT_THREADS", "4")
     with pytest.raises(RuntimeError, match="^jordan$"):
         main(["check", "albert5", "--suites", "axioms,jordan,identities"])
     assert later_raised.is_set()
+
+
+def test_suites_run_on_threads_of_their_own_on_one_cpu(tmp_path):
+    """Several suites run on threads of their own whatever the host: here
+    under perfbench/traced.py, with os.cpu_count() patched to 1 by a
+    sitecustomize on the child's PYTHONPATH."""
+    (tmp_path / "sitecustomize.py").write_text("import os\nos.cpu_count = lambda: 1\n")
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(src)]))
+    probe = subprocess.run([sys.executable, "-c", "import os; print(os.cpu_count())"],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert probe.stdout == "1\n"
+    stats = tmp_path / "stats.json"
+    traced = src.parent / "perfbench" / "traced.py"
+    proc = subprocess.run([sys.executable, str(traced), str(stats), "check", "albert5",
+                           "--twist", "2,3,0", "--suites", "axioms,decompose", "--output", "json"],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(stats.read_text())["threads"] >= 2
 
 
 def test_import_loads_no_dataclasses_or_futures():

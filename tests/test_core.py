@@ -29,7 +29,7 @@ from homalt.core import (
     require,
     save_algebra,
 )
-from homalt.linalg import qq
+from homalt.linalg import identity_matrix, qq
 
 from conftest import TWIST_TRIPLES, random_element, twisted_albert, untwisted_alpha
 
@@ -244,6 +244,7 @@ def test_json_zero_entries_omitted(a230):
         lambda o: o["alpha"][0].pop(),
         lambda o: o["alpha"][0].__setitem__(0, "x"),
         lambda o: o.update(basis="eeeee"),
+        lambda o: o.update(basis=["e"] * 5),  # repeated names
     ],
 )
 def test_json_validation_rejects(a230, mangle):
@@ -280,6 +281,35 @@ def test_json_refuses_a_boolean_for_an_integer(slot, value, message):
     (obj if slot == "dim" else obj["mu"][0])[slot] = value
     with pytest.raises(ValueError, match=message):
         algebra_from_json(obj)
+
+
+def test_json_top_level_must_be_an_object():
+    with pytest.raises(ValueError, match="^bad algebra JSON: top level must be an object$"):
+        algebra_from_json([ONE_DIM])
+
+
+ZERO_MU2 = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, [], [], identity_matrix(1)), "^dim must be an integer >= 1, got 0$"),
+    ((2.0, "ab", ZERO_MU2, identity_matrix(2)), "^dim must be an integer >= 1, got 2.0$"),
+    ((2, "a", ZERO_MU2, identity_matrix(2)),
+     "^need one name per basis vector: 1 names for dim 2$"),
+    ((2, "aa", ZERO_MU2, identity_matrix(2)), r"^basis names must be distinct, got \['a', 'a'\]$"),
+    ((2, "ab", ZERO_MU2, [[1, 0], [0, 1]]), "^alpha must be a Matrix, got list$"),
+    ((2, "ab", ZERO_MU2, identity_matrix(3)), "^alpha must be 2x2, got 3x3$"),
+    ((2, "ab", ZERO_MU2[:1], identity_matrix(2)),
+     "^mu must be a 2x2x2 table of structure constants$"),
+    ((2, "ab", [[[0, 0]], [[0, 0]]], identity_matrix(2)),
+     "^mu must be a 2x2x2 table of structure constants$"),
+    ((2, "ab", [[[0, 0], [0, 0]], [[0, 0], [0]]], identity_matrix(2)),
+     "^mu must be a 2x2x2 table of structure constants$"),
+], ids=["dim-0", "float-dim", "names", "repeated-names", "list-alpha", "alpha-shape",
+        "mu-rows", "mu-cols", "mu-entry"])
+def test_hom_algebra_refuses_each_bad_argument(args, message):
+    with pytest.raises(ValueError, match=message):
+        HomAlgebra(*args)
 
 
 # One JSON value of each type: bool, int, float, string, null, list, object.

@@ -1,5 +1,9 @@
+import ast
+import json
+
 import pytest
 
+from homalt.cli import main
 from homalt.core import HomAlgebra, apply_alpha, mul
 from homalt.idempotents import (
     albert_decomposition,
@@ -9,7 +13,8 @@ from homalt.idempotents import (
 )
 from homalt.linalg import Matrix, rank
 
-from conftest import copy_mu, twisted_albert
+from conftest import FIXTURES, copy_mu, twisted_albert
+from test_lattice import REFERENCE, parse_vector
 
 
 def in_span(elements, x):
@@ -113,3 +118,49 @@ def test_decomposition_dataclass_fields(a230):
     dec = albert_decomposition(a230, a230.basis_element(0))
     assert dec.idem == a230.basis_element(0)
     assert isinstance(dec.is_direct, bool) and isinstance(dec.spans_all, bool)
+
+
+# -- splitting without right Hom-alternativity ------------------------------------
+#
+# Both fixtures have surjective alpha = diag(1, -1) and the idempotent e0, and
+# neither is right Hom-alternative; the first is multiplicative.  Found by a
+# seeded search of dim-2 tables with entries in {-1, 0, 1}.
+
+SPLIT_FAILURES = {
+    "split_alpha_part_dim2.json": [
+        ("idempotent-decomposition", False, ["e0"], None, None,
+         "e = e0; A_e(alpha) basis [e0]; A_e(0) basis []; direct = True"),
+        ("element-splitting", False, ["1", "'alpha-part'"], "-e1", "e1", ""),
+    ],
+    "split_zero_part_dim2.json": [
+        ("idempotent-decomposition", True, None, None, None,
+         "e = e0; A_e(alpha) basis [e0]; A_e(0) basis [-e0 + e1]; direct = True"),
+        ("element-splitting", False, ["1", "'zero-part'"], "2*e0", "0", ""),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_FAILURES))
+def test_element_splitting_fails_without_right_hom_alternativity(name, capsys):
+    path = FIXTURES / name
+    assert main(["decompose", str(path), "--output", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["results"]
+    fields = ("law", "passed", "witness", "lhs", "rhs", "note")
+    assert [tuple(r[f] for f in fields) for r in rows] == SPLIT_FAILURES[name]
+    # Replay the failing row through the Fraction-only reference: with
+    # alpha(a) = e_i, a*e0 must satisfy x*e0 = alpha(x), and e_i - a*e0
+    # must satisfy x*e0 = 0.
+    obj = json.loads(path.read_text())
+    ref = REFERENCE["Algebra"](obj)
+    i, part = (ast.literal_eval(w) for w in rows[1]["witness"])
+    inverse = [list(col) for col in zip(*ref.alpha)]  # alpha is a signed permutation
+    assert [ref.apply(ref.alpha, ref.apply(inverse, ref.unit(t))) for t in range(ref.dim)] == [
+        ref.unit(t) for t in range(ref.dim)]
+    e, b = ref.unit(0), ref.unit(i)
+    in_alpha = ref.mul(ref.apply(inverse, b), e)
+    if part == "alpha-part":
+        want = ref.mul(in_alpha, e), ref.apply(ref.alpha, in_alpha)
+    else:
+        want = ref.mul([p - q for p, q in zip(b, in_alpha)], e), [0] * ref.dim
+    got = tuple(parse_vector(rows[1][side], obj["basis"]) for side in ("lhs", "rhs"))
+    assert got == want and want[0] != want[1]

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from homalt.core import HomAlgebra
 from homalt.jordan import check_hom_jordan_admissible
 from homalt.linalg import Matrix, identity_matrix, inverse
-from homalt.symbolic import check_identity_on_algebra, evaluate_polynomial
+from homalt.symbolic import check_identity_on_algebra
 
-from conftest import hom_power_pair_poly, hom_power_poly
+from conftest import evaluate_polynomial, hom_power_pair_poly, hom_power_poly
 from test_jordan import direct_sweep
 from test_kernel import non_integer, rationals, tables
 from test_polarized import IDENTITIES, _eval_tree, reference_check

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -132,20 +133,19 @@ def test_mul_operator_identities_fail_on_the_bad_algebra(bad_algebra):
 
 
 def test_a_passing_row_builds_no_operator(monkeypatch, capsys):
-    # One thread, so that only the row runs while it is flagged.
-    monkeypatch.setenv("HOMALT_THREADS", "1")
-    op, row, inside, built = operators._op, cli.check_mul_operator_identities, [], []
+    # Flagged by thread: the other suites run on threads of their own meanwhile.
+    op, row, inside, built = operators._op, cli.check_mul_operator_identities, set(), []
 
     def counted_op(*args):
-        built.append(bool(inside))
+        built.append(threading.get_ident() in inside)
         return op(*args)
 
     def flagged_row(A):
-        inside.append(A)
+        inside.add(threading.get_ident())
         try:
             return row(A)
         finally:
-            inside.clear()
+            inside.discard(threading.get_ident())
 
     monkeypatch.setattr(operators, "_op", counted_op)
     monkeypatch.setattr(cli, "check_mul_operator_identities", flagged_row)

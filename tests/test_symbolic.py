@@ -24,7 +24,6 @@ from homalt.dsl import (
     parse_identity,
     parse_monomial,
     parse_term,
-    term_to_dsl,
 )
 from homalt.linalg import QUOTE_CHARS, format_scalar, parse_scalar, qq, quote
 from homalt.symbolic import (
@@ -34,10 +33,8 @@ from homalt.symbolic import (
     _multidegree,
     build_instance,
     check_identity_on_algebra,
-    evaluate_polynomial,
     expand_associator,
     hom_teichmuller_terms,
-    identity_defect,
     identity_registry,
     load_certificates,
     mono,
@@ -46,14 +43,14 @@ from homalt.symbolic import (
     poly_mul,
     ra_polynomial,
     specialize_classical,
-    teichmuller_f,
+    subst_monomial,
     var,
     verify_all_certificates,
     verify_certificate,
     verify_hom_teichmuller,
 )
 
-from conftest import random_element
+from conftest import evaluate_polynomial, random_element
 
 
 # -- raw trees, which may also hold ("a", subtree) nodes: the reference for
@@ -226,6 +223,11 @@ def test_evaluate_polynomial_guards(a230, non_multiplicative):
 
 
 # -- the Hom-Teichmuller polynomial ---------------------------------------------
+
+
+def teichmuller_f(w, x, y, z):
+    """f(w, x, y, z), the sum of the five signed associator terms."""
+    return sum(hom_teichmuller_terms(w, x, y, z), HomPolynomial())
 
 
 def test_teichmuller_expands_to_ten_terms_and_cancels():
@@ -453,9 +455,11 @@ def test_an_inhomogeneous_free_zero_identity_passes(albert, non_multiplicative, 
 
 
 def test_identity_defect_lookup():
-    assert identity_defect("middle-square") == identity_registry()["middle-square"].defect()
-    with pytest.raises(ValueError, match="unknown identity"):
-        identity_defect("nonsense")
+    # A certificate is checked against its identity's registry defect.
+    defect = identity_registry()["middle-square"].defect()
+    assert verify_certificate("middle-square", []) == (False, defect)
+    with pytest.raises(ValueError, match="^unknown identity 'nonsense' \\(have: assoc-shift, "):
+        verify_certificate("nonsense", [])
 
 
 # -- certificates ----------------------------------------------------------------
@@ -500,6 +504,12 @@ def test_certificates_may_lean_only_on_earlier_identities(used, tmp_path, monkey
         verify_certificate("assoc-shift", circular)
     data = copy.deepcopy(load_certificates())  # the cached dict is shared
     data["assoc-shift"]["instances"] = circular
+    with pytest.raises(ValueError, match="only identities certified before it"):
+        load_certificate_file(data, tmp_path, monkeypatch)
+
+
+def load_certificate_file(data, tmp_path, monkeypatch):
+    """load_certificates() on a certificate file that holds data."""
     (tmp_path / "data").mkdir()
     (tmp_path / "data" / "certificates.json").write_text(json.dumps(data))
     # load_certificates imports importlib.resources when called, and
@@ -507,8 +517,7 @@ def test_certificates_may_lean_only_on_earlier_identities(used, tmp_path, monkey
     monkeypatch.setattr(resources, "files", lambda pkg: tmp_path)
     load_certificates.cache_clear()
     try:
-        with pytest.raises(ValueError, match="only identities certified before it"):
-            load_certificates()
+        return load_certificates()
     finally:
         load_certificates.cache_clear()
 
@@ -521,10 +530,34 @@ def test_build_instance_rejects_malformed_entries():
     with pytest.raises(ValueError, match="cover exactly"):
         build_instance({"coeff": "1", "axiom": "right-alternative",
                         "substitution": {"x": "x"}})
-    with pytest.raises(ValueError, match="wrap"):
-        build_instance({"coeff": "1", "axiom": "right-alternative",
-                        "substitution": {"x": "x", "y": "y", "z": "z"},
-                        "wrap": [["spin", 1]]})
+    for entry, message in [
+        ({"wrap": [["spin", 1]]}, "^unknown wrap op 'spin'$"),
+        ({"axiom": "defect:nonsense"}, "^certificate references unknown identity 'nonsense'$"),
+        ({"wrap": [["alpha"]]}, r"^bad wrap entry \['alpha'\]$"),
+        ({"wrap": "ab"}, "^bad wrap entry 'a'$"),
+        ({"wrap": [["alpha", 0]]}, "^alpha wrap needs a positive shift, got 0$"),
+        ({"wrap": [["alpha", "2"]]}, "^alpha wrap needs a positive shift, got '2'$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            build_instance({"coeff": "1", "axiom": "right-alternative",
+                            "substitution": {"x": "x", "y": "y", "z": "z"}, **entry})
+
+
+def test_substitution_names_a_missing_variable():
+    # build_instance covers every formal variable, so only a direct call misses one.
+    with pytest.raises(ValueError, match="^substitution missing variable 'y'$"):
+        subst_monomial(mono("x").mul(mono("y", 1)), {"x": mono("x")})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"nonsense": {"instances": []}}, "^certificate for unknown identity 'nonsense'$"),
+    ({"assoc-shift": {"wrap": []}}, "^certificate 'assoc-shift' needs an 'instances' list$"),
+    ({"assoc-shift": []}, "^certificate 'assoc-shift' needs an 'instances' list$"),
+    ([], "^certificate file must map identity names to instance lists$"),
+], ids=["unknown-identity", "no-instances", "not-an-object", "not-a-map"])
+def test_load_certificates_refuses_a_malformed_file(data, message, tmp_path, monkeypatch):
+    with pytest.raises(ValueError, match=message):
+        load_certificate_file(data, tmp_path, monkeypatch)
 
 
 # -- the S-expression DSL ---------------------------------------------------------
@@ -546,6 +579,17 @@ def test_parse_identity():
     lhs, rhs = parse_identity("(= (as x y y) (scale 0 x))")
     assert lhs == expand_associator(var("x"), var("y"), var("y"))
     assert rhs.is_zero()
+
+
+def term_to_dsl(m):
+    """A HomMonomial back in DSL syntax."""
+
+    def go(t):
+        if t[0] == "v":
+            return t[1] if t[2] == 0 else "(a %d %s)" % (t[2], t[1])
+        return "(mul %s %s)" % (go(t[1]), go(t[2]))
+
+    return go(m.tree)
 
 
 def test_dsl_round_trip():

@@ -122,22 +122,24 @@ def test_corrupt_certificate_falls_back_to_the_sweep(corrupt, fresh_certificates
 
 def test_teichmuller_certificates_need_the_five_term_cancellation(fresh_certificates,
                                                                   monkeypatch):
-    shipped = load_certificates()
-    data = copy.deepcopy(shipped)
-    data["assoc-shift-linear"]["instances"].append(
-        {"coeff": "0", "axiom": "hom-teichmuller",
-         "substitution": {"w": "w", "x": "x", "y": "y", "z": "z"}})
+    # The five-term Hom-Teichmuller cancellation normalizes to zero, so an
+    # instance of it would add nothing: it is no certificate axiom.
+    instance = {"coeff": "0", "axiom": "hom-teichmuller",
+                "substitution": {"w": "w", "x": "x", "y": "y", "z": "z"}}
+    unknown = "^unknown certificate axiom 'hom-teichmuller'$"
+    with pytest.raises(ValueError, match=unknown):
+        symbolic.verify_certificate("assoc-shift-linear", [instance])
+    data = copy.deepcopy(load_certificates())
+    data["assoc-shift-linear"]["instances"].append(instance)
     monkeypatch.setattr(symbolic, "load_certificates", lambda: data)
-    assert certified_identities() == set(identity_registry())
-    monkeypatch.setattr(symbolic, "verify_hom_teichmuller", lambda: False)
-    assert certified_identities() == set(identity_registry()) - DEPENDENTS["assoc-shift-linear"]
+    with pytest.raises(ValueError, match=unknown):
+        certified_identities()
 
 
 # -- the work the suite does ---------------------------------------------------------
 
 
 def test_check_sweeps_no_certified_identity(fresh_certificates, monkeypatch, capsys):
-    monkeypatch.setenv("HOMALT_THREADS", "4")  # identities and symbolic on the pool
     sweeps = record_calls(monkeypatch, symbolic, "check_identity_on_algebra")
     verified = record_calls(monkeypatch, symbolic, "verify_certificate")
     assert main(["check", "albert5", "--twist", "2,3,0", "--output", "json"]) == 0
