@@ -55,5 +55,5 @@ rep = check_mul_operator_identities(A)
 print("\ngeneral operator identities:", rep.passed, "--", rep.note)
 
 # And the whole suite at e as exact matrix identities.
-rep = check_idempotent_operator_suite(A, e, nmax=5)
+rep = check_idempotent_operator_suite(A, e)
 print("idempotent operator suite:  ", rep.passed, "--", rep.note)

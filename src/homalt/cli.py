@@ -106,10 +106,9 @@ from .core import (
 from .idempotents import albert_decomposition, decompose_element, idempotent_search
 from .jordan import check_hom_jordan_admissible
 from .linalg import Matrix, clip, parse_scalar, quote
-from .operators import (MAX_OPERATOR_POWER, check_idempotent_operator_suite,
-                        check_mul_operator_identities)
-from .powers import (DefectMemo, _suite_size, check_nth_hom_power_associative,
-                     check_third_fourth_criterion, sweep_size)
+from .operators import check_idempotent_operator_suite, check_mul_operator_identities
+from .powers import (DefectMemo, check_nth_hom_power_associative, check_third_fourth_criterion,
+                     sweep_size)
 from .symbolic import (
     _FREE_ZERO_NOTE,
     IdentityDef,
@@ -144,7 +143,7 @@ COMMANDS = {
     "powers": (("powers",), ("n", "timings")),
     "jordan": (("jordan",), ("timings",)),
     "decompose": (("decompose",), ("idempotent", "timings")),
-    "operators": (("operators",), ("idempotent", "nmax", "timings")),
+    "operators": (("operators",), ("idempotent", "timings")),
     "symbolic": (("symbolic",), ("teichmuller", "certificates", "timings")),
 }
 
@@ -315,7 +314,11 @@ def _suite_axioms(A, args, idempotent):
 
 def _suite_powers(A, args, idempotent):
     require(A, "the powers suite", "multiplicative")
-    _suite_size(A.dim, args.nmax)  # bad input above the cap, priced over every row's sweep
+    # Bad input above the cap, priced over every row's sweep, of degrees 2 to
+    # max(nmax, 4); the largest alone first, so that a huge nmax is refused at once.
+    top = max(args.nmax, 4)
+    sweep_size(A, (top,))
+    sweep_size(A, *((n,) for n in range(2, top + 1)))
     memo = DefectMemo(A)
     rows = [partial(check_nth_hom_power_associative, A, n, memo=memo)
             for n in range(2, args.nmax + 1)]
@@ -367,9 +370,6 @@ def _suite_decompose(A, args, idempotent):
 
 
 def _suite_operators(A, args, idempotent):
-    if args.nmax > MAX_OPERATOR_POWER:
-        raise InputError("--nmax %d is above the operator exponent cap of %d"
-                         % (args.nmax, MAX_OPERATOR_POWER))
     e = None
     # RA first, so that it is decided before the threads: check_mul_operator_identities reads it.
     if args.command != "check" or is_right_hom_alternative(A) and is_multiplicative(A):
@@ -379,7 +379,7 @@ def _suite_operators(A, args, idempotent):
                     "right-hom-alternative", e=e)
     checks = [partial(check_mul_operator_identities, A)]
     if e is not None:
-        checks.append(partial(check_idempotent_operator_suite, A, e, args.nmax))
+        checks.append(partial(check_idempotent_operator_suite, A, e))
     return checks
 
 
@@ -406,7 +406,7 @@ def _suite_identities(A, args, idempotent):
     transfer = _transferable(A)
     for ident in identity_registry().values():
         if ident.name not in transfer:
-            sweep_size(A.dim, tuple(ident.degrees.values()))
+            sweep_size(A, tuple(ident.degrees.values()))
     return [
         partial(_transferred, ident.name)
         if ident.name in transfer
@@ -564,7 +564,7 @@ def _add_check(p):
         default=",".join(ALL_SUITES),
         help="comma-separated subset of: %s" % ", ".join(ALL_SUITES),
     )
-    p.add_argument("--nmax", type=_ascii_int, default=5, help="largest power / operator exponent")
+    p.add_argument("--nmax", type=_ascii_int, default=5, help="largest Hom-power (>= 2)")
 
 
 def _add_powers(p):
@@ -576,11 +576,6 @@ def _add_powers(p):
 
 def _add_decompose(p):
     p.add_argument("--idempotent", metavar="C0,C1,...", help="coordinates of the idempotent")
-
-
-def _add_operators(p):
-    _add_decompose(p)
-    p.add_argument("--nmax", type=_ascii_int, default=5, help="largest operator exponent (>= 2)")
 
 
 def _add_identity(p):
@@ -616,7 +611,7 @@ SUBCOMMANDS = {
     "powers": (("alg", "rep"), "nth Hom-power associativity", _add_powers),
     "jordan": (("alg", "rep"), "Hom-Jordan admissibility", None),
     "decompose": (("alg", "rep"), "idempotent splitting of the algebra", _add_decompose),
-    "operators": (("alg", "rep"), "multiplication-operator identities", _add_operators),
+    "operators": (("alg", "rep"), "multiplication-operator identities", _add_decompose),
     "identity": (("alg", "rep"), "prove an s-expression identity", _add_identity),
     "symbolic": (("rep",), "free-algebra checks and certificates", _add_symbolic),
     "distinguish": (("rep",), "separate two algebras by alpha spectra", _add_distinguish),

@@ -39,8 +39,9 @@ P at x_M with mul and alpha alone.  For several variable groups, of
 degrees d_1, ..., d_g, the points are the product of the groups'
 lattices, one evaluation each.  sweep_size prices a sweep as its points
 times the square of its total degree D (a powers row n makes about n^2
-alpha applications at each point), and refuses one above MAX_SWEEP;
-_suite_size prices a powers suite, every row's sweep, the same way.
+alpha applications at each point) times the cost of one product in the
+algebra, which grows with its nonzero structure constants, and refuses a
+sweep, or a powers suite's sweeps together, above MAX_SWEEP.
 
 The defects are unreduced integer rows (core.mul_nums): x_M is an integer
 vector, so each tag's defect lies over one denominator, a product of powers
@@ -113,35 +114,34 @@ def _lattice_point(dim, M):
     return tuple(map(M.count, range(dim)))
 
 
-# The largest size of a sweep, or of a powers suite's sweeps together:
-# 2^25 * 9/8 rounded up, so every sweep the earlier price (2^D per point, cap
-# 2^25) admitted still fits.  Near it a unit costs 0.8-3 us (2-vCPU host,
-# Python 3.11.7): assoc-shift-linear at dim 35 (24,010,000) takes 72 s, and
-# the largest powers suites admitted at dims 5 and 40 take 30 s and 67 s.
-MAX_SWEEP = 40_000_000
+# The largest price of a sweep, or of a powers suite's sweeps together.  A unit
+# costs 0.019-0.034 us on a 2-vCPU host (Python 3.11.7): --n 20 on albert5
+# (673,485,780) takes 21 s, --n 4 on the sum of eight albert5 copies (dim 40,
+# 266,388,480) 9 s and on a dense dim-20 table (1,259,171,760) 24 s, so an
+# admitted sweep runs for at most about two minutes there.
+MAX_SWEEP = 4_000_000_000
 
 
-def _capped(size, subject):
+def sweep_size(A, *sweeps):
+    """The price of the given sweeps on A together, each named by its tuple of
+    degrees: its lattice points, prod C(dim + d - 1, d), times D^2 for D their
+    sum (about the products and alpha applications at each point), times the
+    steps of one product of dense rows in A, an upper bound: one per coordinate
+    of x and one per nonzero structure constant, plus 32 for its fixed cost,
+    fitted to the timings of albert5, its sums and dense tables.  ValueError
+    above MAX_SWEEP."""
+    cost = A.fact("product-cost", lambda: A.dim + 32 + sum(
+        len(pairs) for row in A._mu_num for _, pairs in row))
+    size = cost * sum(prod(comb(A.dim + d - 1, d) for d in degrees) * sum(degrees) ** 2
+                      for degrees in sweeps)
     if size > MAX_SWEEP:
-        raise ValueError("%s size %d, above the cap of %d" % (subject, size, MAX_SWEEP))
+        one = len(sweeps) == 1
+        what = ("a sweep of degrees %s" % ",".join(map(str, sweeps[0])) if one
+                else "the %d sweeps of degrees up to %d" % (len(sweeps), max(map(sum, sweeps))))
+        raise ValueError("%s on %d basis elements, at %d steps a product, %s size %d, above the "
+                         "cap of %d" % (what, A.dim, cost, "has" if one else "have", size,
+                                        MAX_SWEEP))
     return size
-
-
-def sweep_size(dim, degrees):
-    """The lattice points of a sweep of the given degrees on dim basis
-    elements, prod C(dim + d - 1, d), times D^2 for D their sum, about the
-    products and alpha applications at each point; ValueError above MAX_SWEEP."""
-    size = prod(comb(dim + d - 1, d) for d in degrees) * sum(degrees) ** 2
-    return _capped(size, "a sweep of degrees %s on %d basis elements has" % (
-        ",".join(map(str, degrees)), dim))
-
-
-def _suite_size(dim, nmax):
-    """The summed sizes of a powers suite's sweeps, of degrees 2..max(nmax, 4),
-    in closed form (n^2 = n(n-1) + n, and the hockey-stick identity)."""
-    m = max(nmax, 4)
-    size = dim * (dim + 1) * comb(m + dim, m - 2) + dim * comb(m + dim, m - 1) - dim
-    return _capped(size, "the sweeps of degrees 2 to %d on %d basis elements have" % (m, dim))
 
 
 def polarized_defect_sweep(A, degrees, defects, law):
@@ -160,7 +160,7 @@ def polarized_defect_sweep(A, degrees, defects, law):
     """
     single = isinstance(degrees, int)
     degrees = (degrees,) if single else tuple(degrees)
-    sweep_size(A.dim, degrees)
+    sweep_size(A, degrees)
     # The outermost group streams; only the inner groups' points are kept.
     inner = [[(M, _lattice_point(A.dim, M))
               for M in combinations_with_replacement(range(A.dim), d)] for d in degrees[1:]]

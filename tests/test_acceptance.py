@@ -219,8 +219,10 @@ def test_criterion_05_operator_calculus():
             assert T ** (n + 1) == (al ** (4 * n)) * T
         assert op_commutator(T, R) == zero
 
-        rep = check_idempotent_operator_suite(A, e, nmax=5)
-        assert rep.passed and rep.note == "20 identities verified"
+        rep = check_idempotent_operator_suite(A, e)
+        assert rep.passed and rep.note == (
+            "10 identities verified; by induction R^(n+1) = alpha^n R and "
+            "T^(n+1) = alpha^(4n) T for every n >= 1")
 
 
 def test_criterion_06_associator_identities():

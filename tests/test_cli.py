@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import shutil
 import subprocess
 import sys
@@ -80,8 +81,8 @@ def test_failing_law_exits_one(capsys):
         ["identity", "albert5", "--expr", "(mul x"],
         ["identity", "albert5", "--expr", "(= (mul x x) x)"],  # not homogeneous
         ["twist", "albert5", "--by", "/no/such/beta.json"],
-        ["operators", "albert5", "--twist", "2,3,0", "--nmax", "-1"],
-        ["operators", "albert5", "--twist", "2,3,0", "--nmax", "0"],
+        ["operators", "albert5", "--twist", "2,3,0", "--idempotent", "1,0"],
+        ["powers", "albert5", "--n", "0"],
         ["powers", "albert5", "--n", "1"],
         ["identity", "albert5", "--twist", "2,3,0", "--expr", DEEP],
         ["identity", "albert5", "--twist", "2,3,0", "--expr", WIDE],
@@ -129,23 +130,6 @@ def test_unknown_command_exits_two(capsys):
         main(["bogus"])
     assert exc.value.code == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["operators", "albert5", "--twist", "2,3,0", "--nmax", "101"],
-        ["operators", "albert5", "--twist", "2,3,0", "--nmax", "20000"],
-        ["check", "albert5", "--twist", "2,3,0", "--suites", "operators", "--nmax", "20000"],
-        # refused even where check drops the idempotent operator row
-        ["check", BAD, "--suites", "axioms,operators", "--nmax", "20000"],
-    ],
-)
-def test_operator_exponent_above_the_cap_exits_two(argv, capsys):
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""  # refused before any check ran
-    assert err == "error: --nmax %s is above the operator exponent cap of 100\n" % argv[-1]
 
 
 NOT_UTF8 = b"\xff\xfe{}"
@@ -221,7 +205,7 @@ def test_twist_by_refuses_a_bad_matrix(matrix, message, tmp_path, monkeypatch, c
     [
         ["powers", "albert5", "--twist", "2,3,0", "--n", "\u0663"],
         ["check", "albert5", "--nmax", "1_0"],
-        ["operators", "albert5", "--twist", "2,3,0", "--nmax", "\u0663"],
+        ["derive", "albert5", "--twist", "2,3,0", "--n", "1_0"],
         ["powers", "albert5", "--twist", "2,3,0", "--n", "1_0"],
         ["check", "albert5", "--nmax", "\u0662"],
         ["derive","albert5", "--twist", "2,3,0", "--n", "\u0661"],
@@ -340,24 +324,58 @@ def test_dim_above_the_cap_exits_two(tmp_path, capsys):
 
 def test_sweep_above_the_cap_exits_two_at_once(capsys):
     # A powers suite's size sums every row's sweep, n = 2..N: C(N + 4, N)
-    # lattice points of degree N, each priced N^2.  At dim 5 the cap admits
-    # N = 23 (about 30 s) and refuses N = 24.
-    for n in (24, 40):
-        start = time.perf_counter()
-        assert main(["powers", "albert5", "--n", str(n)]) == 2
-        assert time.perf_counter() - start < 1.0
-        size = sum(math.comb(k + 4, k) * k * k for k in range(2, n + 1))
-        assert capsys.readouterr().err == (
-            "error: the sweeps of degrees 2 to %d on 5 basis elements have size %d, "
-            "above the cap of %d\n" % (n, size, powers.MAX_SWEEP)
-        )
+    # lattice points of degree N, each priced N^2 products of 44 steps on
+    # albert5 (5 coordinates, 7 structure constants, 32 fixed).  At dim 5
+    # the cap admits N = 26 and refuses N = 27; at N = 40 the last row
+    # alone is above it.
+    start = time.perf_counter()
+    assert main(["powers", "albert5", "--n", "27"]) == 2
+    size = 44 * sum(math.comb(k + 4, k) * k * k for k in range(2, 28))
+    assert capsys.readouterr().err == (
+        "error: the 26 sweeps of degrees up to 27 on 5 basis elements, at 44 steps a product, "
+        "have size %d, above the cap of %d\n" % (size, powers.MAX_SWEEP)
+    )
+    assert main(["powers", "albert5", "--n", "40"]) == 2
+    assert capsys.readouterr().err == (
+        "error: a sweep of degrees 40 on 5 basis elements, at 44 steps a product, "
+        "has size %d, above the cap of %d\n" % (44 * math.comb(44, 40) * 1600, powers.MAX_SWEEP)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert powers.sweep_size(albert5_base(), *((k,) for k in range(2, 27))) <= powers.MAX_SWEEP
+
+
+def save_dense_table(path, dim):
+    """A table with every structure constant nonzero (entries 1..3, seeded)
+    and alpha = Id: multiplicative, and dense, so a product costs dim^3 + dim + 32 steps."""
+    rng = random.Random(dim)
+    pathlib.Path(path).write_text(json.dumps({
+        "dim": dim,
+        "basis": ["b%d" % i for i in range(dim)],
+        "mu": [{"i": i, "j": j, "k": k, "c": str(rng.randint(1, 3))}
+               for i in range(dim) for j in range(dim) for k in range(dim)],
+        "alpha": [[str(int(i == j)) for j in range(dim)] for i in range(dim)],
+    }))
+
+
+def test_dense_table_sweeps_are_priced_by_their_products(tmp_path, monkeypatch, capsys):
+    # At dim 24 a dense n = 4 row took 70 s (17,550 points, about 250 us per
+    # point and unit of the old price); the price counts the 13,824 structure
+    # constants a product may visit, so n = 5 is refused before any sweep.
+    monkeypatch.chdir(tmp_path)
+    save_dense_table("dense24.json", 24)
+    start = time.perf_counter()
+    assert main(["powers", "dense24.json", "--n", "5"]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr() == ("", (
+        "error: a sweep of degrees 5 on 24 basis elements, at 13880 steps a product, "
+        "has size %d, above the cap of %d\n" % (13880 * math.comb(28, 5) * 25, powers.MAX_SWEEP)))
 
 
 @pytest.mark.parametrize("argv", [["powers", "albert5", "--n", "14"],
                                   ["check", "albert5", "--nmax", "14"]], ids=["powers", "check"])
 def test_a_degree_14_sweep_fits_the_cap(argv, capsys):
     # 3,060 lattice points: the cap once priced 2^14 evaluations at each.
-    assert powers.sweep_size(5, (14,)) == math.comb(18, 14) * 14 ** 2
+    assert powers.sweep_size(albert5_base(), (14,)) == math.comb(18, 14) * 14 ** 2 * 44
     assert main(argv) == 0
     assert "FAIL" not in capsys.readouterr().out
 
@@ -377,9 +395,9 @@ def save_dim64_table(path):
 @pytest.mark.parametrize(
     "argv,degrees,size",
     [
-        (["check", "dim64.json", "--suites", "identities"], "1,2,1", 64 * 2080 * 64 * 16),
+        (["check", "dim64.json", "--suites", "identities"], "1,2,1", 64 * 2080 * 64 * 16 * 98),
         (["identity", "dim64.json", "--expr", "(= (mul (mul x y) (mul z w)) (mul x (mul y "
-          "(mul z w))))"], "1,1,1,1", 64 ** 4 * 16),
+          "(mul z w))))"], "1,1,1,1", 64 ** 4 * 16 * 98),
     ],
     ids=["check", "identity"],
 )
@@ -390,8 +408,8 @@ def test_dim_64_identity_sweeps_exit_two(argv, degrees, size, tmp_path, monkeypa
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        "error: a sweep of degrees %s on 64 basis elements has size %d, "
-        "above the cap of %d\n" % (degrees, size, powers.MAX_SWEEP)
+        "error: a sweep of degrees %s on 64 basis elements, at 98 steps a product, has size "
+        "%d, above the cap of %d\n" % (degrees, size, powers.MAX_SWEEP)
     )
 
 
@@ -772,6 +790,11 @@ def test_identity_command_takes_no_degrees_flag(capsys):
     assert code == 2 and "unrecognized arguments: --degrees x=1,y=1" in err
 
 
+def test_operators_command_takes_no_nmax_flag(capsys):
+    code, err = exit_and_stderr(["operators", "albert5", "--twist", "2,3,0", "--nmax", "3"], capsys)
+    assert code == 2 and "unrecognized arguments: --nmax 3" in err
+
+
 def test_decompose_command_reports_the_parts(capsys):
     assert main(["decompose", "albert5", "--twist", "2,3,0"]) == 0
     out = capsys.readouterr().out
@@ -841,9 +864,10 @@ FLAGS = {
                ("--timings",): False},
     "decompose": {"algebra": None, ("--twist",): None, ("--output",): "text",
                   ("--timings",): False, ("--idempotent",): None},
-    # operators proves its laws on basis pairs, so it lost --samples and --seed
+    # operators proves its laws on basis pairs, so it lost --samples and --seed;
+    # it proves its power families for every n by induction, so it lost --nmax
     "operators": {"algebra": None, ("--twist",): None, ("--output",): "text",
-                  ("--timings",): False, ("--idempotent",): None, ("--nmax",): 5},
+                  ("--timings",): False, ("--idempotent",): None},
     # identity reads its degrees from the identity, so it lost --degrees
     "identity": {"algebra": None, ("--twist",): None, ("--output",): "text",
                  ("--timings",): False, ("--expr",): None, ("--file",): None,

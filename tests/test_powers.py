@@ -1,4 +1,5 @@
 import argparse
+import functools
 import math
 import random
 import time
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 
 from homalt import core
 from homalt.cli import _suite_powers
+from homalt.constructions import direct_sum, plus_algebra
 from homalt.core import HomAlgebra, apply_alpha, mul
 from homalt.linalg import identity_matrix, qq
 from homalt.powers import (
     MAX_SWEEP,
     PowerTable,
     _lattice_point,
-    _suite_size,
     check_nth_hom_power_associative,
     check_third_fourth_criterion,
     polarized_defect_sweep,
@@ -25,7 +26,8 @@ from homalt.powers import (
 )
 from homalt.symbolic import identity_registry
 
-from conftest import SIX, lattice_point, lattice_sweep, random_element, six_algebra
+from conftest import (SIX, lattice_point, lattice_sweep, random_element, six_algebra,
+                      twisted_albert)
 from test_cli import record_calls, save_dim64_table
 
 
@@ -226,47 +228,76 @@ def test_fixture_fails_third_fourth(bad_algebra):
 # -- the sweep-size cap --------------------------------------------------------------
 
 
+def albert5_sum(copies):
+    """The direct sum of copies of albert5 (2,3,0): dim 5 copies, with 7 copies
+    structure constants, so a product is priced 12 copies + 32 steps."""
+    A = twisted_albert(2, 3, 0)
+    return functools.reduce(direct_sum, [A] * copies)
+
+
+def powers_suite(top):
+    """The degrees of a powers suite's sweeps, one per row n = 2..top."""
+    return [(n,) for n in range(2, top + 1)]
+
+
 def test_default_sweeps_fit_the_cap_up_to_dim_20():
-    # the powers suite at the default --nmax 5, Jordan on A+, and the largest
-    # registry identity, associator-tail; a point of total degree D is priced D^2
-    assert _suite_size(20, 5) == 210 * 4 + 1540 * 9 + 8855 * 16 + 42504 * 25
+    # On the sum of four albert5 copies, a product priced 80 steps: the powers
+    # suite at the default --nmax 5, Jordan on A+ and every registry identity,
+    # the largest being associator-tail; a point of total degree D is priced D^2.
+    A = albert5_sum(4)
+    assert sweep_size(A, *powers_suite(5)) == 80 * (210 * 4 + 1540 * 9 + 8855 * 16 + 42504 * 25)
     for degrees in ((3,), *(tuple(i.degrees.values()) for i in identity_registry().values())):
-        assert sweep_size(20, degrees) <= MAX_SWEEP
-    assert sweep_size(20, (1, 2, 2)) == 20 * 210 * 210 * 25 == 22050000
+        assert sweep_size(plus_algebra(A) if degrees == (3,) else A, degrees) <= MAX_SWEEP
+    assert sweep_size(A, (1, 2, 2)) == 20 * 210 * 210 * 25 * 80 == 1764000000
 
 
 def test_the_cap_admits_every_sweep_the_old_price_admitted():
-    # The old price was 2^D per point of total degree D, under a cap of 2^25,
-    # and a powers suite paid only for its largest degree, max(nmax, 4).
-    for D in range(1, 30):
-        assert (2**25 >> D) * D * D <= MAX_SWEEP
-    for dim in range(1, 100):
-        for nmax in range(2, 14):
-            m = max(nmax, 4)
-            if math.comb(dim + m - 1, m) << m <= 2**25:
-                assert _suite_size(dim, nmax) <= MAX_SWEEP
+    # On albert5 and its sums up to dim 40, every powers suite and registry
+    # sweep that an earlier price admitted still fits: 2^D per point of total
+    # degree D under a cap of 2^25 (a powers suite paying for its largest
+    # degree only), and D^2 per point under a cap of 40,000,000.
+    idents = [tuple(i.degrees.values()) for i in identity_registry().values()]
+    for copies in range(1, 9):
+        A = albert5_sum(copies)
+
+        def points(degrees):
+            return math.prod(math.comb(A.dim + d - 1, d) for d in degrees)
+
+        for nmax in range(2, 27):
+            rows = powers_suite(max(nmax, 4))
+            if (points(rows[-1]) << rows[-1][0] <= 2**25
+                    or sum(points(r) * r[0] ** 2 for r in rows) <= 40_000_000):
+                assert sweep_size(A, *rows) <= MAX_SWEEP
+        for degrees in idents:
+            D = sum(degrees)
+            if points(degrees) << D <= 2**25 or points(degrees) * D * D <= 40_000_000:
+                assert sweep_size(A, degrees) <= MAX_SWEEP
 
 
-def test_cap_refuses_huge_sweeps_before_any_work(a230):
-    # At dim 5 a powers suite fits up to n = 23 and is refused from n = 24:
-    # each row n is priced C(n + 4, n) n^2, and so is the criterion's degree 4.
-    assert _suite_size(5, 23) == sum(math.comb(n + 4, n) * n * n for n in range(2, 24))
-    assert _suite_size(5, 23) == 37404895 <= MAX_SWEEP
-    with pytest.raises(ValueError, match="the sweeps of degrees 2 to 24 on 5 basis elements "
-                       "have size 49198495, above the cap of %d" % MAX_SWEEP):
-        _suite_size(5, 24)
-    assert _suite_size(5, 2) == _suite_size(5, 4)
+def test_cap_refuses_huge_sweeps_before_any_work(a230, tmp_path):
+    # At dim 5 a powers suite fits up to n = 26 and is refused from n = 27:
+    # each row n is priced C(n + 4, n) n^2 products of 44 steps (5
+    # coordinates, 7 structure constants, 32 fixed), and so is the
+    # criterion's degree 4.
+    size = 44 * sum(math.comb(n + 4, n) * n * n for n in range(2, 27))
+    assert sweep_size(a230, *powers_suite(26)) == size == 3633020600 <= MAX_SWEEP
+    with pytest.raises(ValueError, match="the 26 sweeps of degrees up to 27 on 5 basis elements, "
+                       "at 44 steps a product, have size 4642291940, above the cap of %d"
+                       % MAX_SWEEP):
+        sweep_size(a230, *powers_suite(27))
     with pytest.raises(ValueError, match="has size %d, above the cap of %d"
-                       % (math.comb(44, 40) * 1600, MAX_SWEEP)):
-        sweep_size(5, (40,))
+                       % (44 * math.comb(44, 40) * 1600, MAX_SWEEP)):
+        sweep_size(a230, (40,))
+    save_dim64_table(tmp_path / "dim64.json")
+    dim64 = core.load_algebra(str(tmp_path / "dim64.json"))
     for ident in identity_registry().values():
         with pytest.raises(ValueError, match="above the cap"):
-            sweep_size(64, tuple(ident.degrees.values()))
+            sweep_size(dim64, tuple(ident.degrees.values()))
     start = time.perf_counter()
     with pytest.raises(ValueError, match="above the cap"):
         check_nth_hom_power_associative(a230, 40)
-    with pytest.raises(ValueError, match="above the cap"):
-        _suite_size(5, 10**100)
+    with pytest.raises(ValueError, match="a sweep of degrees %d on 5 .* above the cap" % 10**100):
+        _suite_powers(a230, argparse.Namespace(nmax=10**100), None)
     assert time.perf_counter() - start < 1.0
 
 
