@@ -37,7 +37,8 @@ became one sweep and R-composition a proof on basis pairs:
 ``check_albert5_230.json``, ``check_albert5_m147.json``,
 ``check_random00.json``, ``check_random00.txt``,
 ``check_random00_rational.json``, ``jordan_random00.txt``,
-``operators_albert5_230.json`` and ``operators_albert5_230_e_nmax3.txt``.
+``operators_albert5_230.json`` and ``operators_albert5_230_e.txt`` (then
+``operators_albert5_230_e_nmax3.txt``).
 Only the Jordan note, the ``mul-operator-identities`` row (its note,
 and where it fails its witness, now a basis pair, and its lhs and rhs)
 and the ``operators`` config (no ``samples`` or ``seed``) changed, and
@@ -71,18 +72,27 @@ regenerated when ``mul-operator-identities`` came to be decided by the
 right Hom-alternative law that it restates: ``check_albert5_230.json``,
 ``check_albert5_m147.json``, ``check_random00.json``,
 ``check_random00.txt``, ``check_random00_rational.json``,
-``operators_albert5_230.json``, ``operators_albert5_230_e_nmax3.json``
-and ``operators_albert5_230_e_nmax3.txt``.  Only that row's note
+``operators_albert5_230.json``, ``operators_albert5_230_e.json`` and
+``operators_albert5_230_e.txt`` (then named ``_e_nmax3``).  Only that row's note
 changed: on random-00 the law's witness (0, 0, 0) gives the basis pair
 (0, 0) that the basis-pair loops reported, with the same lhs and rhs.
 tests/test_operators.py holds the row to a reference that builds every
 operator from mul, and tests/test_lattice.py replays its failing rows
 through perfbench/reference.py.  ``jordan_random00.json``,
 ``symbolic_teichmuller.json``, ``symbolic_certificates.json``,
-``decompose_albert5_230_e.json`` and ``operators_albert5_230_e_nmax3.json``
+``decompose_albert5_230_e.json`` and ``operators_albert5_230_e.json``
 pin the ``config`` block that each of those commands echoes; they were
 written while a checker command's report still read its config from a
-record of its own, before it read the parsed flags.  To regenerate a file after an
+record of its own, before it read the parsed flags.  Four files were
+regenerated when the idempotent operator suite came to check each power
+family at its first member only, R^2 = alpha R and T^2 = alpha^4 T, and
+to prove the rest by induction on n, and ``operators`` lost ``--nmax``:
+``check_albert5_230.json``, ``operators_albert5_230.json``, and
+``operators_albert5_230_e.json`` and ``operators_albert5_230_e.txt``,
+which were ``operators_albert5_230_e_nmax3.json`` and ``.txt`` and whose
+command lost ``--nmax 3``.  Only that row's note and the ``operators``
+config (no ``nmax``) changed; tests/test_operators.py holds the suite to
+the matrix powers up to n = 10.  To regenerate a file after an
 intended change of output, run its command from data/golden/ with
 ``python -m homalt.cli ARGS > FILE``.
 """
@@ -132,12 +142,11 @@ CASES = [
     ("jordan_random00.json", 1, ["jordan", "random-00.json", "--output", "json"]),
     ("operators_albert5_230.json", 0,
      ["operators", "albert5", "--twist", "2,3,0", "--output", "json"]),
-    ("operators_albert5_230_e_nmax3.txt", 0,
+    ("operators_albert5_230_e.txt", 0,
+     ["operators", "albert5", "--twist", "2,3,0", "--idempotent", "1,0,0,0,0"]),
+    ("operators_albert5_230_e.json", 0,
      ["operators", "albert5", "--twist", "2,3,0", "--idempotent", "1,0,0,0,0",
-      "--nmax", "3"]),
-    ("operators_albert5_230_e_nmax3.json", 0,
-     ["operators", "albert5", "--twist", "2,3,0", "--idempotent", "1,0,0,0,0",
-      "--nmax", "3", "--output", "json"]),
+      "--output", "json"]),
     ("symbolic.json", 0, ["symbolic", "--output", "json"]),
     ("symbolic_teichmuller.txt", 0, ["symbolic", "--teichmuller"]),
     ("symbolic_teichmuller.json", 0, ["symbolic", "--teichmuller", "--output", "json"]),
