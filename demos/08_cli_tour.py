@@ -26,7 +26,7 @@ COMMANDS = [
     ["identity", "albert5", "--twist", "2,3,0",
      "--expr", "(= (as x y y) (scale 0 x))"],
     # free-algebra facts need no algebra at all
-    ["symbolic", "--teichmuller"],
+    ["symbolic"],
 ]
 
 for argv in COMMANDS:

@@ -37,7 +37,8 @@ its shipped certificate then proves it in every such algebra.  Otherwise
 verify -- the suite runs the lattice sweep, which evaluates the identity
 once per point and also finds the witness.  ``identity`` always sweeps,
 unless its identity normalizes to zero in the free multiplicative Hom-algebra.
-A sweep whose size (``powers.sweep_size``) is above ``powers.MAX_SWEEP``
+A sweep whose size (``powers.sweep_size``; an identity's is
+``symbolic.identity_sweep_size``) is above ``powers.MAX_SWEEP``
 is bad input (exit 2); the powers and identities suites size theirs
 while they decide their preconditions, the powers suite all its rows'
 sweeps together.
@@ -115,6 +116,7 @@ from .symbolic import (
     certified_identities,
     check_identity_on_algebra,
     identity_registry,
+    identity_sweep_size,
     load_certificates,
     shipped_certificate_report,
     verify_hom_teichmuller,
@@ -144,7 +146,7 @@ COMMANDS = {
     "jordan": (("jordan",), ("timings",)),
     "decompose": (("decompose",), ("idempotent", "timings")),
     "operators": (("operators",), ("idempotent", "timings")),
-    "symbolic": (("symbolic",), ("teichmuller", "certificates", "timings")),
+    "symbolic": (("symbolic",), ("timings",)),
 }
 
 
@@ -406,7 +408,7 @@ def _suite_identities(A, args, idempotent):
     transfer = _transferable(A)
     for ident in identity_registry().values():
         if ident.name not in transfer:
-            sweep_size(A, tuple(ident.degrees.values()))
+            identity_sweep_size(A, ident.defect(), ident.degrees)
     return [
         partial(_transferred, ident.name)
         if ident.name in transfer
@@ -426,10 +428,8 @@ def _teichmuller():
 
 
 def _suite_symbolic(A, args, idempotent):
-    checks = [_teichmuller] if args.teichmuller else []
-    if args.certificates:
-        checks += [partial(shipped_certificate_report, n) for n in sorted(load_certificates())]
-    return checks
+    return [_teichmuller] + [partial(shipped_certificate_report, n)
+                             for n in sorted(load_certificates())]
 
 
 _SUITE_FNS = {
@@ -456,8 +456,6 @@ def run(args):
     unknown = [s for s in wanted if s not in ALL_SUITES]
     if unknown:
         raise InputError("unknown suite %s (have: %s)" % (quote(unknown[0]), ", ".join(ALL_SUITES)))
-    if args.command == "symbolic" and not (args.teichmuller or args.certificates):
-        args.teichmuller = args.certificates = True  # neither flag runs both
     A = source = given = None
     if args.algebra is not None:
         A, source = _resolve_algebra(args.algebra, args.twist)
@@ -586,14 +584,6 @@ def _add_identity(p):
     p.set_defaults(fn=cmd_identity)
 
 
-def _add_symbolic(p):
-    # default=False: an option without one takes the parser's (rep's) default
-    p.add_argument("--teichmuller", action="store_true", default=False,
-                   help="only the five-term expansion")
-    p.add_argument("--certificates", action="store_true", default=False,
-                   help="only the shipped certificates")
-
-
 def _add_distinguish(p):
     p.add_argument("algebra", help="first algebra (path or 'albert5')")
     p.add_argument("other", help="second algebra (path or 'albert5')")
@@ -613,7 +603,7 @@ SUBCOMMANDS = {
     "decompose": (("alg", "rep"), "idempotent splitting of the algebra", _add_decompose),
     "operators": (("alg", "rep"), "multiplication-operator identities", _add_decompose),
     "identity": (("alg", "rep"), "prove an s-expression identity", _add_identity),
-    "symbolic": (("rep",), "free-algebra checks and certificates", _add_symbolic),
+    "symbolic": (("rep",), "free-algebra checks and certificates", None),
     "distinguish": (("rep",), "separate two algebras by alpha spectra", _add_distinguish),
 }
 
@@ -650,8 +640,7 @@ def _build_parser(command=None):
         "--timings", action="store_true", help="add wall-clock times (breaks byte-determinism)"
     )
     # A checker command's function, and what it runs with for the flags it lacks (see run).
-    rep.set_defaults(fn=run, nmax=5, idempotent=None, algebra=None, twist=None,
-                     teichmuller=True, certificates=True)
+    rep.set_defaults(fn=run, nmax=5, idempotent=None, algebra=None, twist=None)
 
     parents = {"alg": alg, "out": out, "rep": rep}
     for name, (uses, help_, add_flags) in SUBCOMMANDS.items():

@@ -38,10 +38,11 @@ sweep is a proof, not a sample, and a failure is replayed by evaluating
 P at x_M with mul and alpha alone.  For several variable groups, of
 degrees d_1, ..., d_g, the points are the product of the groups'
 lattices, one evaluation each.  sweep_size prices a sweep as its points
-times the square of its total degree D (a powers row n makes about n^2
-alpha applications at each point) times the cost of one product in the
-algebra, which grows with its nonzero structure constants, and refuses a
-sweep, or a powers suite's sweeps together, above MAX_SWEEP.
+times the operations at each point, the square of its total degree D (a
+powers row n makes about n^2 alpha applications at each point) or an
+identity's products or alpha applications if more, times the cost of one
+product in the algebra, which grows with its nonzero structure constants,
+and refuses a sweep, or a powers suite's sweeps together, above MAX_SWEEP.
 
 The defects are unreduced integer rows (core.mul_nums): x_M is an integer
 vector, so each tag's defect lies over one denominator, a product of powers
@@ -122,21 +123,25 @@ def _lattice_point(dim, M):
 MAX_SWEEP = 4_000_000_000
 
 
-def sweep_size(A, *sweeps):
+def sweep_size(A, *sweeps, work=0):
     """The price of the given sweeps on A together, each named by its tuple of
-    degrees: its lattice points, prod C(dim + d - 1, d), times D^2 for D their
-    sum (about the products and alpha applications at each point), times the
-    steps of one product of dense rows in A, an upper bound: one per coordinate
-    of x and one per nonzero structure constant, plus 32 for its fixed cost,
-    fitted to the timings of albert5, its sums and dense tables.  ValueError
-    above MAX_SWEEP."""
+    degrees: its lattice points, prod C(dim + d - 1, d), times the operations at
+    each point, times the steps of one product of dense rows in A.  A point
+    costs D^2 operations, for D the sum of the degrees (a powers row n makes
+    about n^2 alpha applications), or work when that is more: an identity's
+    evaluation makes a number of products and alpha applications that its
+    degrees do not bound (symbolic.identity_sweep_size).  A product's steps
+    are an upper bound: one per coordinate of x and one per nonzero structure
+    constant, plus 32 for its fixed cost, fitted to the timings of albert5, its
+    sums and dense tables.  ValueError above MAX_SWEEP."""
     cost = A.fact("product-cost", lambda: A.dim + 32 + sum(
         len(pairs) for row in A._mu_num for _, pairs in row))
-    size = cost * sum(prod(comb(A.dim + d - 1, d) for d in degrees) * sum(degrees) ** 2
+    size = cost * sum(prod(comb(A.dim + d - 1, d) for d in degrees) * max(sum(degrees) ** 2, work)
                       for degrees in sweeps)
     if size > MAX_SWEEP:
         one = len(sweeps) == 1
-        what = ("a sweep of degrees %s" % ",".join(map(str, sweeps[0])) if one
+        what = ("a sweep of degrees %s (%d operations a point)" % (
+            ",".join(map(str, sweeps[0])), max(sum(sweeps[0]) ** 2, work)) if one
                 else "the %d sweeps of degrees up to %d" % (len(sweeps), max(map(sum, sweeps))))
         raise ValueError("%s on %d basis elements, at %d steps a product, %s size %d, above the "
                          "cap of %d" % (what, A.dim, cost, "has" if one else "have", size,

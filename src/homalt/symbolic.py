@@ -54,7 +54,7 @@ from operator import itemgetter
 from .linalg import ONE, ZERO, as_scalar, format_scalar, parse_scalar, quote, row_times
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
 from .core import CheckReport, mul, mul_nums, require  # noqa: F401
-from .powers import polarized_defect_sweep
+from .powers import polarized_defect_sweep, sweep_size
 from .record import FrozenRecord
 
 __all__ = [
@@ -303,14 +303,14 @@ def specialize_classical(p):
 
 
 def _compile_tree(A, tree, slot_of, dens, done):
-    """(f, slots, den): f(xs, ids) is tree at one integer row per variable,
-    xs[t] over dens[t], as integer numerators over den.
+    """(f, slots, den, memo): f(xs, ids) is tree at one integer row per
+    variable, xs[t] over dens[t], as integer numerators over den.
 
     tree reads xs[slots].  ids numbers the values in xs, and f memoises
-    on ids[slots] through one operator.itemgetter, so a subtree shared
-    by terms or unchanged between sweep points is evaluated once; done
-    maps the trees already compiled.  A subtree of every variable has a
-    new key at each sweep point, so it keeps only the current one.
+    on ids[slots] through one operator.itemgetter in memo, so a subtree
+    shared by terms or unchanged between sweep points is evaluated once;
+    done maps the trees already compiled.  A subtree of every variable has
+    a new key at each sweep point, so it keeps only the current one.
     """
     if tree in done:
         return done[tree]
@@ -327,8 +327,8 @@ def _compile_tree(A, tree, slot_of, dens, done):
             return e
 
     else:
-        left, lslots, lden = _compile_tree(A, tree[1], slot_of, dens, done)
-        right, rslots, rden = _compile_tree(A, tree[2], slot_of, dens, done)
+        left, lslots, lden, _ = _compile_tree(A, tree[1], slot_of, dens, done)
+        right, rslots, rden, _ = _compile_tree(A, tree[2], slot_of, dens, done)
         slots, den = tuple(sorted(set(lslots + rslots))), lden * rden * A._mu_den
 
         def compute(xs, ids):
@@ -345,22 +345,33 @@ def _compile_tree(A, tree, slot_of, dens, done):
             e = memo[k] = compute(xs, ids)
         return e
 
-    done[tree] = f, slots, den
+    done[tree] = f, slots, den, memo
     return done[tree]
 
 
 def _polynomial_evaluator(A, p, names, dens):
     """xs -> (numerators, denominator) of p at one integer row per variable
-    in names, xs[t] over dens[t]; the denominator is the same at every xs."""
+    in names, xs[t] over dens[t]; the denominator is the same at every xs.
+
+    The first variable is a sweep's outermost, whose rows do not recur, so
+    its row is numbered only while it is current: when it changes, every
+    subtree that reads it forgets its values.  The other rows are numbered
+    for good, since an inner group's points recur at each outer one."""
     slot_of = {v: t for t, v in enumerate(names)}
     done = {}
     trees = [(_compile_tree(A, m.tree, slot_of, dens, done), c) for m, c in p.terms()]
-    den = lcm(*(c.denominator * tden for (_, _, tden), c in trees))
-    terms = [(f, c.numerator * (den // (c.denominator * tden))) for (f, _, tden), c in trees]
-    seen = {}  # row -> its number
+    den = lcm(*(c.denominator * tden for (_, _, tden, _), c in trees))
+    terms = [(f, c.numerator * (den // (c.denominator * tden))) for (f, _, tden, _), c in trees]
+    outer_memos = [memo for _, slots, _, memo in done.values() if slots[0] == 0]
+    seen = {}  # inner row -> its number
+    current = [()]  # the outermost row, as xs[:1]
 
     def evaluate(xs):
-        ids = tuple([seen.setdefault(x, len(seen)) for x in xs])
+        if xs[:1] != current[0]:
+            current[0] = xs[:1]
+            for memo in outer_memos:
+                memo.clear()
+        ids = (0, *[seen.setdefault(x, len(seen)) for x in xs[1:]])
         acc = [0] * A.dim
         for f, factor in terms:
             acc = [s + factor * a for s, a in zip(acc, f(xs, ids))]
@@ -518,13 +529,35 @@ def multilinearize(p, degrees):
 _FREE_ZERO_NOTE = "normalizes to zero in the free multiplicative Hom-algebra"
 
 
+def identity_sweep_size(A, defect, degrees):
+    """powers.sweep_size of the lattice sweep of defect, of multidegree
+    degrees, on A: a point costs the most of D^2, D the total degree, and
+    the products and the alpha applications that one evaluation makes --
+    one product per distinct product node of defect, and k alpha
+    applications per distinct leaf alpha^k(v) -- counted in one walk of
+    its distinct subtrees.  ValueError above powers.MAX_SWEEP."""
+    seen, products, alphas = set(), 0, 0
+    stack = [m.tree for m in defect._terms]
+    while stack:
+        tree = stack.pop()
+        if tree not in seen:
+            seen.add(tree)
+            if tree[0] == "v":
+                alphas += tree[2]
+            else:
+                products += 1
+                stack += tree[1:]
+    return sweep_size(A, tuple(degrees.values()), work=max(products, alphas))
+
+
 def check_identity_on_algebra(A, lhs, rhs, name="identity"):
     """Exact proof that lhs = rhs holds throughout A.
 
     A must be multiplicative: lhs and rhs are normal forms in the free
     multiplicative Hom-algebra.  When lhs - rhs normalizes to zero there,
     the identity holds without a sweep.  Otherwise both sides must share
-    one multidegree (ValueError otherwise), and the defect is evaluated
+    one multidegree (ValueError otherwise), the sweep must fit the cap of
+    identity_sweep_size (ValueError otherwise), and the defect is evaluated
     by powers.polarized_defect_sweep at each lattice point: each variable
     v of degree d is x_M, the sum of the basis elements of a multiset M
     of d indices, variables in sorted order.  A failure witnesses
@@ -535,6 +568,7 @@ def check_identity_on_algebra(A, lhs, rhs, name="identity"):
     if defect.is_zero():
         return CheckReport(True, name, note=_FREE_ZERO_NOTE)
     degrees = _multidegree(lhs, rhs)
+    identity_sweep_size(A, defect, degrees)
     names = list(degrees)
     evaluate = _polynomial_evaluator(A, defect, names, [1] * len(names))
     rep = polarized_defect_sweep(A, tuple(degrees.values()),

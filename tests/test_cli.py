@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from homalt import cli, core, idempotents, linalg, powers
+from homalt import cli, core, idempotents, linalg, powers, symbolic
 from homalt.cli import _build_parser, main
 from homalt.constructions import (
     AlbertParams,
@@ -337,8 +337,9 @@ def test_sweep_above_the_cap_exits_two_at_once(capsys):
     )
     assert main(["powers", "albert5", "--n", "40"]) == 2
     assert capsys.readouterr().err == (
-        "error: a sweep of degrees 40 on 5 basis elements, at 44 steps a product, "
-        "has size %d, above the cap of %d\n" % (44 * math.comb(44, 40) * 1600, powers.MAX_SWEEP)
+        "error: a sweep of degrees 40 (1600 operations a point) on 5 basis elements, at 44 "
+        "steps a product, has size %d, above the cap of %d\n"
+        % (44 * math.comb(44, 40) * 1600, powers.MAX_SWEEP)
     )
     assert time.perf_counter() - start < 1.0
     assert powers.sweep_size(albert5_base(), *((k,) for k in range(2, 27))) <= powers.MAX_SWEEP
@@ -367,8 +368,9 @@ def test_dense_table_sweeps_are_priced_by_their_products(tmp_path, monkeypatch, 
     assert main(["powers", "dense24.json", "--n", "5"]) == 2
     assert time.perf_counter() - start < 5.0
     assert capsys.readouterr() == ("", (
-        "error: a sweep of degrees 5 on 24 basis elements, at 13880 steps a product, "
-        "has size %d, above the cap of %d\n" % (13880 * math.comb(28, 5) * 25, powers.MAX_SWEEP)))
+        "error: a sweep of degrees 5 (25 operations a point) on 24 basis elements, at 13880 "
+        "steps a product, has size %d, above the cap of %d\n"
+        % (13880 * math.comb(28, 5) * 25, powers.MAX_SWEEP)))
 
 
 @pytest.mark.parametrize("argv", [["powers", "albert5", "--n", "14"],
@@ -408,8 +410,8 @@ def test_dim_64_identity_sweeps_exit_two(argv, degrees, size, tmp_path, monkeypa
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        "error: a sweep of degrees %s on 64 basis elements, at 98 steps a product, has size "
-        "%d, above the cap of %d\n" % (degrees, size, powers.MAX_SWEEP)
+        "error: a sweep of degrees %s (16 operations a point) on 64 basis elements, at 98 "
+        "steps a product, has size %d, above the cap of %d\n" % (degrees, size, powers.MAX_SWEEP)
     )
 
 
@@ -795,6 +797,12 @@ def test_operators_command_takes_no_nmax_flag(capsys):
     assert code == 2 and "unrecognized arguments: --nmax 3" in err
 
 
+@pytest.mark.parametrize("flag", ["--teichmuller", "--certificates"])
+def test_symbolic_command_takes_no_part_flags(flag, capsys):
+    code, err = exit_and_stderr(["symbolic", flag], capsys)
+    assert code == 2 and "unrecognized arguments: %s" % flag in err
+
+
 def test_decompose_command_reports_the_parts(capsys):
     assert main(["decompose", "albert5", "--twist", "2,3,0"]) == 0
     out = capsys.readouterr().out
@@ -872,8 +880,8 @@ FLAGS = {
     "identity": {"algebra": None, ("--twist",): None, ("--output",): "text",
                  ("--timings",): False, ("--expr",): None, ("--file",): None,
                  ("--name",): "identity"},
-    "symbolic": {("--output",): "text", ("--timings",): False, ("--teichmuller",): False,
-                 ("--certificates",): False},
+    # symbolic always runs its whole suite, so it lost --teichmuller and --certificates
+    "symbolic": {("--output",): "text", ("--timings",): False},
     "distinguish": {("--output",): "text", ("--timings",): False, "algebra": None,
                     "other": None},
 }
@@ -889,20 +897,11 @@ def test_every_command_keeps_its_flags_and_defaults():
     assert got == FLAGS
 
 
-def test_symbolic_teichmuller(capsys):
-    assert main(["symbolic", "--teichmuller"]) == 0
-    out = capsys.readouterr().out
-    assert "10 terms → 0" in out
-    assert "1/1 checks passed" in out
-
-
-def test_symbolic_certificates(capsys):
-    assert main(["symbolic", "--certificates"]) == 0
-    out = capsys.readouterr().out
-    assert "certificate:assoc-shift" in out
-    assert "6/6 checks passed" in out
-
-
 def test_symbolic_default_runs_both(capsys):
+    # The Hom-Teichmuller expansion, then the six certificates by name.
     assert main(["symbolic"]) == 0
-    assert "7/7 checks passed" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "PASS  [symbolic] hom-teichmuller  -- 10 terms → 0"
+    assert [line.split()[2] for line in out[1:7]] == [
+        "certificate:" + n for n in sorted(symbolic.load_certificates())]
+    assert out[7:] == ["7/7 checks passed"]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homalt import core
+from homalt import core, symbolic
 from homalt.cli import _suite_powers
 from homalt.constructions import direct_sum, plus_algebra
 from homalt.core import HomAlgebra, apply_alpha, mul
@@ -24,7 +24,8 @@ from homalt.powers import (
     polarized_defect_sweep,
     sweep_size,
 )
-from homalt.symbolic import identity_registry
+from homalt.dsl import parse_identity
+from homalt.symbolic import check_identity_on_algebra, identity_registry, identity_sweep_size
 
 from conftest import (SIX, lattice_point, lattice_sweep, random_element, six_algebra,
                       twisted_albert)
@@ -246,8 +247,9 @@ def test_default_sweeps_fit_the_cap_up_to_dim_20():
     # the largest being associator-tail; a point of total degree D is priced D^2.
     A = albert5_sum(4)
     assert sweep_size(A, *powers_suite(5)) == 80 * (210 * 4 + 1540 * 9 + 8855 * 16 + 42504 * 25)
-    for degrees in ((3,), *(tuple(i.degrees.values()) for i in identity_registry().values())):
-        assert sweep_size(plus_algebra(A) if degrees == (3,) else A, degrees) <= MAX_SWEEP
+    assert sweep_size(plus_algebra(A), (3,)) <= MAX_SWEEP
+    for ident in identity_registry().values():
+        assert identity_sweep_size(A, ident.defect(), ident.degrees) <= MAX_SWEEP
     assert sweep_size(A, (1, 2, 2)) == 20 * 210 * 210 * 25 * 80 == 1764000000
 
 
@@ -256,7 +258,7 @@ def test_the_cap_admits_every_sweep_the_old_price_admitted():
     # sweep that an earlier price admitted still fits: 2^D per point of total
     # degree D under a cap of 2^25 (a powers suite paying for its largest
     # degree only), and D^2 per point under a cap of 40,000,000.
-    idents = [tuple(i.degrees.values()) for i in identity_registry().values()]
+    idents = identity_registry().values()
     for copies in range(1, 9):
         A = albert5_sum(copies)
 
@@ -268,10 +270,11 @@ def test_the_cap_admits_every_sweep_the_old_price_admitted():
             if (points(rows[-1]) << rows[-1][0] <= 2**25
                     or sum(points(r) * r[0] ** 2 for r in rows) <= 40_000_000):
                 assert sweep_size(A, *rows) <= MAX_SWEEP
-        for degrees in idents:
+        for ident in idents:
+            degrees = tuple(ident.degrees.values())
             D = sum(degrees)
             if points(degrees) << D <= 2**25 or points(degrees) * D * D <= 40_000_000:
-                assert sweep_size(A, degrees) <= MAX_SWEEP
+                assert identity_sweep_size(A, ident.defect(), ident.degrees) <= MAX_SWEEP
 
 
 def test_cap_refuses_huge_sweeps_before_any_work(a230, tmp_path):
@@ -292,13 +295,71 @@ def test_cap_refuses_huge_sweeps_before_any_work(a230, tmp_path):
     dim64 = core.load_algebra(str(tmp_path / "dim64.json"))
     for ident in identity_registry().values():
         with pytest.raises(ValueError, match="above the cap"):
-            sweep_size(dim64, tuple(ident.degrees.values()))
+            identity_sweep_size(dim64, ident.defect(), ident.degrees)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="above the cap"):
         check_nth_hom_power_associative(a230, 40)
-    with pytest.raises(ValueError, match="a sweep of degrees %d on 5 .* above the cap" % 10**100):
+    with pytest.raises(ValueError, match=r"a sweep of degrees %d \(%d operations a point\) on 5 "
+                       ".* above the cap" % (10**100, 10**200)):
         _suite_powers(a230, argparse.Namespace(nmax=10**100), None)
     assert time.perf_counter() - start < 1.0
+
+
+# The operations each registry identity's price charges a point: the most of
+# D^2 and the (products, alpha applications) of one evaluation, one product
+# per distinct product node of its defect and k alpha applications per
+# distinct leaf alpha^k(v).  Those are assoc-shift (11, 7), assoc-shift-linear
+# (22, 10), commutator-exchange (18, 10), middle-square (16, 7), right-moufang
+# (6, 6) and associator-tail (15, 12), against D^2 = 16, 16, 16, 16, 16, 25.
+REGISTRY_WORK = {"assoc-shift": 16, "assoc-shift-linear": 22, "commutator-exchange": 18,
+                 "middle-square": 16, "right-moufang": 16, "associator-tail": 25}
+
+
+def alpha_shift_sum(K):
+    """sum_{k<K} alpha^k(x^2 alpha(x)) = sum_{k<K} alpha^k(alpha(x) x^2), which
+    holds in every multiplicative right Hom-alternative algebra.  Its degree
+    is 3 for every K, but one evaluation makes 3K products and K(K + 1)/2
+    alpha applications: the leaves alpha^k(x), k <= K."""
+    lhs = " ".join("(a %d (mul (mul x (a 0 x)) (a 1 x)))" % k for k in range(K))
+    rhs = " ".join("(a %d (mul (a 1 x) (mul x (a 0 x))))" % k for k in range(K))
+    return parse_identity("(= (add %s) (add %s))" % (lhs, rhs))
+
+
+def test_identities_are_priced_by_their_evaluations(a230):
+    # A registry identity pays at most 1.4 times what its degrees alone
+    # charge: assoc-shift-linear's 22 products against D^2 = 16.
+    A = albert5_sum(4)
+    for name, ident in identity_registry().items():
+        degrees = tuple(ident.degrees.values())
+        price = identity_sweep_size(A, ident.defect(), ident.degrees)
+        assert price * sum(degrees) ** 2 == sweep_size(A, degrees) * REGISTRY_WORK[name], name
+    # At dim 35 assoc-shift-linear still fits the cap, at 3.83e9.
+    ident = identity_registry()["assoc-shift-linear"]
+    price = identity_sweep_size(albert5_sum(7), ident.defect(), ident.degrees)
+    assert price == 116 * 35**4 * 22 == 3829595000 <= MAX_SWEEP
+    # The benchmark's x^5 = x^(3,2) makes 8 products and 6 alpha applications: D^2 = 25.
+    lhs, rhs = parse_identity("(= (mul (mul (mul (mul x (a 0 x)) (a 1 x)) (a 2 x)) (a 3 x)) "
+                              "(mul (a 1 (mul (mul x (a 0 x)) (a 1 x))) (a 2 (mul x (a 0 x)))))")
+    assert identity_sweep_size(a230, lhs - rhs, {"x": 5}) == sweep_size(a230, (5,))
+
+
+def test_an_identity_of_many_terms_is_refused_before_any_sweep(a230, monkeypatch):
+    # K = 998 on the dim-20 sum was priced 1,108,800 by its degree alone
+    # (under 0.05 s), but K = 100 takes 15-19 s there (2 vCPUs): at K = 998
+    # each point makes 2,994 products and 498,501 alpha applications.
+    lhs, rhs = alpha_shift_sum(998)
+    A = albert5_sum(4)
+    with monkeypatch.context() as m:
+        m.setattr(symbolic, "polarized_defect_sweep", None)  # a sweep would call it
+        with pytest.raises(ValueError, match=r"^a sweep of degrees 3 \(498501 operations a "
+                           r"point\) on 20 basis elements, at 80 steps a product, has size %d, "
+                           "above the cap" % (1540 * 498501 * 80)):
+            check_identity_on_algebra(A, lhs, rhs)
+    # On albert5 it fits: K = 400 took 3.8-4.9 s and K = 998 24-26 s (2 vCPUs).
+    for K in (400, 998):
+        lhs, rhs = alpha_shift_sum(K)
+        assert identity_sweep_size(a230, lhs - rhs, {"x": 3}) == 35 * 44 * K * (K + 1) // 2
+    assert check_identity_on_algebra(a230, *alpha_shift_sum(20)).passed
 
 
 def test_sweep_streams_its_outermost_group(tmp_path):

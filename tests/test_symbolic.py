@@ -50,7 +50,7 @@ from homalt.symbolic import (
     verify_hom_teichmuller,
 )
 
-from conftest import evaluate_polynomial, random_element
+from conftest import evaluate_polynomial, hom_power_pair_poly, hom_power_poly, random_element
 
 
 # -- raw trees, which may also hold ("a", subtree) nodes: the reference for
@@ -365,6 +365,20 @@ def test_identity_sweep_keeps_one_point_of_its_full_subtrees(a230):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20, peak
+
+
+def test_identity_sweep_keeps_no_row_of_past_points(a230):
+    # A one-variable sweep's rows do not recur.  Numbering every row for good
+    # kept one per lattice point: 0.38 MB for the 2,002 points of x^5 =
+    # x^(3,2) here, and 52 MB peak RSS for the 118,755 of the dim-25 sum.
+    A = direct_sum(a230, a230)
+    tracemalloc.start()
+    try:
+        assert check_identity_on_algebra(A, hom_power_poly(5), hom_power_pair_poly(3, 2)).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 # Each registry identity's multidegree, written out by hand.
