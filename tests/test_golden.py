@@ -79,7 +79,6 @@ changed: on random-00 the law's witness (0, 0, 0) gives the basis pair
 tests/test_operators.py holds the row to a reference that builds every
 operator from mul, and tests/test_lattice.py replays its failing rows
 through perfbench/reference.py.  ``jordan_random00.json``,
-``symbolic_teichmuller.json``, ``symbolic_certificates.json``,
 ``decompose_albert5_230_e.json`` and ``operators_albert5_230_e.json``
 pin the ``config`` block that each of those commands echoes; they were
 written while a checker command's report still read its config from a
@@ -92,8 +91,14 @@ to prove the rest by induction on n, and ``operators`` lost ``--nmax``:
 which were ``operators_albert5_230_e_nmax3.json`` and ``.txt`` and whose
 command lost ``--nmax 3``.  Only that row's note and the ``operators``
 config (no ``nmax``) changed; tests/test_operators.py holds the suite to
-the matrix powers up to n = 10.  To regenerate a file after an
-intended change of output, run its command from data/golden/ with
+the matrix powers up to n = 10.  ``symbolic.json`` was regenerated
+when ``symbolic`` lost ``--teichmuller`` and ``--certificates`` and came
+always to run its whole suite: only its config block (no
+``teichmuller`` or ``certificates`` field) changed.  Its rows are the
+ones that ``symbolic_teichmuller.txt``, ``symbolic_teichmuller.json``
+and ``symbolic_certificates.json`` pinned for the two flags; those
+files went with the flags.  To regenerate a file after an intended
+change of output, run its command from data/golden/ with
 ``python -m homalt.cli ARGS > FILE``.
 """
 
@@ -148,9 +153,6 @@ CASES = [
      ["operators", "albert5", "--twist", "2,3,0", "--idempotent", "1,0,0,0,0",
       "--output", "json"]),
     ("symbolic.json", 0, ["symbolic", "--output", "json"]),
-    ("symbolic_teichmuller.txt", 0, ["symbolic", "--teichmuller"]),
-    ("symbolic_teichmuller.json", 0, ["symbolic", "--teichmuller", "--output", "json"]),
-    ("symbolic_certificates.json", 0, ["symbolic", "--certificates", "--output", "json"]),
     ("powers_albert5_230_n4.json", 0,
      ["powers", "albert5", "--twist", "2,3,0", "--n", "4", "--output", "json"]),
     ("distinguish_rational.json", 0,
