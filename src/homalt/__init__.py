@@ -39,11 +39,7 @@ _LAZY = {
         "plus_algebra",
         "yau_twist",
     ),
-    "powers": (
-        "PowerTable",
-        "check_nth_hom_power_associative",
-        "check_third_fourth_criterion",
-    ),
+    "powers": ("check_nth_hom_power_associative", "check_third_fourth_criterion"),
     "jordan": ("check_hom_jordan", "check_hom_jordan_admissible", "jordan_defect"),
     "idempotents": (
         "Decomposition",

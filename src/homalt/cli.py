@@ -108,8 +108,7 @@ from .idempotents import albert_decomposition, decompose_element, idempotent_sea
 from .jordan import check_hom_jordan_admissible
 from .linalg import Matrix, clip, parse_scalar, quote
 from .operators import check_idempotent_operator_suite, check_mul_operator_identities
-from .powers import (DefectMemo, check_nth_hom_power_associative, check_third_fourth_criterion,
-                     sweep_size)
+from .powers import check_nth_hom_power_associative, check_third_fourth_criterion, sweep_size
 from .symbolic import (
     _FREE_ZERO_NOTE,
     IdentityDef,
@@ -321,10 +320,8 @@ def _suite_powers(A, args, idempotent):
     top = max(args.nmax, 4)
     sweep_size(A, (top,))
     sweep_size(A, *((n,) for n in range(2, top + 1)))
-    memo = DefectMemo(A)
-    rows = [partial(check_nth_hom_power_associative, A, n, memo=memo)
-            for n in range(2, args.nmax + 1)]
-    return rows + [partial(memo.last_row, check_third_fourth_criterion, A)]
+    rows = [partial(check_nth_hom_power_associative, A, n) for n in range(2, args.nmax + 1)]
+    return rows + [partial(check_third_fourth_criterion, A)]
 
 
 def _suite_jordan(A, args, idempotent):

@@ -18,9 +18,12 @@ which is the criterion checked by check_third_fourth_criterion.  By the
 definitions x^(n-1,1) = x^(n-1) * alpha^(n-2)(x) = x^n, so i = 1 is never
 a witness and only 2 <= i <= n-1 is checked; n = 2 then has no split to
 check (x^2 = x^(1,1) = x*x) and makes no product; and the criterion's
-two defects are the i = 2 defects of n = 3 and n = 4.  So one DefectMemo
-serves a powers suite: rows n = 3 and 4 keep their defects at each x_M,
-|M| = n, and the criterion row only reads them, making no product.
+two defects are the i = 2 defects of n = 3 and n = 4.
+
+Each law is a one-variable identity, so each check builds its defects,
+tagged by i or by "third"/"fourth", in the free multiplicative
+Hom-algebra (hom_power_poly, hom_power_pair_poly) and sweeps them with
+symbolic's evaluator, over one table of subtrees.
 
 Every check is one lattice sweep, so a verdict is a proof and a failure's
 witness is a basis multiset.  polarized_defect_sweep, the engine behind
@@ -37,12 +40,9 @@ P vanishes on that hyperplane and, being homogeneous, everywhere.  The
 sweep is a proof, not a sample, and a failure is replayed by evaluating
 P at x_M with mul and alpha alone.  For several variable groups, of
 degrees d_1, ..., d_g, the points are the product of the groups'
-lattices, one evaluation each.  sweep_size prices a sweep as its points
-times the operations at each point, the square of its total degree D (a
-powers row n makes about n^2 alpha applications at each point) or an
-identity's products or alpha applications if more, times the cost of one
-product in the algebra, which grows with its nonzero structure constants,
-and refuses a sweep, or a powers suite's sweeps together, above MAX_SWEEP.
+lattices, one evaluation each.  sweep_size prices a sweep by its points
+and the work at each, and refuses a sweep, or a powers suite's sweeps
+together, above MAX_SWEEP.
 
 The defects are unreduced integer rows (core.mul_nums): x_M is an integer
 vector, so each tag's defect lies over one denominator, a product of powers
@@ -51,63 +51,15 @@ numerators and reduces once, at a failing witness, to the one canonical
 form of that rational value: reports match a sweep on Elements.
 """
 
+import functools
 from itertools import combinations_with_replacement, product
-from math import comb, lcm, prod
+from math import comb, isqrt, prod
 
-from .linalg import Vector, row_times
+from .linalg import Vector
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
-from .core import CheckReport, Element, mul, mul_nums, require  # noqa: F401
+from .core import CheckReport, Element, mul, require  # noqa: F401
 
-__all__ = [
-    "PowerTable",
-    "check_nth_hom_power_associative",
-    "check_third_fourth_criterion",
-]
-
-
-class PowerTable:
-    """Hom-powers x^n of a fixed base element, memoised with their alpha^k, and
-    the pairs x^(i,j) they make, as unreduced integer rows (core.mul_nums) whose
-    denominators depend only on n, k and the base's; Elements handed out are reduced."""
-
-    def __init__(self, A, base):
-        if base.algebra is not A:
-            raise ValueError("elements belong to different algebras")
-        self.algebra = A
-        self._chains = {1: [(base.coords.nums, base.coords.den)]}  # n -> [alpha^k(x^n)]
-
-    def _row(self, n, k):
-        """(numerators, denominator) of alpha^k(x^n)."""
-        A, chain = self.algebra, self._chains.get(n)
-        if chain is None:
-            (a, da), (b, db) = self._row(n - 1, 0), self._row(1, n - 2)
-            chain = self._chains[n] = [(mul_nums(A, a, b), da * db * A._mu_den)]
-        while len(chain) <= k:
-            nums, den = chain[-1]
-            chain.append((row_times(nums, A.alpha), den * A.alpha.den))
-        return chain[k]
-
-    def _pair_row(self, i, j):
-        (a, da), (b, db) = self._row(i, j - 1), self._row(j, i - 1)
-        return mul_nums(self.algebra, a, b), da * db * self.algebra._mu_den
-
-    def power(self, n):
-        """x^n for n >= 1."""
-        return self.alpha_power(n, 0)
-
-    def alpha_power(self, n, k):
-        """alpha^k(x^n) for n >= 1, k >= 0."""
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("alpha powers need an integer k >= 0, got %r" % (k,))
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("Hom-powers are defined for n >= 1, got %r" % (n,))
-        return Element(self.algebra, Vector.from_ints(*self._row(n, k)))
-
-    def pair(self, i, j):
-        """x^(i,j) = alpha^(j-1)(x^i) * alpha^(i-1)(x^j), i, j >= 1."""
-        if not (isinstance(i, int) and isinstance(j, int) and i >= 1 and j >= 1):
-            raise ValueError("Hom-power pairs need i, j >= 1, got (%r, %r)" % (i, j))
-        return Element(self.algebra, Vector.from_ints(*self._pair_row(i, j)))
+__all__ = ["check_nth_hom_power_associative", "check_third_fourth_criterion"]
 
 
 def _lattice_point(dim, M):
@@ -133,9 +85,14 @@ def sweep_size(A, *sweeps, work=0):
     degrees do not bound (symbolic.identity_sweep_size).  A product's steps
     are an upper bound: one per coordinate of x and one per nonzero structure
     constant, plus 32 for its fixed cost, fitted to the timings of albert5, its
-    sums and dense tables.  ValueError above MAX_SWEEP."""
+    sums and dense tables.  ValueError above MAX_SWEEP, before the size is
+    formed when one point of the largest degree alone costs more."""
     cost = A.fact("product-cost", lambda: A.dim + 32 + sum(
         len(pairs) for row in A._mu_num for _, pairs in row))
+    if cost * max(map(sum, sweeps), default=0) ** 2 > MAX_SWEEP:
+        raise ValueError("a sweep of degree above %d on %d basis elements, at %d steps a product, "
+                         "costs more than the cap of %d at each point" % (
+                             isqrt(MAX_SWEEP // cost), A.dim, cost, MAX_SWEEP))
     size = cost * sum(prod(comb(A.dim + d - 1, d) for d in degrees) * max(sum(degrees) ** 2, work)
                       for degrees in sweeps)
     if size > MAX_SWEEP:
@@ -180,73 +137,57 @@ def polarized_defect_sweep(A, degrees, defects, law):
     return CheckReport(True, law)
 
 
-def _difference(x, y):
-    """(numerators, den) of the rows x - y, over the lcm of their dens."""
-    den = lcm(x[1], y[1])
-    fx, fy = den // x[1], den // y[1]
-    return [a * fx - b * fy for a, b in zip(x[0], y[0])], den
+@functools.cache
+def hom_power_poly(n):
+    """x^n = x^(n-1) * alpha^(n-2)(x) in the free multiplicative Hom-algebra, built once."""
+    from .symbolic import var  # symbolic imports this module
+
+    return var("x") if n == 1 else hom_power_poly(n - 1) * var("x", n - 2)
 
 
-class DefectMemo:
-    """The defects x^n - x^(n-i,i), 2 <= i < n, of one powers suite at
-    each lattice point x = x_M, n = |M|, shared by the suite's rows: the
-    criterion row rereads those of n = 3 and 4, so only those are kept.
-    The rows run in order on one thread, so nothing is locked, and the
-    last one releases it."""
-
-    def __init__(self, A):
-        self.algebra, self.entries = A, {}
-
-    def defects(self, x):
-        """[(i, numerators, den of x^n - x^(n-i,i)) for i in 2..n-1], n = sum(x)."""
-        entry = self.entries.get(x)
-        if entry is None:
-            A, n = self.algebra, sum(x)
-            t = PowerTable(A, Element(A, Vector.from_ints(x, 1)))
-            entry = [(i, *_difference(t._row(n, 0), t._pair_row(n - i, i))) for i in range(2, n)]
-            if n in (3, 4):
-                self.entries[x] = entry
-        return entry
-
-    def last_row(self, check, *args):
-        """check(*args, memo=self), then release the memo."""
-        try:
-            return check(*args, memo=self)
-        finally:
-            self.entries = {}
+def hom_power_pair_poly(i, j):
+    """x^(i,j) = alpha^(j-1)(x^i) * alpha^(i-1)(x^j) in the free multiplicative Hom-algebra."""
+    return hom_power_poly(i).alpha(j - 1) * hom_power_poly(j).alpha(i - 1)
 
 
-def check_nth_hom_power_associative(A, n, memo=None):
+def _sweep_defects(A, degree, defects, law):
+    """polarized_defect_sweep of the [(tag, polynomial in x)] defects, by symbolic's evaluator."""
+    from .symbolic import _polynomial_evaluator
+
+    evaluate = _polynomial_evaluator(A, defects, ["x"], [1])
+    return polarized_defect_sweep(A, degree, lambda x: evaluate((x,)), law)
+
+
+def check_nth_hom_power_associative(A, n):
     """x^n == x^(n-i,i) for all i, proved or refuted by the lattice sweep.
 
     A failure witnesses the first failing (basis multiset M, i), with the
-    defect x^n - x^(n-i,i) at x_M as lhs.  Requires a multiplicative
-    algebra.  memo, a DefectMemo, shares defects with a suite's other rows.
+    defect x^n - x^(n-i,i) at x_M as lhs.  Requires a multiplicative algebra.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("Hom-power associativity needs n >= 1, got %r" % (n,))
     require(A, "power associativity check", "multiplicative")
     law = "hom-power-associative(n=%d)" % n
-    rep = polarized_defect_sweep(A, n, (memo or DefectMemo(A)).defects, law)
+    sweep_size(A, (n,))  # before any polynomial is built
+    defects = [(i, hom_power_poly(n) - hom_power_pair_poly(n - i, i)) for i in range(2, n)]
+    rep = _sweep_defects(A, n, defects, law)
     rep.note = "lattice sweep %s" % ("proved it" if rep.passed else "found the failure")
     return rep
 
 
-def check_third_fourth_criterion(A, memo=None):
+def check_third_fourth_criterion(A):
     """x^2*alpha(x) == alpha(x)*x^2 and x^4 == alpha(x^2)*alpha(x^2).
 
     Proved or refuted by two lattice sweeps, of degrees 3 and 4; a
     failure witnesses (basis multiset M, "third" or "fourth"), with the
     defect at x_M as lhs.  For a multiplicative right Hom-alternative
-    algebra these two laws imply n-th Hom-power associativity for every
-    n.  memo, a DefectMemo, shares defects with a suite's other rows.
+    algebra these two laws imply n-th Hom-power associativity for all n.
     """
     require(A, "third/fourth power criterion", "multiplicative")
     law = "third-fourth-power-criterion"
-    memo = memo or DefectMemo(A)
     for degree, tag in ((3, "third"), (4, "fourth")):
-        rep = polarized_defect_sweep(
-            A, degree, lambda x, tag=tag: [(tag, *memo.defects(x)[0][1:])], law)
+        defect = hom_power_poly(degree) - hom_power_pair_poly(degree - 2, 2)
+        rep = _sweep_defects(A, degree, [(tag, defect)], law)
         if not rep.passed:
             rep.note = "lattice sweep found the failure"
             return rep

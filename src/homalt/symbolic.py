@@ -302,67 +302,64 @@ def specialize_classical(p):
 # -- evaluation of normalized polynomials ------------------------------------
 
 
-def _compile_tree(A, tree, slot_of, dens, done):
-    """(f, slots, den, memo): f(xs, ids) is tree at one integer row per
-    variable, xs[t] over dens[t], as integer numerators over den.
+def _compile_tree(tree, slot_of, nodes):
+    """(k, shift): tree is alpha^shift of node k.  nodes maps each node
+    (op, a, b) to its index, new ones added after their operands: the row
+    of variable a ("v"), alpha^b of node a ("a") or node a times node b ("m").
 
-    tree reads xs[slots].  ids numbers the values in xs, and f memoises
-    on ids[slots] through one operator.itemgetter in memo, so a subtree
-    shared by terms or unchanged between sweep points is evaluated once;
-    done maps the trees already compiled.  A subtree of every variable has
-    a new key at each sweep point, so it keeps only the current one.
-    """
-    if tree in done:
-        return done[tree]
+    The alpha rule: a tree whose leaves all have alpha-exponent >= 1 is
+    alpha applied to the tree shifted down once, in a multiplicative
+    algebra, which every caller requires.  So alpha^k(x^i) is alpha
+    applied to the row of x^i, not new products of shifted leaves."""
     if tree[0] == "v":
         if tree[1] not in slot_of:
             raise ValueError("unassigned variable %r" % tree[1])
-        slots, shift = (slot_of[tree[1]],), tree[2]
-        den = dens[slots[0]] * A.alpha.den ** shift
-
-        def compute(xs, ids):
-            e = xs[slots[0]]
-            for _ in range(shift):
-                e = row_times(e, A.alpha)
-            return e
-
-    else:
-        left, lslots, lden, _ = _compile_tree(A, tree[1], slot_of, dens, done)
-        right, rslots, rden, _ = _compile_tree(A, tree[2], slot_of, dens, done)
-        slots, den = tuple(sorted(set(lslots + rslots))), lden * rden * A._mu_den
-
-        def compute(xs, ids):
-            return mul_nums(A, left(xs, ids), right(xs, ids))
-
-    key, memo, full = itemgetter(*slots), {}, len(slots) == len(dens)
-
-    def f(xs, ids):
-        k = key(ids)
-        e = memo.get(k)
-        if e is None:
-            if full:
-                memo.clear()
-            e = memo[k] = compute(xs, ids)
-        return e
-
-    done[tree] = f, slots, den, memo
-    return done[tree]
+        return nodes.setdefault(("v", slot_of[tree[1]], 0), len(nodes)), tree[2]
+    left, ls = _compile_tree(tree[1], slot_of, nodes)
+    right, rs = _compile_tree(tree[2], slot_of, nodes)
+    shift = min(ls, rs)
+    left, right = _alpha_node(left, ls - shift, nodes), _alpha_node(right, rs - shift, nodes)
+    return nodes.setdefault(("m", left, right), len(nodes)), shift
 
 
-def _polynomial_evaluator(A, p, names, dens):
-    """xs -> (numerators, denominator) of p at one integer row per variable
-    in names, xs[t] over dens[t]; the denominator is the same at every xs.
+def _alpha_node(k, shift, nodes):
+    """The index in nodes of alpha^shift of node k (_compile_tree)."""
+    return nodes.setdefault(("a", k, shift), len(nodes)) if shift else k
 
-    The first variable is a sweep's outermost, whose rows do not recur, so
-    its row is numbered only while it is current: when it changes, every
-    subtree that reads it forgets its values.  The other rows are numbered
-    for good, since an inner group's points recur at each outer one."""
-    slot_of = {v: t for t, v in enumerate(names)}
-    done = {}
-    trees = [(_compile_tree(A, m.tree, slot_of, dens, done), c) for m, c in p.terms()]
-    den = lcm(*(c.denominator * tden for (_, _, tden, _), c in trees))
-    terms = [(f, c.numerator * (den // (c.denominator * tden))) for (f, _, tden, _), c in trees]
-    outer_memos = [memo for _, slots, _, memo in done.values() if slots[0] == 0]
+
+def _polynomial_evaluator(A, polys, names, dens):
+    """xs -> [(tag, numerators, denominator)], one per (tag, polynomial) in
+    polys: the polynomial at one integer row per variable in names, xs[t]
+    over dens[t]; each denominator is the same at every xs.
+
+    The polynomials share one table of subtrees (_compile_tree), each
+    evaluated once per call: anew when it reads every variable, else
+    memoised on the numbers of the rows it reads.  The first variable is
+    a sweep's outermost, whose rows do not recur, so its row is numbered
+    only while it is current: when it changes, every subtree that reads it
+    forgets its values.  The other rows are numbered for good, since an
+    inner group's points recur at each outer one."""
+    slot_of, nodes = {v: t for t, v in enumerate(names)}, {}
+    monomials = dict.fromkeys(m for _, p in polys for m in p._terms)  # each compiled once
+    index = {m: _alpha_node(*_compile_tree(m.tree, slot_of, nodes), nodes) for m in monomials}
+    slots, den, steps, outer_memos = [], [], [], []
+    for k, (op, a, b) in enumerate(nodes):
+        slots.append((a,) if op == "v" else slots[a] if op == "a" else
+                     tuple(sorted(set(slots[a] + slots[b]))))
+        den.append(dens[a] if op == "v" else den[a] * A.alpha.den ** b if op == "a" else
+                   den[a] * den[b] * A._mu_den)
+        if op == "a" and nodes.get(("a", a, b - 1), k) < k:  # alpha of alpha^(b-1)(a)
+            a, b = nodes["a", a, b - 1], 1
+        memo = {} if len(slots[k]) < len(dens) else None
+        if memo is not None and slots[k][0] == 0:
+            outer_memos.append(memo)
+        steps.append((k, op, a, b, itemgetter(*slots[k]), memo))
+    compiled = []
+    for tag, p in polys:
+        terms = [(index[m], c, c.denominator * den[index[m]]) for m, c in p._terms.items()]
+        d = lcm(*(cden for _, _, cden in terms))
+        compiled.append((tag, d, [(k, c.numerator * (d // cden)) for k, c, cden in terms]))
+    values, zero = [None] * len(nodes), [0] * A.dim
     seen = {}  # inner row -> its number
     current = [()]  # the outermost row, as xs[:1]
 
@@ -372,10 +369,28 @@ def _polynomial_evaluator(A, p, names, dens):
             for memo in outer_memos:
                 memo.clear()
         ids = (0, *[seen.setdefault(x, len(seen)) for x in xs[1:]])
-        acc = [0] * A.dim
-        for f, factor in terms:
-            acc = [s + factor * a for s, a in zip(acc, f(xs, ids))]
-        return acc, den
+        for k, op, a, b, key, memo in steps:
+            e = None if memo is None else memo.get(key(ids))
+            if e is None:
+                if op == "m":
+                    e = mul_nums(A, values[a], values[b])
+                elif op == "a":
+                    e = values[a]
+                    for _ in range(b):
+                        e = row_times(e, A.alpha)
+                else:
+                    e = xs[a]
+                if memo is not None:
+                    memo[key(ids)] = e
+            values[k] = e
+        out = []
+        for tag, den, terms in compiled:
+            acc = zero
+            for k, c in terms:
+                acc = values[k] if acc is zero and c == 1 else [
+                    s + c * a for s, a in zip(acc, values[k])]
+            out.append((tag, acc, den))
+        return out
 
     return evaluate
 
@@ -532,10 +547,11 @@ _FREE_ZERO_NOTE = "normalizes to zero in the free multiplicative Hom-algebra"
 def identity_sweep_size(A, defect, degrees):
     """powers.sweep_size of the lattice sweep of defect, of multidegree
     degrees, on A: a point costs the most of D^2, D the total degree, and
-    the products and the alpha applications that one evaluation makes --
-    one product per distinct product node of defect, and k alpha
+    bounds on the products and the alpha applications that one evaluation
+    makes -- one product per distinct product node of defect, and k alpha
     applications per distinct leaf alpha^k(v) -- counted in one walk of
-    its distinct subtrees.  ValueError above powers.MAX_SWEEP."""
+    its distinct subtrees: upper bounds, as the evaluator pulls alpha out of
+    products (_compile_tree).  ValueError above powers.MAX_SWEEP."""
     seen, products, alphas = set(), 0, 0
     stack = [m.tree for m in defect._terms]
     while stack:
@@ -570,9 +586,8 @@ def check_identity_on_algebra(A, lhs, rhs, name="identity"):
     degrees = _multidegree(lhs, rhs)
     identity_sweep_size(A, defect, degrees)
     names = list(degrees)
-    evaluate = _polynomial_evaluator(A, defect, names, [1] * len(names))
-    rep = polarized_defect_sweep(A, tuple(degrees.values()),
-                                 lambda *xs: [(None, *evaluate(xs))], name)
+    evaluate = _polynomial_evaluator(A, [(None, defect)], names, [1] * len(names))
+    rep = polarized_defect_sweep(A, tuple(degrees.values()), lambda *xs: evaluate(xs), name)
     if not rep.passed:
         return CheckReport(False, name, tuple(zip(names, rep.witness[0])), rep.lhs, rep.rhs)
     return CheckReport(True, name, note="lattice sweep over all basis multisets")

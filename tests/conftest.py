@@ -4,9 +4,9 @@ from itertools import combinations_with_replacement
 import pytest
 
 from homalt.constructions import AlbertParams, albert5_base, albert5_twisted, direct_sum
-from homalt.core import CheckReport, Element, HomAlgebra, load_algebra, require
+from homalt.core import CheckReport, Element, HomAlgebra, apply_alpha, load_algebra, mul, require
 from homalt.linalg import Matrix, Vector, identity_matrix, qq
-from homalt.symbolic import _polynomial_evaluator, poly_mul, var
+from homalt.symbolic import _polynomial_evaluator
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
@@ -44,8 +44,9 @@ def evaluate_polynomial(A, p, assignment):
         raise ValueError("elements belong to different algebras")
     names = sorted(assignment)
     coords = [assignment[v].coords for v in names]
-    evaluate = _polynomial_evaluator(A, p, names, [v.den for v in coords])
-    return Element(A, Vector.from_ints(*evaluate(tuple(v.nums for v in coords))))
+    evaluate = _polynomial_evaluator(A, [(None, p)], names, [v.den for v in coords])
+    (_, nums, den), = evaluate(tuple(v.nums for v in coords))
+    return Element(A, Vector.from_ints(nums, den))
 
 
 def slot_mask_submultisets(M):
@@ -95,14 +96,18 @@ def lattice_sweep(A, degree, law, defects):
     return CheckReport(True, law)
 
 
-def hom_power_poly(n):
-    """x^n in the free algebra: x^1 = x, x^n = x^(n-1) * alpha^(n-2)(x)."""
-    return var("x") if n == 1 else poly_mul(hom_power_poly(n - 1), var("x", n - 2))
+def hom_power(A, x, n, k=0):
+    """alpha^k(x^n) on Elements, by the recursions x^1 = x and
+    x^n = x^(n-1) * alpha^(n-2)(x), through mul and apply_alpha alone: it
+    holds in every algebra, multiplicative or not."""
+    if k:
+        return apply_alpha(A, hom_power(A, x, n, k - 1))
+    return x if n == 1 else mul(A, hom_power(A, x, n - 1), hom_power(A, x, 1, n - 2))
 
 
-def hom_power_pair_poly(i, j):
-    """x^(i,j) = alpha^(j-1)(x^i) * alpha^(i-1)(x^j) in the free algebra."""
-    return poly_mul(hom_power_poly(i).alpha(j - 1), hom_power_poly(j).alpha(i - 1))
+def hom_power_pair(A, x, i, j):
+    """x^(i,j) = alpha^(j-1)(x^i) * alpha^(i-1)(x^j) on Elements, through hom_power."""
+    return mul(A, hom_power(A, x, i, j - 1), hom_power(A, x, j, i - 1))
 
 
 def swapped_alpha_albert():

@@ -48,11 +48,7 @@ from homalt.operators import (
     op_commutator,
     right_op,
 )
-from homalt.powers import (
-    PowerTable,
-    check_nth_hom_power_associative,
-    check_third_fourth_criterion,
-)
+from homalt.powers import check_nth_hom_power_associative, check_third_fourth_criterion
 from homalt.symbolic import (
     build_instance,
     check_identity_on_algebra,
@@ -66,7 +62,8 @@ from homalt.symbolic import (
     verify_hom_teichmuller,
 )
 
-from conftest import FIXTURES, TWIST_TRIPLES, random_element, untwisted_alpha
+from conftest import (FIXTURES, TWIST_TRIPLES, hom_power, hom_power_pair, random_element,
+                      untwisted_alpha)
 from test_constructions import random_params
 from test_core import same_algebra
 from test_jordan import ADMISSIBLE_NOTE, direct_sweep
@@ -145,13 +142,13 @@ def test_criterion_02_hom_power_associativity():
             # on the three named twists)
             rng = random.Random(6)
             for _ in range(5):
-                t = PowerTable(A, random_element(A, rng))
+                x = random_element(A, rng)
                 for n in range(3, 9):
-                    assert all(t.pair(n - i, i) == t.power(n) for i in range(1, n))
+                    xn = hom_power(A, x, n)
+                    pairs = {i: hom_power_pair(A, x, n - i, i) for i in range(1, n)}
+                    assert all(pair == xn for pair in pairs.values())
                     for i in range(1, n - 1):
-                        assert t.pair(n - (i + 1), i + 1).scale(qq(2)) == (
-                            t.power(n) + t.pair(n - i, i)
-                        )
+                        assert pairs[i + 1].scale(qq(2)) == xn + pairs[i]
 
 
 def test_criterion_03_hom_jordan_admissibility():

@@ -345,6 +345,20 @@ def test_sweep_above_the_cap_exits_two_at_once(capsys):
     assert powers.sweep_size(albert5_base(), *((k,) for k in range(2, 27))) <= powers.MAX_SWEEP
 
 
+# A degree whose one point alone costs more than the cap is refused before
+# the suite's size is formed: at 300 digits of N it has over 1,500, and at
+# 1,000 digits more than Python turns into a string.
+@pytest.mark.parametrize("argv", [["powers", "albert5", "--n", "9" * 300],
+                                  ["powers", "albert5", "--n", "9" * 1000],
+                                  ["check", "albert5", "--nmax", "9" * 1000]],
+                         ids=["n-300-digits", "n-1000-digits", "nmax-1000-digits"])
+def test_a_huge_n_is_refused_at_the_cap_with_a_short_message(argv, capsys):
+    code, err = exit_and_stderr(argv, capsys)
+    assert code == 2 and len(err.encode()) < 300, err[:400]
+    assert err == ("error: a sweep of degree above 9534 on 5 basis elements, at 44 steps a "
+                   "product, costs more than the cap of %d at each point\n" % powers.MAX_SWEEP)
+
+
 def save_dense_table(path, dim):
     """A table with every structure constant nonzero (entries 1..3, seeded)
     and alpha = Id: multiplicative, and dense, so a product costs dim^3 + dim + 32 steps."""

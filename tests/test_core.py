@@ -436,7 +436,6 @@ from homalt.core import HomAlgebra
 from homalt.idempotents import decompose_element
 from homalt.linalg import Matrix, Vector, identity_matrix
 from homalt.operators import is_alpha_n_idempotent
-from homalt.powers import PowerTable
 from homalt.symbolic import HomMonomial
 mu = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
 A = albert5_base()
@@ -454,7 +453,6 @@ for build in (lambda: HomAlgebra(2, ["a", "a"], mu, identity_matrix(3)),
               lambda: is_alpha_n_idempotent(A, identity_matrix(2), 1),
               lambda: is_alpha_n_idempotent(A, [[1]], 1),
               lambda: is_alpha_n_idempotent(N, identity_matrix(5), -1),
-              lambda: PowerTable(A, A.basis_element(0)).alpha_power(1, -1),
               lambda: yau_twist(A, [[1]]),
               lambda: decompose_element(N, N.basis_element(0), N.basis_element(3)),
               lambda: v2 + v3,
@@ -495,7 +493,6 @@ def test_validation_holds_under_python_O():
         "ValueError: an operator on a dim-5 algebra is a 5x5 Matrix",
         "ValueError: an operator on a dim-5 algebra is a 5x5 Matrix",
         "ValueError: alpha^-1 needs invertible alpha, but alpha is singular",
-        "ValueError: alpha powers need an integer k >= 0, got -1",
         "ValueError: beta must be a Matrix, got list",
         "ValueError: decomposition needs surjective alpha; alpha(a) = w has no solution",
         "ValueError: cannot add vectors of lengths 2 and 3",

@@ -21,9 +21,10 @@ import homalt.core
 from homalt.constructions import AlbertParams, albert5_twisted
 from homalt.core import CheckReport, HomAlgebra, apply_alpha, mul
 from homalt.linalg import Matrix, identity_matrix
+from homalt.powers import hom_power_pair_poly, hom_power_poly
 from homalt.symbolic import check_identity_on_algebra, identity_registry, multilinearize
 
-from conftest import hom_power_pair_poly, hom_power_poly, lattice_point
+from conftest import lattice_point
 
 SETTINGS = settings(max_examples=120, derandomize=True, deadline=None)
 

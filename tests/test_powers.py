@@ -4,7 +4,7 @@ import math
 import random
 import time
 import tracemalloc
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,21 +14,22 @@ from homalt import core, symbolic
 from homalt.cli import _suite_powers
 from homalt.constructions import direct_sum, plus_algebra
 from homalt.core import HomAlgebra, apply_alpha, mul
-from homalt.linalg import identity_matrix, qq
+from homalt.linalg import Matrix, identity_matrix, qq
 from homalt.powers import (
     MAX_SWEEP,
-    PowerTable,
     _lattice_point,
     check_nth_hom_power_associative,
     check_third_fourth_criterion,
+    hom_power_pair_poly,
+    hom_power_poly,
     polarized_defect_sweep,
     sweep_size,
 )
 from homalt.dsl import parse_identity
 from homalt.symbolic import check_identity_on_algebra, identity_registry, identity_sweep_size
 
-from conftest import (SIX, lattice_point, lattice_sweep, random_element, six_algebra,
-                      twisted_albert)
+from conftest import (SIX, evaluate_polynomial, hom_power, hom_power_pair, lattice_point,
+                      lattice_sweep, random_element, six_algebra, twisted_albert)
 from test_cli import record_calls, save_dim64_table
 
 
@@ -43,6 +44,8 @@ def diagonal_associative():
 
 
 def test_hom_power_against_straight_line_recursion(twisted):
+    # The Element recursion, and the sweeps' evaluator (alpha rule included)
+    # on the free-algebra powers, against the recursion written out.
     rng = random.Random(6)
     for _ in range(5):
         x = random_element(twisted, rng)
@@ -52,39 +55,30 @@ def test_hom_power_against_straight_line_recursion(twisted):
         x4 = mul(twisted, x3, a2x)
         x5 = mul(twisted, x4, apply_alpha(twisted, a2x))
         x6 = mul(twisted, x5, apply_alpha(twisted, apply_alpha(twisted, a2x)))
-        t = PowerTable(twisted, x)
-        assert [t.power(n) for n in range(1, 7)] == [x, x2, x3, x4, x5, x6]
+        want = [x, x2, x3, x4, x5, x6]
+        assert [hom_power(twisted, x, n) for n in range(1, 7)] == want
+        assert [evaluate_polynomial(twisted, hom_power_poly(n), {"x": x})
+                for n in range(1, 7)] == want
 
 
 def test_hom_power_pair_definition(a230):
     rng = random.Random(8)
     x = random_element(a230, rng)
-    t = PowerTable(a230, x)
     for i in range(1, 5):
         for j in range(1, 5):
-            want = mul(
-                a230,
-                t.alpha_power(i, j - 1),
-                t.alpha_power(j, i - 1),
-            )
-            assert t.pair(i, j) == want
-            assert PowerTable(a230, x).pair(i, j) == want
+            want = mul(a230, hom_power(a230, x, i, j - 1), hom_power(a230, x, j, i - 1))
+            assert hom_power_pair(a230, x, i, j) == want
+            assert evaluate_polynomial(a230, hom_power_pair_poly(i, j), {"x": x}) == want
 
 
 def test_pair_with_one_is_the_power(a230):
     rng = random.Random(10)
+    for n in range(2, 9):
+        assert hom_power_pair_poly(n - 1, 1) == hom_power_poly(n)
     for _ in range(5):
-        t = PowerTable(a230, random_element(a230, rng))
+        x = random_element(a230, rng)
         for n in range(2, 9):
-            assert t.pair(n - 1, 1) == t.power(n)
-
-
-def test_power_table_guards(a230):
-    t = PowerTable(a230, a230.basis_element(0))
-    with pytest.raises(ValueError):
-        t.power(0)
-    with pytest.raises(ValueError):
-        t.pair(0, 1)
+            assert hom_power_pair(a230, x, n - 1, 1) == hom_power(a230, x, n)
 
 
 # -- power associativity across every split ----------------------------------------
@@ -93,23 +87,23 @@ def test_power_table_guards(a230):
 def test_all_pairs_agree_on_twisted(twisted):
     rng = random.Random(12)
     for _ in range(10):
-        t = PowerTable(twisted, random_element(twisted, rng))
+        x = random_element(twisted, rng)
         for n in range(2, 9):
-            xn = t.power(n)
+            xn = hom_power(twisted, x, n)
             for i in range(1, n):
-                assert t.pair(n - i, i) == xn
+                assert hom_power_pair(twisted, x, n - i, i) == xn
 
 
 def test_induction_identity(twisted):
     # 2 x^{n-(i+1), i+1} = x^n + x^{n-i, i} for 1 <= i <= n-2
     rng = random.Random(14)
     for _ in range(5):
-        t = PowerTable(twisted, random_element(twisted, rng))
+        x = random_element(twisted, rng)
         for n in range(3, 9):
+            xn = hom_power(twisted, x, n)
             for i in range(1, n - 1):
-                lhs = t.pair(n - (i + 1), i + 1).scale(qq(2))
-                rhs = t.power(n) + t.pair(n - i, i)
-                assert lhs == rhs
+                lhs = hom_power_pair(twisted, x, n - (i + 1), i + 1).scale(qq(2))
+                assert lhs == xn + hom_power_pair(twisted, x, n - i, i)
 
 
 def test_alpha_commutes_with_powers(twisted):
@@ -117,8 +111,7 @@ def test_alpha_commutes_with_powers(twisted):
     for _ in range(5):
         x = random_element(twisted, rng)
         for n in range(1, 7):
-            assert apply_alpha(twisted, PowerTable(twisted, x).power(n)) == PowerTable(
-                twisted, apply_alpha(twisted, x)).power(n)
+            assert hom_power(twisted, x, n, 1) == hom_power(twisted, apply_alpha(twisted, x), n)
 
 
 def test_checkers_pass_on_twisted(twisted):
@@ -142,8 +135,9 @@ def sampled_power_associative(A, n, samples=25, seed=0):
     """x^n == x^(n-i,i) for all i on seeded random x."""
     rng = random.Random(seed)
     for _ in range(samples):
-        t = PowerTable(A, random_element(A, rng))
-        if any(t.pair(n - i, i) != t.power(n) for i in range(1, n)):
+        x = random_element(A, rng)
+        xn = hom_power(A, x, n)
+        if any(hom_power_pair(A, x, n - i, i) != xn for i in range(1, n)):
             return False
     return True
 
@@ -153,23 +147,19 @@ def sampled_third_fourth(A, samples=25, seed=0):
     rng = random.Random(seed)
     for _ in range(samples):
         x = random_element(A, rng)
-        t = PowerTable(A, x)
-        ax, ax2 = apply_alpha(A, x), apply_alpha(A, t.power(2))
-        if mul(A, t.power(2), ax) != mul(A, ax, t.power(2)) or t.power(4) != mul(A, ax2, ax2):
+        x2, ax, ax2 = hom_power(A, x, 2), apply_alpha(A, x), hom_power(A, x, 2, 1)
+        if mul(A, x2, ax) != mul(A, ax, x2) or hom_power(A, x, 4) != mul(A, ax2, ax2):
             return False
     return True
 
 
 def power_defect(A, n, i):
-    def fn(x):
-        t = PowerTable(A, x)
-        return t.power(n) - t.pair(n - i, i)
-    return fn
+    return lambda x: hom_power(A, x, n) - hom_power_pair(A, x, n - i, i)
 
 
 def third_defect(A):
     def fn(x):
-        x2, ax = PowerTable(A, x).power(2), apply_alpha(A, x)
+        x2, ax = hom_power(A, x, 2), apply_alpha(A, x)
         return mul(A, x2, ax) - mul(A, ax, x2)
     return fn
 
@@ -299,9 +289,15 @@ def test_cap_refuses_huge_sweeps_before_any_work(a230, tmp_path):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="above the cap"):
         check_nth_hom_power_associative(a230, 40)
-    with pytest.raises(ValueError, match=r"a sweep of degrees %d \(%d operations a point\) on 5 "
-                       ".* above the cap" % (10**100, 10**200)):
+    # A degree whose one point costs more than the cap is refused before its
+    # size, of hundreds of digits, is formed: at 44 steps a product, above 9534.
+    with pytest.raises(ValueError, match="^a sweep of degree above 9534 on 5 basis elements, at 44 "
+                       "steps a product, costs more than the cap of %d at each point$" % MAX_SWEEP):
         _suite_powers(a230, argparse.Namespace(nmax=10**100), None)
+    with pytest.raises(ValueError, match="^a sweep of degrees 9534 .* has size"):
+        sweep_size(a230, (9534,))
+    with pytest.raises(ValueError, match="^a sweep of degree above 9534"):
+        sweep_size(a230, (9535,))
     assert time.perf_counter() - start < 1.0
 
 
@@ -408,7 +404,7 @@ def test_sweep_reports_the_first_failing_tag_in_callback_order(a230):
     assert rep.witness == ((0,), "b") and rep.lhs == a230.basis_element(0)
 
 
-# -- one defect memo per powers suite ------------------------------------------------
+# -- the suite's rows against a reference on Elements -------------------------------
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -421,29 +417,22 @@ def test_lattice_point_is_the_sum_of_the_multisets_basis_elements(M):
 def reference_rows(A, nmax):
     """The powers suite's rows by plain per-row lattice sweeps on Elements:
     each n checks every split i = 1..n-1 and the criterion its own third and
-    fourth defects, with no DefectMemo; powers come from mul and apply_alpha,
-    not PowerTable."""
-
-    def power(x, n):  # alpha^k(x^n) by the recursions, on Elements
-        return x if n == 1 else mul(A, power(x, n - 1), alpha(x, 1, n - 2))
-
-    def alpha(x, n, k):
-        return power(x, n) if k == 0 else apply_alpha(A, alpha(x, n, k - 1))
+    fourth defects; powers come from mul and apply_alpha (conftest.hom_power),
+    not from the free algebra."""
 
     def splits(n):
         def defects(x):
-            xn = power(x, n)
-            return [(i, xn - mul(A, alpha(x, n - i, i - 1), alpha(x, i, n - i - 1)))
-                    for i in range(1, n)]
+            xn = hom_power(A, x, n)
+            return [(i, xn - hom_power_pair(A, x, n - i, i)) for i in range(1, n)]
         return defects
 
     def third(x):
-        x2, ax = power(x, 2), apply_alpha(A, x)
+        x2, ax = hom_power(A, x, 2), apply_alpha(A, x)
         return [("third", mul(A, x2, ax) - mul(A, ax, x2))]
 
     def fourth(x):
-        ax2 = apply_alpha(A, power(x, 2))
-        return [("fourth", power(x, 4) - mul(A, ax2, ax2))]
+        ax2 = hom_power(A, x, 2, 1)
+        return [("fourth", hom_power(A, x, 4) - mul(A, ax2, ax2))]
 
     rows = []
     for n in range(2, nmax + 1):
@@ -472,6 +461,46 @@ def random_commutative(seed, dim=3):
         for j in range(i, dim):
             mu[i][j] = mu[j][i] = [qq(rng.randint(-3, 3)) for _ in range(dim)]
     return HomAlgebra(dim, ["e%d" % i for i in range(dim)], mu, identity_matrix(dim))
+
+
+def cycle(perm, k):
+    """k's cycle under the permutation perm, from k."""
+    out = [k]
+    while perm[out[-1]] != k:
+        out.append(perm[out[-1]])
+    return out
+
+
+def permutation_twisted(seed, dim):
+    """A seeded integer table whose alpha permutes the basis by a random
+    sigma != id, with mu(e_sigma(i), e_sigma(j)) = sigma(mu(e_i, e_j)): so
+    alpha is a morphism and the table multiplicative with alpha != Id.
+    Each orbit of sigma on basis pairs gets one random product, about half
+    of its constants zero so that some rows fail past the first lattice
+    point; sigma^L, L the orbit's length, must fix it, so it is constant
+    on the cycles of sigma^L."""
+    rng = random.Random(seed)
+    sigma = list(range(dim))
+    while sigma == sorted(sigma):
+        rng.shuffle(sigma)
+    mu = [[None] * dim for _ in range(dim)]
+    for i, j in product(range(dim), repeat=2):
+        if mu[i][j] is not None:
+            continue
+        orbit = [(i, j)]
+        while (step := (sigma[orbit[-1][0]], sigma[orbit[-1][1]])) != (i, j):
+            orbit.append(step)
+        power = list(range(dim))
+        for _ in orbit:
+            power = [sigma[k] for k in power]
+        roots = [min(cycle(power, k)) for k in range(dim)]
+        value = {r: rng.choice((-2, -1, 0, 0, 0, 1, 2)) for r in sorted(set(roots))}
+        row = [value[r] for r in roots]
+        for a, b in orbit:
+            mu[a][b] = [qq(c) for c in row]
+            row = [row[sigma.index(k)] for k in range(dim)]  # sigma(row)
+    alpha = Matrix.from_rows([[qq(int(sigma[i] == k)) for k in range(dim)] for i in range(dim)])
+    return HomAlgebra(dim, ["e%d" % i for i in range(dim)], mu, alpha)
 
 
 FIELDS = ("passed", "law", "witness", "lhs", "rhs", "note")
@@ -503,7 +532,23 @@ def test_suite_rows_equal_reference_on_random_commutative_tables(seed, nmax):
     assert not criterion.passed and criterion.witness[1] == "fourth"
 
 
-def test_n2_and_criterion_rows_make_no_product(a230, bad_algebra, monkeypatch):
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_suite_rows_equal_reference_on_permutation_twisted_tables(dim):
+    # alpha = Id tables cannot tell alpha^k(T) from T, and most fail at the
+    # first lattice point; these have alpha != Id and failures further on.
+    first = later = 0
+    for seed in range(30):
+        A = permutation_twisted(seed, dim)
+        assert core.is_multiplicative(A).passed and A.alpha != identity_matrix(dim)
+        for rep in assert_rows_agree(A, 5):
+            if not rep.passed:
+                M = rep.witness[0]
+                first += M == (0,) * len(M)
+                later += M != (0,) * len(M)
+    assert first and later, (first, later)
+
+
+def test_n2_row_makes_no_product(a230, bad_algebra, monkeypatch):
     for A in (a230, bad_algebra):
         core.is_multiplicative(A)
         products = record_calls(monkeypatch, core, "mul_nums")
@@ -512,8 +557,8 @@ def test_n2_and_criterion_rows_make_no_product(a230, bad_algebra, monkeypatch):
             before = len(products)
             check()
             made.append(len(products) - before)
-        # rows n = 2, 3, 4, 5, then the criterion
-        assert made[0] == made[-1] == 0 and min(made[1:-1]) > 0, made
+        # rows n = 2, 3, 4, 5, then the criterion, which sweeps its own two laws
+        assert made[0] == 0 and min(made[1:]) > 0, made
         monkeypatch.undo()
 
 

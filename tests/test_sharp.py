@@ -2,18 +2,19 @@
 that drops it and fails the conclusion.
 
 The conclusion is swept directly, not through ``require``, which would
-refuse the algebra for the hypothesis it lacks, and its failing witness
-is replayed through perfbench/reference.py, as tests/test_lattice.py
-replays the golden files' rows.
+refuse the algebra for the hypothesis it lacks, on Elements built by mul
+and apply_alpha: the free-algebra normal form the library's sweeps
+evaluate assumes multiplicativity.  Its failing witness is replayed
+through perfbench/reference.py, as tests/test_lattice.py replays the
+golden files' rows.
 """
 
 import json
 
 from homalt.cli import main
 from homalt.core import is_multiplicative, is_right_hom_alternative, load_algebra
-from homalt.powers import DefectMemo, polarized_defect_sweep
 
-from conftest import FIXTURES
+from conftest import FIXTURES, hom_power, hom_power_pair, lattice_sweep
 from test_lattice import Replay, parse_vector
 
 SHARP = FIXTURES / "sharp"
@@ -29,8 +30,13 @@ def test_hom_power_associativity_needs_multiplicativity(capsys):
     assert is_right_hom_alternative(A).passed
     rep = is_multiplicative(A)
     assert not rep.passed and rep.witness == (0, 0)
-    assert polarized_defect_sweep(A, 3, DefectMemo(A).defects, "n=3").passed
-    rep = polarized_defect_sweep(A, 4, DefectMemo(A).defects, "n=4")
+
+    def splits(n):
+        return lambda x: [(i, hom_power(A, x, n) - hom_power_pair(A, x, n - i, i))
+                          for i in range(2, n)]
+
+    assert lattice_sweep(A, 3, "n=3", splits(3)).passed
+    rep = lattice_sweep(A, 4, "n=4", splits(4))
     assert not rep.passed and rep.witness == ((0, 0, 0, 0), 2)
     lhs = rep.as_dict()["lhs"]
     assert lhs == "12288*e0 + 12288*e1"

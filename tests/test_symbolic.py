@@ -26,6 +26,7 @@ from homalt.dsl import (
     parse_term,
 )
 from homalt.linalg import QUOTE_CHARS, format_scalar, parse_scalar, qq, quote
+from homalt.powers import hom_power_pair_poly, hom_power_poly
 from homalt.symbolic import (
     HomMonomial,
     HomPolynomial,
@@ -50,7 +51,7 @@ from homalt.symbolic import (
     verify_hom_teichmuller,
 )
 
-from conftest import evaluate_polynomial, hom_power_pair_poly, hom_power_poly, random_element
+from conftest import evaluate_polynomial, random_element
 
 
 # -- raw trees, which may also hold ("a", subtree) nodes: the reference for
