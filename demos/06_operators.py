@@ -17,7 +17,6 @@ from homalt import (
     build_T,
     check_idempotent_operator_suite,
     check_mul_operator_identities,
-    is_alpha_n_idempotent,
     left_op,
     op_commutator,
     right_op,
@@ -40,11 +39,8 @@ print("L R L == alpha L R:          ", L * R * L == al * L * R)
 
 T = build_T(A, e)
 print("\nT = 3 alpha^2 L^2 - 2 alpha L^3")
-print("T^2 == alpha^4 T:            ", T * T == (al ** 4) * T)
-print("is_alpha_n_idempotent(T, 4): ", is_alpha_n_idempotent(A, T, 4))
-print("is_alpha_n_idempotent(R, 1): ", is_alpha_n_idempotent(A, R, 1))
-print("is_alpha_n_idempotent(L, 1): ", is_alpha_n_idempotent(A, L, 1),
-      " (L is NOT alpha-idempotent)")
+print("T^2 == alpha^4 T:            ", T * T == (al ** 4) * T, " (T is alpha^4-idempotent)")
+print("L^2 == alpha L:              ", L * L == al * L, " (L is NOT alpha-idempotent)")
 print("[T, R] == 0:                 ", op_commutator(T, R).is_zero())
 
 # The two identities that hold in every right Hom-alternative algebra

@@ -20,7 +20,7 @@ from homalt import (
     identity_registry,
     load_certificates,
     var,
-    verify_all_certificates,
+    verify_certificate,
     verify_hom_teichmuller,
 )
 from homalt.dsl import parse_identity, parse_term
@@ -52,9 +52,9 @@ for name, idf in identity_registry().items():
 # are machine-checkable proofs, independent of any particular algebra.
 data = load_certificates()
 print("\nshipped certificates:")
-for name, rep in sorted(verify_all_certificates().items()):
-    print("  %-22s %s  (%d instances)"
-          % (name, "OK" if rep.passed else "BROKEN", len(data[name]["instances"])))
+for name, entry in sorted(data.items()):
+    ok, _ = verify_certificate(name, entry["instances"])
+    print("  %-22s %s  (%d instances)" % (name, "OK" if ok else "BROKEN", len(entry["instances"])))
 
 # The s-expression DSL gives the same machinery from strings (and the
 # command line).  parse_term builds polynomials; (= lhs rhs) is an

@@ -40,7 +40,7 @@ _LAZY = {
         "yau_twist",
     ),
     "powers": ("check_nth_hom_power_associative", "check_third_fourth_criterion"),
-    "jordan": ("check_hom_jordan", "check_hom_jordan_admissible", "jordan_defect"),
+    "jordan": ("check_hom_jordan_admissible", "jordan_defect"),
     "idempotents": (
         "Decomposition",
         "albert_decomposition",
@@ -51,7 +51,6 @@ _LAZY = {
         "build_T",
         "check_idempotent_operator_suite",
         "check_mul_operator_identities",
-        "is_alpha_n_idempotent",
         "left_op",
         "op_commutator",
         "right_op",
@@ -69,7 +68,6 @@ _LAZY = {
         "ra_polynomial",
         "specialize_classical",
         "var",
-        "verify_all_certificates",
         "verify_certificate",
         "verify_hom_teichmuller",
     ),

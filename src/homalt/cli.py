@@ -108,7 +108,12 @@ from .idempotents import albert_decomposition, decompose_element, idempotent_sea
 from .jordan import check_hom_jordan_admissible
 from .linalg import Matrix, clip, parse_scalar, quote
 from .operators import check_idempotent_operator_suite, check_mul_operator_identities
-from .powers import check_nth_hom_power_associative, check_third_fourth_criterion, sweep_size
+from .powers import (
+    MAX_HOM_POWER,
+    check_nth_hom_power_associative,
+    check_third_fourth_criterion,
+    sweep_size,
+)
 from .symbolic import (
     _FREE_ZERO_NOTE,
     IdentityDef,
@@ -320,6 +325,9 @@ def _suite_powers(A, args, idempotent):
     top = max(args.nmax, 4)
     sweep_size(A, (top,))
     sweep_size(A, *((n,) for n in range(2, top + 1)))
+    if top > MAX_HOM_POWER:  # after the price, whose messages come first
+        flag = "--n" if args.command == "powers" else "--nmax"
+        raise InputError("%s must be <= %d, got %d" % (flag, MAX_HOM_POWER, args.nmax))
     rows = [partial(check_nth_hom_power_associative, A, n) for n in range(2, args.nmax + 1)]
     return rows + [partial(check_third_fourth_criterion, A)]
 

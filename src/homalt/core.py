@@ -56,7 +56,6 @@ __all__ = [
     "is_right_hom_alternative",
     "is_left_hom_alternative",
     "is_hom_flexible",
-    "is_hom_alternative",
     "is_idempotent",
     "algebra_to_json",
     "algebra_from_json",
@@ -362,19 +361,6 @@ def is_left_hom_alternative(A):
 def is_hom_flexible(A):
     """as(x, y, x) = 0, linearized to as(x,y,z) + as(z,y,x) == 0 on triples."""
     return _associator_law(A, "hom-flexible", (2, 1, 0))
-
-
-def is_hom_alternative(A):
-    """Both left and right Hom-alternative."""
-    left = is_left_hom_alternative(A)
-    if not left.passed:
-        return CheckReport(False, "hom-alternative", left.witness, left.lhs, left.rhs,
-                           note="left alternativity fails")
-    right = is_right_hom_alternative(A)
-    if not right.passed:
-        return CheckReport(False, "hom-alternative", right.witness, right.lhs, right.rhs,
-                           note="right alternativity fails")
-    return CheckReport(True, "hom-alternative")
 
 
 def is_idempotent(A, e):

@@ -16,12 +16,12 @@ check_hom_jordan_admissible makes that one sweep on A+, which is
 commutative by construction.
 """
 
-from .core import CheckReport, apply_alpha, hom_associator, mul, mul_nums
+from .core import apply_alpha, hom_associator, mul, mul_nums
 from .constructions import plus_algebra
 from .linalg import row_times
 from .powers import polarized_defect_sweep
 
-__all__ = ["jordan_defect", "check_hom_jordan", "check_hom_jordan_admissible"]
+__all__ = ["jordan_defect", "check_hom_jordan_admissible"]
 
 
 def jordan_defect(A, x, y):
@@ -29,44 +29,19 @@ def jordan_defect(A, x, y):
     return hom_associator(A, mul(A, x, x), apply_alpha(A, y), apply_alpha(A, x))
 
 
-def _polarized_jordan(A, law):
-    alpha_basis = A.alpha.nums  # alpha(e_i) is row i of alpha
-    den = (A._mu_den * A.alpha.den) ** 3  # each side: three products, three alphas
-
-    def defects(x):  # jordan_defect at every alpha(y), x's own products made once
-        x2, ax = mul_nums(A, x, x), row_times(x, A.alpha)
-        aax, ax2 = row_times(ax, A.alpha), row_times(x2, A.alpha)
-        return [(yi, [a - b for a, b in zip(mul_nums(A, mul_nums(A, x2, ay), aax),
-                                             mul_nums(A, ax2, mul_nums(A, ay, ax)))], den)
-                for yi, ay in enumerate(alpha_basis)]
-
-    return polarized_defect_sweep(A, 3, defects, law)
-
-
-def check_hom_jordan(A):
-    """Commutativity plus the Hom-Jordan identity, by lattice sweep.
-
-    Commutativity is checked first (its own witness: the first basis
-    pair with e_i*e_j != e_j*e_i); the identity's lattice sweep witnesses
-    the first failing (x-multiset M, y-index) pair, with the defect at
-    x = x_M, y = e_y as lhs.
-    """
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            if A.mu[i][j] != A.mu[j][i]:
-                return CheckReport(
-                    False,
-                    "hom-jordan",
-                    (i, j),
-                    A.element(A.mu[i][j]),
-                    A.element(A.mu[j][i]),
-                    note="product is not commutative",
-                )
-    return _polarized_jordan(A, "hom-jordan")
-
-
 def check_hom_jordan_admissible(A):
     """Is A+ Hom-Jordan?  Proved or refuted by one lattice sweep on A+."""
-    rep = _polarized_jordan(plus_algebra(A), "hom-jordan-admissible")
+    P = plus_algebra(A)
+    alpha_basis = P.alpha.nums  # alpha(e_i) is row i of alpha
+    den = (P._mu_den * P.alpha.den) ** 3  # each side: three products, three alphas
+
+    def defects(x):  # jordan_defect at every alpha(y), x's own products made once
+        x2, ax = mul_nums(P, x, x), row_times(x, P.alpha)
+        aax, ax2 = row_times(ax, P.alpha), row_times(x2, P.alpha)
+        return [(yi, [a - b for a, b in zip(mul_nums(P, mul_nums(P, x2, ay), aax),
+                                             mul_nums(P, ax2, mul_nums(P, ay, ax)))], den)
+                for yi, ay in enumerate(alpha_basis)]
+
+    rep = polarized_defect_sweep(P, 3, defects, "hom-jordan-admissible")
     rep.note = "lattice sweep of as(x*x, alpha(y), alpha(x)) on A+"
     return rep

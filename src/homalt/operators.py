@@ -31,7 +31,7 @@ T^(n+1) = alpha^(4n) T for every n, and [T, R] = 0.  Each family follows
 from its first member by induction on n, so it is checked there only.
 """
 
-from .linalg import Matrix, mat_pow, vec_mat
+from .linalg import Matrix, vec_mat
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
 from .core import CheckReport, is_right_hom_alternative, require
 from .core import mul  # noqa: F401
@@ -41,7 +41,6 @@ __all__ = [
     "right_op",
     "op_commutator",
     "build_T",
-    "is_alpha_n_idempotent",
     "check_mul_operator_identities",
     "check_idempotent_operator_suite",
 ]
@@ -112,25 +111,6 @@ def build_T(A, e):
     """T = 3 alpha^2 L^2 - 2 alpha L^3 for L = L_e."""
     L, al = left_op(A, e), A.alpha
     return ((al ** 2) * (L ** 2)).scale(3) - (al * (L ** 3)).scale(2)
-
-
-def is_alpha_n_idempotent(A, f, n):
-    """f*f == alpha^n f, for an operator f on A.
-
-    n may be negative only when alpha is invertible (ValueError
-    otherwise: negative twist powers need alpha^(-1)).
-    """
-    if not isinstance(f, Matrix) or (f.rows, f.cols) != (A.dim, A.dim):
-        raise ValueError("an operator on a dim-%d algebra is a %dx%d Matrix" % ((A.dim,) * 3))
-    if not isinstance(n, int):
-        raise ValueError("n must be an integer, got %r" % (n,))
-    try:
-        an = mat_pow(A.alpha, n)
-    except ValueError as exc:  # only a negative n inverts
-        raise ValueError(
-            "alpha^%d needs invertible alpha, but alpha is singular" % n
-        ) from exc
-    return f * f == an * f
 
 
 def check_idempotent_operator_suite(A, e):

@@ -74,6 +74,11 @@ def _lattice_point(dim, M):
 # admitted sweep runs for at most about two minutes there.
 MAX_SWEEP = 4_000_000_000
 
+# x^n nests n - 1 products deep, and hom_power_poly and symbolic's tree walks
+# recurse once a level: deeper powers would exhaust Python's recursion limit,
+# which is why dsl.MAX_DEPTH bounds a term's nesting at the same 200.
+MAX_HOM_POWER = 200
+
 
 def sweep_size(A, *sweeps, work=0):
     """The price of the given sweeps on A together, each named by its tuple of
@@ -162,13 +167,17 @@ def check_nth_hom_power_associative(A, n):
     """x^n == x^(n-i,i) for all i, proved or refuted by the lattice sweep.
 
     A failure witnesses the first failing (basis multiset M, i), with the
-    defect x^n - x^(n-i,i) at x_M as lhs.  Requires a multiplicative algebra.
+    defect x^n - x^(n-i,i) at x_M as lhs.  Requires a multiplicative algebra
+    and, past the price, n <= MAX_HOM_POWER.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("Hom-power associativity needs n >= 1, got %r" % (n,))
     require(A, "power associativity check", "multiplicative")
     law = "hom-power-associative(n=%d)" % n
     sweep_size(A, (n,))  # before any polynomial is built
+    if n > MAX_HOM_POWER:
+        raise ValueError("Hom-power associativity needs n <= %d (MAX_HOM_POWER), got %d"
+                         % (MAX_HOM_POWER, n))
     defects = [(i, hom_power_poly(n) - hom_power_pair_poly(n - i, i)) for i in range(2, n)]
     rep = _sweep_defects(A, n, defects, law)
     rep.note = "lattice sweep %s" % ("proved it" if rep.passed else "found the failure")

@@ -71,7 +71,6 @@ __all__ = [
     "verify_hom_teichmuller",
     "load_certificates",
     "verify_certificate",
-    "verify_all_certificates",
     "certified_identities",
 ]
 
@@ -744,11 +743,6 @@ def shipped_certificate_report(name):
         witness=None if ok else (repr(residue),),
         note="%d instances" % len(instances),
     )
-
-
-def verify_all_certificates():
-    """Verify every shipped certificate; {name: CheckReport}."""
-    return {name: shipped_certificate_report(name) for name in load_certificates()}
 
 
 def certified_identities():

@@ -359,6 +359,20 @@ def test_a_huge_n_is_refused_at_the_cap_with_a_short_message(argv, capsys):
                    "product, costs more than the cap of %d at each point\n" % powers.MAX_SWEEP)
 
 
+# On a dim-1 algebra (e*e = e, alpha = Id) the price admits --n 300, and up
+# to about 705, but Hom-powers past powers.MAX_HOM_POWER nest too deep to
+# build: refused before any thread starts.
+@pytest.mark.parametrize("argv, err", [
+    (["powers", "--n", "300"], "error: --n must be <= 200, got 300\n"),
+    (["check", "--suites", "powers", "--nmax", "201"], "error: --nmax must be <= 200, got 201\n"),
+], ids=["powers-n", "check-nmax"])
+def test_powers_past_the_nesting_limit_are_refused_in_one_line(argv, err, capsys):
+    start = time.perf_counter()
+    assert exit_and_stderr([argv[0], str(FIXTURES / "idempotent_dim1.json"), *argv[1:]],
+                           capsys) == (2, err)
+    assert time.perf_counter() - start < 1.0 and powers.MAX_HOM_POWER == 200
+
+
 def save_dense_table(path, dim):
     """A table with every structure constant nonzero (entries 1..3, seeded)
     and alpha = Id: multiplicative, and dense, so a product costs dim^3 + dim + 32 steps."""

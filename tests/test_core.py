@@ -19,7 +19,6 @@ from homalt.core import (
     algebra_to_json,
     commutator,
     hom_associator,
-    is_hom_alternative,
     is_hom_flexible,
     is_left_hom_alternative,
     is_multiplicative,
@@ -70,9 +69,6 @@ def test_albert_base_laws(albert):
     assert not rep.passed
     assert rep.witness == (0, 0, 1)
     assert not is_hom_flexible(albert).passed
-    rep = is_hom_alternative(albert)
-    assert not rep.passed
-    assert "left" in rep.note
 
 
 # -- twisted algebras -------------------------------------------------------------
@@ -201,12 +197,6 @@ def test_right_alternative_iff_linearized(bad_algebra):
             for k in range(A.dim)
         )
         assert is_right_hom_alternative(A).passed == swept
-
-
-def test_alternative_is_left_and_right(bad_algebra):
-    for A in algebras_for_law_tests(bad_algebra):
-        both = is_left_hom_alternative(A).passed and is_right_hom_alternative(A).passed
-        assert is_hom_alternative(A).passed == both
 
 
 # -- JSON round trip ---------------------------------------------------------------
@@ -427,15 +417,13 @@ def test_check_report_bool_and_dict(a230):
 
 # -- validation -------------------------------------------------------------------
 
-# Each case builds a bad algebra, matrix or element, or hands a bad operator to
-# is_alpha_n_idempotent, and prints the error it raises.
+# Each case builds a bad algebra, matrix or element, and prints the error it raises.
 BAD_INPUTS = """
 from homalt import linalg
 from homalt.constructions import AlbertParams, albert5_base, albert5_twisted, yau_twist
 from homalt.core import HomAlgebra
 from homalt.idempotents import decompose_element
 from homalt.linalg import Matrix, Vector, identity_matrix
-from homalt.operators import is_alpha_n_idempotent
 from homalt.symbolic import HomMonomial
 mu = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
 A = albert5_base()
@@ -450,9 +438,6 @@ for build in (lambda: HomAlgebra(2, ["a", "a"], mu, identity_matrix(3)),
               lambda: HomAlgebra(2, ["a", "b"], mu, [[1, 0], [0, 1]]),
               lambda: Matrix([[1, 2], [3]]),
               lambda: A.element([1, 2]),
-              lambda: is_alpha_n_idempotent(A, identity_matrix(2), 1),
-              lambda: is_alpha_n_idempotent(A, [[1]], 1),
-              lambda: is_alpha_n_idempotent(N, identity_matrix(5), -1),
               lambda: yau_twist(A, [[1]]),
               lambda: decompose_element(N, N.basis_element(0), N.basis_element(3)),
               lambda: v2 + v3,
@@ -490,9 +475,6 @@ def test_validation_holds_under_python_O():
         "ValueError: alpha must be a Matrix, got list",
         "ValueError: ragged rows: lengths [1, 2]",
         "ValueError: an element of a dim-5 algebra needs 5 coordinates, got 2",
-        "ValueError: an operator on a dim-5 algebra is a 5x5 Matrix",
-        "ValueError: an operator on a dim-5 algebra is a 5x5 Matrix",
-        "ValueError: alpha^-1 needs invertible alpha, but alpha is singular",
         "ValueError: beta must be a Matrix, got list",
         "ValueError: decomposition needs surjective alpha; alpha(a) = w has no solution",
         "ValueError: cannot add vectors of lengths 2 and 3",

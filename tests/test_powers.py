@@ -16,6 +16,7 @@ from homalt.constructions import direct_sum, plus_algebra
 from homalt.core import HomAlgebra, apply_alpha, mul
 from homalt.linalg import Matrix, identity_matrix, qq
 from homalt.powers import (
+    MAX_HOM_POWER,
     MAX_SWEEP,
     _lattice_point,
     check_nth_hom_power_associative,
@@ -299,6 +300,19 @@ def test_cap_refuses_huge_sweeps_before_any_work(a230, tmp_path):
     with pytest.raises(ValueError, match="^a sweep of degree above 9534"):
         sweep_size(a230, (9535,))
     assert time.perf_counter() - start < 1.0
+
+
+# On a dim-1 algebra (34 steps a product) the price admits a row up to n =
+# 10,846, but x^n nests n - 1 products deep and building and compiling its
+# tree recurse once a level: rows above MAX_HOM_POWER are refused before any
+# polynomial is built, since 900 and 1,200 would exhaust the recursion limit.
+@pytest.mark.parametrize("n", [201, 900, 1200])
+def test_powers_nested_past_the_limit_are_refused(n):
+    A = HomAlgebra(1, ["e"], [[[1]]], identity_matrix(1))  # e*e = e, alpha = Id
+    assert MAX_HOM_POWER == 200 and sweep_size(A, (n,)) == 34 * n * n
+    with pytest.raises(ValueError, match=r"^Hom-power associativity needs n <= 200 "
+                       r"\(MAX_HOM_POWER\), got %d$" % n):
+        check_nth_hom_power_associative(A, n)
 
 
 # The operations each registry identity's price charges a point: the most of
