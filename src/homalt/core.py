@@ -25,6 +25,7 @@ import json
 import sys
 from itertools import chain, product
 from math import lcm
+from operator import add, itemgetter, sub
 
 from .linalg import (
     Matrix,
@@ -33,6 +34,7 @@ from .linalg import (
     ZERO,
     clip,
     format_scalar,
+    identity_matrix,
     parse_scalar,
     qq,
     quote,
@@ -321,25 +323,26 @@ def _associator_law(A, law, perm):
     Triples run in lexicographic order and skip t when its partner u
     comes first (u < t), since that pair was compared at u.  perm swaps
     two slots, so the pairs {t, u} partition the triples and each basis
-    associator is evaluated once, as an integer row (see mul_nums); an
-    Element is built only for a witness.
+    associator is evaluated once, as an integer row of mul_nums products
+    (e_i * e_j made on first use); an Element is built only for a witness.
     """
-    al, den = A.alpha.nums, A._mu_den
+    units, al, den = identity_matrix(A.dim).nums, A.alpha.nums, A._mu_den
+    prods, partner = {}, itemgetter(*perm)
 
-    def prod(i, j):  # e_i * e_j over den, read off the structure constants
-        v = A.mu[i][j]
-        return [c * (den // v.den) for c in v.nums]
+    def prod(i, j):  # e_i * e_j over den
+        if (i, j) not in prods:
+            prods[i, j] = mul_nums(A, units[i], units[j])
+        return prods[i, j]
 
     def assoc(i, j, k):
-        return [p - q for p, q in zip(mul_nums(A, prod(i, j), al[k]),
-                                      mul_nums(A, al[i], prod(j, k)))]
+        return list(map(sub, mul_nums(A, prod(i, j), al[k]), mul_nums(A, al[i], prod(j, k))))
 
     for t in product(range(A.dim), repeat=3):
-        u = tuple(t[p] for p in perm)
+        u = partner(t)
         if t <= u:
             a = assoc(*t)
             b = a if u == t else assoc(*u)
-            if any(p + q for p, q in zip(a, b)):
+            if any(map(add, a, b)):
                 d = den * den * A.alpha.den
                 return CheckReport(False, law, t, A.element(Vector.from_ints(a, d)),
                                    A.element(Vector.from_ints([-q for q in b], d)))

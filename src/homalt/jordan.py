@@ -12,14 +12,14 @@ admissible; that is the main consequence checked here.
 The Jordan identity is homogeneous of degree 3 in x and linear in y, so
 it is checked at the lattice points x = e_i + e_j + e_k of the x-slot
 (an exact proof over Q, see powers) against every basis y.
-check_hom_jordan_admissible makes that one sweep on A+, which is
-commutative by construction.
+check_hom_jordan_admissible makes that one sweep on A+ (commutative by
+construction), priced by its 4 dim + 1 products and 3 alphas a point.
 """
 
 from .core import apply_alpha, hom_associator, mul, mul_nums
 from .constructions import plus_algebra
 from .linalg import row_times
-from .powers import polarized_defect_sweep
+from .powers import polarized_defect_sweep, sweep_size
 
 __all__ = ["jordan_defect", "check_hom_jordan_admissible"]
 
@@ -30,8 +30,9 @@ def jordan_defect(A, x, y):
 
 
 def check_hom_jordan_admissible(A):
-    """Is A+ Hom-Jordan?  Proved or refuted by one lattice sweep on A+."""
+    """Is A+ Hom-Jordan?  One lattice sweep on A+, or ValueError above powers.MAX_SWEEP."""
     P = plus_algebra(A)
+    sweep_size(P, (3,), work=4 * P.dim + 4)  # a point's products and alphas
     alpha_basis = P.alpha.nums  # alpha(e_i) is row i of alpha
     den = (P._mu_den * P.alpha.den) ** 3  # each side: three products, three alphas
 

@@ -22,6 +22,7 @@ Conventions: vectors are coordinate rows, matrices act on the right
 row kernel pass the transpose.
 """
 
+import functools
 import re
 from fractions import Fraction
 from itertools import chain
@@ -383,8 +384,9 @@ class Matrix:
         )
 
 
+@functools.cache  # a Matrix never changes, so each n's is built once
 def identity_matrix(n):
-    return _matrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+    return _matrix(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), 1)
 
 
 def mat_mul(a, b):

@@ -7,8 +7,8 @@ An operator is a linalg.Matrix acting on the right of coordinate rows
 
 so composing "f then g" multiplies matrices in reading order, fg has
 matrix M_f @ M_g, and operator identities are exact matrix identities.
-L_x and R_x are linear in x, so both are read off one table per
-algebra, of the L_{e_i} and R_{e_i}.
+Row a of L_x is x*e_a and row a of R_x is e_a*x, each made by
+core.mul_nums, the one product kernel.
 
 For a right Hom-alternative algebra, multiplicative or not,
 
@@ -31,9 +31,9 @@ T^(n+1) = alpha^(4n) T for every n, and [T, R] = 0.  Each family follows
 from its first member by induction on n, so it is checked there only.
 """
 
-from .linalg import Matrix, vec_mat
+from .linalg import Matrix, identity_matrix
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
-from .core import CheckReport, is_right_hom_alternative, require
+from .core import CheckReport, is_right_hom_alternative, mul_nums, require
 from .core import mul  # noqa: F401
 
 __all__ = [
@@ -45,36 +45,24 @@ __all__ = [
     "check_idempotent_operator_suite",
 ]
 
-def _basis_ops(A):
-    """(lefts, rights): dim x dim^2 Matrices whose row i is L_{e_i}, resp.
-    R_{e_i}, flattened row by row, read from A._mu_num."""
-    n = A.dim
-    lefts = [[0] * (n * n) for _ in range(n)]   # lefts[i][a n + k]: e_i * e_a at e_k
-    rights = [[0] * (n * n) for _ in range(n)]  # rights[j][a n + k]: e_a * e_j at e_k
-    for a, row in enumerate(A._mu_num):
-        for j, pairs in row:
-            for k, c in pairs:
-                rights[j][a * n + k] = lefts[a][j * n + k] = c
-    return Matrix.from_ints(lefts, A._mu_den), Matrix.from_ints(rights, A._mu_den)
 
-
-def _op(A, side, x):
-    """The sum of x_i O_i, where O_i is L_{e_i} for side 0 and R_{e_i} for
-    side 1, read from the table of _basis_ops, built once per A."""
+def _op(A, x, left):
+    """L_x (left) or R_x: row a is x*e_a, resp. e_a*x, made by mul_nums."""
     if x.algebra is not A:
         raise ValueError("elements belong to different algebras")
-    flat, n = vec_mat(x.coords, A.fact("basis-operators", lambda: _basis_ops(A))[side]), A.dim
-    return Matrix.from_ints([flat.nums[r * n:(r + 1) * n] for r in range(n)], flat.den)
+    xs, units = x.coords.nums, identity_matrix(A.dim).nums
+    return Matrix.from_ints([mul_nums(A, xs, e) if left else mul_nums(A, e, xs) for e in units],
+                            x.coords.den * A._mu_den)
 
 
 def left_op(A, x):
     """L_x: a |-> x*a."""
-    return _op(A, 0, x)
+    return _op(A, x, True)
 
 
 def right_op(A, x):
     """R_x: a |-> a*x."""
-    return _op(A, 1, x)
+    return _op(A, x, False)
 
 
 def op_commutator(f, g):
@@ -102,7 +90,7 @@ def check_mul_operator_identities(A):
     x, y = A.basis_element(j), A.basis_element(k)
     ax, ay = A.element(A.alpha.row(j)), A.element(A.alpha.row(k))  # alpha(x), alpha(y)
     lhs = right_op(A, x) * right_op(A, ay) + right_op(A, y) * right_op(A, ax)
-    rhs = A.alpha * right_op(A, A.element(A.mu[j][k] + A.mu[k][j]))
+    rhs = A.alpha * right_op(A, x * y + y * x)
     return CheckReport(False, law, (j, k), lhs, rhs, note="R-composition fails on basis "
                        "pair, in row %d: right Hom-alternativity fails at %r" % (i, ra.witness))
 

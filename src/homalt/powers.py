@@ -85,9 +85,9 @@ def sweep_size(A, *sweeps, work=0):
     degrees: its lattice points, prod C(dim + d - 1, d), times the operations at
     each point, times the steps of one product of dense rows in A.  A point
     costs D^2 operations, for D the sum of the degrees (a powers row n makes
-    about n^2 alpha applications), or work when that is more: an identity's
-    evaluation makes a number of products and alpha applications that its
-    degrees do not bound (symbolic.identity_sweep_size).  A product's steps
+    about n^2 alpha applications), or work when that is more: an identity's point
+    (symbolic.identity_sweep_size) and a Jordan one (4 dim + 1 products, 3 alphas)
+    make products and alphas that their degrees do not bound.  A product's steps
     are an upper bound: one per coordinate of x and one per nonzero structure
     constant, plus 32 for its fixed cost, fitted to the timings of albert5, its
     sums and dense tables.  ValueError above MAX_SWEEP, before the size is

@@ -1,10 +1,13 @@
 import random
 
+import pytest
+
 from homalt import powers
+from homalt.cli import main
 from homalt.constructions import albert5_alpha, plus_algebra, yau_twist
-from homalt.core import apply_alpha, mul
+from homalt.core import HomAlgebra, apply_alpha, mul, save_algebra
 from homalt.jordan import check_hom_jordan_admissible, jordan_defect
-from homalt.linalg import qq
+from homalt.linalg import identity_matrix, qq
 
 from conftest import SIX, lattice_sweep, random_element
 from test_cli import record_calls
@@ -111,6 +114,33 @@ def test_admissibility_is_one_sweep(a230, bad_algebra, monkeypatch):
     for A in (a230, bad_algebra):
         check_hom_jordan_admissible(A)
     assert len(sweeps) == 2
+
+
+def dense_table(dim, seed=0):
+    """A random dense product table, constants in -3..3, with alpha = Id."""
+    rng = random.Random(seed)
+    mu = [[[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    return HomAlgebra(dim, ["e%d" % i for i in range(dim)], mu, identity_matrix(dim))
+
+
+def test_the_jordan_sweep_is_priced_by_its_products(tmp_path, capsys, monkeypatch):
+    # A point makes 4 dim + 1 products and 3 alphas on A+, so a dense dim-26
+    # table (15,124 steps a product, 3,276 points) is priced at 5.35e9, above
+    # the cap, and refused before any point is evaluated; priced at 9
+    # operations a point, as a bare degree-3 sweep, it would fit.
+    A = dense_table(26)
+    sweeps = record_calls(monkeypatch, powers, "polarized_defect_sweep")
+    with pytest.raises(ValueError, match="108 operations a point.*cap of %d" % powers.MAX_SWEEP):
+        check_hom_jordan_admissible(A)
+    path = tmp_path / "dense26.json"
+    save_algebra(A, str(path))
+    assert main(["jordan", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "above the cap" in err
+    assert sweeps == []
+    # dim 24 is priced at 3.11e9 and still sweeps, to its first point's failure
+    rep = check_hom_jordan_admissible(dense_table(24))
+    assert not rep.passed and rep.witness == ((0, 0, 0), 0) and len(sweeps) == 1
 
 
 def test_jordan_defect_shape(a230):

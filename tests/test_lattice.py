@@ -25,7 +25,14 @@ from math import comb, prod
 import pytest
 
 from homalt.constructions import plus_algebra
-from homalt.core import HomAlgebra, apply_alpha, mul
+from homalt.core import (
+    HomAlgebra,
+    algebra_to_json,
+    apply_alpha,
+    is_left_hom_alternative,
+    is_right_hom_alternative,
+    mul,
+)
 from homalt.dsl import parse_identity
 from homalt.jordan import check_hom_jordan_admissible
 from homalt.linalg import Matrix, identity_matrix, qq, rank
@@ -33,6 +40,7 @@ from homalt.powers import check_nth_hom_power_associative, check_third_fourth_cr
 from homalt.symbolic import identity_registry
 
 from conftest import GOLDEN, element_sweep
+from test_constructions import random_table_algebra
 from test_golden import CASES
 
 REFERENCE = runpy.run_path(
@@ -151,6 +159,22 @@ def test_lattice_verdicts_equal_the_polarized_element_sweep():
         seen.update(enumerate(got))
     # every row but n = 2 (which has no split) both passes and fails somewhere
     assert seen == {(0, True)} | {(k, v) for k in range(1, 6) for v in (True, False)}
+
+
+def test_associator_law_witnesses_equal_the_reference():
+    # The 400 tables tests/test_operators.py draws, with rational constants,
+    # twisted alpha and non-multiplicative tables: each law's first failing
+    # basis triple, or None, is the Fraction-only reference's.
+    seen = set()
+    for seed in range(200):
+        for A in (seeded_algebra(seed), random_table_algebra(random.Random(seed), 2 + seed % 3)):
+            obj = algebra_to_json(A)
+            got = is_right_hom_alternative(A).witness, is_left_hom_alternative(A).witness
+            want = (REFERENCE["right_alternative_witness"](obj),
+                    REFERENCE["left_alternative_witness"](obj))
+            assert got == want, seed
+            seen.update((law, w is None) for law, w in enumerate(got))
+    assert seen == {(law, passed) for law in (0, 1) for passed in (True, False)}
 
 
 # -- replay of the golden files' failing sweep rows ----------------------------------
