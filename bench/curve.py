@@ -1,6 +1,6 @@
 """Time whole ``homalt`` calls on generated algebras and write a BENCH file.
 
-    python3 bench/curve.py                      # every point, 3 runs each -> BENCH_29.json
+    python3 bench/curve.py                      # every point, 3 runs each -> BENCH_30.json
     python3 bench/curve.py --points sum10-check --runs 1 --out /tmp/b.json
 
 Every point is a ``homalt`` command on an algebra built here in code:
@@ -143,7 +143,7 @@ def main(argv=None):
     parser.add_argument("--runs", type=int, default=3, help="fresh processes per point")
     parser.add_argument("--points", default=",".join(POINTS),
                         help="comma-separated point names (default: all)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_29.json"), help="the file to write")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_30.json"), help="the file to write")
     args = parser.parse_args(argv)
     names = args.points.split(",")
     unknown = [n for n in names if n not in POINTS]

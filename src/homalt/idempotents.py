@@ -8,9 +8,9 @@ such an e splits the algebra as
     A = A_e(alpha) + A_e(0),
     A_e(alpha) = {a : a*e = alpha(a)},   A_e(0) = {a : a*e = 0},
 
-with the sum direct exactly when alpha is also injective.  With
-alpha = Id this is the classical A_e(1) + A_e(0) eigenspace splitting
-of the right multiplication operator.
+with the sum always direct: a surjective alpha is also injective, so
+a*e = alpha(a) = 0 forces a = 0.  With alpha = Id this is the classical
+A_e(1) + A_e(0) eigenspace splitting of the right multiplication operator.
 
 Both parts are computed as exact kernels: a*e = alpha(a) says the row
 vector a lies in the left kernel of (R_e - alpha), i.e. the column
@@ -19,8 +19,8 @@ kernel of its transpose.
 
 from itertools import chain, combinations
 
-from .linalg import ONE, Matrix, kernel_basis, qq, rank, solve
-from .core import Element, is_idempotent, mul, require
+from .linalg import ONE, inverse, kernel_basis, qq, vec_mat
+from .core import CheckReport, Element, is_idempotent, mul, require
 from .operators import right_op
 from .record import Record
 
@@ -61,7 +61,7 @@ class Decomposition(Record):
 
     part_alpha and part_zero are lists of Elements forming canonical
     bases of A_e(alpha) and A_e(0); spans_all says whether together they
-    span A, is_direct whether the sum is direct.
+    span A, is_direct whether the sum is direct (always, see above).
     """
 
     _fields = ("idem", "part_alpha", "part_zero", "is_direct", "spans_all")
@@ -75,6 +75,11 @@ class Decomposition(Record):
         self.spans_all = spans_all
 
 
+def _alpha_inverse(A):
+    """alpha^-1, computed once per algebra; ValueError when alpha is singular."""
+    return A.fact("alpha-inverse", lambda: inverse(A.alpha))
+
+
 def albert_decomposition(A, e):
     """Split A as A_e(alpha) + A_e(0) along the idempotent e.
 
@@ -85,29 +90,38 @@ def albert_decomposition(A, e):
     re = right_op(A, e)
     part_alpha = [A.element(v) for v in kernel_basis((re - A.alpha).transpose())]
     part_zero = [A.element(v) for v in kernel_basis(re.transpose())]
-    parts = part_alpha + part_zero
-    r = rank(Matrix.from_vectors([x.coords for x in parts])) if parts else 0
-    spans_all = r == A.dim
-    is_direct = r == len(part_alpha) + len(part_zero)
-    return Decomposition(e, part_alpha, part_zero, is_direct, spans_all)
+    # the sum is direct, so it spans A when the dimensions add up to dim
+    return Decomposition(e, part_alpha, part_zero, True, len(part_alpha + part_zero) == A.dim)
 
 
 def decompose_element(A, e, b):
-    """Write b = (a*e) + (b - a*e) with alpha(a) = b.
+    """Write b = (a*e) + (b - a*e) with a = b alpha^-1, alpha^-1 computed once per A.
 
-    a is the canonical echelon solution of alpha(a) = b; the first part
-    lands in A_e(alpha) and the second in A_e(0) (both membership facts
-    hold whenever A is multiplicative right Hom-alternative with e and
-    alpha as in albert_decomposition).  Same preconditions as
-    albert_decomposition.
+    The first part lands in A_e(alpha) and the second in A_e(0) (both
+    membership facts hold whenever A is multiplicative right
+    Hom-alternative with e and alpha as in albert_decomposition).  Same
+    preconditions as albert_decomposition.
     """
     require(A, "decomposition", "idempotent", "surjective", e=e)
     if b.algebra is not A:
         raise ValueError("elements belong to different algebras")
-    # row equation a @ alpha = b  <=>  alpha^T @ a^T = b^T
-    a = solve(A.alpha.transpose(), b.coords)
-    if a is None:  # unreachable once require has seen alpha surjective
-        raise ValueError("decomposition needs surjective alpha; alpha(a) = %r has no solution"
-                         % (b,))
-    ae = mul(A, A.element(a), e)
+    ae = mul(A, A.element(vec_mat(b.coords, _alpha_inverse(A))), e)
     return ae, b - ae
+
+
+def _element_splitting(A, e):
+    """decompose_element on every basis element at once: e_i's parts are row i of
+    P = alpha^-1 R_e and of 1 - P, so the membership equations are P R_e = P alpha
+    and R_e - P R_e = 0.  The first failing row i is the witness, alpha-part first."""
+    re = right_op(A, e)
+    P = _alpha_inverse(A) * re
+    PR, Pa = P * re, P * A.alpha
+    Z = re - PR
+    for i, (d, z) in enumerate(zip((PR - Pa).nums, Z.nums)):
+        if any(d):
+            return CheckReport(False, "element-splitting", (i, "alpha-part"),
+                               A.element(PR.row(i)), A.element(Pa.row(i)))
+        if any(z):
+            return CheckReport(False, "element-splitting", (i, "zero-part"),
+                               A.element(Z.row(i)), A.zero())
+    return CheckReport(True, "element-splitting", note="all basis elements split")

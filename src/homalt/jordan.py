@@ -29,10 +29,16 @@ def jordan_defect(A, x, y):
     return hom_associator(A, mul(A, x, x), apply_alpha(A, y), apply_alpha(A, x))
 
 
+def _plus_algebra(A):
+    """A+, built once per A, its Jordan sweep priced: ValueError above powers.MAX_SWEEP."""
+    P = A.fact("plus-algebra", lambda: plus_algebra(A))
+    sweep_size(P, (3,), work=4 * P.dim + 4)  # a point's products and alphas
+    return P
+
+
 def check_hom_jordan_admissible(A):
     """Is A+ Hom-Jordan?  One lattice sweep on A+, or ValueError above powers.MAX_SWEEP."""
-    P = plus_algebra(A)
-    sweep_size(P, (3,), work=4 * P.dim + 4)  # a point's products and alphas
+    P = _plus_algebra(A)
     alpha_basis = P.alpha.nums  # alpha(e_i) is row i of alpha
     den = (P._mu_den * P.alpha.den) ** 3  # each side: three products, three alphas
 

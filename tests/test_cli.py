@@ -558,9 +558,10 @@ def test_check_decides_each_shared_fact_once(monkeypatch, capsys):
                         lambda A, law, perm: law == "right-hom-alternative")
     searches = record_calls(monkeypatch, idempotents, "_search")
     ranks = record_calls(monkeypatch, core, "rank", lambda m: m == alpha)
+    inverses = record_calls(monkeypatch, linalg, "inverse")
     assert main(["check", "albert5", "--twist", "2,3,0"]) == 0
     assert "25/25 checks passed" in capsys.readouterr().out
-    assert (len(laws), len(searches)) == (1, 1)
+    assert (len(laws), len(searches), len(inverses)) == (1, 1, 1)
     assert len(ranks) <= 1
 
 

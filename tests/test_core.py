@@ -428,7 +428,7 @@ from homalt.symbolic import HomMonomial
 mu = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
 A = albert5_base()
 # gamma = 0: alpha kills w and z.  Seeding the rank fact with the full
-# rank reaches decompose_element's own check behind require.
+# rank gets decompose_element past require, to its inverse of alpha.
 N = albert5_twisted(AlbertParams(0, 3, 0))
 N.fact("alpha-rank", lambda: 5)
 v2, v3, m23 = Vector([1, 2]), Vector([1, 2, 3]), Matrix([[1, 2, 3], [4, 5, 6]])
@@ -476,7 +476,7 @@ def test_validation_holds_under_python_O():
         "ValueError: ragged rows: lengths [1, 2]",
         "ValueError: an element of a dim-5 algebra needs 5 coordinates, got 2",
         "ValueError: beta must be a Matrix, got list",
-        "ValueError: decomposition needs surjective alpha; alpha(a) = w has no solution",
+        "ValueError: matrix is singular",
         "ValueError: cannot add vectors of lengths 2 and 3",
         "ValueError: cannot subtract vectors of lengths 2 and 3",
         "ValueError: cannot take the dot product of vectors of lengths 2 and 3",

@@ -1,19 +1,21 @@
 import ast
 import json
+import random
 
 import pytest
 
 from homalt.cli import main
-from homalt.core import HomAlgebra, apply_alpha, mul
+from homalt.core import CheckReport, HomAlgebra, apply_alpha, load_algebra, mul
 from homalt.idempotents import (
+    _element_splitting,
     albert_decomposition,
     decompose_element,
     idempotent_search,
     is_idempotent,
 )
-from homalt.linalg import Matrix, rank
+from homalt.linalg import Matrix, qq, rank, solve
 
-from conftest import FIXTURES, copy_mu, twisted_albert
+from conftest import FIXTURES, GOLDEN, copy_mu, random_element, twisted_albert
 from test_lattice import REFERENCE, parse_vector
 
 
@@ -164,3 +166,66 @@ def test_element_splitting_fails_without_right_hom_alternativity(name, capsys):
         want = ref.mul([p - q for p, q in zip(b, in_alpha)], e), [0] * ref.dim
     got = tuple(parse_vector(rows[1][side], obj["basis"]) for side in ("lhs", "rhs"))
     assert got == want and want[0] != want[1]
+
+
+# -- the alpha^-1 route against a per-element solve -----------------------------------
+
+
+def table_with_idempotent(seed):
+    """A seeded dim-2..4 table in which e0 is an idempotent: e0*e0 = e0 = alpha(e0),
+    every other constant in {-1, 0, 1, 1/2} and alpha invertible, row 0 fixed to e0."""
+    rng = random.Random(seed)
+    dim = rng.choice((2, 3, 4))
+    values = (qq(-1), qq(0), qq(0), qq(1), qq(1, 2))
+    mu = [[[rng.choice(values) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    mu[0][0] = [int(k == 0) for k in range(dim)]
+    while True:
+        rows = [[int(k == 0) for k in range(dim)]] + [
+            [rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim - 1)]
+        if rank(Matrix(rows)) == dim:
+            return HomAlgebra(dim, ["e%d" % i for i in range(dim)], mu, Matrix(rows))
+
+
+def reference_parts(A, e, b):
+    """(a*e, b - a*e) for the a that linalg.solve finds with alpha(a) = b."""
+    a = A.element(solve(A.alpha.transpose(), b.coords))
+    return mul(A, a, e), b - mul(A, a, e)
+
+
+def reference_splitting(A, e):
+    """The element-splitting row, one solve and three products per basis element."""
+    for i, b in enumerate(A.basis()):
+        part_a, part_z = reference_parts(A, e, b)
+        if mul(A, part_a, e) != apply_alpha(A, part_a):
+            return CheckReport(False, "element-splitting", (i, "alpha-part"),
+                               mul(A, part_a, e), apply_alpha(A, part_a))
+        if not mul(A, part_z, e).is_zero():
+            return CheckReport(False, "element-splitting", (i, "zero-part"),
+                               mul(A, part_z, e), A.zero())
+    return CheckReport(True, "element-splitting", note="all basis elements split")
+
+
+def splitting_cases():
+    """(A, e): the seeded tables at e0, the golden decompose cases' algebras at the
+    idempotent their commands split at, and the failing fixtures at e0."""
+    cases = [(A, A.basis_element(0)) for A in map(table_with_idempotent, range(60))]
+    rational = load_algebra(str(GOLDEN / "albert5-230-rational-basis.json"))
+    cases += [(A, idempotent_search(A)[0]) for A in (twisted_albert(2, 3, 0), rational)]
+    for A in (load_algebra(str(FIXTURES / name)) for name in sorted(SPLIT_FAILURES)):
+        cases.append((A, A.basis_element(0)))
+    return cases
+
+
+def test_splitting_by_alpha_inverse_matches_the_per_element_solve():
+    rng = random.Random(30)
+    outcomes = set()
+    for A, e in splitting_cases():
+        assert is_idempotent(A, e)
+        rep, want = _element_splitting(A, e), reference_splitting(A, e)
+        assert (rep.passed, rep.witness, rep.lhs, rep.rhs, rep.note) == (
+            want.passed, want.witness, want.lhs, want.rhs, want.note)
+        outcomes.add(rep.witness and rep.witness[1])
+        for b in [random_element(A, rng) for _ in range(3)] + A.basis():
+            assert decompose_element(A, e, b) == reference_parts(A, e, b)
+        assert albert_decomposition(A, e).is_direct is True
+    assert outcomes == {None, "alpha-part", "zero-part"}

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from homalt import powers
+from homalt import core, powers
 from homalt.cli import main
 from homalt.constructions import albert5_alpha, plus_algebra, yau_twist
 from homalt.core import HomAlgebra, apply_alpha, mul, save_algebra
@@ -141,6 +141,19 @@ def test_the_jordan_sweep_is_priced_by_its_products(tmp_path, capsys, monkeypatc
     # dim 24 is priced at 3.11e9 and still sweeps, to its first point's failure
     rep = check_hom_jordan_admissible(dense_table(24))
     assert not rep.passed and rep.witness == ((0, 0, 0), 0) and len(sweeps) == 1
+
+
+def test_check_prices_the_jordan_sweep_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+    # The jordan suite prices its sweep as it decides its preconditions, so
+    # check refuses the dense dim-26 table before the axioms suite decides
+    # right Hom-alternativity on its thread.
+    path = tmp_path / "dense26.json"
+    save_algebra(dense_table(26), str(path))
+    laws = record_calls(monkeypatch, core, "_associator_law")
+    assert main(["check", str(path), "--suites", "axioms,jordan"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "108 operations a point" in err and "above the cap" in err
+    assert laws == []
 
 
 def test_jordan_defect_shape(a230):
