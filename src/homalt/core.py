@@ -23,6 +23,7 @@ Each is decided once per HomAlgebra instance and cached on it, and
 
 import json
 import sys
+from collections import namedtuple
 from itertools import chain, product
 from math import lcm
 from operator import add, itemgetter, sub
@@ -35,13 +36,13 @@ from .linalg import (
     clip,
     format_scalar,
     identity_matrix,
+    inverse,
     parse_scalar,
     qq,
     quote,
     rank,
     vec_mat,
 )
-from .record import Record
 
 # The package re-exports these; require, the submodules' precondition
 # helper, is imported from here by name.
@@ -258,25 +259,24 @@ def commutator(A, x, y):
     return mul(A, x, y) - mul(A, y, x)
 
 
-class CheckReport(Record):
-    """Outcome of a law check.
+class CheckReport(namedtuple("CheckReport", "passed law witness lhs rhs note",
+                             defaults=(None, None, None, ""))):
+    """Outcome of a law check; immutable, so a cached report can be shared.
 
     witness is None exactly when the check passed; otherwise it comes
     from the lexicographically first failing tuple of the law's sweep
     (basis indices or multisets) and lhs/rhs hold the two evaluated
-    sides at that witness.
+    sides at that witness.  A report equals only a report with the same
+    fields (not the plain tuple of them), and is unhashable.
     """
 
-    _fields = ("passed", "law", "witness", "lhs", "rhs", "note")
+    __slots__ = ()
 
-    def __init__(self, passed: bool, law: str, witness: tuple | None = None,
-                 lhs: object = None, rhs: object = None, note: str = ""):
-        self.passed = passed
-        self.law = law
-        self.witness = witness
-        self.lhs = lhs
-        self.rhs = rhs
-        self.note = note
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def as_dict(self):
         return {
@@ -371,11 +371,22 @@ def is_idempotent(A, e):
     return mul(A, e, e) == e and apply_alpha(A, e) == e
 
 
+def alpha_inverse(A):
+    """alpha^-1, or None when alpha is singular (the "surjective" hypothesis
+    fails); decided once per A."""
+    def compute():
+        try:
+            return inverse(A.alpha)
+        except ValueError:  # singular
+            return None
+    return A.fact("alpha-inverse", compute)
+
+
 def require(A, who, *hypotheses, e=None):
     """Raise HypothesisError unless A meets each hypothesis, in order.
 
     The hypotheses are "multiplicative", "right-hom-alternative",
-    "surjective" (alpha has full rank) and "idempotent" (of the element
+    "surjective" (alpha is invertible) and "idempotent" (of the element
     e); each is decided once per A (and e).  The message is "<who>
     needs ..." and names the first broken hypothesis and its witness.
     """
@@ -388,8 +399,8 @@ def require(A, who, *hypotheses, e=None):
             rep = is_right_hom_alternative(A)
             broken = not rep and "a right Hom-alternative algebra; witness %r" % (rep.witness,)
         elif h == "surjective":
-            r = A.fact("alpha-rank", lambda: rank(A.alpha))
-            broken = r < A.dim and "surjective alpha; rank %d < dim %d" % (r, A.dim)
+            broken = alpha_inverse(A) is None and (
+                "surjective alpha; rank %d < dim %d" % (rank(A.alpha), A.dim))
         elif h == "idempotent":
             broken = not A.fact(("idempotent", e), lambda: is_idempotent(A, e)) and (
                 "an idempotent: e*e = e = alpha(e), got e = %r with e*e = %r, alpha(e) = %r"

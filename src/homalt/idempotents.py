@@ -17,12 +17,12 @@ vector a lies in the left kernel of (R_e - alpha), i.e. the column
 kernel of its transpose.
 """
 
+from collections import namedtuple
 from itertools import chain, combinations
 
-from .linalg import ONE, inverse, kernel_basis, qq, vec_mat
-from .core import CheckReport, Element, is_idempotent, mul, require
+from .linalg import ONE, kernel_basis, qq, vec_mat
+from .core import CheckReport, alpha_inverse, is_idempotent, mul, require
 from .operators import right_op
-from .record import Record
 
 __all__ = [
     "Decomposition",
@@ -56,28 +56,15 @@ def _search(A):
     return [e for e in chain(singles, pairs) if is_idempotent(A, e)]
 
 
-class Decomposition(Record):
+class Decomposition(namedtuple("Decomposition", "idem part_alpha part_zero spans_all")):
     """Result of albert_decomposition.
 
     part_alpha and part_zero are lists of Elements forming canonical
-    bases of A_e(alpha) and A_e(0); spans_all says whether together they
-    span A, is_direct whether the sum is direct (always, see above).
+    bases of A_e(alpha) and A_e(0), whose sum is direct (see above);
+    spans_all says whether together they span A.
     """
 
-    _fields = ("idem", "part_alpha", "part_zero", "is_direct", "spans_all")
-
-    def __init__(self, idem: Element, part_alpha: list, part_zero: list,
-                 is_direct: bool, spans_all: bool):
-        self.idem = idem
-        self.part_alpha = part_alpha
-        self.part_zero = part_zero
-        self.is_direct = is_direct
-        self.spans_all = spans_all
-
-
-def _alpha_inverse(A):
-    """alpha^-1, computed once per algebra; ValueError when alpha is singular."""
-    return A.fact("alpha-inverse", lambda: inverse(A.alpha))
+    __slots__ = ()
 
 
 def albert_decomposition(A, e):
@@ -91,7 +78,7 @@ def albert_decomposition(A, e):
     part_alpha = [A.element(v) for v in kernel_basis((re - A.alpha).transpose())]
     part_zero = [A.element(v) for v in kernel_basis(re.transpose())]
     # the sum is direct, so it spans A when the dimensions add up to dim
-    return Decomposition(e, part_alpha, part_zero, True, len(part_alpha + part_zero) == A.dim)
+    return Decomposition(e, part_alpha, part_zero, len(part_alpha + part_zero) == A.dim)
 
 
 def decompose_element(A, e, b):
@@ -105,7 +92,7 @@ def decompose_element(A, e, b):
     require(A, "decomposition", "idempotent", "surjective", e=e)
     if b.algebra is not A:
         raise ValueError("elements belong to different algebras")
-    ae = mul(A, A.element(vec_mat(b.coords, _alpha_inverse(A))), e)
+    ae = mul(A, A.element(vec_mat(b.coords, alpha_inverse(A))), e)
     return ae, b - ae
 
 
@@ -114,7 +101,7 @@ def _element_splitting(A, e):
     P = alpha^-1 R_e and of 1 - P, so the membership equations are P R_e = P alpha
     and R_e - P R_e = 0.  The first failing row i is the witness, alpha-part first."""
     re = right_op(A, e)
-    P = _alpha_inverse(A) * re
+    P = alpha_inverse(A) * re
     PR, Pa = P * re, P * A.alpha
     Z = re - PR
     for i, (d, z) in enumerate(zip((PR - Pa).nums, Z.nums)):

@@ -50,5 +50,4 @@ def check_hom_jordan_admissible(A):
                 for yi, ay in enumerate(alpha_basis)]
 
     rep = polarized_defect_sweep(P, 3, defects, "hom-jordan-admissible")
-    rep.note = "lattice sweep of as(x*x, alpha(y), alpha(x)) on A+"
-    return rep
+    return rep._replace(note="lattice sweep of as(x*x, alpha(y), alpha(x)) on A+")

@@ -180,8 +180,7 @@ def check_nth_hom_power_associative(A, n):
                          % (MAX_HOM_POWER, n))
     defects = [(i, hom_power_poly(n) - hom_power_pair_poly(n - i, i)) for i in range(2, n)]
     rep = _sweep_defects(A, n, defects, law)
-    rep.note = "lattice sweep %s" % ("proved it" if rep.passed else "found the failure")
-    return rep
+    return rep._replace(note="lattice sweep " + ("proved it" if rep else "found the failure"))
 
 
 def check_third_fourth_criterion(A):
@@ -198,6 +197,5 @@ def check_third_fourth_criterion(A):
         defect = hom_power_poly(degree) - hom_power_pair_poly(degree - 2, 2)
         rep = _sweep_defects(A, degree, [(tag, defect)], law)
         if not rep.passed:
-            rep.note = "lattice sweep found the failure"
-            return rep
+            return rep._replace(note="lattice sweep found the failure")
     return CheckReport(True, law, note="both lattice sweeps proved it")

@@ -46,7 +46,7 @@ terms of multilinearize's symbolic form.
 
 import functools
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import permutations
 from math import lcm
 from operator import itemgetter
@@ -55,7 +55,6 @@ from .linalg import ONE, ZERO, as_scalar, format_scalar, parse_scalar, quote, ro
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
 from .core import CheckReport, mul, mul_nums, require  # noqa: F401
 from .powers import polarized_defect_sweep, sweep_size
-from .record import FrozenRecord
 
 __all__ = [
     "HomMonomial",
@@ -416,13 +415,10 @@ def _multidegree(lhs, rhs):
     return degrees or {}
 
 
-class IdentityDef(FrozenRecord):
+class IdentityDef(namedtuple("IdentityDef", "name lhs rhs")):
     """A named identity lhs = rhs; its multidegree is read from its monomials."""
 
-    _fields = ("name", "lhs", "rhs")
-
-    def __init__(self, name: str, lhs: HomPolynomial, rhs: HomPolynomial):
-        self._set(name=name, lhs=lhs, rhs=rhs)
+    __slots__ = ()
 
     @property
     def degrees(self):

@@ -166,7 +166,8 @@ def test_criterion_04_idempotent_decomposition():
         e = A.basis_element(0)
         dec = albert_decomposition(A, e)
         assert dec.spans_all
-        assert dec.is_direct
+        stacked = [list(b.coords.entries) for b in dec.part_alpha + dec.part_zero]
+        assert rank(Matrix.from_rows(stacked)) == len(dec.part_alpha) + len(dec.part_zero)
         assert len(dec.part_alpha) + len(dec.part_zero) == A.dim == 5
 
         def closed_under_alpha(part):
@@ -183,7 +184,9 @@ def test_criterion_04_idempotent_decomposition():
         B = albert5_base()
         eb = B.basis_element(0)
         classical = albert_decomposition(B, eb)
-        assert classical.spans_all and classical.is_direct
+        assert classical.spans_all
+        stacked = [list(b.coords.entries) for b in classical.part_alpha + classical.part_zero]
+        assert rank(Matrix.from_rows(stacked)) == B.dim
         assert eb in classical.part_alpha
         for b in classical.part_alpha:
             assert mul(B, b, eb) == b  # A_e(1) in the classical sense

@@ -29,6 +29,7 @@ from homalt.core import (
     save_algebra,
 )
 from homalt.linalg import identity_matrix, qq
+from homalt.symbolic import shipped_certificate_report
 
 from conftest import TWIST_TRIPLES, random_element, twisted_albert, untwisted_alpha
 
@@ -361,6 +362,22 @@ def test_check_report_compares_and_prints_its_fields():
     assert not rep and CheckReport(True, "law")
 
 
+def test_cached_reports_cannot_be_edited(a230):
+    # Suites on several threads read one cached report; none may change it.
+    cached = (is_multiplicative(a230), is_right_hom_alternative(a230),
+              shipped_certificate_report("assoc-shift"))
+    before = [repr(rep) for rep in cached]
+    for rep in cached:
+        for field in rep._fields:
+            with pytest.raises(AttributeError):
+                setattr(rep, field, None)
+        edited = rep._replace(note="edited")
+        assert type(edited) is CheckReport and edited.note == "edited" and edited != rep
+    assert (is_multiplicative(a230), is_right_hom_alternative(a230),
+            shipped_certificate_report("assoc-shift")) == cached
+    assert [repr(rep) for rep in cached] == before
+
+
 def test_load_algebra_bad_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -427,8 +444,8 @@ from homalt.linalg import Matrix, Vector, identity_matrix
 from homalt.symbolic import HomMonomial
 mu = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
 A = albert5_base()
-# gamma = 0: alpha kills w and z.  Seeding the rank fact with the full
-# rank gets decompose_element past require, to its inverse of alpha.
+# gamma = 0: alpha kills w and z.  Surjectivity is decided by inverting
+# alpha, so a forged "alpha-rank" fact no longer gets past require.
 N = albert5_twisted(AlbertParams(0, 3, 0))
 N.fact("alpha-rank", lambda: 5)
 v2, v3, m23 = Vector([1, 2]), Vector([1, 2, 3]), Matrix([[1, 2, 3], [4, 5, 6]])
@@ -476,7 +493,7 @@ def test_validation_holds_under_python_O():
         "ValueError: ragged rows: lengths [1, 2]",
         "ValueError: an element of a dim-5 algebra needs 5 coordinates, got 2",
         "ValueError: beta must be a Matrix, got list",
-        "ValueError: matrix is singular",
+        "ValueError: decomposition needs surjective alpha; rank 3 < dim 5",
         "ValueError: cannot add vectors of lengths 2 and 3",
         "ValueError: cannot subtract vectors of lengths 2 and 3",
         "ValueError: cannot take the dot product of vectors of lengths 2 and 3",

@@ -97,9 +97,15 @@ always to run its whole suite: only its config block (no
 ``teichmuller`` or ``certificates`` field) changed.  Its rows are the
 ones that ``symbolic_teichmuller.txt``, ``symbolic_teichmuller.json``
 and ``symbolic_certificates.json`` pinned for the two flags; those
-files went with the flags.  To regenerate a file after an intended
-change of output, run its command from data/golden/ with
-``python -m homalt.cli ARGS > FILE``.
+files went with the flags.  Five files were regenerated when
+``Decomposition`` lost its constant ``is_direct``:
+``check_albert5_230.json``, ``decompose_albert5_230.json``,
+``decompose_albert5_230_e.json``, ``decompose_albert5_230_e.txt`` and
+``decompose_rational_basis.txt``.  Only the ``idempotent-decomposition``
+note lost its "; direct = True" clause; tests/test_idempotents.py checks
+that the sum is direct by the rank of the stacked bases.  To regenerate a
+file after an intended change of output, run its command from
+data/golden/ with ``python -m homalt.cli ARGS > FILE``.
 """
 
 import pytest

@@ -451,14 +451,15 @@ def reference_rows(A, nmax):
     rows = []
     for n in range(2, nmax + 1):
         rep = lattice_sweep(A, n, "hom-power-associative(n=%d)" % n, splits(n))
-        rep.note = "lattice sweep %s" % ("proved it" if rep.passed else "found the failure")
+        rep = rep._replace(
+            note="lattice sweep %s" % ("proved it" if rep.passed else "found the failure"))
         rows.append(rep)
     law = "third-fourth-power-criterion"
     rep = lattice_sweep(A, 3, law, third)
     if rep.passed:
         rep = lattice_sweep(A, 4, law, fourth)
-    rep.note = "lattice sweep found the failure" if not rep.passed else (
-        "both lattice sweeps proved it")
+    rep = rep._replace(note="lattice sweep found the failure" if not rep.passed else (
+        "both lattice sweeps proved it"))
     return rows + [rep]
 
 

@@ -43,7 +43,7 @@ def test_import_loads_only_linalg_and_core():
         "print(sorted(set(" + HOMALT_MODULES + ") - set(before)))\n"
     )
     assert out == [
-        "['homalt', 'homalt.core', 'homalt.linalg', 'homalt.record']",
+        "['homalt', 'homalt.core', 'homalt.linalg']",
         "['homalt.constructions']",
     ]
 
