@@ -12,11 +12,11 @@ with machine-checked certificates).
 
 ``import homalt`` loads only ``linalg`` and ``core``, and binds here the
 names in ``linalg.__all__`` and ``core.__all__``; the value classes are
-``collections.namedtuple`` subclasses, so no further module is needed.  Every other public name is looked up in ``_LAZY``
-and its submodule imported on first access (PEP 562), as is
-``homalt.symbolic`` and each other submodule there, so a client that
-builds and serializes algebras never compiles the symbolic, DSL, powers
-or operator layers.  ``__all__``, ``dir(homalt)``, ``from homalt import
+``collections.namedtuple`` subclasses, so no further module is needed.
+Every other public name is looked up in ``_LAZY`` and its submodule
+imported on first access (PEP 562), as is ``homalt.symbolic`` and each
+other submodule there, so a client that builds and serializes algebras
+never compiles the symbolic, DSL, powers or operator layers.  ``__all__``, ``dir(homalt)``, ``from homalt import
 X`` and ``from homalt import *`` see every name, loaded or not.
 """
 

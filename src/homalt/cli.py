@@ -70,8 +70,9 @@ small table costs less than starting.  So the import path keeps to the
 standard library homalt needs: ``collections.namedtuple`` stands in for
 ``dataclasses`` and ``typing.NamedTuple``, plain threads for
 ``concurrent.futures``, and ``symbolic`` imports ``importlib.resources``
-only to read the certificates.  ``import homalt`` loads only ``linalg`` and ``core``;
-this module imports every submodule, because its suites use them all.
+only to read the certificates.  ``import homalt`` loads only ``linalg``
+and ``core``; this module imports every submodule, because its suites
+use them all.
 """
 
 import argparse

@@ -66,6 +66,7 @@ from conftest import (FIXTURES, TWIST_TRIPLES, hom_power, hom_power_pair, random
                       untwisted_alpha)
 from test_constructions import random_params
 from test_core import same_algebra
+from test_idempotents import is_direct
 from test_jordan import ADMISSIBLE_NOTE, direct_sweep
 
 BAD = str(FIXTURES / "non_right_alt_dim3.json")
@@ -165,9 +166,7 @@ def test_criterion_04_idempotent_decomposition():
         A = albert5_twisted(AlbertParams(2, 3, 0))
         e = A.basis_element(0)
         dec = albert_decomposition(A, e)
-        assert dec.spans_all
-        stacked = [list(b.coords.entries) for b in dec.part_alpha + dec.part_zero]
-        assert rank(Matrix.from_rows(stacked)) == len(dec.part_alpha) + len(dec.part_zero)
+        assert dec.spans_all and is_direct(dec)
         assert len(dec.part_alpha) + len(dec.part_zero) == A.dim == 5
 
         def closed_under_alpha(part):
@@ -184,9 +183,7 @@ def test_criterion_04_idempotent_decomposition():
         B = albert5_base()
         eb = B.basis_element(0)
         classical = albert_decomposition(B, eb)
-        assert classical.spans_all
-        stacked = [list(b.coords.entries) for b in classical.part_alpha + classical.part_zero]
-        assert rank(Matrix.from_rows(stacked)) == B.dim
+        assert classical.spans_all and is_direct(classical)
         assert eb in classical.part_alpha
         for b in classical.part_alpha:
             assert mul(B, b, eb) == b  # A_e(1) in the classical sense
