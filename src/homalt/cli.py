@@ -37,8 +37,8 @@ its shipped certificate then proves it in every such algebra.  Otherwise
 verify -- the suite runs the lattice sweep, which evaluates the identity
 once per point and also finds the witness.  ``identity`` always sweeps,
 unless its identity normalizes to zero in the free multiplicative Hom-algebra.
-A sweep whose size (``powers.sweep_size``; an identity's is
-``symbolic.identity_sweep_size``) is above ``powers.MAX_SWEEP``
+A sweep whose size (``core.sweep_size``; an identity's is
+``symbolic.identity_sweep_size``) is above ``core.MAX_SWEEP``
 is bad input (exit 2); the powers, jordan and identities suites size
 theirs while they decide their preconditions, the powers suite all its
 rows' sweeps together.
@@ -101,6 +101,7 @@ from .core import (
     read_text,
     require,
     save_algebra,
+    sweep_size,
     write_json,
 )
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
@@ -109,12 +110,7 @@ from .idempotents import _element_splitting, albert_decomposition, idempotent_se
 from .jordan import _plus_algebra, check_hom_jordan_admissible
 from .linalg import Matrix, clip, parse_scalar, quote
 from .operators import check_idempotent_operator_suite, check_mul_operator_identities
-from .powers import (
-    MAX_HOM_POWER,
-    check_nth_hom_power_associative,
-    check_third_fourth_criterion,
-    sweep_size,
-)
+from .powers import MAX_HOM_POWER, check_nth_hom_power_associative, check_third_fourth_criterion
 from .symbolic import (
     _FREE_ZERO_NOTE,
     IdentityDef,

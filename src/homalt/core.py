@@ -19,13 +19,17 @@ The theorems checked elsewhere assume hypotheses (multiplicative, right
 Hom-alternative, surjective alpha, an idempotent e = e*e = alpha(e)).
 Each is decided once per HomAlgebra instance and cached on it, and
 ``require`` raises HypothesisError naming a broken one and its witness.
+
+The lattice sweep that decides the laws of powers, jordan and symbolic,
+polarized_defect_sweep, lives here too, with its price sweep_size and
+the cap MAX_SWEEP, beside the integer kernel mul_nums that it runs on.
 """
 
 import json
 import sys
 from collections import namedtuple
-from itertools import chain, product
-from math import lcm
+from itertools import chain, combinations_with_replacement, product
+from math import comb, isqrt, lcm, prod
 from operator import add, itemgetter, sub
 
 from .linalg import (
@@ -292,6 +296,103 @@ class CheckReport(namedtuple("CheckReport", "passed law witness lhs rhs note",
         return self.passed
 
 
+# -- the lattice sweep -------------------------------------------------------
+
+
+def _lattice_point(dim, M):
+    """x_M, the sum of the basis elements indexed by the multiset M: M's multiplicities."""
+    return tuple(map(M.count, range(dim)))
+
+
+# The largest price of a sweep, or of a powers suite's sweeps together.  A unit
+# costs 0.019-0.034 us on a 2-vCPU host (Python 3.11.7): --n 20 on albert5
+# (673,485,780) takes 21 s, --n 4 on the sum of eight albert5 copies (dim 40,
+# 266,388,480) 9 s and on a dense dim-20 table (1,259,171,760) 24 s.  But the
+# Jordan sweep of a dense dim-20 table with large constants costs 0.065 us a
+# unit, so an admitted sweep can run for 4-5 minutes.
+MAX_SWEEP = 4_000_000_000
+
+
+def sweep_size(A, *sweeps, work=0):
+    """The price of the given sweeps on A together, each named by its tuple of
+    degrees: its lattice points, prod C(dim + d - 1, d), times the operations at
+    each point, times the steps of one product of dense rows in A.  A point
+    costs D^2 operations, for D the sum of the degrees (a powers row n makes
+    about n^2 alpha applications), or work when that is more: an identity's point
+    (symbolic.identity_sweep_size) and a Jordan one (4 dim + 1 products, 3 alphas)
+    make products and alphas that their degrees do not bound.  A product's steps
+    are an upper bound: one per coordinate of x and one per nonzero structure
+    constant, plus 32 for its fixed cost, fitted to the timings of albert5, its
+    sums and dense tables.  ValueError above MAX_SWEEP, before the size is
+    formed when one point of the largest degree alone costs more."""
+    cost = A.fact("product-cost", lambda: A.dim + 32 + sum(
+        len(pairs) for row in A._mu_num for _, pairs in row))
+    if cost * max(map(sum, sweeps), default=0) ** 2 > MAX_SWEEP:
+        raise ValueError("a sweep of degree above %d on %d basis elements, at %d steps a product, "
+                         "costs more than the cap of %d at each point" % (
+                             isqrt(MAX_SWEEP // cost), A.dim, cost, MAX_SWEEP))
+    size = cost * sum(prod(comb(A.dim + d - 1, d) for d in degrees) * max(sum(degrees) ** 2, work)
+                      for degrees in sweeps)
+    if size > MAX_SWEEP:
+        one = len(sweeps) == 1
+        what = ("a sweep of degrees %s (%d operations a point)" % (
+            ",".join(map(str, sweeps[0])), max(sum(sweeps[0]) ** 2, work)) if one
+                else "the %d sweeps of degrees up to %d" % (len(sweeps), max(map(sum, sweeps))))
+        raise ValueError("%s on %d basis elements, at %d steps a product, %s size %d, above the "
+                         "cap of %d" % (what, A.dim, cost, "has" if one else "have", size,
+                                        MAX_SWEEP))
+    return size
+
+
+def polarized_defect_sweep(A, degrees, defects, law):
+    """Exhaustive proof that a multihomogeneous map vanishes.
+
+    degrees is the degree of the map's one variable, or a tuple of the
+    degrees of its variable groups.  defects(*xs) gets one lattice point
+    x_M per group, as an integer row, and returns the map's defects there
+    as [(tag, numerators, denominator)], the same tags in the same order,
+    each over the same denominator, at every point.  The groups' basis
+    multisets M are swept, the first group outermost, and each point is
+    evaluated once.  Returns a CheckReport; a failure witnesses the first
+    failing (multiset, tag), tags in defects' order -- (tuple of multisets,
+    tag) for a tuple of degrees -- with the defect at x_M, reduced, as lhs.
+    Raises ValueError, before any work, when sweep_size refuses the sweep.
+
+    This is the engine behind every exact sweep of powers, jordan and
+    symbolic.  A variable of degree d is put at the points
+
+        x_M = sum of e_i over i in M,    M a multiset of d basis indices,
+
+    and over Q a form of degree d on Q^dim vanishes iff it vanishes at these
+    C(dim + d - 1, d) points: they are the simplex lattice of the hyperplane
+    where the coordinates sum to d, which is unisolvent for polynomials of
+    degree <= d (Chung-Yao 1977), so the form vanishes on that hyperplane
+    and, being homogeneous, everywhere.  For several groups the points are
+    the product of the groups' lattices.  So a pass is a proof, not a
+    sample, and a failure is replayed by evaluating the map at x_M with mul
+    and alpha alone.  The defects are unreduced integer rows (mul_nums):
+    x_M is an integer vector, so each tag's defect lies over one
+    denominator, fixed by the expression's shape; the sweep tests the
+    numerators and reduces once, at the witness, to the one canonical form
+    of that rational value.
+    """
+    single = isinstance(degrees, int)
+    degrees = (degrees,) if single else tuple(degrees)
+    sweep_size(A, degrees)
+    # The outermost group streams; only the inner groups' points are kept.
+    inner = [[(M, _lattice_point(A.dim, M))
+              for M in combinations_with_replacement(range(A.dim), d)] for d in degrees[1:]]
+    for M in combinations_with_replacement(range(A.dim), degrees[0]):
+        x = _lattice_point(A.dim, M)
+        for point in product(*inner):
+            for tag, nums, den in defects(x, *(y for _, y in point)):
+                if any(nums):
+                    Ms = M if single else (M, *(N for N, _ in point))
+                    return CheckReport(False, law, (Ms, tag),
+                                       Element(A, Vector.from_ints(nums, den)), A.zero())
+    return CheckReport(True, law)
+
+
 def morphism_defect(A, beta):
     """((i, j), lhs, rhs) at the lexicographically first basis pair where
     lhs = beta(e_i*e_j) differs from rhs = beta(e_i)*beta(e_j), or None
@@ -329,13 +430,14 @@ def _associator_law(A, law, perm):
     units, al, den = identity_matrix(A.dim).nums, A.alpha.nums, A._mu_den
     prods, partner = {}, itemgetter(*perm)
 
-    def prod(i, j):  # e_i * e_j over den
+    def unit_mul(i, j):  # e_i * e_j over den
         if (i, j) not in prods:
             prods[i, j] = mul_nums(A, units[i], units[j])
         return prods[i, j]
 
     def assoc(i, j, k):
-        return list(map(sub, mul_nums(A, prod(i, j), al[k]), mul_nums(A, al[i], prod(j, k))))
+        return list(map(sub, mul_nums(A, unit_mul(i, j), al[k]),
+                        mul_nums(A, al[i], unit_mul(j, k))))
 
     for t in product(range(A.dim), repeat=3):
         u = partner(t)
@@ -437,8 +539,8 @@ def algebra_to_json(A):
 
 # algebra_from_json allocates the dense dim^3 structure table before it
 # reads mu, and every check sweeps dim^3 to dim^5 basis tuples, so a
-# larger dim is refused up front; 64 is three times the largest dim
-# measured (20).
+# larger dim is refused up front; the largest dim timed is 60
+# (BENCH_31.json).
 MAX_DIM = 64
 
 

@@ -10,16 +10,15 @@ Multiplicative right Hom-alternative algebras are always Hom-Jordan
 admissible; that is the main consequence checked here.
 
 The Jordan identity is homogeneous of degree 3 in x and linear in y, so
-it is checked at the lattice points x = e_i + e_j + e_k of the x-slot
-(an exact proof over Q, see powers) against every basis y.
-check_hom_jordan_admissible makes that one sweep on A+ (commutative by
-construction), priced by its 4 dim + 1 products and 3 alphas a point.
+it is checked at the lattice points x = e_i + e_j + e_k of the x-slot (an
+exact proof over Q, see core.polarized_defect_sweep) against every basis
+y.  check_hom_jordan_admissible makes that one sweep on A+ (commutative
+by construction), priced by its 4 dim + 1 products and 3 alphas a point.
 """
 
-from .core import apply_alpha, hom_associator, mul, mul_nums
+from .core import apply_alpha, hom_associator, mul, mul_nums, polarized_defect_sweep, sweep_size
 from .constructions import plus_algebra
 from .linalg import row_times
-from .powers import polarized_defect_sweep, sweep_size
 
 __all__ = ["jordan_defect", "check_hom_jordan_admissible"]
 
@@ -30,14 +29,14 @@ def jordan_defect(A, x, y):
 
 
 def _plus_algebra(A):
-    """A+, built once per A, its Jordan sweep priced: ValueError above powers.MAX_SWEEP."""
+    """A+, built once per A, its Jordan sweep priced: ValueError above core.MAX_SWEEP."""
     P = A.fact("plus-algebra", lambda: plus_algebra(A))
     sweep_size(P, (3,), work=4 * P.dim + 4)  # a point's products and alphas
     return P
 
 
 def check_hom_jordan_admissible(A):
-    """Is A+ Hom-Jordan?  One lattice sweep on A+, or ValueError above powers.MAX_SWEEP."""
+    """Is A+ Hom-Jordan?  One lattice sweep on A+, or ValueError above core.MAX_SWEEP."""
     P = _plus_algebra(A)
     alpha_basis = P.alpha.nums  # alpha(e_i) is row i of alpha
     den = (P._mu_den * P.alpha.den) ** 3  # each side: three products, three alphas

@@ -37,11 +37,9 @@ check below still decides, and finds the witness.
 
 Identities are also checkable concretely: check_identity_on_algebra
 evaluates a nonzero defect lhs - rhs once at each lattice point of
-powers.polarized_defect_sweep, a sum x_M of d basis elements (with
-repeats) for each variable of degree d in every monomial.  Over Q a
-multihomogeneous defect vanishes iff it vanishes at all those points, so
-the sweep is exact, and it makes one evaluation per point, not the d!
-terms of multilinearize's symbolic form.
+core.polarized_defect_sweep (whose docstring gives the method), with one
+group of points for each variable: an exact proof that makes one
+evaluation per point, not the d! terms of multilinearize's symbolic form.
 """
 
 import functools
@@ -52,9 +50,9 @@ from math import lcm
 from operator import itemgetter
 
 from .linalg import ONE, ZERO, as_scalar, format_scalar, parse_scalar, quote, row_times
+from .core import CheckReport, mul_nums, polarized_defect_sweep, require, sweep_size
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
-from .core import CheckReport, mul, mul_nums, require  # noqa: F401
-from .powers import polarized_defect_sweep, sweep_size
+from .core import mul  # noqa: F401
 
 __all__ = [
     "HomMonomial",
@@ -540,13 +538,13 @@ _FREE_ZERO_NOTE = "normalizes to zero in the free multiplicative Hom-algebra"
 
 
 def identity_sweep_size(A, defect, degrees):
-    """powers.sweep_size of the lattice sweep of defect, of multidegree
+    """core.sweep_size of the lattice sweep of defect, of multidegree
     degrees, on A: a point costs the most of D^2, D the total degree, and
     bounds on the products and the alpha applications that one evaluation
     makes -- one product per distinct product node of defect, and k alpha
     applications per distinct leaf alpha^k(v) -- counted in one walk of
     its distinct subtrees: upper bounds, as the evaluator pulls alpha out of
-    products (_compile_tree).  ValueError above powers.MAX_SWEEP."""
+    products (_compile_tree).  ValueError above core.MAX_SWEEP."""
     seen, products, alphas = set(), 0, 0
     stack = [m.tree for m in defect._terms]
     while stack:
@@ -569,7 +567,7 @@ def check_identity_on_algebra(A, lhs, rhs, name="identity"):
     the identity holds without a sweep.  Otherwise both sides must share
     one multidegree (ValueError otherwise), the sweep must fit the cap of
     identity_sweep_size (ValueError otherwise), and the defect is evaluated
-    by powers.polarized_defect_sweep at each lattice point: each variable
+    by core.polarized_defect_sweep at each lattice point: each variable
     v of degree d is x_M, the sum of the basis elements of a multiset M
     of d indices, variables in sorted order.  A failure witnesses
     ((variable, multiset), ...), with the defect there as lhs.

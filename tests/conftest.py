@@ -61,10 +61,11 @@ def slot_mask_submultisets(M):
 
 
 def element_sweep(A, degree, law, defects):
-    """A polarized sweep on Elements, coded apart from homalt.powers: at each
-    basis multiset M, the slot-mask inclusion-exclusion of defects(x), a list
-    of (tag, Element), over the subset sums x of M's sub-multisets.  Reports
-    the first failing (M, tag), with the polarized defect as lhs."""
+    """A polarized sweep on Elements, coded apart from
+    core.polarized_defect_sweep: at each basis multiset M, the slot-mask
+    inclusion-exclusion of defects(x), a list of (tag, Element), over the
+    subset sums x of M's sub-multisets.  Reports the first failing (M, tag),
+    with the polarized defect as lhs."""
     memo = {}
     for M in combinations_with_replacement(range(A.dim), degree):
         signed = slot_mask_submultisets(M)
@@ -86,9 +87,10 @@ def lattice_point(A, M):
 
 
 def lattice_sweep(A, degree, law, defects):
-    """A lattice sweep on Elements, coded apart from homalt.powers: at each
-    basis multiset M, defects(x_M), a list of (tag, Element).  Reports the
-    first failing (M, tag), with the defect at x_M as lhs."""
+    """A lattice sweep on Elements, coded apart from
+    core.polarized_defect_sweep: at each basis multiset M, defects(x_M), a
+    list of (tag, Element).  Reports the first failing (M, tag), with the
+    defect at x_M as lhs."""
     for M in combinations_with_replacement(range(A.dim), degree):
         for tag, value in defects(lattice_point(A, M)):
             if not value.is_zero():

@@ -77,7 +77,7 @@ def test_failing_law_exits_one(capsys):
         ["check", "albert5", "--twist", "2,3"],
         ["check", "albert5", "--suites", "axioms,bogus"],
         ["check", "albert5", "--nmax", "1"],
-        ["check", "albert5", "--nmax", "40"],  # a sweep above powers.MAX_SWEEP
+        ["check", "albert5", "--nmax", "40"],  # a sweep above core.MAX_SWEEP
         ["identity", "albert5", "--expr", "(mul x"],
         ["identity", "albert5", "--expr", "(= (mul x x) x)"],  # not homogeneous
         ["twist", "albert5", "--by", "/no/such/beta.json"],
@@ -333,16 +333,16 @@ def test_sweep_above_the_cap_exits_two_at_once(capsys):
     size = 44 * sum(math.comb(k + 4, k) * k * k for k in range(2, 28))
     assert capsys.readouterr().err == (
         "error: the 26 sweeps of degrees up to 27 on 5 basis elements, at 44 steps a product, "
-        "have size %d, above the cap of %d\n" % (size, powers.MAX_SWEEP)
+        "have size %d, above the cap of %d\n" % (size, core.MAX_SWEEP)
     )
     assert main(["powers", "albert5", "--n", "40"]) == 2
     assert capsys.readouterr().err == (
         "error: a sweep of degrees 40 (1600 operations a point) on 5 basis elements, at 44 "
         "steps a product, has size %d, above the cap of %d\n"
-        % (44 * math.comb(44, 40) * 1600, powers.MAX_SWEEP)
+        % (44 * math.comb(44, 40) * 1600, core.MAX_SWEEP)
     )
     assert time.perf_counter() - start < 1.0
-    assert powers.sweep_size(albert5_base(), *((k,) for k in range(2, 27))) <= powers.MAX_SWEEP
+    assert core.sweep_size(albert5_base(), *((k,) for k in range(2, 27))) <= core.MAX_SWEEP
 
 
 # A degree whose one point alone costs more than the cap is refused before
@@ -356,7 +356,7 @@ def test_a_huge_n_is_refused_at_the_cap_with_a_short_message(argv, capsys):
     code, err = exit_and_stderr(argv, capsys)
     assert code == 2 and len(err.encode()) < 300, err[:400]
     assert err == ("error: a sweep of degree above 9534 on 5 basis elements, at 44 steps a "
-                   "product, costs more than the cap of %d at each point\n" % powers.MAX_SWEEP)
+                   "product, costs more than the cap of %d at each point\n" % core.MAX_SWEEP)
 
 
 # On a dim-1 algebra (e*e = e, alpha = Id) the price admits --n 300, and up
@@ -398,14 +398,14 @@ def test_dense_table_sweeps_are_priced_by_their_products(tmp_path, monkeypatch, 
     assert capsys.readouterr() == ("", (
         "error: a sweep of degrees 5 (25 operations a point) on 24 basis elements, at 13880 "
         "steps a product, has size %d, above the cap of %d\n"
-        % (13880 * math.comb(28, 5) * 25, powers.MAX_SWEEP)))
+        % (13880 * math.comb(28, 5) * 25, core.MAX_SWEEP)))
 
 
 @pytest.mark.parametrize("argv", [["powers", "albert5", "--n", "14"],
                                   ["check", "albert5", "--nmax", "14"]], ids=["powers", "check"])
 def test_a_degree_14_sweep_fits_the_cap(argv, capsys):
     # 3,060 lattice points: the cap once priced 2^14 evaluations at each.
-    assert powers.sweep_size(albert5_base(), (14,)) == math.comb(18, 14) * 14 ** 2 * 44
+    assert core.sweep_size(albert5_base(), (14,)) == math.comb(18, 14) * 14 ** 2 * 44
     assert main(argv) == 0
     assert "FAIL" not in capsys.readouterr().out
 
@@ -439,7 +439,7 @@ def test_dim_64_identity_sweeps_exit_two(argv, degrees, size, tmp_path, monkeypa
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
         "error: a sweep of degrees %s (16 operations a point) on 64 basis elements, at 98 "
-        "steps a product, has size %d, above the cap of %d\n" % (degrees, size, powers.MAX_SWEEP)
+        "steps a product, has size %d, above the cap of %d\n" % (degrees, size, core.MAX_SWEEP)
     )
 
 
@@ -543,7 +543,7 @@ def record_calls(monkeypatch, module, name, when=lambda *args: True):
 
 
 def test_check_exits_three_before_any_suite_runs(monkeypatch, capsys):
-    sweeps = record_calls(monkeypatch, powers, "polarized_defect_sweep")
+    sweeps = record_calls(monkeypatch, core, "polarized_defect_sweep")
     assert main(["check", "albert5", "--twist", "2,3,1"]) == 3
     assert capsys.readouterr().err == (
         "precondition unmet: decompose suite: %s; drop 'decompose' from --suites\n"

@@ -6,7 +6,7 @@ Element only for a failing witness.  Every benchmark algebra has integer
 constants, so here mu, and alpha too where it is not the identity, hold
 non-integer entries, and every report must equal field for field,
 witness and lhs included, one computed on reduced Elements by code apart
-from homalt.powers' engine.
+from the engine, core.polarized_defect_sweep.
 """
 
 from fractions import Fraction

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from homalt import core, powers
+from homalt import core
 from homalt.cli import main
 from homalt.constructions import albert5_alpha, plus_algebra, yau_twist
-from homalt.core import HomAlgebra, apply_alpha, mul, save_algebra
+from homalt.core import (HomAlgebra, apply_alpha, is_multiplicative, load_algebra, mul,
+                         save_algebra)
 from homalt.jordan import check_hom_jordan_admissible, jordan_defect
 from homalt.linalg import identity_matrix, qq
+from homalt.symbolic import expand_associator, var
 
-from conftest import SIX, lattice_sweep, random_element
+from conftest import FIXTURES, SIX, lattice_sweep, random_element, swapped_alpha_albert
 from test_cli import record_calls
 
 ADMISSIBLE_NOTE = "lattice sweep of as(x*x, alpha(y), alpha(x)) on A+"
@@ -29,7 +31,7 @@ def direct_defect(A, x, y):
 
 def direct_sweep(A):
     """The direct form swept on A+ by the Element lattice sweep: a reference
-    coded apart from homalt.jordan and homalt.powers."""
+    coded apart from homalt.jordan and core.polarized_defect_sweep."""
     P = plus_algebra(A)
     basis = P.basis()
     return lattice_sweep(
@@ -98,19 +100,74 @@ def test_fixture_fails_admissible(bad_algebra):
     assert rep.witness == check_hom_jordan_admissible(bad_algebra).witness
 
 
-def test_direct_route_matches_the_sweep(six):
+def assert_direct_route_matches(A, passed):
     # Same verdict and witness; the direct form's defect is the negative.
-    name, A = six
     rep = check_hom_jordan_admissible(A)
     direct = direct_sweep(A)
-    assert rep.passed == direct.passed == SIX[name]
+    assert rep.passed == direct.passed == passed
     assert rep.witness == direct.witness
     if not rep.passed:  # each sweep builds its own A+
         assert rep.lhs.coords == (-direct.lhs).coords
+    return rep
+
+
+def test_direct_route_matches_the_sweep(six):
+    name, A = six
+    assert_direct_route_matches(A, SIX[name])
+
+
+# SIX holds no non-multiplicative algebra; the Jordan sweep must not assume
+# multiplicativity, so its route is checked on two more.
+NON_MULTIPLICATIVE = {
+    "swapped-alpha-albert5": (swapped_alpha_albert, ((0, 0, 0), 0)),
+    "fixture-dim5": (lambda: load_algebra(str(FIXTURES / "non_multiplicative_dim5.json")),
+                     ((0, 0, 1), 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_MULTIPLICATIVE))
+def test_direct_route_matches_the_sweep_on_non_multiplicative_algebras(name):
+    build, witness = NON_MULTIPLICATIVE[name]
+    A = build()
+    assert not is_multiplicative(A)
+    assert assert_direct_route_matches(A, False).witness == witness
+
+
+def leaf_by_leaf(A, p, env):
+    """p in A at {variable: Element}, each monomial read off its normal form:
+    alpha^k applied to a leaf's value, then the products.  That is p's value
+    only when A is multiplicative."""
+    def value(tree):
+        if tree[0] == "m":
+            return mul(A, value(tree[1]), value(tree[2]))
+        x = env[tree[1]]
+        for _ in range(tree[2]):
+            x = apply_alpha(A, x)
+        return x
+
+    return sum((value(m.tree).scale(c) for m, c in p.terms()), A.zero())
+
+
+def test_the_free_normal_form_misses_the_jordan_defect_off_multiplicative(a230):
+    # The normal form of as(x*x, alpha(y), alpha(x)) in the free multiplicative
+    # Hom-algebra has rewritten alpha(x*x) as alpha(x)*alpha(x).  On a
+    # non-multiplicative A+ that is another map, so no evaluation of that
+    # polynomial decides the Jordan law there: the sweep applies alpha to the
+    # row of x*x itself.
+    x, y = var("x"), var("y")
+    poly = expand_associator(x * x, y.alpha(1), x.alpha(1))
+    misses = {}
+    for name, A in (("a230", a230), ("swapped", swapped_alpha_albert())):
+        P = plus_algebra(A)
+        basis = P.basis()
+        misses[name] = sum(leaf_by_leaf(P, poly, {"x": a, "y": b}) != jordan_defect(P, a, b)
+                           for a in basis for b in basis)
+        assert bool(is_multiplicative(P)) == (name == "a230")
+    assert misses == {"a230": 0, "swapped": 4}
 
 
 def test_admissibility_is_one_sweep(a230, bad_algebra, monkeypatch):
-    sweeps = record_calls(monkeypatch, powers, "polarized_defect_sweep")
+    sweeps = record_calls(monkeypatch, core, "polarized_defect_sweep")
     for A in (a230, bad_algebra):
         check_hom_jordan_admissible(A)
     assert len(sweeps) == 2
@@ -129,8 +186,8 @@ def test_the_jordan_sweep_is_priced_by_its_products(tmp_path, capsys, monkeypatc
     # the cap, and refused before any point is evaluated; priced at 9
     # operations a point, as a bare degree-3 sweep, it would fit.
     A = dense_table(26)
-    sweeps = record_calls(monkeypatch, powers, "polarized_defect_sweep")
-    with pytest.raises(ValueError, match="108 operations a point.*cap of %d" % powers.MAX_SWEEP):
+    sweeps = record_calls(monkeypatch, core, "polarized_defect_sweep")
+    with pytest.raises(ValueError, match="108 operations a point.*cap of %d" % core.MAX_SWEEP):
         check_hom_jordan_admissible(A)
     path = tmp_path / "dense26.json"
     save_algebra(A, str(path))

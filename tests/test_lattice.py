@@ -1,4 +1,4 @@
-"""The lattice route of powers.polarized_defect_sweep.
+"""The lattice route of core.polarized_defect_sweep.
 
 A law of degree d is evaluated once at each point x_M = e_i + ... (the
 basis elements of a multiset M of d indices).  That is a proof because

@@ -1,7 +1,7 @@
 """The identity sweep against symbolic multilinearization.
 
 check_identity_on_algebra evaluates a defect once at each lattice point
-of powers.polarized_defect_sweep: each degree-d variable is a sum x_M of
+of core.polarized_defect_sweep: each degree-d variable is a sum x_M of
 d basis elements, with repeats.  The verdict reference takes the
 independent route: multilinearize the defect symbolically (d! slot
 permutations per degree-d variable), then evaluate the multilinear

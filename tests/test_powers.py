@@ -13,18 +13,22 @@ from hypothesis import strategies as st
 from homalt import core, symbolic
 from homalt.cli import _suite_powers
 from homalt.constructions import direct_sum, plus_algebra
-from homalt.core import HomAlgebra, apply_alpha, mul
+from homalt.core import (
+    MAX_SWEEP,
+    HomAlgebra,
+    _lattice_point,
+    apply_alpha,
+    mul,
+    polarized_defect_sweep,
+    sweep_size,
+)
 from homalt.linalg import Matrix, identity_matrix, qq
 from homalt.powers import (
     MAX_HOM_POWER,
-    MAX_SWEEP,
-    _lattice_point,
     check_nth_hom_power_associative,
     check_third_fourth_criterion,
     hom_power_pair_poly,
     hom_power_poly,
-    polarized_defect_sweep,
-    sweep_size,
 )
 from homalt.dsl import parse_identity
 from homalt.symbolic import check_identity_on_algebra, identity_registry, identity_sweep_size
@@ -592,3 +596,51 @@ def test_powers_suite_memory_is_bounded():
         tracemalloc.stop()
     assert all(r.passed for r in rows)
     assert peak < 4e6, peak
+
+
+# -- the powers rows against the identity route ------------------------------------------
+
+
+def power_text(n):
+    """x^n in the identity DSL."""
+    return "x" if n == 1 else "(mul %s (a %d x))" % (power_text(n - 1), n - 2)
+
+
+def pair_text(i, j):
+    """x^(i,j) in the identity DSL."""
+    return "(mul (a %d %s) (a %d %s))" % (j - 1, power_text(i), i - 1, power_text(j))
+
+
+def sparse_identity_table(seed):
+    """A seeded sparse integer table with alpha = Id, of dim 3 to 5, made
+    commutative for even seeds (so x^3 = x^(1,2) holds): some rows fail past
+    the first lattice point and some pass."""
+    rng = random.Random(seed)
+    dim = 3 + seed % 3
+    mu = [[[qq(rng.choice((-2, -1, 1, 2)) if rng.random() < 0.2 else 0) for _ in range(dim)]
+           for _ in range(dim)] for _ in range(dim)]
+    if seed % 2 == 0:
+        mu = [[mu[min(i, j)][max(i, j)] for j in range(dim)] for i in range(dim)]
+    return HomAlgebra(dim, ["e%d" % i for i in range(dim)], mu, identity_matrix(dim))
+
+
+def test_power_rows_agree_with_the_identity_route():
+    # A row that fails at (M, i) fails as the identity x^n = x^(n-i,i), typed
+    # in the DSL, at x = x_M with the same defect; a row that passes passes
+    # as each of its splits.
+    algebras = [six_algebra("random-00"), six_algebra("random-00-rational"),
+                *map(sparse_identity_table, range(12))]
+    verdicts = []
+    for A in algebras:
+        for n in range(3, 6):
+            row = check_nth_hom_power_associative(A, n)
+            verdicts.append(row.passed)
+            for i in range(2, n) if row else [row.witness[1]]:
+                rep = check_identity_on_algebra(
+                    A, *parse_identity("(= %s %s)" % (power_text(n), pair_text(n - i, i))))
+                if row:
+                    assert rep.passed, (A, n, i)
+                else:
+                    assert not rep.passed, (A, n, i)
+                    assert rep.witness == (("x", row.witness[0]),) and rep.lhs == row.lhs
+    assert 0 < sum(verdicts) < len(verdicts)

@@ -7,6 +7,7 @@ access.  Each test that counts loaded modules runs in a fresh
 interpreter.
 """
 
+import ast
 import importlib
 import os
 import pathlib
@@ -102,3 +103,27 @@ def test_cli_import_loads_every_traced_module():
         "print(vars(homalt)['mul'] is homalt.core.mul)\n" % TRACED
     )
     assert out == ["[]", "True"]
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("homalt.symbolic", {"homalt.powers"}),
+    ("homalt.jordan", {"homalt.powers", "homalt.symbolic"}),
+])
+def test_the_law_modules_reach_the_sweep_in_core(module, absent):
+    # The lattice sweep and its price live in core, so a law module loads
+    # no other law module for them.
+    out = run_python("import sys\nimport %s\nprint(%s)\n" % (module, HOMALT_MODULES))
+    loaded = set(ast.literal_eval(out[0]))
+    assert module in loaded and not loaded & absent
+
+
+def test_the_only_import_inside_a_function_is_the_dsl_cycle():
+    # dsl builds symbolic's polynomials, so symbolic._monomial imports
+    # dsl.parse_monomial when called; every other module imports at its top.
+    found = []
+    for path in sorted((ROOT / "src" / "homalt").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.stem, fn.name, node.module) for node in ast.walk(fn)
+                          if isinstance(node, ast.ImportFrom) and node.level]
+    assert found == [("symbolic", "_monomial", "dsl")]
