@@ -65,14 +65,15 @@ first in suite order is re-raised.
 
 One CLI call pays for interpreter start, the import of ``homalt``, the
 compilation of ``src/homalt`` when no bytecode can be cached (e.g. under
-``PYTHONDONTWRITEBYTECODE=1``), and only then the work; refuting a
-small table costs less than starting.  So the import path keeps to the
+``PYTHONDONTWRITEBYTECODE=1``), and only then the work; refuting a small
+table costs less than starting.  So the import path keeps to the
 standard library homalt needs: ``collections.namedtuple`` stands in for
 ``dataclasses`` and ``typing.NamedTuple``, plain threads for
 ``concurrent.futures``, and ``symbolic`` imports ``importlib.resources``
 only to read the certificates.  ``import homalt`` loads only ``linalg``
-and ``core``; this module imports every submodule, because its suites
-use them all.
+and ``core``; this module imports every submodule, not because a call
+runs them all but because ``perfbench/traced.py`` reads them right after
+``import homalt.cli``.
 """
 
 import argparse

@@ -38,6 +38,7 @@ from .linalg import (
     Vector,
     ZERO,
     clip,
+    format_combination,
     format_scalar,
     identity_matrix,
     inverse,
@@ -203,22 +204,7 @@ class Element:
         return hash((id(self.algebra), self.coords))
 
     def __repr__(self):
-        parts = []
-        for name, c in zip(self.algebra.basis_names, self.coords):
-            if c == 0:
-                continue
-            if c == 1:
-                parts.append("+ %s" % name)
-            elif c == -1:
-                parts.append("- %s" % name)
-            elif c < 0:
-                parts.append("- %s*%s" % (format_scalar(-c), name))
-            else:
-                parts.append("+ %s*%s" % (format_scalar(c), name))
-        if not parts:
-            return "0"
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+        return format_combination(t for t in zip(self.algebra.basis_names, self.coords) if t[1])
 
 
 # The integer kernel: for integer rows x, y over dx, dy, x*y is mul_nums(A, x, y) over

@@ -11,16 +11,17 @@
               | (scale P/Q term)         scalar multiple
     identity := (= term term)
 
-Variables are identifiers ([A-Za-z_][A-Za-z0-9_]*).  parse_term returns
-a HomPolynomial (terms normalize on construction); parse_identity
-returns the (lhs, rhs) pair; parse_monomial additionally insists the
-term is a single monomial with coefficient 1, which is what certificate
-substitutions and wraps require.  Malformed input, including terms
-nested more than MAX_DEPTH levels deep, alpha powers that add up to
-more than MAX_ALPHA_POWER on one leaf and products whose operands' term
-counts multiply past MAX_TERMS, raises ValueError with the offending
-position.  A message quotes at most linalg.QUOTE_CHARS characters of an
-offending token, and gives the length of a longer one.
+Whitespace (as str.isspace() defines it) and parentheses separate
+tokens.  Variables are identifiers ([A-Za-z_][A-Za-z0-9_]*).  parse_term
+returns a HomPolynomial (terms normalize on construction);
+parse_identity returns the (lhs, rhs) pair; parse_monomial additionally
+insists the term is a single monomial with coefficient 1, which is what
+certificate substitutions and wraps require.  Malformed input, including
+terms nested more than MAX_DEPTH levels deep, alpha powers that add up
+to more than MAX_ALPHA_POWER on one leaf and products whose operands'
+term counts multiply past MAX_TERMS, raises ValueError with the
+offending position.  A message quotes at most linalg.QUOTE_CHARS
+characters of an offending token, and gives the length of a longer one.
 """
 
 import operator
@@ -57,33 +58,13 @@ _FIXED_ARITY = {
 
 _VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _INT_RE = re.compile(r"^[0-9]+$")  # ASCII only: \d takes any script's digits
-
-
-def _tokenize(s):
-    toks = []
-    i = 0
-    n = len(s)
-    while i < n:
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            toks.append((ch, i))
-            i += 1
-            continue
-        j = i
-        while j < n and not s[j].isspace() and s[j] not in "()":
-            j += 1
-        toks.append((s[i:j], i))
-        i = j
-    return toks
+_TOKEN_RE = re.compile(r"[()]|[^\s()]+")  # in a str pattern \s is exactly str.isspace()
 
 
 class _Parser:
     def __init__(self, s):
         self.text = s
-        self.toks = _tokenize(s)
+        self.toks = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(s)]
         self.pos = 0
         self.depth = 0
         self.alpha_power = 0  # sum of the enclosing (a K ...) exponents

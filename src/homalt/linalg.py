@@ -121,6 +121,14 @@ def format_scalar(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def format_combination(terms):
+    """Print (label, nonzero Scalar) pairs in order as 'a*x - y + z', or '0' if there are none."""
+    out = " ".join("%s %s" % ("-" if c < 0 else "+",
+                              label if abs(c) == 1 else "%s*%s" % (format_scalar(abs(c)), label))
+                   for label, c in terms)
+    return "-" + out[2:] if out.startswith("-") else out[2:] or "0"
+
+
 def _clear(scalars):
     """(integer numerators, common denominator) of reduced Scalars.
 

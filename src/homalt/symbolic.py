@@ -49,7 +49,7 @@ from itertools import permutations
 from math import lcm
 from operator import itemgetter
 
-from .linalg import ONE, ZERO, as_scalar, format_scalar, parse_scalar, quote, row_times
+from .linalg import ONE, ZERO, as_scalar, format_combination, parse_scalar, quote, row_times
 from .core import CheckReport, mul_nums, polarized_defect_sweep, require, sweep_size
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
 from .core import mul  # noqa: F401
@@ -247,16 +247,7 @@ class HomPolynomial:
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
-        if not self._terms:
-            return "0"
-        bits = []
-        for m, c in self.terms():
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            body = repr(m) if mag == 1 else "%s*%s" % (format_scalar(mag), m)
-            bits.append("%s %s" % (sign, body))
-        out = " ".join(bits)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+        return format_combination((repr(m), c) for m, c in self.terms())
 
 
 def var(name, k=0):

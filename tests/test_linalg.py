@@ -8,6 +8,7 @@ from homalt.linalg import (
     Matrix,
     Vector,
     char_poly,
+    format_combination,
     format_scalar,
     identity_matrix,
     inverse,
@@ -55,6 +56,13 @@ def test_format_scalar_canonical():
     assert format_scalar(qq(-6, 4)) == "-3/2"
     assert format_scalar(qq(5)) == "5"
     assert format_scalar(qq(0)) == "0"
+
+
+def test_format_combination_signs_and_unit_coefficients():
+    assert format_combination([]) == "0"
+    assert format_combination([("x", qq(-1)), ("y", qq(3, 2)), ("z", qq(1))]) == "-x + 3/2*y + z"
+    assert format_combination([("x", qq(2)), ("y", qq(-5, 3)), ("z", qq(-1))]) == "2*x - 5/3*y - z"
+    assert format_combination([("a1(x)", qq(-7))]) == "-7*a1(x)"
 
 
 @given(rationals)

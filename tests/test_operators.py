@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from homalt import cli, operators
 from homalt.constructions import AlbertParams, albert5_twisted
-from homalt.core import HomAlgebra, apply_alpha, is_multiplicative, is_right_hom_alternative, mul
+from homalt.core import (
+    HomAlgebra,
+    HypothesisError,
+    apply_alpha,
+    is_multiplicative,
+    is_right_hom_alternative,
+    mul,
+)
 from homalt.idempotents import idempotent_search
 from homalt.linalg import Matrix, identity_matrix, mat_mul, qq, vec_mat
 from homalt.operators import (
@@ -19,7 +26,14 @@ from homalt.operators import (
     right_op,
 )
 
-from conftest import SIX, random_element, six_algebra, twisted_albert, untwisted_alpha
+from conftest import (
+    SIX,
+    TWIST_TRIPLES,
+    random_element,
+    six_algebra,
+    twisted_albert,
+    untwisted_alpha,
+)
 from test_constructions import random_table_algebra
 from test_kernel import algebras, vectors
 from test_lattice import seeded_algebra
@@ -257,14 +271,21 @@ def test_mul_operator_identities_keep_their_verdicts(six):
     assert rep.note == (PROVED if rep.passed else FAILS % (ra.witness[0], ra.witness))
 
 
-def test_idempotent_suite_passes(twisted):
-    e = twisted.basis_element(0)
-    # only the eps = 0 members keep e idempotent; skip the rest
-    if mul(twisted, e, e) != e:
-        pytest.skip("basis idempotent only exists for eps = 0")
-    rep = check_idempotent_operator_suite(twisted, e)
+@pytest.mark.parametrize("gamma,delta,epsilon", TWIST_TRIPLES,
+                         ids=["g%s_d%s_e%s" % t for t in TWIST_TRIPLES])
+def test_idempotent_suite_passes(gamma, delta, epsilon):
+    # Every twist has the alpha-fixed idempotent e - epsilon/(delta - 1) (u + v),
+    # which is e itself only when epsilon = 0.
+    A = twisted_albert(gamma, delta, epsilon)
+    e, u, v = A.basis()[:3]
+    idempotent = e - (u + v).scale(qq(epsilon, delta - 1))
+    assert idempotent * idempotent == idempotent == apply_alpha(A, idempotent)
+    rep = check_idempotent_operator_suite(A, idempotent)
     assert rep.passed
     assert rep.note == SUITE_PROVED
+    if epsilon:
+        with pytest.raises(HypothesisError, match="operator suite needs an idempotent"):
+            check_idempotent_operator_suite(A, e)
 
 
 SUITE_PROVED = ("10 identities verified; by induction R^(n+1) = alpha^n R and "

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from homalt.cli import main
 from homalt.constructions import direct_sum
-from homalt.core import HypothesisError, apply_alpha, hom_associator, mul
+from homalt.core import HomAlgebra, HypothesisError, apply_alpha, hom_associator, mul
 from homalt.dsl import (
     MAX_ALPHA_POWER,
     MAX_DEPTH,
@@ -25,7 +25,7 @@ from homalt.dsl import (
     parse_monomial,
     parse_term,
 )
-from homalt.linalg import QUOTE_CHARS, format_scalar, parse_scalar, qq, quote
+from homalt.linalg import QUOTE_CHARS, format_scalar, identity_matrix, parse_scalar, qq, quote
 from homalt.powers import hom_power_pair_poly, hom_power_poly
 from homalt.symbolic import (
     HomMonomial,
@@ -614,6 +614,16 @@ def test_dsl_round_trip():
         assert parse_monomial(term_to_dsl(m)) == m
 
 
+@given(st.lists(st.builds(qq, st.integers(-3, 3), st.integers(1, 3)), min_size=4, max_size=4))
+@settings(derandomize=True)
+def test_elements_and_polynomials_print_alike(coeffs):
+    # The basis names are the variables, in term order, so the texts agree whole.
+    names = ("w", "x", "y", "z")
+    A = HomAlgebra(4, names, [[[0] * 4] * 4] * 4, identity_matrix(4))
+    poly = HomPolynomial({mono(n): c for n, c in zip(names, coeffs)})
+    assert repr(A.element(coeffs)) == repr(poly)
+
+
 def test_parse_monomial_requires_unit_coefficient():
     assert parse_monomial("(a 1 x)") == mono("x", 1)
     with pytest.raises(ValueError, match="single monomial"):
@@ -629,6 +639,21 @@ def test_parse_monomial_requires_unit_coefficient():
 def test_parse_errors_carry_positions(bad):
     with pytest.raises(ValueError, match=r"\(at position \d+\)"):
         parse_identity(bad) if bad.startswith("(=") else parse_term(bad)
+
+
+def test_whitespace_is_what_str_isspace_accepts():
+    # U+001C, tab, U+3000, newline, no-break space and U+2029 separate tokens;
+    # the zero-width space U+200B is not whitespace, so it stays inside one.
+    assert repr(parse_term("(mul\x1cx\ty)")) == "(x*y)"
+    assert repr(parse_term("\u3000(a 1 x)\n")) == "a1(x)"
+    for parse, text, message in [
+        (parse_term, "(mul x\u200by y)", "bad variable name 'x\\u200by' (at position 5)"),
+        (parse_term, "(mul x y\xa0zz)", "expected ')', got 'zz' (at position 9)"),
+        (parse_identity, "(= x\u2029", "unexpected end of input (at position 5)"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        assert str(err.value) == message
 
 
 # (parser, input with {} for the offending token, a short token, its message)
