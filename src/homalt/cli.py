@@ -29,17 +29,12 @@ checks.  ``run`` calls every selected suite, in suite order, before it
 runs any check, so an unmet precondition exits 3 before any work.
 Hypotheses are decided once per algebra instance and cached on it.
 
-The ``identities`` suite decides an identity by certificate transfer,
-without a sweep, when the algebra is multiplicative and right
-Hom-alternative and the identity is in ``symbolic.certified_identities()``:
-its shipped certificate then proves it in every such algebra.  Otherwise
--- an axiom fails, or the certificate or one it leans on does not
-verify -- the suite runs the lattice sweep, which evaluates the identity
-once per point and also finds the witness.  ``identity`` always sweeps,
-unless its identity normalizes to zero in the free multiplicative Hom-algebra.
-A sweep whose size (``core.sweep_size``; an identity's is
-``symbolic.identity_sweep_size``) is above ``core.MAX_SWEEP``
-is bad input (exit 2); the powers, jordan and identities suites size
+``symbolic.identity_checks`` decides which identities transfer by
+certificate, with no sweep.  ``identity`` always sweeps, unless its
+identity normalizes to zero in the free multiplicative Hom-algebra.  A
+sweep whose size (``core.sweep_size``; an identity's is
+``symbolic.identity_sweep_size``) is above ``core.MAX_SWEEP`` is bad
+input (exit 2); the powers, jordan and identities suites size
 theirs while they decide their preconditions, the powers suite all its
 rows' sweeps together.
 
@@ -57,10 +52,9 @@ row times a cache hit when the fact it reports was decided as a
 precondition: an ``axioms`` row when another suite needed its
 hypothesis, a transferred ``identities`` row always, and a ``symbolic``
 certificate row after transfer was decided.
-When a command selects several suites, each runs its checks on a plain
-``threading.Thread`` of its own; a single suite runs on the calling
-thread, so ``check --suites X --timings`` times it uncontended.  Rows
-come back in suite order, and when checks raise, the exception of the
+Each selected suite runs its checks on a plain ``threading.Thread`` of
+its own, so ``check --suites X --timings`` times one suite uncontended.
+Rows come back in suite order, and when checks raise, the exception of the
 first in suite order is re-raised.
 
 One CLI call pays for interpreter start, the import of ``homalt``, the
@@ -93,7 +87,6 @@ from .constructions import (
     yau_twist,
 )
 from .core import (
-    CheckReport,
     HypothesisError,
     is_multiplicative,
     is_right_hom_alternative,
@@ -107,22 +100,12 @@ from .core import (
 )
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
 from .core import mul  # noqa: F401
-from .idempotents import _element_splitting, albert_decomposition, idempotent_search
+from .idempotents import decomposition_checks, idempotent_search
 from .jordan import _plus_algebra, check_hom_jordan_admissible
 from .linalg import Matrix, clip, parse_scalar, quote
 from .operators import check_idempotent_operator_suite, check_mul_operator_identities
 from .powers import MAX_HOM_POWER, check_nth_hom_power_associative, check_third_fourth_criterion
-from .symbolic import (
-    _FREE_ZERO_NOTE,
-    IdentityDef,
-    certified_identities,
-    check_identity_on_algebra,
-    identity_registry,
-    identity_sweep_size,
-    load_certificates,
-    shipped_certificate_report,
-    verify_hom_teichmuller,
-)
+from .symbolic import IdentityDef, certificate_checks, check_identity_on_algebra, identity_checks
 from .dsl import MAX_ALPHA_POWER, parse_identity
 
 
@@ -335,13 +318,6 @@ def _suite_jordan(A, args, idempotent):
     return [partial(check_hom_jordan_admissible, A)]
 
 
-def _decomposition(A, e):
-    dec = albert_decomposition(A, e)
-    note = "e = %r; A_e(alpha) basis %r; A_e(0) basis %r" % (e, dec.part_alpha, dec.part_zero)
-    return CheckReport(dec.spans_all, "idempotent-decomposition",
-                       None if dec.spans_all else (e,), note=note)
-
-
 def _suite_decompose(A, args, idempotent):
     where = "decompose suite: " if args.command == "check" else ""
     require(A, where + "decomposition", "surjective")
@@ -349,7 +325,7 @@ def _suite_decompose(A, args, idempotent):
     if e is None:
         raise HypothesisError("%s%s; drop 'decompose' from --suites" % (where, _NO_IDEMPOTENT))
     require(A, where + "decomposition", "idempotent", e=e)
-    return [partial(_decomposition, A, e), partial(_element_splitting, A, e)]
+    return decomposition_checks(A, e)
 
 
 def _suite_operators(A, args, idempotent):
@@ -366,51 +342,13 @@ def _suite_operators(A, args, idempotent):
     return checks
 
 
-def _transferable(A):
-    """The identities that certificate transfer proves in A: the certified
-    ones when A is multiplicative and right Hom-alternative, else none."""
-    if is_multiplicative(A) and is_right_hom_alternative(A):
-        return certified_identities()
-    return frozenset()
-
-
-def _transferred(name):
-    note = "certificate (%s) transfers: multiplicative and right Hom-alternative hold" % (
-        shipped_certificate_report(name).note
-    )
-    return CheckReport(True, name, note=note)
-
-
 def _suite_identities(A, args, idempotent):
-    """Each identity by certificate transfer where _transferable allows it
-    (which verifies the shipped certificates), else by the lattice sweep,
-    which finds the witness."""
     require(A, "the identities suite", "multiplicative")
-    transfer = _transferable(A)
-    for ident in identity_registry().values():
-        if ident.name not in transfer:
-            identity_sweep_size(A, ident.defect(), ident.degrees)
-    return [
-        partial(_transferred, ident.name)
-        if ident.name in transfer
-        else partial(check_identity_on_algebra, A, ident.lhs, ident.rhs, name=ident.name)
-        for ident in identity_registry().values()
-    ]
-
-
-def _teichmuller():
-    ok = verify_hom_teichmuller()
-    return CheckReport(
-        ok,
-        "hom-teichmuller",
-        witness=None if ok else ("expansion did not vanish",),
-        note="10 terms → 0" if ok else "",
-    )
+    return identity_checks(A)
 
 
 def _suite_symbolic(A, args, idempotent):
-    return [_teichmuller] + [partial(shipped_certificate_report, n)
-                             for n in sorted(load_certificates())]
+    return certificate_checks()
 
 
 _SUITE_FNS = {
@@ -456,11 +394,7 @@ def run(args):
         s, checks = suite
         return [_row(s, args.timings, check) for check in checks]
 
-    if len(suites) > 1:
-        results = _map_on_threads(run_suite, suites)
-    else:  # one suite runs on the calling thread
-        results = [run_suite(suite) for suite in suites]
-    rows = [row for suite_rows in results for row in suite_rows]
+    rows = [row for suite_rows in _map_on_threads(run_suite, suites) for row in suite_rows]
     values = dict(vars(args), n=args.nmax, suites=selected)
     return _emit(rows, args.output, args.command, {f: values[f] for f in fields}, A, source)
 
@@ -504,7 +438,7 @@ def cmd_identity(args):
     row = _row("identity", args.timings,
                partial(check_identity_on_algebra, A, ident.lhs, ident.rhs, name=args.name))
     fields = {"name": args.name}
-    if row["note"] == _FREE_ZERO_NOTE:  # no sweep ran: no time, and no degrees to report
+    if ident.defect().is_zero():  # no sweep ran: no time, and no degrees to report
         row["timing_ms"] = None
     else:  # the sweep has read the degrees
         fields.update(degrees=ident.degrees, timings=args.timings)

@@ -18,6 +18,7 @@ kernel of its transpose.
 """
 
 from collections import namedtuple
+from functools import partial
 from itertools import chain, combinations
 
 from .linalg import ONE, kernel_basis, qq, vec_mat
@@ -112,3 +113,15 @@ def _element_splitting(A, e):
             return CheckReport(False, "element-splitting", (i, "zero-part"),
                                A.element(Z.row(i)), A.zero())
     return CheckReport(True, "element-splitting", note="all basis elements split")
+
+
+def _decomposition(A, e):
+    dec = albert_decomposition(A, e)
+    note = "e = %r; A_e(alpha) basis %r; A_e(0) basis %r" % (e, dec.part_alpha, dec.part_zero)
+    return CheckReport(dec.spans_all, "idempotent-decomposition",
+                       None if dec.spans_all else (e,), note=note)
+
+
+def decomposition_checks(A, e):
+    """The decompose suite's checks at e: idempotent-decomposition, then element-splitting."""
+    return [partial(_decomposition, A, e), partial(_element_splitting, A, e)]

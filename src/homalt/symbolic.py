@@ -31,9 +31,10 @@ nonzero, so corrupting any single coefficient breaks verification.
 That is certificate transfer: certified_identities() names the registry
 identities whose certificate verifies and leans only on certified ones
 (each shipped certificate is verified at most once per process), and on
-an algebra where both axioms hold the identities suite reports those as
-proved without evaluating them.  Where an axiom fails, the concrete
-check below still decides, and finds the witness.
+an algebra where both axioms hold, identity_checks (the identities
+suite's rows) reports those as proved without evaluating them.  Where an
+axiom fails, the concrete check below still decides, and finds the
+witness.  certificate_checks builds the symbolic suite's rows.
 
 Identities are also checkable concretely: check_identity_on_algebra
 evaluates a nonzero defect lhs - rhs once at each lattice point of
@@ -50,7 +51,8 @@ from math import lcm
 from operator import itemgetter
 
 from .linalg import ONE, ZERO, as_scalar, format_combination, parse_scalar, quote, row_times
-from .core import CheckReport, mul_nums, polarized_defect_sweep, require, sweep_size
+from .core import CheckReport, is_multiplicative, is_right_hom_alternative, mul_nums
+from .core import polarized_defect_sweep, require, sweep_size
 # mul is unused here, but perfbench/traced.py wraps it in every module that holds it.
 from .core import mul  # noqa: F401
 
@@ -525,9 +527,6 @@ def multilinearize(p, degrees):
     return q, groups
 
 
-_FREE_ZERO_NOTE = "normalizes to zero in the free multiplicative Hom-algebra"
-
-
 def identity_sweep_size(A, defect, degrees):
     """core.sweep_size of the lattice sweep of defect, of multidegree
     degrees, on A: a point costs the most of D^2, D the total degree, and
@@ -566,7 +565,8 @@ def check_identity_on_algebra(A, lhs, rhs, name="identity"):
     require(A, "the identity sweep", "multiplicative")
     defect = lhs - rhs
     if defect.is_zero():
-        return CheckReport(True, name, note=_FREE_ZERO_NOTE)
+        return CheckReport(True, name,
+                           note="normalizes to zero in the free multiplicative Hom-algebra")
     degrees = _multidegree(lhs, rhs)
     identity_sweep_size(A, defect, degrees)
     names = list(degrees)
@@ -749,3 +749,43 @@ def certified_identities():
         if used <= certified:
             certified.add(name)
     return frozenset(certified)
+
+
+# -- the identities and symbolic suites' rows ---------------------------------
+
+
+def _transferred(name):
+    note = "certificate (%s) transfers: multiplicative and right Hom-alternative hold"
+    return CheckReport(True, name, note=note % shipped_certificate_report(name).note)
+
+
+def identity_checks(A):
+    """The identities suite's checks, in registry order: zero-argument
+    callables that each return one CheckReport.  An identity transfers when
+    A is multiplicative and right Hom-alternative and the identity is in
+    certified_identities(); every other one is priced by
+    identity_sweep_size before this returns, and its check sweeps."""
+    axioms = is_multiplicative(A) and is_right_hom_alternative(A)
+    transfer = certified_identities() if axioms else ()
+    checks = []
+    for ident in identity_registry().values():
+        if ident.name in transfer:
+            checks.append(functools.partial(_transferred, ident.name))
+        else:
+            identity_sweep_size(A, ident.defect(), ident.degrees)
+            checks.append(functools.partial(check_identity_on_algebra, A, ident.lhs, ident.rhs,
+                                            name=ident.name))
+    return checks
+
+
+def _teichmuller():
+    ok = verify_hom_teichmuller()
+    return CheckReport(ok, "hom-teichmuller", None if ok else ("expansion did not vanish",),
+                       note="10 terms → 0" if ok else "")
+
+
+def certificate_checks():
+    """The symbolic suite's checks: the hom-teichmuller row, then each
+    shipped certificate's row (shipped_certificate_report) in name order."""
+    return [_teichmuller] + [functools.partial(shipped_certificate_report, name)
+                             for name in sorted(load_certificates())]

@@ -3,6 +3,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -739,6 +740,16 @@ def test_timings_fill_floats(capsys):
         assert rows, argv
         for row in rows:
             assert isinstance(row["timing_ms"], float) if timed else row["timing_ms"] is None
+
+
+def test_text_report_prints_each_rows_time(capsys):
+    argv = ["check", "albert5", "--twist", "2,3,0", "--suites", "axioms,jordan", "--timings"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line for line in lines if line.startswith(("PASS", "FAIL"))]
+    assert len(rows) == 3 and len(lines) == 5
+    for line in rows:
+        assert re.search(r"\(\d+(\.\d+)? ms\)", line), line
 
 
 # -- constructor commands ---------------------------------------------------------

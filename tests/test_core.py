@@ -17,6 +17,7 @@ from homalt.core import (
     HypothesisError,
     algebra_from_json,
     algebra_to_json,
+    apply_alpha,
     commutator,
     hom_associator,
     is_hom_flexible,
@@ -28,6 +29,7 @@ from homalt.core import (
     require,
     save_algebra,
 )
+from homalt.idempotents import decompose_element
 from homalt.linalg import identity_matrix, qq
 from homalt.symbolic import shipped_certificate_report
 
@@ -137,11 +139,30 @@ def test_element_repr(a230):
     assert repr(a230.element([qq(1, 2), 0, 0, 0, -1])) == "1/2*e - z"
 
 
+def test_algebra_repr(a230):
+    assert repr(a230) == "HomAlgebra(dim=5, basis=['e', 'u', 'v', 'w', 'z'])"
+
+
 def test_elements_bound_to_their_algebra(albert, a230):
     with pytest.raises(ValueError):
         mul(albert, albert.basis_element(0), a230.basis_element(0))
     with pytest.raises(ValueError):
         albert.basis_element(0) + a230.basis_element(0)
+    foreign = albert.basis_element(0)
+    with pytest.raises(ValueError, match="^elements belong to different algebras$"):
+        apply_alpha(a230, foreign)
+    with pytest.raises(ValueError, match="^elements belong to different algebras$"):
+        decompose_element(a230, a230.basis_element(0), foreign)
+
+
+def test_elements_add_only_elements_and_scale_only_by_rationals(a230):
+    e = a230.basis_element(0)
+    with pytest.raises(ValueError, match="^expected an Element, got 1$"):
+        e + 1
+    with pytest.raises(TypeError):
+        1.5 * e
+    with pytest.raises(TypeError):
+        e * 2
 
 
 def test_random_element_deterministic(a230):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from homalt.linalg import (
     Matrix,
     Vector,
+    as_scalar,
     char_poly,
     format_combination,
     format_scalar,
@@ -49,6 +50,11 @@ def test_parse_scalar_forms():
 def test_parse_scalar_rejects(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
+
+
+def test_as_scalar_refuses_a_float():
+    with pytest.raises(ValueError, match="^cannot interpret 1.5 as an exact rational$"):
+        as_scalar(1.5)
 
 
 def test_format_scalar_canonical():
@@ -97,6 +103,10 @@ def test_vector_arithmetic():
     assert hash(v) == hash(Vector((qq(1), qq(2), qq(-3))))
 
 
+def test_vector_repr():
+    assert repr(Vector([1, "1/2", -3])) == "Vector(1, 1/2, -3)"
+
+
 # -- matrix algebra -----------------------------------------------------------
 
 
@@ -110,6 +120,11 @@ def test_matrix_product_and_identity():
         assert mat_mul(a, identity_matrix(3)) == a
         assert mat_mul(identity_matrix(3), a) == a
         assert mat_mul(a, b).transpose() == mat_mul(b.transpose(), a.transpose())
+
+
+def test_matrix_times_a_scalar_is_a_type_error():
+    with pytest.raises(TypeError):
+        Matrix([[1]]) * 2
 
 
 def test_mat_vec_conventions():

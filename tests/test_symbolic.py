@@ -171,6 +171,16 @@ def test_polynomial_arithmetic():
     assert sorted(p.variables()) == ["x", "y"]
 
 
+def test_polynomial_times_a_scalar_is_a_type_error():
+    with pytest.raises(TypeError):
+        var("x") * 2
+
+
+def test_monomial_alpha_shift_must_be_non_negative():
+    with pytest.raises(ValueError, match="^alpha shifts must be non-negative, got -1$"):
+        HomMonomial.variable("x").alpha(-1)
+
+
 def test_monomial_ordering_is_deterministic():
     ms = [mono("x").mul(mono("y")), mono("x", 2), mono("x"), mono("y").mul(mono("x"))]
     assert sorted(ms) == sorted(reversed(ms))
